@@ -44,8 +44,17 @@ def _write_json(doc, path):
         fh.write("\n")
 
 
+def _config(cls, **fields):
+    # Config classes validate their fields; a bad flag value is a usage error.
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+
+
 def _test_cfg(args):
-    return TestConfig(
+    return _config(
+        TestConfig,
         alpha=args.alpha,
         power_threshold=args.power_threshold,
         max_condset=args.max_condset,
@@ -54,7 +63,8 @@ def _test_cfg(args):
 
 
 def _score_cfg(args):
-    return ScoreConfig(
+    return _config(
+        ScoreConfig,
         score=args.score,
         ess=args.ess,
         tabu_length=args.tabu,
@@ -115,6 +125,8 @@ def cmd_sample(args):
         return 0
     if args.n is None or not args.out:
         raise _Usage("either --sizes with --out-dir, or --n with --out")
+    if args.n < 1:
+        raise _Usage("--n must be at least 1")
     write_csv(forward_sample(net, args.n, seed=args.seed), args.out)
     return 0
 
@@ -124,8 +136,8 @@ def _parse_sizes(raw):
         sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise _Usage(f"bad --sizes list: {raw!r}") from None
-    if not sizes or any(s < 0 for s in sizes):
-        raise _Usage(f"bad --sizes list: {raw!r}")
+    if not sizes or any(s < 1 for s in sizes):
+        raise _Usage(f"bad --sizes list (sizes must be at least 1): {raw!r}")
     return sizes
 
 
@@ -223,6 +235,8 @@ def cmd_benchmark(args):
     truth_skel = _dag_skeleton(net.graph)
     truth_cpdag = dag_to_cpdag(net.graph)
     sizes = _parse_sizes(args.sizes)
+    if args.test_n < 1:
+        raise _Usage("--test-n must be at least 1")
     test_cfg = _test_cfg(args)
     score_cfg = _score_cfg(args)
     rows = []
@@ -279,6 +293,10 @@ def cmd_mlc(args):
         labels = list(range(data.d - args.label_count, data.d))
     else:
         raise _Usage("one of --labels or --label-count is required")
+    if not 2 <= args.folds <= data.n:
+        raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
+    if args.smoothing < 0:
+        raise _Usage("--smoothing must be non-negative")
     cfg = MlcConfig(
         folds=args.folds,
         seed=args.seed,
@@ -433,7 +451,7 @@ def main(argv=None):
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

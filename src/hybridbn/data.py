@@ -7,10 +7,11 @@ Datasets are immutable after construction and safe for concurrent readers.
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-# Mixed-radix codes are built in int64; compress before products pass this.
+# Nominal mixed-radix codes are built in int64 and must stay below this.
 _CODE_LIMIT = 2**62
 
 
@@ -43,6 +44,9 @@ class CategoricalDataset:
             raise DataError("rows must be a 2-d array")
         if rows.shape[1] != len(self.names) or len(self.names) != len(self.levels):
             raise DataError("names, levels and row width disagree")
+        if len(set(self.names)) != len(self.names):
+            dup = next(v for v in self.names if self.names.count(v) > 1)
+            raise DataError(f"duplicate column name {dup!r}")
         rows = np.ascontiguousarray(rows, dtype=np.int32)
         for i, lv in enumerate(self.levels):
             if len(lv) < 1:
@@ -53,6 +57,17 @@ class CategoricalDataset:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "levels", tuple(tuple(lv) for lv in self.levels))
+
+    @cached_property
+    def columns(self):
+        """Read-only column-major copy of rows, shape (d, n), in the smallest
+        unsigned dtype that holds every level index. columns[i] is
+        contiguous, so counting kernels read a variable without a strided
+        copy. Built on first use."""
+        top = max(self.arities, default=1) - 1
+        columns = np.ascontiguousarray(self.rows.T, dtype=np.min_scalar_type(top))
+        columns.setflags(write=False)
+        return columns
 
     @property
     def n(self):
@@ -144,25 +159,52 @@ def observed_config_codes(rows, arities):
     """Compress the given columns into dense codes of observed configurations.
 
     Returns (codes, l) where codes maps each row to an index in [0, l) and l
-    is the number of distinct configurations present. Codes are mixed-radix
-    with intermediate compression, so arbitrarily many columns are safe.
+    is the number of distinct configurations present (0 when there are no
+    rows, 1 when there are no columns).
+
+    Invariant: the map is order-preserving. Codes rank each row's
+    configuration among the observed ones in mixed-radix order (last column
+    fastest), so they equal the inverse of ``np.unique`` over the mixed-radix
+    codes, and table layouts built from them do not depend on how the codes
+    were computed. Intermediate compression keeps arbitrarily many columns
+    safe.
     """
     rows = np.asarray(rows)
     n, m = rows.shape
     if m == 0:
         return np.zeros(n, dtype=np.int64), 1
-    code = rows[:, 0].astype(np.int64)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    # The code lives in the narrowest unsigned dtype that holds its range.
+    # Whenever the next radix would widen that range past a few times n, the
+    # prefix is ranked first; ranking preserves order, so the result is the
+    # same, and the range stays far below _CODE_LIMIT.
+    span = 4 * n + 1024
     cap = int(arities[0])
+    code = rows[:, 0].astype(np.min_scalar_type(cap))
     for t in range(1, m):
         a = int(arities[t])
-        if cap * a >= _CODE_LIMIT:
-            _, code = np.unique(code, return_inverse=True)
-            cap = int(code.max()) + 1 if n else 1
-        code = code * a + rows[:, t]
+        if cap * a > span:
+            code, cap = _dense_ranks(code, cap, span)
         cap *= a
-    _, codes = np.unique(code, return_inverse=True)
-    l = int(codes.max()) + 1 if n else 0
-    return codes.astype(np.int64), l
+        code = code.astype(np.min_scalar_type(cap), copy=False)
+        code *= a
+        np.add(code, rows[:, t], out=code, casting="unsafe")
+    return _dense_ranks(code, cap, span)
+
+
+def _dense_ranks(code, cap, span):
+    # Rank of each code among the distinct codes in [0, cap), as int64. A
+    # bincount presence mask and its running sum give the ranks in
+    # O(cap + n); only a code range far wider than the data (very high
+    # arities) falls back to a sort.
+    if cap > 16 * span:
+        uniq, ranks = np.unique(code, return_inverse=True)
+        return ranks.astype(np.int64), int(uniq.size)
+    code = code.astype(np.intp, copy=False)
+    ranks = np.cumsum(np.bincount(code, minlength=cap) > 0, dtype=np.int64)
+    ranks -= 1
+    return ranks[code], int(ranks[-1]) + 1
 
 
 def nominal_config_codes(rows, arities):
@@ -197,15 +239,16 @@ def contingency(data, x, y, z=()):
         raise ValueError("x, y and z must be distinct")
     r = data.arity(x)
     c = data.arity(y)
-    if z:
-        zcols = data.rows[:, list(z)]
-        zarities = [data.arity(v) for v in z]
-        codes, l = observed_config_codes(zcols, zarities)
-    else:
-        codes = np.zeros(data.n, dtype=np.int64)
-        l = 1
-    flat = (data.rows[:, x].astype(np.int64) * c + data.rows[:, y]) * l + codes
-    counts = np.bincount(flat, minlength=r * c * l).reshape(r, c, l)
+    codes, l = observed_config_codes(
+        data.columns[list(z)].T, [data.arity(v) for v in z]
+    )
+    # (x, y) offsets in a narrow dtype, added onto the fresh int64 codes
+    xy = data.columns[x].astype(np.min_scalar_type(r * c * max(l, 1)))
+    xy *= c
+    np.add(xy, data.columns[y], out=xy, casting="unsafe")
+    xy *= l
+    codes += xy
+    counts = np.bincount(codes, minlength=r * c * l).reshape(r, c, l)
     return ContingencyTable(r=r, c=c, l=l, counts=counts, n=data.n)
 
 

@@ -43,13 +43,11 @@ def _family_counts(data, node, parents):
     r = data.arity(node)
     parents = list(parents)
     q = math.prod(data.arity(p) for p in parents)
-    if parents:
-        codes, m = observed_config_codes(
-            data.rows[:, parents], [data.arity(p) for p in parents]
-        )
-    else:
-        codes, m = np.zeros(data.n, dtype=np.int64), 1
-    flat = codes * r + data.rows[:, node]
+    flat, m = observed_config_codes(
+        data.columns[parents].T, [data.arity(p) for p in parents]
+    )
+    flat *= r
+    flat += data.columns[node]
     counts = np.bincount(flat, minlength=m * r).reshape(m, r)
     return counts, q
 

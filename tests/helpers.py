@@ -218,6 +218,45 @@ def tally_contingency(rows, x, y, z):
     return strata
 
 
+def reference_config_codes(rows, arities):
+    """Dense observed-configuration codes by sorting (np.unique inverse).
+
+    The straightforward version of ``observed_config_codes``: mixed-radix
+    codes in int64, compressed with np.unique only when the next product
+    would pass 2**62.
+    """
+    rows = np.asarray(rows)
+    n, m = rows.shape
+    if m == 0:
+        return np.zeros(n, dtype=np.int64), 1
+    code = rows[:, 0].astype(np.int64)
+    cap = int(arities[0])
+    for t in range(1, m):
+        a = int(arities[t])
+        if cap * a >= 2**62:
+            _, code = np.unique(code, return_inverse=True)
+            cap = int(code.max()) + 1 if n else 1
+        code = code * a + rows[:, t]
+        cap *= a
+    _, codes = np.unique(code, return_inverse=True)
+    l = int(codes.max()) + 1 if n else 0
+    return codes.astype(np.int64), l
+
+
+def reference_contingency(data, x, y, z=()):
+    """Contingency table from strided int32 row reads and sorted codes."""
+    from hybridbn.data import ContingencyTable
+
+    z = tuple(z)
+    r, c = data.arity(x), data.arity(y)
+    codes, l = reference_config_codes(
+        data.rows[:, list(z)], [data.arity(v) for v in z]
+    )
+    flat = (data.rows[:, x].astype(np.int64) * c + data.rows[:, y]) * l + codes
+    counts = np.bincount(flat, minlength=r * c * l).reshape(r, c, l)
+    return ContingencyTable(r=r, c=c, l=l, counts=counts, n=data.n)
+
+
 def dm_log_marginal(counts, alphas):
     """Dirichlet-multinomial log marginal likelihood, computed as the
     product of sequential predictive probabilities (no gamma functions)."""

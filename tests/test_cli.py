@@ -102,6 +102,86 @@ def sampled_csv(small_net, tmp_path):
     return str(out)
 
 
+class TestBadInput:
+    """Bad flag values and unreadable inputs end in one line, not a traceback."""
+
+    @pytest.fixture
+    def tiny_csv(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,b,c\n0,1,0\n1,0,1\n0,0,1\n1,1,0\n")
+        return str(path)
+
+    @staticmethod
+    def assert_one_line(capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_learn_alpha_out_of_range(self, tiny_csv, tmp_path, capsys):
+        code = run("learn", "--data", tiny_csv, "--alpha", 2,
+                   "--out", tmp_path / "o.json")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: alpha must lie in (0, 1)")
+
+    def test_mlc_single_fold(self, tiny_csv, tmp_path, capsys):
+        code = run("mlc", "--data", tiny_csv, "--label-count", 1,
+                   "--scenario", "br", "--folds", 1, "--seed", 0,
+                   "--report", tmp_path / "r.json")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: --folds")
+
+    def test_mlc_more_folds_than_rows(self, tiny_csv, tmp_path, capsys):
+        code = run("mlc", "--data", tiny_csv, "--label-count", 1,
+                   "--scenario", "br", "--folds", 5, "--seed", 0,
+                   "--report", tmp_path / "r.json")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: --folds must lie in [2, 4]")
+
+    def test_sample_negative_n(self, small_net, tmp_path, capsys):
+        _, net_path = small_net
+        code = run("sample", "--net", net_path, "--n", -5, "--seed", 0,
+                   "--out", tmp_path / "s.csv")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: --n must be at least 1")
+
+    def test_mlc_negative_smoothing(self, tiny_csv, tmp_path, capsys):
+        code = run("mlc", "--data", tiny_csv, "--label-count", 1,
+                   "--scenario", "br", "--folds", 2, "--seed", 0,
+                   "--smoothing", -1, "--report", tmp_path / "r.json")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: --smoothing")
+
+    def test_learn_data_is_a_directory(self, tmp_path, capsys):
+        code = run("learn", "--data", tmp_path, "--out", tmp_path / "o.json")
+        assert code == 2
+        self.assert_one_line(capsys, "data error:")
+
+    def test_duplicate_column_names(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,b\n0,1,0\n1,0,1\n0,0,1\n1,1,0\n")
+        code = run("learn", "--data", path, "--out", tmp_path / "o.json")
+        assert code == 2
+        self.assert_one_line(capsys, "data error: duplicate column name 'a'")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_benchmark_zero_size(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        write_network(recovery_network(), truth)
+        code = run("benchmark", "--truth", truth, "--sizes", "100,0",
+                   "--repeats", 1, "--seed", 0, "--out", tmp_path / "b.json")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: bad --sizes list")
+
+    def test_benchmark_empty_holdout(self, tmp_path, capsys):
+        truth = tmp_path / "truth.json"
+        write_network(recovery_network(), truth)
+        code = run("benchmark", "--truth", truth, "--sizes", "100",
+                   "--test-n", 0, "--seed", 0, "--out", tmp_path / "b.json")
+        assert code == 1
+        self.assert_one_line(capsys, "usage error: --test-n must be at least 1")
+
+
 class TestLearnSkeleton:
     def test_writes_skeleton_json(self, sampled_csv, tmp_path):
         out = tmp_path / "skel.json"

@@ -107,6 +107,26 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 1
 
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(DataError, match="duplicate column name 'a'"):
+            CategoricalDataset(("a", "a", "b"), (("0", "1"),) * 3,
+                               np.zeros((2, 3), int))
+
+    def test_column_store(self):
+        rows = np.array([[0, 2], [1, 0], [1, 1]])
+        ds = CategoricalDataset.from_array(rows)
+        assert ds.columns.dtype == np.uint8
+        assert ds.columns.flags.c_contiguous
+        assert ds.rows.dtype == np.int32 and ds.rows.flags.c_contiguous
+        np.testing.assert_array_equal(ds.columns, rows.T)
+        with pytest.raises(ValueError):
+            ds.columns[0, 0] = 1
+
+    def test_column_store_widens_with_arity(self):
+        ds = CategoricalDataset.from_array(np.array([[0, 299]]))
+        assert ds.columns.dtype == np.uint16
+        assert ds.columns[1].tolist() == [299]
+
     def test_from_array_infers_arities(self):
         ds = CategoricalDataset.from_array(np.array([[0, 2], [1, 0]]))
         assert ds.arities == (2, 3)
