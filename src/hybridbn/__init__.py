@@ -4,152 +4,11 @@ Constraint-based local discovery caps conditioning sets at size 2, a
 score-based hill climb with TABU search refines the resulting skeleton,
 and a label-powerset decomposition turns the learned structure into a
 multi-label classifier.
+
+Names are imported from the submodules (hybridbn.data, hybridbn.graphs,
+hybridbn.independence, hybridbn.skeleton, hybridbn.scoring,
+hybridbn.network, hybridbn.metrics, hybridbn.multilabel,
+hybridbn.synthetic); the package itself re-exports nothing.
 """
 
-from .data import (
-    CategoricalDataset,
-    ContingencyTable,
-    DataError,
-    FoldAssignment,
-    binarize_continuous,
-    contingency,
-    kfold,
-    load_csv,
-    write_csv,
-)
-from .graphs import (
-    Dag,
-    MarkovSets,
-    Pdag,
-    ancestors,
-    d_separated,
-    d_separated_sets,
-    is_acyclic,
-    markov_sets,
-    to_dot,
-    topological_order,
-)
-from .independence import (
-    DataIndependenceSource,
-    DSeparationSource,
-    TestConfig,
-    TestResult,
-    chi2_survival,
-    g2_statistic,
-    mutual_information,
-    test_independence,
-)
-from .metrics import (
-    SkeletonMetrics,
-    dag_to_cpdag,
-    holdout_scores,
-    shd,
-    skeleton_metrics,
-)
-from .multilabel import (
-    MlcConfig,
-    SCENARIOS,
-    fit_powerset_classifier,
-    global_accuracy,
-    learn_local_dag,
-    minimal_label_powersets,
-    powerset_markov_boundary,
-    predict_mpe,
-    run_scenario,
-)
-from .network import (
-    BayesianNetwork,
-    fit_cpts,
-    forward_sample,
-    read_network,
-    write_network,
-)
-from .scoring import (
-    ScoreConfig,
-    Scorer,
-    SearchResult,
-    bdeu_local,
-    bic_local,
-    hill_climb,
-    total_score,
-)
-from .skeleton import (
-    PcsResult,
-    Skeleton,
-    build_skeleton,
-    de_pcs,
-    de_sps,
-    fdr_iapc,
-    hpc,
-    iamb_fdr,
-    read_skeleton,
-    write_skeleton,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BayesianNetwork",
-    "CategoricalDataset",
-    "ContingencyTable",
-    "Dag",
-    "DataError",
-    "DataIndependenceSource",
-    "DSeparationSource",
-    "FoldAssignment",
-    "MarkovSets",
-    "MlcConfig",
-    "Pdag",
-    "PcsResult",
-    "SCENARIOS",
-    "ScoreConfig",
-    "Scorer",
-    "SearchResult",
-    "Skeleton",
-    "SkeletonMetrics",
-    "TestConfig",
-    "TestResult",
-    "ancestors",
-    "bdeu_local",
-    "bic_local",
-    "binarize_continuous",
-    "build_skeleton",
-    "chi2_survival",
-    "contingency",
-    "d_separated",
-    "d_separated_sets",
-    "dag_to_cpdag",
-    "de_pcs",
-    "de_sps",
-    "fdr_iapc",
-    "fit_cpts",
-    "fit_powerset_classifier",
-    "forward_sample",
-    "g2_statistic",
-    "global_accuracy",
-    "hill_climb",
-    "holdout_scores",
-    "hpc",
-    "iamb_fdr",
-    "is_acyclic",
-    "kfold",
-    "learn_local_dag",
-    "load_csv",
-    "markov_sets",
-    "minimal_label_powersets",
-    "mutual_information",
-    "powerset_markov_boundary",
-    "predict_mpe",
-    "read_network",
-    "read_skeleton",
-    "run_scenario",
-    "shd",
-    "skeleton_metrics",
-    "test_independence",
-    "to_dot",
-    "topological_order",
-    "total_score",
-    "write_csv",
-    "write_network",
-    "write_skeleton",
-]

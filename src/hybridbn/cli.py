@@ -9,17 +9,19 @@ Wall-clock fields are emitted only behind --timing.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from .data import DataError, load_csv, write_csv
 from .graphs import Dag, Pdag, to_dot
 from .independence import DataIndependenceSource, TestConfig
-from .metrics import dag_to_cpdag, shd, skeleton_metrics
+from .metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
 from .multilabel import SCENARIOS, MlcConfig, run_scenario
 from .network import fit_cpts, forward_sample, read_network, write_network
-from .scoring import ScoreConfig, Scorer, hill_climb
+from .scoring import ScoreConfig, hill_climb
 from .skeleton import Skeleton, build_skeleton, read_skeleton, write_skeleton
 
 _PATH_DESTS = {
@@ -107,9 +109,14 @@ def _add_jobs_flag(p):
                    help="worker threads (affects wall time only)")
 
 
+def _non_negative(value, flag):
+    # NaN and infinity fail the test, so they are usage errors too.
+    if not (math.isfinite(value) and value >= 0):
+        raise _Usage(f"{flag} must be finite and non-negative")
+
+
 def _dag_skeleton(dag):
-    pairs = {(u, v) if u < v else (v, u) for u, v in dag.edges()}
-    return Skeleton(d=dag.d, edges=frozenset(pairs))
+    return Skeleton(dag.d, frozenset(dag.edges()))
 
 
 def cmd_sample(args):
@@ -150,6 +157,8 @@ def cmd_learn_skeleton(args):
 
 
 def cmd_learn(args):
+    _non_negative(args.laplace, "--laplace")
+    score_cfg = _score_cfg(args)
     data = load_csv(args.data, delimiter=args.delimiter)
     started = time.perf_counter()
     if args.skeleton:
@@ -169,7 +178,7 @@ def cmd_learn(args):
         write_skeleton(skel, data.names, args.out)
         report["phase"] = "skeleton"
     else:
-        result = hill_climb(data, skel, _score_cfg(args))
+        result = hill_climb(data, skel, score_cfg)
         net = fit_cpts(result.dag, data, laplace=args.laplace)
         write_network(net, args.out)
         report.update(
@@ -194,11 +203,7 @@ def cmd_evaluate(args):
     sm = skeleton_metrics(_dag_skeleton(learned.graph), _dag_skeleton(truth.graph))
     report = {
         "config": _echo_config(args),
-        "skeleton": {
-            "tp": sm.tp, "fp": sm.fp, "fn": sm.fn,
-            "precision": sm.precision, "recall": sm.recall,
-            "fpr": sm.fpr, "euclidean": sm.euclidean,
-        },
+        "skeleton": asdict(sm),
         "shd": shd(dag_to_cpdag(learned.graph), dag_to_cpdag(truth.graph)),
     }
     if args.test:
@@ -207,18 +212,10 @@ def cmd_evaluate(args):
             raise DataError("test data columns do not match the networks")
         if test.arities != learned.arities:
             raise DataError("test data arities do not match the networks")
-        scores = {}
-        for tag, g in (("learned", learned.graph), ("truth", truth.graph)):
-            scores[tag] = {
-                "bdeu": Scorer(test, ScoreConfig(score="bdeu", ess=args.ess)).total(g),
-                "bic": Scorer(test, ScoreConfig(score="bic")).total(g),
-            }
-        empty = Dag(test.d)
-        scores["empty"] = {
-            "bdeu": Scorer(test, ScoreConfig(score="bdeu", ess=args.ess)).total(empty),
-            "bic": Scorer(test, ScoreConfig(score="bic")).total(empty),
-        }
-        report["scores"] = scores
+        graphs = {"learned": learned.graph, "truth": truth.graph, "empty": Dag(test.d)}
+        report["scores"] = holdout_scores(
+            test, graphs, _config(ScoreConfig, ess=args.ess)
+        )
     _write_json(report, args.report)
     return 0
 
@@ -249,25 +246,23 @@ def cmd_benchmark(args):
             skel = build_skeleton(src, test_cfg, jobs=args.jobs)
             result = hill_climb(train, skel, score_cfg)
             sm = skeleton_metrics(skel, truth_skel)
-            bdeu_train = Scorer(train, ScoreConfig(score="bdeu", ess=args.ess))
-            bdeu_test = Scorer(test, ScoreConfig(score="bdeu", ess=args.ess))
-            bic_train = Scorer(train, ScoreConfig(score="bic"))
-            bic_test = Scorer(test, ScoreConfig(score="bic"))
+            on_train = holdout_scores(train, {"dag": result.dag}, score_cfg)
+            on_test = holdout_scores(
+                test, {"dag": result.dag, "empty": empty}, score_cfg
+            )
             rows.append({
                 "size": size,
                 "repeat": rep,
-                "tp": sm.tp, "fp": sm.fp, "fn": sm.fn,
-                "precision": sm.precision, "recall": sm.recall,
-                "fpr": sm.fpr, "euclidean": sm.euclidean,
+                **asdict(sm),
                 "shd": shd(dag_to_cpdag(result.dag), truth_cpdag),
                 "skeleton_edges": len(skel.edges),
                 "dag_edges": result.dag.edge_count(),
                 "moves": result.moves,
-                "bdeu_train": bdeu_train.total(result.dag),
-                "bdeu_test": bdeu_test.total(result.dag),
-                "bic_train": bic_train.total(result.dag),
-                "bic_test": bic_test.total(result.dag),
-                "bdeu_empty_test": bdeu_test.total(empty),
+                "bdeu_train": on_train["dag"]["bdeu"],
+                "bdeu_test": on_test["dag"]["bdeu"],
+                "bic_train": on_train["dag"]["bic"],
+                "bic_test": on_test["dag"]["bic"],
+                "bdeu_empty_test": on_test["empty"]["bdeu"],
             })
     if args.out.endswith(".csv"):
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -295,8 +290,7 @@ def cmd_mlc(args):
         raise _Usage("one of --labels or --label-count is required")
     if not 2 <= args.folds <= data.n:
         raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
-    if args.smoothing < 0:
-        raise _Usage("--smoothing must be non-negative")
+    _non_negative(args.smoothing, "--smoothing")
     cfg = MlcConfig(
         folds=args.folds,
         seed=args.seed,
@@ -319,10 +313,7 @@ def cmd_export_dot(args):
         raise _Usage("exactly one of --net or --skeleton is required")
     if args.net:
         net = read_network(args.net)
-        if args.cpdag:
-            graph = dag_to_cpdag(net.graph)
-        else:
-            graph = net.graph
+        graph = dag_to_cpdag(net.graph) if args.cpdag else net.graph
         dot = to_dot(graph, net.names)
     else:
         skel, names = read_skeleton(args.skeleton)
@@ -448,10 +439,7 @@ def main(argv=None):
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

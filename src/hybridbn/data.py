@@ -1,4 +1,5 @@
-"""Discrete datasets: CSV I/O, contingency tables, cross-validation folds.
+"""Discrete datasets: CSV I/O, contingency tables, cross-validation folds,
+and the checks shared by the JSON file readers.
 
 Variables are categorical with 0-based level indices. A dataset keeps the
 original tokens per level so predictions and exports can be mapped back.
@@ -6,6 +7,7 @@ Datasets are immutable after construction and safe for concurrent readers.
 """
 
 import csv
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -269,20 +271,6 @@ def kfold(n, k, seed):
     return FoldAssignment(fold_of_row=fold_of_row, k=k)
 
 
-def binarize_continuous(values):
-    """Median-split a numeric column into {0, 1}; ties go low (v <= median -> 0)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DataError("binarize expects a nonempty 1-d column")
-    if np.all(arr == arr[0]):
-        raise DataError("constant column cannot be binarized")
-    med = float(np.median(arr))
-    out = (arr > med).astype(np.int32)
-    if out.min() == out.max():
-        raise DataError("median split produced a constant column")
-    return out
-
-
 def load_csv(path, delimiter=",", header=True):
     """Load a delimited text file into a CategoricalDataset.
 
@@ -348,3 +336,35 @@ def parse_numeric_column(data, col):
             f"column {data.names[col]!r} is not numeric and cannot be binarized"
         ) from None
     return lut[data.rows[:, col]]
+
+
+def read_json_object(path, fields):
+    """Parse a JSON file whose top level is an object; fields maps each
+    required key to the type its value must have (list or dict)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(doc.get(key), kind):
+            kind_name = "array" if kind is list else "object"
+            raise DataError(f"{path} needs a JSON {kind_name} under {key!r}")
+    return doc
+
+
+def name_pairs(pairs, index, what):
+    """Index pairs of a JSON list of [name, name] pairs; index maps names to
+    indices and what names a pair in error messages."""
+    out = []
+    for pair in pairs:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(t, str) and t in index for t in pair)
+        ):
+            raise DataError(f"bad {what} {pair!r}")
+        out.append((index[pair[0]], index[pair[1]]))
+    return out

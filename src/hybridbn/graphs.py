@@ -1,8 +1,6 @@
 """Directed graphs over integer node ids: DAGs, PDAGs, d-separation, DOT.
 
-Two d-separation routines are provided: a Bayes-ball reachability query for
-node pairs and a moralized-ancestral-graph query for node sets. They answer
-the same question and the tests hold them to agreement.
+d-separation is a Bayes-ball reachability query for node pairs.
 """
 
 import heapq
@@ -111,25 +109,6 @@ class Dag:
         return f"Dag(d={self.d}, edges={self.edges()})"
 
 
-def is_acyclic(d, edges):
-    """True iff the candidate edge list over d nodes admits a topological order."""
-    indeg = [0] * d
-    children = [[] for _ in range(d)]
-    for u, v in edges:
-        children[u].append(v)
-        indeg[v] += 1
-    queue = deque(v for v in range(d) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        u = queue.popleft()
-        seen += 1
-        for w in children[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == d
-
-
 def topological_order(g):
     """Lexicographically smallest topological order (deterministic)."""
     indeg = [len(g._parents[v]) for v in range(g.d)]
@@ -194,44 +173,6 @@ def d_separated(g, x, y, z):
             if node in anc_z:
                 for p in g._parents[node]:
                     queue.append((p, 1))
-    return True
-
-
-def d_separated_sets(g, xs, ys, z):
-    """Moralized-ancestral-graph d-separation for node sets.
-
-    True iff z separates xs from ys in the moral graph of the ancestral
-    subgraph induced by xs, ys and z.
-    """
-    xs = frozenset(xs)
-    ys = frozenset(ys)
-    z = frozenset(z)
-    if not xs or not ys:
-        raise ValueError("xs and ys must be nonempty")
-    if xs & ys or xs & z or ys & z:
-        raise ValueError("xs, ys and z must be pairwise disjoint")
-    keep = ancestors(g, xs | ys | z)
-    adj = {v: set() for v in keep}
-    for v in keep:
-        pa = [p for p in g._parents[v] if p in keep]
-        for p in pa:
-            adj[p].add(v)
-            adj[v].add(p)
-        # marry co-parents
-        for i in range(len(pa)):
-            for j in range(i + 1, len(pa)):
-                adj[pa[i]].add(pa[j])
-                adj[pa[j]].add(pa[i])
-    seen = set(xs)
-    stack = [v for v in xs]
-    while stack:
-        v = stack.pop()
-        if v in ys:
-            return False
-        for w in adj[v]:
-            if w not in z and w not in seen:
-                seen.add(w)
-                stack.append(w)
     return True
 
 
@@ -353,14 +294,10 @@ def to_dot(g, names=None):
     for v in range(g.d):
         lines.append(f"  {_quote(names[v])};")
     if isinstance(g, Dag):
-        directed = g.edges()
-        undirected = []
-    else:
-        directed = sorted(g.directed)
-        undirected = sorted(g.undirected)
-    for u, v in directed:
+        g = Pdag.from_dag(g)
+    for u, v in sorted(g.directed):
         lines.append(f"  {_quote(names[u])} -> {_quote(names[v])};")
-    for u, v in undirected:
+    for u, v in sorted(g.undirected):
         lines.append(f"  {_quote(names[u])} -> {_quote(names[v])} [dir=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -33,8 +33,8 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.power_threshold <= 0:
-            raise ValueError("power_threshold must be positive")
+        if not (math.isfinite(self.power_threshold) and self.power_threshold > 0):
+            raise ValueError("power_threshold must be finite and positive")
         if self.max_condset is not None and self.max_condset < 0:
             raise ValueError("max_condset must be non-negative")
         if self.power_cells not in ("nominal", "observed"):

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .data import DataError
 from .graphs import Pdag
 from .scoring import ScoreConfig, Scorer
 
@@ -49,13 +50,7 @@ def _orient(p, u, v):
 
 
 def _undirected_neighbors(p, v):
-    out = set()
-    for a, b in p.undirected:
-        if a == v:
-            out.add(b)
-        elif b == v:
-            out.add(a)
-    return out
+    return {b if a == v else a for a, b in p.undirected if v in (a, b)}
 
 
 def _meek_orients(p, a, b):
@@ -91,9 +86,7 @@ def dag_to_cpdag(g):
 
     Orients the v-structures of g and closes under Meek's orientation rules.
     """
-    p = Pdag(g.d)
-    for u, v in g.edges():
-        p.add_undirected(u, v)
+    p = Pdag(g.d, undirected=g.edges())
     for w in range(g.d):
         for u, v in combinations(g.parents(w), 2):
             if not g.adjacent(u, v):
@@ -141,17 +134,19 @@ def shd(a, b):
     return total
 
 
-def holdout_scores(dag, train, test, cfg=None):
-    """BDeu and BIC totals of a fixed structure on train and test data."""
+def holdout_scores(data, graphs, cfg=None):
+    """BDeu (with cfg.ess) and BIC totals of each structure on one dataset.
+
+    graphs maps a tag to a Dag over the dataset's variables; the result maps
+    each tag to {"bdeu": total, "bic": total}. One Scorer per score kind
+    serves every structure.
+    """
     cfg = cfg or ScoreConfig()
-    if train.names != test.names or train.arities != test.arities:
-        raise ValueError("train and test datasets have mismatched variables")
-    if dag.d != train.d:
-        raise ValueError("structure does not cover the dataset's variables")
-    out = {}
-    for tag, ds in (("train", train), ("test", test)):
-        bdeu = Scorer(ds, ScoreConfig(score="bdeu", ess=cfg.ess))
-        bic = Scorer(ds, ScoreConfig(score="bic"))
-        out[f"bdeu_{tag}"] = bdeu.total(dag)
-        out[f"bic_{tag}"] = bic.total(dag)
-    return out
+    if any(g.d != data.d for g in graphs.values()):
+        raise DataError("structure does not cover the dataset's variables")
+    bdeu = Scorer(data, ScoreConfig(score="bdeu", ess=cfg.ess))
+    bic = Scorer(data, ScoreConfig(score="bic"))
+    return {
+        tag: {"bdeu": bdeu.total(g), "bic": bic.total(g)}
+        for tag, g in graphs.items()
+    }

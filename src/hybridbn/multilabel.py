@@ -8,9 +8,9 @@ most probable explanation factorizes over blocks.
 """
 
 import csv
+import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,18 +19,7 @@ from .data import CategoricalDataset, kfold, parse_numeric_column
 from .graphs import markov_sets
 from .independence import DataIndependenceSource, TestConfig
 from .scoring import ScoreConfig, hill_climb
-from .skeleton import build_skeleton, hpc
-
-SCENARIOS = ("br", "br+mb", "mlp", "mlp+mb")
-
-
-@dataclass(frozen=True)
-class LabelPowersetDecomposition:
-    """Disjoint label blocks covering the label set, with per-block
-    feature boundaries."""
-
-    blocks: tuple
-    boundaries: tuple
+from .skeleton import _thread_map, build_skeleton, hpc
 
 
 def minimal_label_powersets(g, labels):
@@ -69,7 +58,7 @@ def minimal_label_powersets(g, labels):
                     seen.add(w)
                     stack.append(w)
         blocks.append(tuple(sorted(comp)))
-    return [b for b in sorted(blocks)]
+    return sorted(blocks)
 
 
 def powerset_markov_boundary(g, block, labels):
@@ -81,6 +70,7 @@ def powerset_markov_boundary(g, block, labels):
     return frozenset(out - set(labels))
 
 
+@dataclass(frozen=True, eq=False)
 class PowersetClassifier:
     """Laplace-smoothed naive Bayes over a block's feature set.
 
@@ -89,15 +79,11 @@ class PowersetClassifier:
     combination.
     """
 
-    __slots__ = ("block", "features", "classes", "log_prior", "log_like", "smoothing")
-
-    def __init__(self, block, features, classes, log_prior, log_like, smoothing):
-        self.block = block
-        self.features = features
-        self.classes = classes
-        self.log_prior = log_prior
-        self.log_like = log_like
-        self.smoothing = smoothing
+    block: tuple
+    features: tuple
+    classes: tuple
+    log_prior: np.ndarray
+    log_like: list
 
     def log_scores(self, rows):
         """Unnormalized log posterior of each class for each row."""
@@ -121,8 +107,8 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
         raise ValueError("empty block")
     if set(block) & set(features):
         raise ValueError("features must be disjoint from the block's labels")
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError("smoothing must be finite and non-negative")
     sub = train.rows[:, list(block)]
     classes, y = np.unique(sub, axis=0, return_inverse=True)
     y = y.ravel()
@@ -142,29 +128,7 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
         classes=tuple(tuple(int(v) for v in row) for row in classes),
         log_prior=log_prior,
         log_like=log_like,
-        smoothing=smoothing,
     )
-
-
-def predict_mpe(classifiers, row):
-    """Joint most probable label assignment for one row.
-
-    The blocks must be disjoint; the prediction is the concatenation of the
-    per-block argmax combinations, returned as {label index: value}.
-    """
-    seen = set()
-    for clf in classifiers:
-        overlap = seen & set(clf.block)
-        if overlap:
-            raise ValueError(f"blocks overlap on {sorted(overlap)}")
-        seen |= set(clf.block)
-    row = np.asarray(row).reshape(1, -1)
-    out = {}
-    for clf in classifiers:
-        combo = clf.predict(row)[0]
-        for lbl, val in zip(clf.block, combo):
-            out[lbl] = int(val)
-    return out
 
 
 def _predict_matrix(classifiers, rows, label_order):
@@ -202,10 +166,7 @@ def learn_local_dag(data, labels, test_cfg=None, score_cfg=None, jobs=1):
     src = DataIndependenceSource(data, test_cfg)
 
     def neighborhoods(targets):
-        if jobs > 1 and len(targets) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(lambda t: hpc(t, src, None, test_cfg), targets))
-        return [hpc(t, src, None, test_cfg) for t in targets]
+        return _thread_map(lambda t: hpc(t, src, None, test_cfg), targets, jobs)
 
     ring = set(labels)
     for found in neighborhoods(labels):
@@ -215,6 +176,22 @@ def learn_local_dag(data, labels, test_cfg=None, score_cfg=None, jobs=1):
         ring |= found
     skel = build_skeleton(src, test_cfg, jobs=jobs, universe=sorted(ring))
     return hill_climb(data, skel, score_cfg).dag
+
+
+def _boundary_features(dag, block, labels):
+    return tuple(sorted(powerset_markov_boundary(dag, block, labels)))
+
+
+# scenario -> (block rule, feature rule), each a function of the fold's
+# local DAG. None stands for one block per label and for every non-label
+# feature; a scenario learns a local DAG per fold iff it has a rule.
+_SCENARIO_RULES = {
+    "br": (None, None),
+    "br+mb": (None, _boundary_features),
+    "mlp": (minimal_label_powersets, None),
+    "mlp+mb": (minimal_label_powersets, _boundary_features),
+}
+SCENARIOS = tuple(_SCENARIO_RULES)
 
 
 @dataclass(frozen=True)
@@ -280,9 +257,10 @@ def run_scenario(data, labels, scenario, cfg=None):
     for y in labels:
         if not 0 <= y < data.d:
             raise ValueError(f"label index {y} out of range")
-    all_features = [v for v in range(data.d) if v not in set(labels)]
+    all_features = tuple(v for v in range(data.d) if v not in set(labels))
     folds = kfold(data.n, cfg.folds, cfg.seed)
-    needs_graph = key != "br"
+    block_rule, feature_rule = _SCENARIO_RULES[key]
+    needs_graph = (block_rule, feature_rule) != (None, None)
 
     def run_fold(f):
         started = time.perf_counter()
@@ -292,26 +270,15 @@ def run_scenario(data, labels, scenario, cfg=None):
             _binarize_for_fold(data, train_idx, labels) if cfg.binarize else data
         )
         train = fold_data.subset_rows(train_idx)
-        if needs_graph:
-            dag = learn_local_dag(train, labels, cfg.test, cfg.score, jobs=1)
-        if key == "br":
-            blocks = [(y,) for y in labels]
-            feats = [tuple(all_features)] * len(blocks)
-        elif key == "br+mb":
-            blocks = [(y,) for y in labels]
-            feats = [
-                tuple(sorted(powerset_markov_boundary(dag, b, labels)))
-                for b in blocks
-            ]
-        elif key == "mlp":
-            blocks = [tuple(b) for b in minimal_label_powersets(dag, labels)]
-            feats = [tuple(all_features)] * len(blocks)
-        else:
-            blocks = [tuple(b) for b in minimal_label_powersets(dag, labels)]
-            feats = [
-                tuple(sorted(powerset_markov_boundary(dag, b, labels)))
-                for b in blocks
-            ]
+        dag = (
+            learn_local_dag(train, labels, cfg.test, cfg.score, jobs=1)
+            if needs_graph else None
+        )
+        blocks = block_rule(dag, labels) if block_rule else [(y,) for y in labels]
+        feats = [
+            feature_rule(dag, b, labels) if feature_rule else all_features
+            for b in blocks
+        ]
         classifiers = [
             fit_powerset_classifier(train, b, fs, cfg.smoothing)
             for b, fs in zip(blocks, feats)
@@ -341,11 +308,7 @@ def run_scenario(data, labels, scenario, cfg=None):
             report["seconds"] = time.perf_counter() - started
         return report
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            fold_reports = list(pool.map(run_fold, range(cfg.folds)))
-    else:
-        fold_reports = [run_fold(f) for f in range(cfg.folds)]
+    fold_reports = _thread_map(run_fold, range(cfg.folds), cfg.jobs)
     accs = np.array([r["accuracy"] for r in fold_reports])
     nblocks = np.array([r["n_blocks"] for r in fold_reports])
     return {

@@ -11,7 +11,13 @@ import math
 
 import numpy as np
 
-from .data import CategoricalDataset, DataError, nominal_config_codes
+from .data import (
+    CategoricalDataset,
+    DataError,
+    name_pairs,
+    nominal_config_codes,
+    read_json_object,
+)
 from .graphs import Dag, topological_order
 
 _COLUMN_SUM_READ_TOL = 1e-6
@@ -54,11 +60,17 @@ class BayesianNetwork:
                     f"CPT of {self.names[v]!r} has shape {self.cpts[v].shape}, "
                     f"expected {(r, q)}"
                 )
-            sums = self.cpts[v].sum(axis=0)
-            if np.any(np.abs(sums - 1.0) > _COLUMN_SUM_TOL):
-                raise DataError(f"CPT column of {self.names[v]!r} does not sum to 1")
-            if np.any(self.cpts[v] < 0):
-                raise DataError(f"CPT of {self.names[v]!r} has negative entries")
+            _check_cpt(self.names[v], self.cpts[v], _COLUMN_SUM_TOL)
+
+
+def _check_cpt(name, table, tol):
+    # Written so that NaN entries fail every test.
+    if not np.all(np.isfinite(table)):
+        raise DataError(f"CPT of {name!r} has non-finite entries")
+    if not np.all(np.abs(table.sum(axis=0) - 1.0) <= tol):
+        raise DataError(f"CPT column of {name!r} does not sum to 1")
+    if not np.all(table >= 0):
+        raise DataError(f"CPT of {name!r} has negative entries")
 
 
 def fit_cpts(dag, data, laplace=0.0):
@@ -67,6 +79,8 @@ def fit_cpts(dag, data, laplace=0.0):
     With laplace = 0, parent configurations never observed get a uniform
     column (there is no evidence to prefer any level).
     """
+    if not (math.isfinite(laplace) and laplace >= 0):
+        raise ValueError("laplace must be finite and non-negative")
     cpts = []
     for v in range(dag.d):
         r = data.arity(v)
@@ -129,19 +143,13 @@ def read_network(path):
     Column sums are checked within 1e-6 and then renormalized exactly, so
     the in-memory invariant (1e-9) holds for every loaded network.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON in {path}: {exc}") from None
-    for key in ("variables", "edges", "cpts"):
-        if key not in doc:
-            raise DataError(f"network file missing {key!r}")
+    doc = read_json_object(path, {"variables": list, "edges": list, "cpts": dict})
     names = []
     levels = []
     for entry in doc["variables"]:
-        if "name" not in entry or "levels" not in entry:
-            raise DataError("variable entries need 'name' and 'levels'")
+        if not (isinstance(entry, dict) and "name" in entry
+                and isinstance(entry.get("levels"), list)):
+            raise DataError("variable entries need 'name' and a 'levels' list")
         if len(entry["levels"]) < 2:
             raise DataError(f"variable {entry['name']!r} needs at least 2 levels")
         names.append(str(entry["name"]))
@@ -150,11 +158,9 @@ def read_network(path):
     if len(index) != len(names):
         raise DataError("duplicate variable names")
     dag = Dag(len(names))
-    for pair in doc["edges"]:
-        if len(pair) != 2 or pair[0] not in index or pair[1] not in index:
-            raise DataError(f"bad edge {pair!r}")
+    for u, v in name_pairs(doc["edges"], index, "edge"):
         try:
-            dag.add_edge(index[pair[0]], index[pair[1]])
+            dag.add_edge(u, v)
         except ValueError as exc:
             raise DataError(str(exc)) from None
     cpts = []
@@ -163,16 +169,16 @@ def read_network(path):
             raise DataError(f"missing CPT for {name!r}")
         r = len(levels[v])
         q = math.prod(len(levels[p]) for p in dag.parents(v))
-        flat = np.asarray(doc["cpts"][name], dtype=float)
-        if flat.size != r * q:
+        flat = doc["cpts"][name]
+        if not isinstance(flat, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat
+        ):
+            raise DataError(f"CPT for {name!r} must be a flat list of numbers")
+        if len(flat) != r * q:
             raise DataError(
-                f"CPT for {name!r} has {flat.size} entries, expected {r * q}"
+                f"CPT for {name!r} has {len(flat)} entries, expected {r * q}"
             )
-        table = flat.reshape(r, q)
-        sums = table.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > _COLUMN_SUM_READ_TOL):
-            raise DataError(f"CPT column of {name!r} does not sum to 1")
-        if np.any(table < 0):
-            raise DataError(f"CPT of {name!r} has negative entries")
-        cpts.append(table / sums)
+        table = np.asarray(flat, dtype=float).reshape(r, q)
+        _check_cpt(name, table, _COLUMN_SUM_READ_TOL)
+        cpts.append(table / table.sum(axis=0))
     return BayesianNetwork(dag, names, levels, cpts)

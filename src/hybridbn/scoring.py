@@ -29,8 +29,8 @@ class ScoreConfig:
     def __post_init__(self):
         if self.score not in ("bdeu", "bic"):
             raise ValueError("score must be 'bdeu' or 'bic'")
-        if self.ess <= 0:
-            raise ValueError("ess must be positive")
+        if not (math.isfinite(self.ess) and self.ess > 0):
+            raise ValueError("ess must be finite and positive")
         if self.tabu_length < 0:
             raise ValueError("tabu_length must be non-negative")
         if self.patience < 1:
@@ -112,11 +112,6 @@ class Scorer:
         return sum(self.local(v, g.parents(v)) for v in range(g.d))
 
 
-def total_score(data, g, cfg=None):
-    """Sum of local scores over all node families."""
-    return Scorer(data, cfg).total(g)
-
-
 @dataclass(frozen=True)
 class SearchResult:
     dag: Dag
@@ -170,9 +165,8 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     best_score = current
     best_edges = frozenset()
     current_edges = frozenset()
-    tabu = deque(maxlen=cfg.tabu_length) if cfg.tabu_length > 0 else None
-    if tabu is not None:
-        tabu.append(current_edges)
+    # with tabu_length 0 the deque stays empty and nothing is tabu
+    tabu = deque([current_edges], maxlen=cfg.tabu_length)
     stale = 0
     moves = 0
     while True:
@@ -192,7 +186,7 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
                     scorer.local(u, dag.parents(u) + (v,)) - local[u]
                 )
                 result = (current_edges - {(u, v)}) | {(v, u)}
-            if tabu is not None and result in tabu:
+            if result in tabu:
                 continue
             key = (-delta, _OP_RANK[op], u, v)
             if best_key is None or key < best_key:
@@ -203,19 +197,16 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         op, u, v, delta, result = best_move
         if op == "add":
             dag.add_edge(u, v)
-            local[v] = scorer.local(v, dag.parents(v))
         elif op == "delete":
             dag.remove_edge(u, v)
-            local[v] = scorer.local(v, dag.parents(v))
         else:
             dag.reverse_edge(u, v)
-            local[v] = scorer.local(v, dag.parents(v))
             local[u] = scorer.local(u, dag.parents(u))
+        local[v] = scorer.local(v, dag.parents(v))
         current += delta
         current_edges = result
         moves += 1
-        if tabu is not None:
-            tabu.append(current_edges)
+        tabu.append(current_edges)
         if current > best_score + _IMPROVE_EPS:
             best_score = current
             best_edges = current_edges

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .data import DataError
+from .data import DataError, name_pairs, read_json_object
 from .independence import TestConfig
 
 
@@ -218,20 +218,24 @@ def hpc(target, src, universe=None, cfg=None):
     return pc
 
 
+def _thread_map(fn, items, jobs):
+    """[fn(x) for x in items] on a pool of jobs threads: the package's one
+    parallel site. Results keep the order of items, whatever the schedule."""
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def build_skeleton(src, cfg=None, jobs=1, universe=None):
     """Whole-graph skeleton: run hpc per node, keep mutual edges (AND rule).
 
-    Per-target runs are independent; with jobs > 1 they execute in a thread
-    pool. Outputs are reproducible regardless of schedule because every
-    per-target result is deterministic.
+    Per-target runs are independent; with jobs > 1 they share a thread pool.
     """
     cfg = cfg or TestConfig()
     nodes = sorted(universe if universe is not None else range(src.n_vars))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: hpc(t, src, nodes, cfg), nodes))
-    else:
-        results = [hpc(t, src, nodes, cfg) for t in nodes]
+    results = _thread_map(lambda t: hpc(t, src, nodes, cfg), nodes, jobs)
     hpcs = dict(zip(nodes, results))
     edges = set()
     for x in nodes:
@@ -260,19 +264,13 @@ def write_skeleton(skel, names, path):
 
 def read_skeleton(path):
     """Parse a skeleton JSON file; returns (Skeleton, names)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON in {path}: {exc}") from None
-    if "nodes" not in doc or "edges" not in doc:
-        raise DataError("skeleton file needs 'nodes' and 'edges'")
+    doc = read_json_object(path, {"nodes": list, "edges": list})
     names = [str(t) for t in doc["nodes"]]
     index = {name: i for i, name in enumerate(names)}
-    edges = set()
-    for pair in doc["edges"]:
-        if len(pair) != 2 or pair[0] not in index or pair[1] not in index:
-            raise DataError(f"bad skeleton edge {pair!r}")
-        u, v = index[pair[0]], index[pair[1]]
-        edges.add((u, v) if u < v else (v, u))
+    if len(index) != len(names):
+        raise DataError("duplicate skeleton node names")
+    edges = name_pairs(doc["edges"], index, "skeleton edge")
+    for u, v in edges:
+        if u == v:
+            raise DataError(f"bad skeleton edge: self-loop on {names[u]!r}")
     return Skeleton(d=len(names), edges=frozenset(edges)), names

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .graphs import Dag, Pdag
+from .graphs import Dag
 from .network import BayesianNetwork
 
 
@@ -22,22 +22,6 @@ def random_dag(d, max_parents, rng):
             for p in rng.choice(order[:pos], size=k, replace=False):
                 g.add_edge(int(p), node)
     return g
-
-
-def random_pdag(d, rng, p_directed=0.2, p_undirected=0.15):
-    """Random partially directed graph (no acyclicity requirement)."""
-    p = Pdag(d)
-    for u in range(d):
-        for v in range(u + 1, d):
-            roll = rng.random()
-            if roll < p_directed:
-                if rng.random() < 0.5:
-                    p.add_directed(u, v)
-                else:
-                    p.add_directed(v, u)
-            elif roll < p_directed + p_undirected:
-                p.add_undirected(u, v)
-    return p
 
 
 def _config_levels(j, arities):

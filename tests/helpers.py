@@ -7,18 +7,95 @@ is evidence, not tautology.
 """
 
 import math
+from collections import deque
 from itertools import combinations, product
 
 import mpmath
 import numpy as np
 
-from hybridbn.graphs import Dag, Pdag, is_acyclic
+from hybridbn.graphs import Dag, Pdag, ancestors
+from hybridbn.scoring import Scorer
 from hybridbn.skeleton import Skeleton
 
 mpmath.mp.dps = 30
 
 
 # ---------------------------------------------------------------- graphs
+
+
+def is_acyclic(d, edges):
+    """True iff the candidate edge list over d nodes admits a topological
+    order (Kahn's algorithm)."""
+    indeg = [0] * d
+    children = [[] for _ in range(d)]
+    for u, v in edges:
+        children[u].append(v)
+        indeg[v] += 1
+    queue = deque(v for v in range(d) if indeg[v] == 0)
+    seen = 0
+    while queue:
+        u = queue.popleft()
+        seen += 1
+        for w in children[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == d
+
+
+def d_separated_sets(g, xs, ys, z):
+    """Moralized-ancestral-graph d-separation for node sets.
+
+    True iff z separates xs from ys in the moral graph of the ancestral
+    subgraph induced by xs, ys and z. An independent route to the answer
+    the package's Bayes-ball query gives for node pairs.
+    """
+    xs = frozenset(xs)
+    ys = frozenset(ys)
+    z = frozenset(z)
+    if not xs or not ys:
+        raise ValueError("xs and ys must be nonempty")
+    if xs & ys or xs & z or ys & z:
+        raise ValueError("xs, ys and z must be pairwise disjoint")
+    keep = ancestors(g, xs | ys | z)
+    adj = {v: set() for v in keep}
+    for v in keep:
+        pa = [p for p in g.parents(v) if p in keep]
+        for p in pa:
+            adj[p].add(v)
+            adj[v].add(p)
+        # marry co-parents
+        for i in range(len(pa)):
+            for j in range(i + 1, len(pa)):
+                adj[pa[i]].add(pa[j])
+                adj[pa[j]].add(pa[i])
+    seen = set(xs)
+    stack = list(xs)
+    while stack:
+        v = stack.pop()
+        if v in ys:
+            return False
+        for w in adj[v]:
+            if w not in z and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
+def random_pdag(d, rng, p_directed=0.2, p_undirected=0.15):
+    """Random partially directed graph (no acyclicity requirement)."""
+    p = Pdag(d)
+    for u in range(d):
+        for v in range(u + 1, d):
+            roll = rng.random()
+            if roll < p_directed:
+                if rng.random() < 0.5:
+                    p.add_directed(u, v)
+                else:
+                    p.add_directed(v, u)
+            elif roll < p_directed + p_undirected:
+                p.add_undirected(u, v)
+    return p
 
 
 def all_dags(d):
@@ -176,12 +253,15 @@ def true_skeleton(dag):
 
 
 def random_pdag_pair(rng, d):
-    from hybridbn.synthetic import random_pdag
-
     return random_pdag(d, rng), random_pdag(d, rng)
 
 
 # ------------------------------------------------------------ statistics
+
+
+def total_score(data, g, cfg=None):
+    """Sum of local scores over all node families."""
+    return Scorer(data, cfg).total(g)
 
 
 def chi2_sf_oracle(x, dof):
@@ -334,8 +414,6 @@ def set_partitions(items):
 def brute_min_partition(g, labels):
     """Finest partition of the labels into blocks that are d-separated from
     the remaining labels given all features; asserts uniqueness."""
-    from hybridbn.graphs import d_separated_sets
-
     labels = sorted(labels)
     features = [v for v in range(g.d) if v not in set(labels)]
 
@@ -365,8 +443,6 @@ def blanket_and_minimal(g, block, labels, boundary):
     """Check that a block boundary is a Markov blanket of the block in the
     true DAG (given the remaining features) and that no member is
     redundant, i.e. the boundary is minimal."""
-    from hybridbn.graphs import d_separated_sets
-
     features = [v for v in range(g.d) if v not in set(labels)]
     boundary = sorted(boundary)
     rest = [v for v in features if v not in set(boundary)]
@@ -392,3 +468,24 @@ def random_dataset(rng, d, n, max_arity=2):
 
 def dag_from_edges(d, edges):
     return Dag(d, edges)
+
+
+def predict_mpe(classifiers, row):
+    """Joint most probable label assignment for one row.
+
+    The blocks must be disjoint; the prediction is the concatenation of the
+    per-block argmax combinations, returned as {label index: value}.
+    """
+    seen = set()
+    for clf in classifiers:
+        overlap = seen & set(clf.block)
+        if overlap:
+            raise ValueError(f"blocks overlap on {sorted(overlap)}")
+        seen |= set(clf.block)
+    row = np.asarray(row).reshape(1, -1)
+    out = {}
+    for clf in classifiers:
+        combo = clf.predict(row)[0]
+        for lbl, val in zip(clf.block, combo):
+            out[lbl] = int(val)
+    return out

@@ -152,6 +152,34 @@ class TestBadInput:
         assert code == 1
         self.assert_one_line(capsys, "usage error: --smoothing")
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("learn", "--ess", "nan", "ess must be finite and positive"),
+        ("learn", "--ess", "inf", "ess must be finite and positive"),
+        ("learn", "--power-threshold", "nan", "power_threshold must be finite"),
+        ("learn", "--laplace", "nan", "--laplace must be finite and non-negative"),
+        ("learn", "--laplace", "inf", "--laplace must be finite and non-negative"),
+        ("learn", "--laplace", "-1", "--laplace must be finite and non-negative"),
+        ("mlc", "--smoothing", "nan", "--smoothing must be finite and non-negative"),
+        ("mlc", "--smoothing", "inf", "--smoothing must be finite and non-negative"),
+        ("evaluate", "--ess", "nan", "ess must be finite and positive"),
+    ])
+    def test_non_finite_or_negative_setting(self, command, flag, value, message,
+                                            small_net, sampled_csv, tmp_path,
+                                            capsys):
+        # NaN passes a plain `x <= 0` check; each of these once ran to exit 0
+        _, net_path = small_net
+        out = tmp_path / "out.json"
+        base = {
+            "learn": ["--data", sampled_csv, "--out", out],
+            "mlc": ["--data", sampled_csv, "--label-count", 1, "--scenario",
+                    "br", "--folds", 2, "--seed", 0, "--report", out],
+            "evaluate": ["--learned", net_path, "--truth", net_path,
+                         "--test", sampled_csv, "--report", out],
+        }[command]
+        assert run(command, *base, flag, value) == 1
+        self.assert_one_line(capsys, f"usage error: {message}")
+        assert not out.exists()
+
     def test_learn_data_is_a_directory(self, tmp_path, capsys):
         code = run("learn", "--data", tmp_path, "--out", tmp_path / "o.json")
         assert code == 2

@@ -5,7 +5,6 @@ from hybridbn.data import (
     CategoricalDataset,
     ContingencyTable,
     DataError,
-    binarize_continuous,
     contingency,
     kfold,
     load_csv,
@@ -263,15 +262,3 @@ class TestKfold:
             kfold(5, 1, seed=0)
         with pytest.raises(ValueError):
             kfold(5, 6, seed=0)
-
-
-class TestBinarize:
-    def test_median_split(self):
-        assert binarize_continuous([1, 2, 3, 4]).tolist() == [0, 0, 1, 1]
-
-    def test_ties_go_low(self):
-        assert binarize_continuous([5, 5, 5, 9]).tolist() == [0, 0, 0, 1]
-
-    def test_constant_rejected(self):
-        with pytest.raises(DataError, match="constant"):
-            binarize_continuous([7, 7, 7, 7])

@@ -8,15 +8,13 @@ from hybridbn.graphs import (
     Pdag,
     ancestors,
     d_separated,
-    d_separated_sets,
-    is_acyclic,
     markov_sets,
     to_dot,
     topological_order,
 )
 from hybridbn.synthetic import random_dag
 
-from helpers import dsep_by_paths
+from helpers import d_separated_sets, dsep_by_paths, is_acyclic
 
 
 class TestDag:

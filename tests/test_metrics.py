@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from hybridbn.data import DataError
 from hybridbn.graphs import Dag, Pdag
 from hybridbn.metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
 from hybridbn.network import forward_sample
+from hybridbn.scoring import ScoreConfig, Scorer
 from hybridbn.skeleton import Skeleton
-from hybridbn.synthetic import monotone_network, random_dag, random_pdag
+from hybridbn.synthetic import monotone_network, random_dag
 
 from helpers import (
     all_dags,
     brute_force_cpdag,
     covered_edge_class,
     equivalence_key,
+    random_pdag,
     random_pdag_pair,
 )
 
@@ -172,10 +175,13 @@ class TestHoldoutScores:
     def test_same_data_twice(self):
         g = random_dag(5, 2, np.random.default_rng(10))
         ds = forward_sample(monotone_network(g), 300, seed=1)
-        out = holdout_scores(g, ds, ds)
-        assert out["bdeu_train"] == out["bdeu_test"]
-        assert out["bic_train"] == out["bic_test"]
-        assert set(out) == {"bdeu_train", "bdeu_test", "bic_train", "bic_test"}
+        out = holdout_scores(ds, {"a": g, "b": g.copy(), "empty": Dag(5)})
+        assert out["a"] == out["b"]
+        assert set(out) == {"a", "b", "empty"}
+        assert set(out["a"]) == {"bdeu", "bic"}
+        # a shared Scorer gives the same totals as a fresh one per structure
+        assert out["a"]["bdeu"] == Scorer(ds, ScoreConfig(score="bdeu")).total(g)
+        assert out["a"]["bic"] == Scorer(ds, ScoreConfig(score="bic")).total(g)
 
     def test_generalization_gap_direction(self):
         # an overfit dense structure scores relatively worse on fresh data
@@ -183,13 +189,15 @@ class TestHoldoutScores:
         net = monotone_network(g)
         train = forward_sample(net, 500, seed=2)
         test = forward_sample(net, 500, seed=3)
-        out = holdout_scores(g, train, test)
-        assert out["bdeu_train"] != out["bdeu_test"]
+        cfg = ScoreConfig(ess=4.0)
+        on_train = holdout_scores(train, {"g": g}, cfg)["g"]
+        on_test = holdout_scores(test, {"g": g}, cfg)["g"]
+        assert on_train["bdeu"] != on_test["bdeu"]
+        assert on_test["bdeu"] == Scorer(test, cfg).total(g)
 
     def test_mismatched_variables_rejected(self):
         g = random_dag(3, 2, np.random.default_rng(14))
-        net = monotone_network(g)
-        a = forward_sample(net, 50, seed=1)
-        b = forward_sample(monotone_network(g, arities=(2, 3, 2)), 50, seed=1)
-        with pytest.raises(ValueError):
-            holdout_scores(g, a, b)
+        wider = monotone_network(random_dag(4, 2, np.random.default_rng(1)))
+        ds = forward_sample(wider, 50, seed=1)
+        with pytest.raises(DataError):
+            holdout_scores(ds, {"g": g})

@@ -7,12 +7,12 @@ from hybridbn.data import CategoricalDataset
 from hybridbn.graphs import Dag
 from hybridbn.multilabel import (
     MlcConfig,
+    _binarize_for_fold,
     fit_powerset_classifier,
     global_accuracy,
     learn_local_dag,
     minimal_label_powersets,
     powerset_markov_boundary,
-    predict_mpe,
     run_scenario,
 )
 from hybridbn.network import forward_sample
@@ -22,7 +22,7 @@ from hybridbn.synthetic import (
     two_cluster_network,
 )
 
-from helpers import blanket_and_minimal, brute_min_partition
+from helpers import blanket_and_minimal, brute_min_partition, predict_mpe
 
 
 def dataset(rows, arities):
@@ -159,8 +159,10 @@ class TestPowersetClassifier:
             fit_powerset_classifier(ds, block=(), features=(0,))
         with pytest.raises(ValueError):
             fit_powerset_classifier(ds, block=(1,), features=(1,))
-        with pytest.raises(ValueError):
-            fit_powerset_classifier(ds, block=(1,), features=(0,), smoothing=-1)
+        for smoothing in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="smoothing"):
+                fit_powerset_classifier(ds, block=(1,), features=(0,),
+                                        smoothing=smoothing)
 
     def test_mpe_concatenates_disjoint_blocks(self):
         x = np.arange(40) % 2
@@ -295,10 +297,12 @@ class TestRunScenario:
         assert a == b
 
     def test_jobs_do_not_change_results(self):
+        # br never learns a graph; mlp+mb learns a local DAG in every fold
         ds, labels = self._genbase_data(300)
-        a = run_scenario(ds, labels, "br", MlcConfig(folds=3, jobs=1))
-        b = run_scenario(ds, labels, "br", MlcConfig(folds=3, jobs=3))
-        assert a == b
+        for scenario in ("br", "mlp+mb"):
+            a = run_scenario(ds, labels, scenario, MlcConfig(folds=3, jobs=1))
+            b = run_scenario(ds, labels, scenario, MlcConfig(folds=3, jobs=3))
+            assert a == b
 
     def test_export_writes_block_csvs(self, tmp_path):
         ds, labels = self._genbase_data(200)
@@ -325,3 +329,35 @@ class TestRunScenario:
         ds = dataset(rows, (5, 2, 2))
         out = run_scenario(ds, [2], "br", MlcConfig(folds=2, binarize=True))
         assert len(out["folds"]) == 2
+
+
+class TestFoldBinarizer:
+    """mlc --binarize: each median comes from the fold's training rows only,
+    and ties go low (v <= median -> 0)."""
+
+    def _data(self):
+        # column 0: numeric tokens listed out of numeric order; column 1: a
+        # ternary label; column 2: a binary feature
+        levels = (("10", "1", "2", "3", "4"), ("x", "y", "z"), ("p", "q"))
+        values = [1, 2, 3, 4, 10, 10, 10, 10]
+        rows = np.array(
+            [[levels[0].index(str(v)), i % 3, i % 2] for i, v in enumerate(values)],
+            dtype=np.int32,
+        )
+        return CategoricalDataset(("f", "y", "g"), levels, rows)
+
+    def test_median_from_training_rows_only(self):
+        ds = self._data()
+        # training median of 1, 2, 3, 4, 10 is 3; all eight rows give 7
+        out = _binarize_for_fold(ds, np.arange(5), labels=[1])
+        assert out.levels[0] == ("le_median", "gt_median")
+        assert out.rows[:, 0].tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+        # the label and the binary feature are left as they are
+        np.testing.assert_array_equal(out.rows[:, 1:], ds.rows[:, 1:])
+        assert out.levels[1:] == ds.levels[1:]
+
+    def test_ties_go_low(self):
+        ds = self._data()
+        # training values 3, 4, 10: the median 4 is itself a training value
+        out = _binarize_for_fold(ds, np.array([2, 3, 4]), labels=[1])
+        assert out.rows[:, 0].tolist() == [0, 0, 0, 0, 1, 1, 1, 1]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridbn.data import CategoricalDataset
+from hybridbn.data import CategoricalDataset, DataError
 from hybridbn.graphs import Dag
 from hybridbn.network import (
     BayesianNetwork,
@@ -32,6 +32,8 @@ class TestValidation:
         g = Dag(1)
         with pytest.raises(ValueError, match="sum"):
             BayesianNetwork(g, ("a",), (B,), [np.array([[0.5], [0.4]])])
+        with pytest.raises(DataError, match="non-finite"):
+            BayesianNetwork(g, ("a",), (B,), [np.array([[np.nan], [1.0]])])
 
     def test_shape_enforced(self):
         g = Dag(2, [(0, 1)])
@@ -184,12 +186,18 @@ class TestSerialization:
         del doc["cpts"]
         with pytest.raises(ValueError, match="cpts"):
             read_network(self._write(tmp_path, doc))
+        # a variable entry that is not an object
+        doc = self._valid_doc()
+        doc["variables"][1] = "b"
+        with pytest.raises(DataError, match="variable entries"):
+            read_network(self._write(tmp_path, doc))
 
     def test_read_unknown_edge_name(self, tmp_path):
-        doc = self._valid_doc()
-        doc["edges"] = [["a", "zz"]]
-        with pytest.raises(ValueError, match="edge"):
-            read_network(self._write(tmp_path, doc))
+        for edges in ([["a", "zz"]], 5, [5], [[["a"], "b"]]):
+            doc = self._valid_doc()
+            doc["edges"] = edges
+            with pytest.raises(DataError, match="edge"):
+                read_network(self._write(tmp_path, doc))
 
     def test_read_cycle(self, tmp_path):
         doc = self._valid_doc()
@@ -209,12 +217,24 @@ class TestSerialization:
         doc["cpts"]["a"] = [0.7, 0.2]
         with pytest.raises(ValueError, match="sum"):
             read_network(self._write(tmp_path, doc))
+        # json writes and reads NaN and Infinity; neither is a probability
+        for column in ([float("nan"), 1.0], [float("nan"), float("nan")],
+                       [float("inf"), 0.0]):
+            doc["cpts"]["a"] = column
+            with pytest.raises(DataError, match="non-finite"):
+                read_network(self._write(tmp_path, doc))
 
     def test_read_wrong_cpt_size(self, tmp_path):
         doc = self._valid_doc()
         doc["cpts"]["b"] = [0.5, 0.5]
         with pytest.raises(ValueError, match="entries"):
             read_network(self._write(tmp_path, doc))
+        # ragged, nested and non-numeric tables
+        for table in ([[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]],
+                      ["x", "y", "z", "w"], 0.5):
+            doc["cpts"]["b"] = table
+            with pytest.raises(DataError, match="flat list of numbers"):
+                read_network(self._write(tmp_path, doc))
 
     def test_read_renormalizes_rounding_noise(self, tmp_path):
         doc = self._valid_doc()
@@ -227,6 +247,10 @@ class TestSerialization:
         path.write_text("{nope")
         with pytest.raises(ValueError, match="JSON"):
             read_network(path)
+        for text in ("[1, 2]", '"net"', "5", "null"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="JSON object"):
+                read_network(path)
 
 
 class TestFixtures:

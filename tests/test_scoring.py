@@ -14,7 +14,6 @@ from hybridbn.scoring import (
     bdeu_local,
     bic_local,
     hill_climb,
-    total_score,
 )
 from hybridbn.skeleton import Skeleton
 from hybridbn.synthetic import monotone_network, random_dag
@@ -24,6 +23,7 @@ from helpers import (
     bdeu_family_oracle,
     equivalence_key,
     random_dataset,
+    total_score,
     true_skeleton,
 )
 

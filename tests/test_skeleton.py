@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridbn.data import DataError
 from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource, DSeparationSource
 from hybridbn.independence import TestConfig as Config
@@ -279,9 +280,24 @@ class TestSkeletonIO:
         path.write_text('{"nodes": ["a", "b"], "edges": [["a", "zz"]]}')
         with pytest.raises(ValueError, match="edge"):
             read_skeleton(path)
+        # a self-loop and edges that are not pairs of names
+        for edges in ('[["a", "a"]]', '[5]', '[[["a"], "b"]]', '[["a"]]'):
+            path.write_text('{"nodes": ["a", "b"], "edges": %s}' % edges)
+            with pytest.raises(DataError, match="bad skeleton edge"):
+                read_skeleton(path)
 
     def test_read_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "skel.json"
         path.write_text('{"nodes": ["a", "b"]}')
         with pytest.raises(ValueError):
             read_skeleton(path)
+        for text, match in (
+            ('{"nodes": ["a", "b"], "edges": 5}', "array under 'edges'"),
+            ('{"nodes": 3, "edges": []}', "array under 'nodes'"),
+            ('["a", "b"]', "JSON object"),
+            ("7", "JSON object"),
+            ('{"nodes": ["a", "b", "a"], "edges": []}', "duplicate"),
+        ):
+            path.write_text(text)
+            with pytest.raises(DataError, match=match):
+                read_skeleton(path)
