@@ -71,6 +71,7 @@ def _score_cfg(args):
         ess=args.ess,
         tabu_length=args.tabu,
         patience=args.patience,
+        max_parents=args.max_parents,
     )
 
 
@@ -94,6 +95,8 @@ def _add_score_flags(p):
                    help="length of the structure TABU list")
     p.add_argument("--patience", type=int, default=15,
                    help="moves without improvement before stopping")
+    p.add_argument("--max-parents", type=int, default=None,
+                   help="cap on the number of parents of any node (default: none)")
 
 
 def _default_jobs():
@@ -187,6 +190,7 @@ def cmd_learn(args):
             score=result.score,
             empty_score=result.empty_score,
             moves=result.moves,
+            stop=result.stop,
         )
     if args.timing:
         report["seconds"] = time.perf_counter() - started

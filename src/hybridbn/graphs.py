@@ -11,8 +11,8 @@ from dataclasses import dataclass
 class Dag:
     """Directed acyclic graph; mutations validate acyclicity.
 
-    Nodes are 0..d-1. Edges are held as parent and child sets per node so
-    hill climbing can test moves quickly.
+    Nodes are 0..d-1. Edges are held as parent and child sets per node;
+    add_edge rejects an edge that closes a cycle (one depth-first search).
     """
 
     __slots__ = ("d", "_parents", "_children")

@@ -247,10 +247,32 @@ def run_scenario(data, labels, scenario, cfg=None):
     DAG. mlp: minimal label powersets, all features. mlp+mb: minimal label
     powersets with per-block boundaries.
     """
-    cfg = cfg or MlcConfig()
+    key = _scenario_key(scenario)
+    return run_scenarios(data, labels, [key], cfg)[key]
+
+
+def _scenario_key(scenario):
     key = scenario.strip().lower()
     if key not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick one of {SCENARIOS}")
+    return key
+
+
+def run_scenarios(data, labels, scenarios, cfg=None):
+    """Cross-validated experiment for several scenarios on the same folds.
+
+    Each fold learns its local DAG once, and only if some scenario has a
+    graph rule, then applies every scenario's rules to it. Returns
+    {scenario: report}; each report equals run_scenario's for that
+    scenario. Block exports (cfg.export_dir) name no scenario, so they
+    need a single one.
+    """
+    cfg = cfg or MlcConfig()
+    keys = list(dict.fromkeys(_scenario_key(s) for s in scenarios))
+    if not keys:
+        raise ValueError("at least one scenario is required")
+    if cfg.export_dir and len(keys) > 1:
+        raise ValueError("block exports need a single scenario")
     labels = sorted(set(labels))
     if not labels:
         raise ValueError("at least one label column is required")
@@ -259,8 +281,7 @@ def run_scenario(data, labels, scenario, cfg=None):
             raise ValueError(f"label index {y} out of range")
     all_features = tuple(v for v in range(data.d) if v not in set(labels))
     folds = kfold(data.n, cfg.folds, cfg.seed)
-    block_rule, feature_rule = _SCENARIO_RULES[key]
-    needs_graph = (block_rule, feature_rule) != (None, None)
+    needs_graph = any(_SCENARIO_RULES[k] != (None, None) for k in keys)
 
     def run_fold(f):
         started = time.perf_counter()
@@ -274,41 +295,57 @@ def run_scenario(data, labels, scenario, cfg=None):
             learn_local_dag(train, labels, cfg.test, cfg.score, jobs=1)
             if needs_graph else None
         )
-        blocks = block_rule(dag, labels) if block_rule else [(y,) for y in labels]
-        feats = [
-            feature_rule(dag, b, labels) if feature_rule else all_features
-            for b in blocks
-        ]
-        classifiers = [
-            fit_powerset_classifier(train, b, fs, cfg.smoothing)
-            for b, fs in zip(blocks, feats)
-        ]
         test_rows = fold_data.rows[test_idx]
-        pred = _predict_matrix(classifiers, test_rows, labels)
-        acc = global_accuracy(pred, test_rows[:, labels])
-        if cfg.export_dir:
-            os.makedirs(cfg.export_dir, exist_ok=True)
-            for bix, (b, fs) in enumerate(zip(blocks, feats)):
-                _export_block(cfg.export_dir, f, bix, fold_data, train_idx, b, fs, "train")
-                _export_block(cfg.export_dir, f, bix, fold_data, test_idx, b, fs, "test")
-        sizes = [len(b) for b in blocks]
-        report = {
-            "fold": f,
-            "accuracy": acc,
-            "n_blocks": len(blocks),
-            "blocks": [[data.names[y] for y in b] for b in blocks],
-            "boundary_sizes": [len(fs) for fs in feats],
-            "labels_per_block": {
-                "min": min(sizes),
-                "median": float(np.median(sizes)),
-                "max": max(sizes),
-            },
-        }
-        if cfg.timing:
-            report["seconds"] = time.perf_counter() - started
-        return report
+        shared = time.perf_counter() - started
+        reports = {}
+        for key in keys:
+            begun = time.perf_counter()
+            block_rule, feature_rule = _SCENARIO_RULES[key]
+            blocks = (
+                block_rule(dag, labels) if block_rule else [(y,) for y in labels]
+            )
+            feats = [
+                feature_rule(dag, b, labels) if feature_rule else all_features
+                for b in blocks
+            ]
+            classifiers = [
+                fit_powerset_classifier(train, b, fs, cfg.smoothing)
+                for b, fs in zip(blocks, feats)
+            ]
+            pred = _predict_matrix(classifiers, test_rows, labels)
+            acc = global_accuracy(pred, test_rows[:, labels])
+            if cfg.export_dir:
+                os.makedirs(cfg.export_dir, exist_ok=True)
+                for bix, (b, fs) in enumerate(zip(blocks, feats)):
+                    _export_block(cfg.export_dir, f, bix, fold_data, train_idx,
+                                  b, fs, "train")
+                    _export_block(cfg.export_dir, f, bix, fold_data, test_idx,
+                                  b, fs, "test")
+            sizes = [len(b) for b in blocks]
+            report = {
+                "fold": f,
+                "accuracy": acc,
+                "n_blocks": len(blocks),
+                "blocks": [[data.names[y] for y in b] for b in blocks],
+                "boundary_sizes": [len(fs) for fs in feats],
+                "labels_per_block": {
+                    "min": min(sizes),
+                    "median": float(np.median(sizes)),
+                    "max": max(sizes),
+                },
+            }
+            if cfg.timing:
+                # the fold's shared work plus this scenario's own
+                report["seconds"] = shared + time.perf_counter() - begun
+            reports[key] = report
+        return reports
 
-    fold_reports = _thread_map(run_fold, range(cfg.folds), cfg.jobs)
+    by_fold = _thread_map(run_fold, range(cfg.folds), cfg.jobs)
+    return {key: _summary(key, data, labels, [r[key] for r in by_fold])
+            for key in keys}
+
+
+def _summary(key, data, labels, fold_reports):
     accs = np.array([r["accuracy"] for r in fold_reports])
     nblocks = np.array([r["n_blocks"] for r in fold_reports])
     return {

@@ -19,22 +19,35 @@ from .graphs import Dag
 _IMPROVE_EPS = 1e-9
 
 
+def _is_int(value):
+    # bool is an int subclass, but True is no tabu length
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
+    """Score and search settings. max_parents caps every node's in-degree
+    in the search (None: no cap)."""
+
     score: str = "bdeu"
     ess: float = 10.0
     tabu_length: int = 100
     patience: int = 15
+    max_parents: int | None = None
 
     def __post_init__(self):
         if self.score not in ("bdeu", "bic"):
             raise ValueError("score must be 'bdeu' or 'bic'")
         if not (math.isfinite(self.ess) and self.ess > 0):
             raise ValueError("ess must be finite and positive")
-        if self.tabu_length < 0:
-            raise ValueError("tabu_length must be non-negative")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+        if not _is_int(self.tabu_length) or self.tabu_length < 0:
+            raise ValueError("tabu_length must be a non-negative integer")
+        if not _is_int(self.patience) or self.patience < 1:
+            raise ValueError("patience must be an integer of at least 1")
+        if self.max_parents is not None and (
+            not _is_int(self.max_parents) or self.max_parents < 0
+        ):
+            raise ValueError("max_parents must be a non-negative integer")
 
 
 def _family_counts(data, node, parents):
@@ -114,99 +127,208 @@ class Scorer:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """stop is "patience" or "no_move", whichever ended the search."""
+
     dag: Dag
     score: float
     empty_score: float
     moves: int
+    stop: str
 
 
-def _legal_moves(dag, skeleton):
-    # Deterministic enumeration: adds (skeleton-constrained), then deletes,
-    # then reverses; each ordered by (source, target).
-    d = dag.d
-    for u in range(d):
-        for v in sorted(skeleton.pc[u]):
-            if not dag.adjacent(u, v) and not dag.has_path(v, u):
-                yield ("add", u, v)
-    edges = dag.edges()
-    for u, v in edges:
-        yield ("delete", u, v)
-    for u, v in edges:
-        dag.remove_edge(u, v)
-        reversible = not dag.has_path(u, v)
-        dag.add_edge(u, v)
-        if reversible:
-            yield ("reverse", u, v)
+_MASK64 = (1 << 64) - 1
 
 
-_OP_RANK = {"add": 0, "delete": 1, "reverse": 2}
+def _mix64(x):
+    # splitmix64 finalizer: a fixed mixer, so hashes do not depend on the
+    # interpreter's hash seed
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class _TabuWindow:
+    """The last `length` edge sets visited, with their Zobrist hashes (the
+    XOR of one fixed 64-bit key per edge). Membership compares exact edge
+    sets only on a hash hit, so it is as exact as a list of edge sets."""
+
+    def __init__(self, length):
+        self._window = deque(maxlen=length)
+        self._hashes = {}
+
+    def push(self, h, edges):
+        window = self._window
+        if window.maxlen == 0:
+            return
+        if len(window) == window.maxlen:
+            old = window[0][0]
+            self._hashes[old] -= 1
+            if not self._hashes[old]:
+                del self._hashes[old]
+        window.append((h, edges))
+        self._hashes[h] = self._hashes.get(h, 0) + 1
+
+    def holds(self, h, edges_of):
+        """True iff the edge set edges_of() (built only on a hash hit) with
+        hash h is in the window."""
+        if h not in self._hashes:
+            return False
+        edges = edges_of()
+        return any(wh == h and we == edges for wh, we in self._window)
+
+
+def _ancestor_masks(parents):
+    # Bit p of masks[v] is set iff p is a proper ancestor of v. Depth-first
+    # over parent lists: each node is pushed once and rescanned once per
+    # parent it waits for, so a pass is O(d + E) for bounded in-degrees.
+    masks = [None] * len(parents)
+    for root in range(len(parents)):
+        if masks[root] is not None:
+            continue
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            mask = 0
+            for p in parents[v]:
+                above = masks[p]
+                if above is None:
+                    stack.append(p)
+                    break
+                mask |= above | (1 << p)
+            else:
+                masks[v] = mask
+                stack.pop()
+    return masks
+
+
+_ADD, _DELETE, _REVERSE = 0, 1, 2  # also the tie-break rank of each op
+
+
+def _moved(edges, op, u, v):
+    if op == _ADD:
+        return edges | {(u, v)}
+    if op == _DELETE:
+        return edges - {(u, v)}
+    return (edges - {(u, v)}) | {(v, u)}
 
 
 def hill_climb(data, skeleton, cfg=None, scorer=None):
     """Greedy search from the empty graph with a TABU list over structures.
 
-    Only add moves are constrained to skeleton edges; delete and reverse are
-    always legal subject to acyclicity. Each step applies the best-scoring
-    move whose resulting structure (canonical edge set) is not among the
-    last tabu_length structures visited, even when that move worsens the
-    score; the search stops after patience consecutive moves without a
-    strict improvement of the best score ever seen, or when no move is
-    available, and returns the best structure encountered.
+    Only add moves are constrained to skeleton edges. Deletes are always
+    legal; adds and reverses must keep the graph acyclic and every node
+    within cfg.max_parents parents. Each step applies the best-scoring move
+    (ties broken by add < delete < reverse, then source, then target) whose
+    resulting structure (canonical edge set) is not among the last
+    tabu_length structures visited, even when that move worsens the score;
+    the search stops after patience consecutive moves without a strict
+    improvement of the best score ever seen, or when no move is available,
+    and returns the best structure encountered.
+
+    A step costs O(candidate moves): the delta of toggling u in v's parent
+    set is cached until v's family changes, acyclicity is read off
+    per-node ancestor bitsets rebuilt after each move, and the tabu check
+    compares 64-bit edge-set hashes, only for moves that would beat the
+    best one so far.
     """
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
     cfg = cfg or ScoreConfig()
     scorer = scorer or Scorer(data, cfg)
     d = data.d
+    cap = d if cfg.max_parents is None else cfg.max_parents
+    nbrs = [tuple(sorted(skeleton.pc[v])) for v in range(d)]
+    # zobrist[v][u]: hash key of the edge u -> v
+    zobrist = [{u: _mix64(u * d + v) for u in nbrs[v]} for v in range(d)]
     dag = Dag(d)
+    parents = [() for _ in range(d)]
     local = [scorer.local(v, ()) for v in range(d)]
+    # toggle[v][u]: score delta of adding u to, or deleting it from, v's
+    # parents; filled when first needed, dropped when v's family changes
+    toggle = [{} for _ in range(d)]
+    anc = [0] * d
     current = sum(local)
     empty_score = current
     best_score = current
     best_edges = frozenset()
     current_edges = frozenset()
-    # with tabu_length 0 the deque stays empty and nothing is tabu
-    tabu = deque([current_edges], maxlen=cfg.tabu_length)
+    current_hash = 0
+    # with tabu_length 0 the window stays empty and nothing is tabu
+    tabu = _TabuWindow(cfg.tabu_length)
+    tabu.push(current_hash, current_edges)
     stale = 0
     moves = 0
+
+    def consider(op, u, v, delta, flip):
+        # keep the move if its key (-delta, op, u, v) beats the best so far
+        # and its structure is not tabu; keys are unique, so the scan order
+        # does not matter
+        nonlocal best_key, best_move
+        key = (-delta, op, u, v)
+        if best_key is not None and not key < best_key:
+            return
+        h = current_hash ^ flip
+        if tabu.holds(h, lambda: _moved(current_edges, op, u, v)):
+            return
+        best_key = key
+        best_move = (op, u, v, delta, h)
+
     while True:
         best_move = None
         best_key = None
-        for op, u, v in _legal_moves(dag, skeleton):
-            if op == "add":
-                delta = scorer.local(v, dag.parents(v) + (u,)) - local[v]
-                result = current_edges | {(u, v)}
-            elif op == "delete":
-                pa = tuple(w for w in dag.parents(v) if w != u)
-                delta = scorer.local(v, pa) - local[v]
-                result = current_edges - {(u, v)}
-            else:
-                pa_v = tuple(w for w in dag.parents(v) if w != u)
-                delta = (scorer.local(v, pa_v) - local[v]) + (
-                    scorer.local(u, dag.parents(u) + (v,)) - local[u]
-                )
-                result = (current_edges - {(u, v)}) | {(v, u)}
-            if result in tabu:
-                continue
-            key = (-delta, _OP_RANK[op], u, v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_move = (op, u, v, delta, result)
+        for v in range(d):
+            pa_v = parents[v]
+            deltas = toggle[v]
+            local_v = local[v]
+            keys_v = zobrist[v]
+            grows = len(pa_v) < cap
+            # reversing u -> v closes a cycle iff u is a proper ancestor of
+            # another parent of v (never of u itself)
+            above = 0
+            for p in pa_v:
+                above |= anc[p]
+            for u in nbrs[v]:
+                if u in pa_v:
+                    delta = deltas.get(u)
+                    if delta is None:
+                        rest = tuple(w for w in pa_v if w != u)
+                        delta = scorer.local(v, rest) - local_v
+                        deltas[u] = delta
+                    consider(_DELETE, u, v, delta, keys_v[u])
+                    if len(parents[u]) < cap and not above >> u & 1:
+                        back = toggle[u].get(v)
+                        if back is None:
+                            back = scorer.local(u, parents[u] + (v,)) - local[u]
+                            toggle[u][v] = back
+                        consider(_REVERSE, u, v, delta + back,
+                                 keys_v[u] ^ zobrist[u][v])
+                elif grows and not anc[u] >> v & 1:
+                    # v is no ancestor of u, so u is no child of v either
+                    delta = deltas.get(u)
+                    if delta is None:
+                        delta = scorer.local(v, pa_v + (u,)) - local_v
+                        deltas[u] = delta
+                    consider(_ADD, u, v, delta, keys_v[u])
         if best_move is None:
+            stop = "no_move"
             break
-        op, u, v, delta, result = best_move
-        if op == "add":
+        op, u, v, delta, current_hash = best_move
+        if op == _ADD:
             dag.add_edge(u, v)
-        elif op == "delete":
+        elif op == _DELETE:
             dag.remove_edge(u, v)
         else:
             dag.reverse_edge(u, v)
-            local[u] = scorer.local(u, dag.parents(u))
-        local[v] = scorer.local(v, dag.parents(v))
+        current_edges = _moved(current_edges, op, u, v)
+        for w in (u, v) if op == _REVERSE else (v,):
+            parents[w] = dag.parents(w)
+            local[w] = scorer.local(w, parents[w])
+            toggle[w] = {}
+        anc = _ancestor_masks(parents)
         current += delta
-        current_edges = result
         moves += 1
-        tabu.append(current_edges)
+        tabu.push(current_hash, current_edges)
         if current > best_score + _IMPROVE_EPS:
             best_score = current
             best_edges = current_edges
@@ -214,6 +336,7 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         else:
             stale += 1
             if stale >= cfg.patience:
+                stop = "patience"
                 break
     best_dag = Dag(d, sorted(best_edges))
     return SearchResult(
@@ -221,4 +344,5 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         score=scorer.total(best_dag),
         empty_score=empty_score,
         moves=moves,
+        stop=stop,
     )

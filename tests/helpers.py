@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 
 from hybridbn.graphs import Dag, Pdag, ancestors
-from hybridbn.scoring import Scorer
+from hybridbn.scoring import _IMPROVE_EPS, ScoreConfig, Scorer, SearchResult
 from hybridbn.skeleton import Skeleton
 
 mpmath.mp.dps = 30
@@ -254,6 +254,110 @@ def true_skeleton(dag):
 
 def random_pdag_pair(rng, d):
     return random_pdag(d, rng), random_pdag(d, rng)
+
+
+# ---------------------------------------------------------------- search
+
+
+def _reference_legal_moves(dag, skeleton):
+    # Deterministic enumeration: adds (skeleton-constrained), then deletes,
+    # then reverses; each ordered by (source, target).
+    d = dag.d
+    for u in range(d):
+        for v in sorted(skeleton.pc[u]):
+            if not dag.adjacent(u, v) and not dag.has_path(v, u):
+                yield ("add", u, v)
+    edges = dag.edges()
+    for u, v in edges:
+        yield ("delete", u, v)
+    for u, v in edges:
+        dag.remove_edge(u, v)
+        reversible = not dag.has_path(u, v)
+        dag.add_edge(u, v)
+        if reversible:
+            yield ("reverse", u, v)
+
+
+_REFERENCE_OP_RANK = {"add": 0, "delete": 1, "reverse": 2}
+
+
+def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
+    """The tabu hill climb as first written: every step enumerates every
+    legal move (one DFS per add and reverse), rescores each one and builds
+    its edge set for the tabu check. The package's incremental search must
+    return the same result; no in-degree cap."""
+    if skeleton.d != data.d:
+        raise ValueError("skeleton does not cover the dataset's variables")
+    cfg = cfg or ScoreConfig()
+    scorer = scorer or Scorer(data, cfg)
+    d = data.d
+    dag = Dag(d)
+    local = [scorer.local(v, ()) for v in range(d)]
+    current = sum(local)
+    empty_score = current
+    best_score = current
+    best_edges = frozenset()
+    current_edges = frozenset()
+    # with tabu_length 0 the deque stays empty and nothing is tabu
+    tabu = deque([current_edges], maxlen=cfg.tabu_length)
+    stale = 0
+    moves = 0
+    while True:
+        best_move = None
+        best_key = None
+        for op, u, v in _reference_legal_moves(dag, skeleton):
+            if op == "add":
+                delta = scorer.local(v, dag.parents(v) + (u,)) - local[v]
+                result = current_edges | {(u, v)}
+            elif op == "delete":
+                pa = tuple(w for w in dag.parents(v) if w != u)
+                delta = scorer.local(v, pa) - local[v]
+                result = current_edges - {(u, v)}
+            else:
+                pa_v = tuple(w for w in dag.parents(v) if w != u)
+                delta = (scorer.local(v, pa_v) - local[v]) + (
+                    scorer.local(u, dag.parents(u) + (v,)) - local[u]
+                )
+                result = (current_edges - {(u, v)}) | {(v, u)}
+            if result in tabu:
+                continue
+            key = (-delta, _REFERENCE_OP_RANK[op], u, v)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_move = (op, u, v, delta, result)
+        if best_move is None:
+            stop = "no_move"
+            break
+        op, u, v, delta, result = best_move
+        if op == "add":
+            dag.add_edge(u, v)
+        elif op == "delete":
+            dag.remove_edge(u, v)
+        else:
+            dag.reverse_edge(u, v)
+            local[u] = scorer.local(u, dag.parents(u))
+        local[v] = scorer.local(v, dag.parents(v))
+        current += delta
+        current_edges = result
+        moves += 1
+        tabu.append(current_edges)
+        if current > best_score + _IMPROVE_EPS:
+            best_score = current
+            best_edges = current_edges
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                stop = "patience"
+                break
+    best_dag = Dag(d, sorted(best_edges))
+    return SearchResult(
+        dag=best_dag,
+        score=scorer.total(best_dag),
+        empty_score=empty_score,
+        moves=moves,
+        stop=stop,
+    )
 
 
 # ------------------------------------------------------------ statistics

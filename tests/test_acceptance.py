@@ -40,7 +40,12 @@ from hybridbn.independence import (
 )
 from hybridbn.independence import test_independence as ci_test
 from hybridbn.metrics import dag_to_cpdag, shd, skeleton_metrics
-from hybridbn.multilabel import MlcConfig, minimal_label_powersets, run_scenario
+from hybridbn.multilabel import (
+    MlcConfig,
+    minimal_label_powersets,
+    run_scenario,
+    run_scenarios,
+)
 from hybridbn.network import forward_sample, write_network
 from hybridbn.scoring import ScoreConfig, Scorer, bdeu_local, bic_local, hill_climb
 from hybridbn.skeleton import build_skeleton, hpc
@@ -356,9 +361,10 @@ def test_06_mlc_decomposition():
     oversized = 0
     for seed in range(10):
         ds = forward_sample(net, 5000, seed)
-        mlp = run_scenario(ds, labels, "mlp", MlcConfig(folds=10, seed=seed))
-        br = run_scenario(ds, labels, "br", MlcConfig(folds=10, seed=seed))
-        mm = run_scenario(ds, labels, "mlp+mb", MlcConfig(folds=10, seed=seed))
+        # one local DAG per fold, shared by the mlp and mlp+mb scenarios
+        reports = run_scenarios(ds, labels, ["mlp", "br", "mlp+mb"],
+                                MlcConfig(folds=10, seed=seed))
+        mlp, br, mm = reports["mlp"], reports["br"], reports["mlp+mb"]
         two_block_folds += sum(1 for f in mlp["folds"] if f["n_blocks"] == 2)
         mlp_accs += [f["accuracy"] for f in mlp["folds"]]
         br_accs += [f["accuracy"] for f in br["folds"]]

@@ -1,11 +1,14 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
+from hybridbn import multilabel as multilabel_mod
 from hybridbn.data import CategoricalDataset
 from hybridbn.graphs import Dag
 from hybridbn.multilabel import (
+    SCENARIOS,
     MlcConfig,
     _binarize_for_fold,
     fit_powerset_classifier,
@@ -14,6 +17,7 @@ from hybridbn.multilabel import (
     minimal_label_powersets,
     powerset_markov_boundary,
     run_scenario,
+    run_scenarios,
 )
 from hybridbn.network import forward_sample
 from hybridbn.synthetic import (
@@ -329,6 +333,64 @@ class TestRunScenario:
         ds = dataset(rows, (5, 2, 2))
         out = run_scenario(ds, [2], "br", MlcConfig(folds=2, binarize=True))
         assert len(out["folds"]) == 2
+
+
+class TestRunScenarios:
+    """run_scenarios learns each fold's local DAG once for all scenarios and
+    must report exactly what one run_scenario call per scenario reports."""
+
+    @pytest.fixture
+    def learns(self, monkeypatch):
+        calls = []
+
+        def counting(train, *args, **kwargs):
+            calls.append(train.n)
+            return learn_local_dag(train, *args, **kwargs)
+
+        monkeypatch.setattr(multilabel_mod, "learn_local_dag", counting)
+        return calls
+
+    @staticmethod
+    def _data(binary=True):
+        ds = forward_sample(two_cluster_network(), 400, seed=4)
+        if binary:
+            return ds, list(range(8, 14))
+        # a ternary feature, so --binarize has something to split
+        rows = np.array(ds.rows)
+        rows[:, 0] = (rows[:, 0] + rows[:, 1] + rows[:, 2]) % 3
+        levels = (("0", "1", "2"),) + ds.levels[1:]
+        return CategoricalDataset(ds.names, levels, rows), list(range(8, 14))
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_reports_equal_run_scenario(self, binarize):
+        ds, labels = self._data(binary=not binarize)
+        cfg = MlcConfig(folds=3, seed=2, binarize=binarize, jobs=2)
+        together = run_scenarios(ds, labels, SCENARIOS, cfg)
+        assert list(together) == list(SCENARIOS)
+        for scenario in SCENARIOS:
+            alone = run_scenario(ds, labels, scenario, cfg)
+            assert json.dumps(together[scenario]) == json.dumps(alone)
+
+    def test_one_local_dag_per_fold(self, learns):
+        ds, labels = self._data()
+        run_scenarios(ds, labels, ["mlp", "br", "mlp+mb", "br+mb"],
+                      MlcConfig(folds=3))
+        assert len(learns) == 3
+
+    def test_no_local_dag_without_a_graph_rule(self, learns):
+        ds, labels = self._data()
+        run_scenarios(ds, labels, ["br"], MlcConfig(folds=3))
+        assert learns == []
+
+    def test_bad_requests_rejected(self, tmp_path):
+        ds, labels = self._data()
+        with pytest.raises(ValueError, match="scenario"):
+            run_scenarios(ds, labels, ["br", "stacking"])
+        with pytest.raises(ValueError, match="scenario"):
+            run_scenarios(ds, labels, [])
+        cfg = MlcConfig(folds=2, export_dir=str(tmp_path / "blocks"))
+        with pytest.raises(ValueError, match="single scenario"):
+            run_scenarios(ds, labels, ["br", "mlp"], cfg)
 
 
 class TestFoldBinarizer:
