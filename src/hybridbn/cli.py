@@ -71,7 +71,6 @@ def _score_cfg(args):
         ess=args.ess,
         tabu_length=args.tabu,
         patience=args.patience,
-        max_parents=args.max_parents,
     )
 
 
@@ -95,8 +94,6 @@ def _add_score_flags(p):
                    help="length of the structure TABU list")
     p.add_argument("--patience", type=int, default=15,
                    help="moves without improvement before stopping")
-    p.add_argument("--max-parents", type=int, default=None,
-                   help="cap on the number of parents of any node (default: none)")
 
 
 def _default_jobs():

@@ -5,7 +5,8 @@ keyed by (node, sorted parent tuple) and evaluates moves through deltas.
 """
 
 import math
-from collections import deque
+import numbers
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,18 @@ _IMPROVE_EPS = 1e-9
 
 
 def _is_int(value):
-    # bool is an int subclass, but True is no tabu length
-    return isinstance(value, int) and not isinstance(value, bool)
+    # NumPy integers count; bool is an int subclass, but True is no tabu length
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Score and search settings. max_parents caps every node's in-degree
-    in the search (None: no cap)."""
+    """Score and search settings."""
 
     score: str = "bdeu"
     ess: float = 10.0
     tabu_length: int = 100
     patience: int = 15
-    max_parents: int | None = None
 
     def __post_init__(self):
         if self.score not in ("bdeu", "bic"):
@@ -44,10 +43,6 @@ class ScoreConfig:
             raise ValueError("tabu_length must be a non-negative integer")
         if not _is_int(self.patience) or self.patience < 1:
             raise ValueError("patience must be an integer of at least 1")
-        if self.max_parents is not None and (
-            not _is_int(self.max_parents) or self.max_parents < 0
-        ):
-            raise ValueError("max_parents must be a non-negative integer")
 
 
 def _family_counts(data, node, parents):
@@ -136,48 +131,6 @@ class SearchResult:
     stop: str
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(x):
-    # splitmix64 finalizer: a fixed mixer, so hashes do not depend on the
-    # interpreter's hash seed
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-class _TabuWindow:
-    """The last `length` edge sets visited, with their Zobrist hashes (the
-    XOR of one fixed 64-bit key per edge). Membership compares exact edge
-    sets only on a hash hit, so it is as exact as a list of edge sets."""
-
-    def __init__(self, length):
-        self._window = deque(maxlen=length)
-        self._hashes = {}
-
-    def push(self, h, edges):
-        window = self._window
-        if window.maxlen == 0:
-            return
-        if len(window) == window.maxlen:
-            old = window[0][0]
-            self._hashes[old] -= 1
-            if not self._hashes[old]:
-                del self._hashes[old]
-        window.append((h, edges))
-        self._hashes[h] = self._hashes.get(h, 0) + 1
-
-    def holds(self, h, edges_of):
-        """True iff the edge set edges_of() (built only on a hash hit) with
-        hash h is in the window."""
-        if h not in self._hashes:
-            return False
-        edges = edges_of()
-        return any(wh == h and we == edges for wh, we in self._window)
-
-
 def _ancestor_masks(parents):
     # Bit p of masks[v] is set iff p is a proper ancestor of v. Depth-first
     # over parent lists: each node is pushed once and rescanned once per
@@ -217,30 +170,25 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     """Greedy search from the empty graph with a TABU list over structures.
 
     Only add moves are constrained to skeleton edges. Deletes are always
-    legal; adds and reverses must keep the graph acyclic and every node
-    within cfg.max_parents parents. Each step applies the best-scoring move
-    (ties broken by add < delete < reverse, then source, then target) whose
-    resulting structure (canonical edge set) is not among the last
-    tabu_length structures visited, even when that move worsens the score;
-    the search stops after patience consecutive moves without a strict
-    improvement of the best score ever seen, or when no move is available,
-    and returns the best structure encountered.
+    legal; adds and reverses must keep the graph acyclic. Each step applies
+    the best-scoring move (ties broken by add < delete < reverse, then
+    source, then target) whose resulting structure (canonical edge set) is
+    not among the last tabu_length structures visited, even when that move
+    worsens the score; the search stops after patience consecutive moves
+    without a strict improvement of the best score ever seen, or when no
+    move is available, and returns the best structure encountered.
 
     A step costs O(candidate moves): the delta of toggling u in v's parent
     set is cached until v's family changes, acyclicity is read off
-    per-node ancestor bitsets rebuilt after each move, and the tabu check
-    compares 64-bit edge-set hashes, only for moves that would beat the
-    best one so far.
+    per-node ancestor bitsets rebuilt after each move, and the tabu list is
+    consulted only for moves that would beat the best one so far.
     """
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
     cfg = cfg or ScoreConfig()
     scorer = scorer or Scorer(data, cfg)
     d = data.d
-    cap = d if cfg.max_parents is None else cfg.max_parents
     nbrs = [tuple(sorted(skeleton.pc[v])) for v in range(d)]
-    # zobrist[v][u]: hash key of the edge u -> v
-    zobrist = [{u: _mix64(u * d + v) for u in nbrs[v]} for v in range(d)]
     dag = Dag(d)
     parents = [() for _ in range(d)]
     local = [scorer.local(v, ()) for v in range(d)]
@@ -253,14 +201,23 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     best_score = current
     best_edges = frozenset()
     current_edges = frozenset()
-    current_hash = 0
-    # with tabu_length 0 the window stays empty and nothing is tabu
-    tabu = _TabuWindow(cfg.tabu_length)
-    tabu.push(current_hash, current_edges)
-    stale = 0
-    moves = 0
+    # the last tabu_length structures, and how often each occurs among them;
+    # with tabu_length 0 both stay empty and nothing is tabu
+    tabu = deque(maxlen=cfg.tabu_length)
+    in_tabu = Counter()
 
-    def consider(op, u, v, delta, flip):
+    def visit(edges):
+        if tabu.maxlen == 0:
+            return
+        if len(tabu) == tabu.maxlen:
+            old = tabu.popleft()
+            in_tabu[old] -= 1
+            if not in_tabu[old]:
+                del in_tabu[old]
+        tabu.append(edges)
+        in_tabu[edges] += 1
+
+    def consider(op, u, v, delta):
         # keep the move if its key (-delta, op, u, v) beats the best so far
         # and its structure is not tabu; keys are unique, so the scan order
         # does not matter
@@ -268,12 +225,14 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         key = (-delta, op, u, v)
         if best_key is not None and not key < best_key:
             return
-        h = current_hash ^ flip
-        if tabu.holds(h, lambda: _moved(current_edges, op, u, v)):
+        if in_tabu and _moved(current_edges, op, u, v) in in_tabu:
             return
         best_key = key
-        best_move = (op, u, v, delta, h)
+        best_move = (op, u, v, delta)
 
+    visit(current_edges)
+    stale = 0
+    moves = 0
     while True:
         best_move = None
         best_key = None
@@ -281,8 +240,6 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
             pa_v = parents[v]
             deltas = toggle[v]
             local_v = local[v]
-            keys_v = zobrist[v]
-            grows = len(pa_v) < cap
             # reversing u -> v closes a cycle iff u is a proper ancestor of
             # another parent of v (never of u itself)
             above = 0
@@ -295,25 +252,24 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
                         rest = tuple(w for w in pa_v if w != u)
                         delta = scorer.local(v, rest) - local_v
                         deltas[u] = delta
-                    consider(_DELETE, u, v, delta, keys_v[u])
-                    if len(parents[u]) < cap and not above >> u & 1:
+                    consider(_DELETE, u, v, delta)
+                    if not above >> u & 1:
                         back = toggle[u].get(v)
                         if back is None:
                             back = scorer.local(u, parents[u] + (v,)) - local[u]
                             toggle[u][v] = back
-                        consider(_REVERSE, u, v, delta + back,
-                                 keys_v[u] ^ zobrist[u][v])
-                elif grows and not anc[u] >> v & 1:
+                        consider(_REVERSE, u, v, delta + back)
+                elif not anc[u] >> v & 1:
                     # v is no ancestor of u, so u is no child of v either
                     delta = deltas.get(u)
                     if delta is None:
                         delta = scorer.local(v, pa_v + (u,)) - local_v
                         deltas[u] = delta
-                    consider(_ADD, u, v, delta, keys_v[u])
+                    consider(_ADD, u, v, delta)
         if best_move is None:
             stop = "no_move"
             break
-        op, u, v, delta, current_hash = best_move
+        op, u, v, delta = best_move
         if op == _ADD:
             dag.add_edge(u, v)
         elif op == _DELETE:
@@ -328,7 +284,7 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         anc = _ancestor_masks(parents)
         current += delta
         moves += 1
-        tabu.push(current_hash, current_edges)
+        visit(current_edges)
         if current > best_score + _IMPROVE_EPS:
             best_score = current
             best_edges = current_edges

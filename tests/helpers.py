@@ -285,7 +285,7 @@ def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
     """The tabu hill climb as first written: every step enumerates every
     legal move (one DFS per add and reverse), rescores each one and builds
     its edge set for the tabu check. The package's incremental search must
-    return the same result; no in-degree cap."""
+    return the same result."""
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
     cfg = cfg or ScoreConfig()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridbn.cli import build_parser, main
-from hybridbn.network import read_network, write_network
+from hybridbn.network import write_network
 from hybridbn.synthetic import (
     genbase_shape_network,
     monotone_network,
@@ -180,15 +180,6 @@ class TestBadInput:
         self.assert_one_line(capsys, f"usage error: {message}")
         assert not out.exists()
 
-    def test_learn_negative_max_parents(self, sampled_csv, tmp_path, capsys):
-        out = tmp_path / "o.json"
-        code = run("learn", "--data", sampled_csv, "--max-parents", -1,
-                   "--out", out)
-        assert code == 1
-        self.assert_one_line(
-            capsys, "usage error: max_parents must be a non-negative integer")
-        assert not out.exists()
-
     def test_learn_data_is_a_directory(self, tmp_path, capsys):
         code = run("learn", "--data", tmp_path, "--out", tmp_path / "o.json")
         assert code == 2
@@ -260,20 +251,6 @@ class TestLearn:
         doc = json.loads(out.read_text())
         assert "cpts" not in doc and "edges" in doc
         assert json.loads(report.read_text())["phase"] == "skeleton"
-
-    def test_max_parents_caps_in_degree(self, sampled_csv, tmp_path):
-        def most_parents(path):
-            g = read_network(path).graph
-            return max(len(g.parents(v)) for v in range(g.d))
-
-        free, capped = tmp_path / "free.json", tmp_path / "capped.json"
-        report = tmp_path / "rep.json"
-        run("learn", "--data", sampled_csv, "--out", free)
-        assert run("learn", "--data", sampled_csv, "--max-parents", 1,
-                   "--out", capped, "--report", report) == 0
-        assert most_parents(free) > 1
-        assert most_parents(capped) == 1
-        assert json.loads(report.read_text())["config"]["max_parents"] == 1
 
     def test_skeleton_reuse_matches_direct_run(self, sampled_csv, tmp_path):
         skel = tmp_path / "skel.json"
