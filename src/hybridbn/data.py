@@ -8,6 +8,7 @@ Datasets are immutable after construction and safe for concurrent readers.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +71,26 @@ class CategoricalDataset:
         columns = np.ascontiguousarray(self.rows.T, dtype=np.min_scalar_type(top))
         columns.setflags(write=False)
         return columns
+
+    @cached_property
+    def distinct_rows(self):
+        """Read-only store of the distinct rows, as (columns, weights).
+
+        columns has shape (d, U), column-major in the dtype of ``columns``,
+        with one column per distinct row configuration; weights[u] is the
+        number of rows equal to distinct row u, as float64 (exact below
+        2**53). Counting kernels take a weighted ``bincount`` over the U
+        distinct rows instead of a plain one over all n rows. Built on
+        first use.
+        """
+        codes, u = observed_config_codes(self.columns.T, self.arities)
+        weights = np.bincount(codes, minlength=u).astype(np.float64)
+        first = np.zeros(u, dtype=np.intp)
+        first[codes] = np.arange(self.n)
+        columns = np.ascontiguousarray(self.columns[:, first])
+        columns.setflags(write=False)
+        weights.setflags(write=False)
+        return columns, weights
 
     @property
     def n(self):
@@ -235,23 +256,43 @@ def contingency(data, x, y, z=()):
 
     counts[i, j, k] is the number of rows with X=i, Y=j and the k-th observed
     Z-configuration; strata with zero total count are not indexed.
+
+    The table is a weighted count over the dataset's distinct rows. When the
+    nominal (x, y, Z) space is no wider than a few times the number of
+    distinct rows, each row gets its mixed-radix code over that space (x
+    slowest, the last of z fastest) and one ``bincount`` fills it; dropping
+    the empty strata then leaves them in observed-rank order. Wider spaces
+    rank the Z-configurations first with ``observed_config_codes``.
     """
     z = tuple(z)
     if x == y or x in z or y in z:
         raise ValueError("x, y and z must be distinct")
     r = data.arity(x)
     c = data.arity(y)
-    codes, l = observed_config_codes(
-        data.columns[list(z)].T, [data.arity(v) for v in z]
-    )
-    # (x, y) offsets in a narrow dtype, added onto the fresh int64 codes
-    xy = data.columns[x].astype(np.min_scalar_type(r * c * max(l, 1)))
-    xy *= c
-    np.add(xy, data.columns[y], out=xy, casting="unsafe")
-    xy *= l
-    codes += xy
-    counts = np.bincount(codes, minlength=r * c * l).reshape(r, c, l)
-    return ContingencyTable(r=r, c=c, l=l, counts=counts, n=data.n)
+    columns, weights = data.distinct_rows
+    z_arities = [data.arity(v) for v in z]
+    q = math.prod(z_arities)
+    if r * c * q <= 4 * weights.size + 1024:
+        code = columns[x].astype(np.min_scalar_type(r * c * q - 1))
+        code *= c
+        code += columns[y]
+        for v, a in zip(z, z_arities):
+            code *= a
+            code += columns[v]
+        counts = np.bincount(code, weights, minlength=r * c * q).reshape(r, c, q)
+        if z:
+            counts = counts[:, :, counts.sum(axis=(0, 1)) > 0]
+    else:
+        codes, l = observed_config_codes(columns[list(z)].T, z_arities)
+        code = columns[x].astype(np.int64)
+        code *= c
+        code += columns[y]
+        code *= l
+        code += codes
+        counts = np.bincount(code, weights, minlength=r * c * l).reshape(r, c, l)
+    # C order fixes the summation order of every reduction over the table.
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    return ContingencyTable(r=r, c=c, l=counts.shape[2], counts=counts, n=data.n)
 
 
 def kfold(n, k, seed):
@@ -275,10 +316,19 @@ def load_csv(path, delimiter=",", header=True):
     """Load a delimited text file into a CategoricalDataset.
 
     Tokens are mapped to level indices in first-appearance order, per column.
-    Constant columns, ragged rows, empty files and empty tokens are errors.
+    Constant columns, ragged rows, empty files and empty tokens are errors;
+    of the ragged rows and missing values, the first in file order is
+    reported. So are files that are not UTF-8 text and fields the csv
+    module rejects.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        physical = list(csv.reader(fh, delimiter=delimiter))
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            physical = list(reader)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except csv.Error as exc:
+            raise DataError(f"bad CSV at line {reader.line_num} of {path}: {exc}") from None
     if not physical:
         raise DataError(f"empty file: {path}")
     if header:
@@ -292,30 +342,34 @@ def load_csv(path, delimiter=",", header=True):
     d = len(names)
     if not body:
         raise DataError(f"no data rows in {path}")
-    tokens = [[] for _ in range(d)]
-    index = [{} for _ in range(d)]
-    rows = np.empty((len(body), d), dtype=np.int32)
-    for rix, row in enumerate(body):
-        if len(row) != d:
-            raise DataError(
-                f"ragged row {rix + first_line}: expected {d} fields, got {len(row)}"
-            )
-        for cix, raw in enumerate(row):
-            tok = raw.strip()
-            if tok == "":
-                raise DataError(
-                    f"missing value at row {rix + first_line}, column {names[cix]!r}"
-                )
-            level = index[cix].get(tok)
-            if level is None:
-                level = len(tokens[cix])
-                index[cix][tok] = level
-                tokens[cix].append(tok)
-            rows[rix, cix] = level
+    # Only the rows before the first ragged one are read column by column;
+    # a missing value among them comes first in the file.
+    ragged = next((rix for rix, row in enumerate(body) if len(row) != d), len(body))
+    good = body if ragged == len(body) else body[:ragged]
+    rows = np.empty((len(good), d), dtype=np.int32)
+    tokens = []
+    missing = (ragged, None)
+    for cix, column in enumerate(zip(*good)):
+        stripped = {raw: raw.strip() for raw in dict.fromkeys(column)}
+        index = {tok: level for level, tok in enumerate(dict.fromkeys(stripped.values()))}
+        tokens.append(tuple(index))
+        level_of = {raw: index[tok] for raw, tok in stripped.items()}
+        rows[:, cix] = np.fromiter(map(level_of.__getitem__, column), np.int32, len(column))
+        if "" in index:
+            rix = int(np.argmax(rows[:, cix] == index[""]))
+            if rix < missing[0]:
+                missing = (rix, cix)
+    rix, cix = missing
+    if cix is not None:
+        raise DataError(f"missing value at row {rix + first_line}, column {names[cix]!r}")
+    if ragged < len(body):
+        raise DataError(
+            f"ragged row {ragged + first_line}: expected {d} fields, got {len(body[ragged])}"
+        )
     for cix in range(d):
         if len(tokens[cix]) < 2:
             raise DataError(f"constant column {names[cix]!r}")
-    return CategoricalDataset(tuple(names), tuple(tuple(t) for t in tokens), rows)
+    return CategoricalDataset(tuple(names), tuple(tokens), rows)
 
 
 def write_csv(data, path, delimiter=","):
@@ -338,12 +392,18 @@ def parse_numeric_column(data, col):
     return lut[data.rows[:, col]]
 
 
+def _not_utf8(path):
+    return DataError(f"{path} is not UTF-8 text")
+
+
 def read_json_object(path, fields):
     """Parse a JSON file whose top level is an object; fields maps each
     required key to the type its value must have (list or dict)."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):

@@ -50,12 +50,10 @@ class TestResult:
     independent: bool
 
 
-def mutual_information(table):
-    """Conditional mutual information of the table, in nats.
-
-    MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
-    with n_ijk = 0 contribute 0.
-    """
+def _mi_and_dof(table):
+    # One set of marginals serves both the statistic and the dof. Per
+    # stratum, an all-zero row or column is treated as absent: it cannot
+    # contribute degrees of freedom it does not have in the data.
     if table.n <= 0:
         raise ValueError("table is empty")
     counts = table.counts.astype(float)
@@ -65,22 +63,25 @@ def mutual_information(table):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = counts * n__k / (ni_k * n_jk)
         terms = np.where(counts > 0, counts * np.log(ratio), 0.0)
-    return float(terms.sum() / table.n)
-
-
-def _adjusted_dof(counts):
-    # Per stratum, an all-zero row or column is treated as absent: it cannot
-    # contribute degrees of freedom it does not have in the data.
-    nonzero_rows = (counts.sum(axis=1) > 0).sum(axis=0)
-    nonzero_cols = (counts.sum(axis=0) > 0).sum(axis=0)
+    nonzero_rows = (ni_k > 0).sum(axis=0)
+    nonzero_cols = (n_jk > 0).sum(axis=1)
     per_stratum = np.maximum(nonzero_rows - 1, 0) * np.maximum(nonzero_cols - 1, 0)
-    return int(per_stratum.sum())
+    return float(terms.sum() / table.n), int(per_stratum.sum())
+
+
+def mutual_information(table):
+    """Conditional mutual information of the table, in nats.
+
+    MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
+    with n_ijk = 0 contribute 0.
+    """
+    return _mi_and_dof(table)[0]
 
 
 def g2_statistic(table):
     """G2 statistic (2n times MI) and the adjusted degrees of freedom."""
-    stat = 2.0 * table.n * mutual_information(table)
-    return stat, _adjusted_dof(table.counts)
+    mi, dof = _mi_and_dof(table)
+    return 2.0 * table.n * mi, dof
 
 
 def chi2_survival(x, dof):

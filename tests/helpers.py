@@ -427,6 +427,55 @@ def reference_config_codes(rows, arities):
     return codes.astype(np.int64), l
 
 
+def reference_load_csv(path, delimiter=",", header=True):
+    """``load_csv`` as first written: one NumPy store per cell inside a
+    row-by-row loop, so the first bad row in file order is the one met
+    first."""
+    import csv
+
+    from hybridbn.data import CategoricalDataset, DataError
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        physical = list(csv.reader(fh, delimiter=delimiter))
+    if not physical:
+        raise DataError(f"empty file: {path}")
+    if header:
+        names = [t.strip() for t in physical[0]]
+        body = physical[1:]
+        first_line = 2
+    else:
+        names = [f"v{i}" for i in range(len(physical[0]))]
+        body = physical
+        first_line = 1
+    d = len(names)
+    if not body:
+        raise DataError(f"no data rows in {path}")
+    tokens = [[] for _ in range(d)]
+    index = [{} for _ in range(d)]
+    rows = np.empty((len(body), d), dtype=np.int32)
+    for rix, row in enumerate(body):
+        if len(row) != d:
+            raise DataError(
+                f"ragged row {rix + first_line}: expected {d} fields, got {len(row)}"
+            )
+        for cix, raw in enumerate(row):
+            tok = raw.strip()
+            if tok == "":
+                raise DataError(
+                    f"missing value at row {rix + first_line}, column {names[cix]!r}"
+                )
+            level = index[cix].get(tok)
+            if level is None:
+                level = len(tokens[cix])
+                index[cix][tok] = level
+                tokens[cix].append(tok)
+            rows[rix, cix] = level
+    for cix in range(d):
+        if len(tokens[cix]) < 2:
+            raise DataError(f"constant column {names[cix]!r}")
+    return CategoricalDataset(tuple(names), tuple(tuple(t) for t in tokens), rows)
+
+
 def reference_contingency(data, x, y, z=()):
     """Contingency table from strided int32 row reads and sorted codes."""
     from hybridbn.data import ContingencyTable
@@ -439,6 +488,44 @@ def reference_contingency(data, x, y, z=()):
     flat = (data.rows[:, x].astype(np.int64) * c + data.rows[:, y]) * l + codes
     counts = np.bincount(flat, minlength=r * c * l).reshape(r, c, l)
     return ContingencyTable(r=r, c=c, l=l, counts=counts, n=data.n)
+
+
+def reference_g2_statistic(table):
+    """G2 statistic and adjusted dof as first written: the mutual
+    information and the dof each from their own marginals."""
+    counts = table.counts.astype(float)
+    ni_k = counts.sum(axis=1, keepdims=True)
+    n_jk = counts.sum(axis=0, keepdims=True)
+    n__k = counts.sum(axis=(0, 1), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = counts * n__k / (ni_k * n_jk)
+        terms = np.where(counts > 0, counts * np.log(ratio), 0.0)
+    mi = float(terms.sum() / table.n)
+    nonzero_rows = (table.counts.sum(axis=1) > 0).sum(axis=0)
+    nonzero_cols = (table.counts.sum(axis=0) > 0).sum(axis=0)
+    per_stratum = np.maximum(nonzero_rows - 1, 0) * np.maximum(nonzero_cols - 1, 0)
+    return 2.0 * table.n * mi, int(per_stratum.sum())
+
+
+def reference_test_independence(data, x, y, z=(), cfg=None):
+    """``test_independence`` on the reference table and G2 path."""
+    from hybridbn.independence import TestConfig, TestResult, chi2_survival
+
+    cfg = cfg or TestConfig()
+    z = tuple(z)
+    r, c = data.arity(x), data.arity(y)
+    table = reference_contingency(data, x, y, z)
+    if cfg.power_cells == "nominal":
+        cells = r * c * math.prod(data.arity(v) for v in z)
+    else:
+        cells = r * c * table.l
+    if data.n / cells < cfg.power_threshold:
+        return TestResult(1.0, 0.0, 0, True, True)
+    stat, dof = reference_g2_statistic(table)
+    if dof <= 0:
+        return TestResult(1.0, stat, dof, False, True)
+    p = chi2_survival(stat, dof)
+    return TestResult(p, stat, dof, False, p > cfg.alpha)
 
 
 def dm_log_marginal(counts, alphas):

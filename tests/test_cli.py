@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,40 @@ class TestBadInput:
         assert code == 2
         self.assert_one_line(capsys, "data error: duplicate column name 'a'")
         assert not (tmp_path / "o.json").exists()
+
+    def test_data_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\nzéro,1\nun,0\n".encode("latin-1"))
+        code = run("learn", "--data", path, "--out", tmp_path / "o.json")
+        assert code == 2
+        self.assert_one_line(capsys, f"data error: {path} is not UTF-8 text")
+
+    def test_data_field_over_the_csv_limit(self, tmp_path, capsys):
+        import csv
+
+        path = tmp_path / "big.csv"
+        path.write_text("a,b\n0,1\n" + "x" * (csv.field_size_limit() + 1) + ",0\n")
+        code = run("learn", "--data", path, "--out", tmp_path / "o.json")
+        assert code == 2
+        self.assert_one_line(capsys, f"data error: bad CSV at line 3 of {path}")
+
+    def test_skeleton_not_utf8(self, tiny_csv, tmp_path, capsys):
+        skel = tmp_path / "skel.json"
+        skel.write_bytes('{"nodes": ["a", "b", "c"], "edges": [], "x": "é"}'.encode("latin-1"))
+        code = run("learn", "--data", tiny_csv, "--skeleton", skel,
+                   "--out", tmp_path / "o.json")
+        assert code == 2
+        self.assert_one_line(capsys, f"data error: {skel} is not UTF-8 text")
+
+    def test_network_not_utf8(self, small_net, tmp_path, capsys):
+        _, net_path = small_net
+        learned = tmp_path / "learned.json"
+        text = Path(net_path).read_bytes()
+        learned.write_bytes(text.replace(b"{", b"{\"\xe9\": 0, ", 1))
+        code = run("evaluate", "--learned", learned, "--truth", net_path,
+                   "--report", tmp_path / "r.json")
+        assert code == 2
+        self.assert_one_line(capsys, f"data error: {learned} is not UTF-8 text")
 
     def test_benchmark_zero_size(self, tmp_path, capsys):
         truth = tmp_path / "truth.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridbn.data import (
     CategoricalDataset,
@@ -14,7 +16,7 @@ from hybridbn.data import (
     write_csv,
 )
 
-from helpers import tally_contingency
+from helpers import reference_load_csv, tally_contingency
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -90,6 +92,80 @@ class TestLoadCsv:
         assert again.names == ds.names
         assert again.levels == ds.levels
         assert np.array_equal(again.rows, ds.rows)
+
+
+# Tokens never contain a delimiter or a quote; padded and empty ones test
+# the stripping and the missing-value report.
+TOKENS = st.sampled_from(["0", "1", "a", "bb", " a", "a ", " 1 ", "x y", "", " "])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, delimiter, header) of a small file; in about half the files,
+    one row in six may be ragged or hold blank tokens."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    header = draw(st.booleans())
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 12))
+    ok = st.lists(TOKENS.filter(str.strip), min_size=d, max_size=d)
+    ragged = st.lists(TOKENS, min_size=0, max_size=d + 2)
+    bad = draw(st.sampled_from(["none", "some"]))
+    lines = []
+    if header:
+        lines.append(draw(st.lists(
+            st.sampled_from(["a", "b", "c", "d", "e", "f", " g "]),
+            min_size=d, max_size=d, unique=True,
+        )))
+    for _ in range(n):
+        if bad == "some" and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(ragged | st.lists(TOKENS, min_size=d, max_size=d)))
+        else:
+            lines.append(draw(ok))
+    text = "".join(delimiter.join(line) + "\n" for line in lines)
+    return text, delimiter, header
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "d.csv"
+
+
+def load_outcome(loader, path, delimiter, header):
+    try:
+        ds = loader(path, delimiter=delimiter, header=header)
+    except DataError as exc:
+        return str(exc)
+    return ds.names, ds.levels, ds.rows.dtype, ds.rows.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=csv_files())
+def test_load_csv_matches_reference(csv_path, case):
+    text, delimiter, header = case
+    csv_path.write_text(text, encoding="utf-8")
+    path = str(csv_path)
+    want = load_outcome(reference_load_csv, path, delimiter, header)
+    assert load_outcome(load_csv, path, delimiter, header) == want
+
+
+class TestLoadCsvErrors:
+    def test_missing_value_before_a_later_ragged_row(self, tmp_path):
+        path = write(tmp_path, "a,b,c\n0,1,0\n1, ,1\n0,1\n")
+        with pytest.raises(DataError, match="missing value at row 3, column 'b'"):
+            load_csv(path)
+
+    def test_ragged_row_before_a_later_missing_value(self, tmp_path):
+        path = write(tmp_path, "a,b,c\n0,1,0\n1,1\n0,,1\n")
+        with pytest.raises(DataError, match="ragged row 3: expected 3 fields, got 2"):
+            load_csv(path)
+
+    def test_first_missing_column_in_the_row(self, tmp_path):
+        path = write(tmp_path, "a,b,c\n0,1,0\n1,0,\n0,,1\n1,1,1\n")
+        with pytest.raises(DataError, match="missing value at row 3, column 'c'"):
+            load_csv(path)
+        path = write(tmp_path, "a,b,c\n0,1,0\n1,,\n0,0,1\n")
+        with pytest.raises(DataError, match="missing value at row 3, column 'b'"):
+            load_csv(path)
 
 
 class TestDataset:

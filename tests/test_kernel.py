@@ -1,10 +1,12 @@
 """The counting kernel against its sorting reference.
 
 observed_config_codes ranks configurations with a presence mask instead of
-a sort, and contingency tables and family counts read the dataset's column
-store instead of its int32 rows. Both must agree exactly with the
-straightforward versions in helpers.py, so every CI-test result and local
-score stays bit-identical.
+a sort; contingency tables count the dataset's distinct rows, weighted, in
+one pass over the nominal (x, y, Z) space or over ranked Z-configurations;
+g2_statistic takes the statistic and the dof from one set of marginals; and
+family counts read the dataset's column store instead of its int32 rows.
+All must agree exactly with the straightforward versions in helpers.py, so
+every CI-test result and local score stays bit-identical.
 """
 
 import numpy as np
@@ -21,7 +23,11 @@ from hybridbn.scoring import _family_counts
 from hybridbn.skeleton import build_skeleton
 from hybridbn.synthetic import child_shape_network
 
-from helpers import reference_config_codes, reference_contingency
+from helpers import (
+    reference_config_codes,
+    reference_contingency,
+    reference_test_independence,
+)
 
 
 def assert_same_codes(rows, arities):
@@ -82,6 +88,99 @@ class TestObservedConfigCodes:
         assert_same_codes(rows, arities)
 
 
+def nominal_pass(data, x, y, z):
+    """True when contingency counts the nominal (x, y, Z) space in one pass,
+    False when it ranks the Z-configurations first."""
+    q = int(np.prod([data.arity(v) for v in z]))
+    return data.arity(x) * data.arity(y) * q <= 4 * data.distinct_rows[1].size + 1024
+
+
+def assert_same_table(data, x, y, z):
+    got = contingency(data, x, y, z)
+    want = reference_contingency(data, x, y, z)
+    assert (got.r, got.c, got.l, got.n) == (want.r, want.c, want.l, want.n)
+    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
+    np.testing.assert_array_equal(got.counts, want.counts)
+
+
+def assert_same_results(data, x, y, z):
+    assert_same_table(data, x, y, z)
+    for power_cells in ("nominal", "observed"):
+        for power_threshold in (5.0, 0.01):
+            cfg = Config(power_cells=power_cells, power_threshold=power_threshold)
+            got = independence_mod.test_independence(data, x, y, z, cfg)
+            assert got == reference_test_independence(data, x, y, z, cfg)
+
+
+@st.composite
+def datasets(draw):
+    """Datasets whose distinct rows range from one (every row equal) to n
+    (a row-index column), with arities from 1 to 300."""
+    n = draw(st.integers(1, 60))
+    arities = draw(st.lists(st.integers(1, 4) | st.sampled_from([7, 300]),
+                            min_size=3, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "pool", "distinct"]))
+    if shape == "pool":
+        # heavy duplication: every row is one of a few patterns
+        pool = random_rows(rng, int(rng.integers(1, 4)), arities)
+        rows = pool[rng.integers(0, len(pool), size=n)]
+    else:
+        rows = random_rows(rng, n, arities)
+    if shape == "distinct":
+        arities[0] = max(arities[0], n)
+        rows[:, 0] = rng.permutation(n)
+    return CategoricalDataset.from_array(rows, arities=arities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=datasets(), picks=st.randoms(use_true_random=False))
+def test_table_and_test_match_reference(data, picks):
+    order = list(range(data.d))
+    picks.shuffle(order)
+    x, y, *rest = order
+    z = tuple(rest[: picks.randint(0, len(rest))])
+    assert_same_results(data, x, y, z)
+
+
+@pytest.mark.parametrize("shape", ["distinct", "duplicated"])
+def test_both_passes_on_wide_columns(shape):
+    # Arity-300 columns put the column store in uint16 and, conditioned on
+    # one another, push the nominal space past the one-pass bound.
+    rng = np.random.default_rng(8)
+    arities = [300, 3, 300, 2, 5]
+    n = 500 if shape == "distinct" else 40
+    rows = random_rows(rng, n, arities)
+    if shape == "duplicated":
+        rows = rows[rng.integers(0, n, size=2000)]
+    data = CategoricalDataset.from_array(rows, arities=arities)
+    assert data.columns.dtype == np.uint16
+    cases = [(1, 3, ()), (3, 1, (4,)), (1, 3, (2, 4)), (0, 1, ()), (0, 2, (1,)),
+             (1, 3, (0, 2)), (4, 3, (2, 1, 0))]
+    assert {nominal_pass(data, *case) for case in cases} == {True, False}
+    for case in cases:
+        assert_same_results(data, *case)
+
+
+def test_distinct_row_store():
+    rows = np.array([[1, 0, 2], [0, 1, 0], [1, 0, 2], [1, 0, 2], [0, 1, 1]])
+    data = CategoricalDataset.from_array(rows, arities=[2, 2, 3])
+    columns, weights = data.distinct_rows
+    assert columns.dtype == data.columns.dtype and columns.flags.c_contiguous
+    assert not columns.flags.writeable and not weights.flags.writeable
+    # one column per distinct row, with its multiplicity
+    assert sorted(zip(map(tuple, columns.T.tolist()), weights.tolist())) == [
+        ((0, 1, 0), 1.0), ((0, 1, 1), 1.0), ((1, 0, 2), 3.0)]
+    assert data.distinct_rows is data.distinct_rows
+
+
+def test_no_rows():
+    data = CategoricalDataset.from_array(np.zeros((0, 3), dtype=int), arities=[2, 3, 2])
+    assert data.distinct_rows[0].shape == (3, 0)
+    for z in [(), (2,)]:
+        assert_same_table(data, 0, 1, z)
+
+
 @pytest.fixture(scope="module")
 def child_sample():
     return forward_sample(child_shape_network(), 2000, seed=5)
@@ -90,17 +189,21 @@ def child_sample():
 @pytest.mark.parametrize("power_cells", ["nominal", "observed"])
 def test_child_sample_matches_reference(child_sample, power_cells):
     cfg = Config(power_cells=power_cells)
+    reference_calls = []
+
+    def reference(*args):
+        reference_calls.append(args[1:4])
+        return reference_test_independence(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(independence_mod, "contingency", reference_contingency)
+        mp.setattr(independence_mod, "test_independence", reference)
         ref = DataIndependenceSource(child_sample, cfg)
         ref_skeleton = build_skeleton(ref, cfg, jobs=1)
-    assert len(ref._cache) > 100
+    # every cached result came from the reference path
+    assert len(reference_calls) == len(ref._cache) > 100
     assert max(len(z) for _, _, z in ref._cache) >= 4
     for x, y, z in ref._cache:
-        got = contingency(child_sample, x, y, z)
-        want = reference_contingency(child_sample, x, y, z)
-        assert (got.r, got.c, got.l, got.n) == (want.r, want.c, want.l, want.n)
-        np.testing.assert_array_equal(got.counts, want.counts)
+        assert_same_table(child_sample, x, y, z)
     for jobs in (1, 2):
         src = DataIndependenceSource(child_sample, cfg)
         assert build_skeleton(src, cfg, jobs=jobs).edges == ref_skeleton.edges
@@ -133,7 +236,4 @@ def test_wide_arity_dataset_matches_reference():
     )
     assert ds.columns.dtype == np.uint16
     for x, y, z in [(0, 1, ()), (1, 0, (2, 3)), (2, 3, (0,)), (3, 2, (0, 1))]:
-        got = contingency(ds, x, y, z)
-        want = reference_contingency(ds, x, y, z)
-        assert got.l == want.l
-        np.testing.assert_array_equal(got.counts, want.counts)
+        assert_same_results(ds, x, y, z)
