@@ -262,7 +262,8 @@ def contingency(data, x, y, z=()):
     distinct rows, each row gets its mixed-radix code over that space (x
     slowest, the last of z fastest) and one ``bincount`` fills it; dropping
     the empty strata then leaves them in observed-rank order. Wider spaces
-    rank the Z-configurations first with ``observed_config_codes``.
+    rank the Z-configurations first with ``observed_config_codes``, which
+    keeps the table and the code range bounded by the data.
     """
     z = tuple(z)
     if x == y or x in z or y in z:
@@ -273,7 +274,7 @@ def contingency(data, x, y, z=()):
     z_arities = [data.arity(v) for v in z]
     q = math.prod(z_arities)
     if r * c * q <= 4 * weights.size + 1024:
-        code = columns[x].astype(np.min_scalar_type(r * c * q - 1))
+        code = columns[x].astype(np.min_scalar_type(r * c * q))
         code *= c
         code += columns[y]
         for v, a in zip(z, z_arities):

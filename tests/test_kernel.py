@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridbn import data as data_mod
 from hybridbn import independence as independence_mod
 from hybridbn.data import CategoricalDataset, contingency, observed_config_codes
 from hybridbn.independence import DataIndependenceSource
@@ -88,11 +89,21 @@ class TestObservedConfigCodes:
         assert_same_codes(rows, arities)
 
 
-def nominal_pass(data, x, y, z):
-    """True when contingency counts the nominal (x, y, Z) space in one pass,
-    False when it ranks the Z-configurations first."""
-    q = int(np.prod([data.arity(v) for v in z]))
-    return data.arity(x) * data.arity(y) * q <= 4 * data.distinct_rows[1].size + 1024
+def takes_ranked_path(data, x, y, z):
+    """Whether contingency ranks the Z-configurations first instead of
+    counting the nominal (x, y, Z) space in one pass; only the ranked path
+    calls observed_config_codes once the distinct rows are built."""
+    data.distinct_rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return observed_config_codes(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "observed_config_codes", spy)
+        contingency(data, x, y, z)
+    return bool(calls)
 
 
 def assert_same_table(data, x, y, z):
@@ -117,7 +128,7 @@ def datasets(draw):
     """Datasets whose distinct rows range from one (every row equal) to n
     (a row-index column), with arities from 1 to 300."""
     n = draw(st.integers(1, 60))
-    arities = draw(st.lists(st.integers(1, 4) | st.sampled_from([7, 300]),
+    arities = draw(st.lists(st.integers(1, 4) | st.sampled_from([7, 256, 300]),
                             min_size=3, max_size=7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["random", "pool", "distinct"]))
@@ -157,8 +168,24 @@ def test_both_passes_on_wide_columns(shape):
     assert data.columns.dtype == np.uint16
     cases = [(1, 3, ()), (3, 1, (4,)), (1, 3, (2, 4)), (0, 1, ()), (0, 2, (1,)),
              (1, 3, (0, 2)), (4, 3, (2, 1, 0))]
-    assert {nominal_pass(data, *case) for case in cases} == {True, False}
+    assert {takes_ranked_path(data, *case) for case in cases} == {True, False}
     for case in cases:
+        assert_same_results(data, *case)
+
+
+@pytest.mark.parametrize("wide", [256, 65536])
+def test_radix_at_a_dtype_boundary(wide):
+    # An arity-1 column beside one of arity 256 (65536) makes a nominal code
+    # space of exactly 256 (65536) cells, so the narrowest dtype of the code
+    # holds its range but only just; every radix must fit it as well. At
+    # 65536 the one-pass bound needs at least 16,128 distinct rows.
+    n = max(wide // 4, 6)
+    rows = np.column_stack([np.zeros(n, dtype=int), np.arange(n) * wide // n,
+                            np.arange(n) % 2])
+    rows[0, 1] = wide - 1
+    data = CategoricalDataset.from_array(rows, arities=[1, wide, 2])
+    assert not takes_ranked_path(data, 0, 1, ())
+    for case in [(0, 1, ()), (1, 0, ()), (0, 2, (1,)), (2, 0, (1,)), (0, 1, (2,))]:
         assert_same_results(data, *case)
 
 
