@@ -1,8 +1,8 @@
 """Command-line interface: one binary, one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Reports are JSON with
-sorted keys; worker count and file paths never appear in report bodies, so
-outputs are byte-identical across repeated runs and across --jobs settings.
+sorted keys; file paths never appear in report bodies, so outputs are
+byte-identical across repeated runs. --jobs is accepted and has no effect.
 Wall-clock fields are emitted only behind --timing.
 """
 
@@ -96,17 +96,9 @@ def _add_score_flags(p):
                    help="moves without improvement before stopping")
 
 
-def _default_jobs():
-    raw = os.environ.get("HYBRIDBN_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_jobs_flag(p):
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="worker threads (affects wall time only)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and has no effect: runs are sequential")
 
 
 def _non_negative(value, flag):
@@ -151,7 +143,7 @@ def _parse_sizes(raw):
 def cmd_learn_skeleton(args):
     data = load_csv(args.data, delimiter=args.delimiter)
     src = DataIndependenceSource(data, _test_cfg(args))
-    skel = build_skeleton(src, src.cfg, jobs=args.jobs)
+    skel = build_skeleton(src, src.cfg)
     write_skeleton(skel, data.names, args.out)
     return 0
 
@@ -167,28 +159,22 @@ def cmd_learn(args):
             raise DataError("skeleton variables do not match the dataset")
     else:
         src = DataIndependenceSource(data, _test_cfg(args))
-        skel = build_skeleton(src, src.cfg, jobs=args.jobs)
+        skel = build_skeleton(src, src.cfg)
+    result = hill_climb(data, skel, score_cfg)
+    net = fit_cpts(result.dag, data, laplace=args.laplace)
+    write_network(net, args.out)
     report = {
         "config": _echo_config(args),
         "n": data.n,
         "d": data.d,
         "skeleton_edges": len(skel.edges),
+        "phase": "search",
+        "dag_edges": result.dag.edge_count(),
+        "score": result.score,
+        "empty_score": result.empty_score,
+        "moves": result.moves,
+        "stop": result.stop,
     }
-    if args.skeleton_only:
-        write_skeleton(skel, data.names, args.out)
-        report["phase"] = "skeleton"
-    else:
-        result = hill_climb(data, skel, score_cfg)
-        net = fit_cpts(result.dag, data, laplace=args.laplace)
-        write_network(net, args.out)
-        report.update(
-            phase="search",
-            dag_edges=result.dag.edge_count(),
-            score=result.score,
-            empty_score=result.empty_score,
-            moves=result.moves,
-            stop=result.stop,
-        )
     if args.timing:
         report["seconds"] = time.perf_counter() - started
     if args.report:
@@ -244,7 +230,7 @@ def cmd_benchmark(args):
             train = forward_sample(net, size, seed=[args.seed, si, rep, 0])
             test = forward_sample(net, args.test_n, seed=[args.seed, si, rep, 1])
             src = DataIndependenceSource(train, test_cfg)
-            skel = build_skeleton(src, test_cfg, jobs=args.jobs)
+            skel = build_skeleton(src, test_cfg)
             result = hill_climb(train, skel, score_cfg)
             sm = skeleton_metrics(skel, truth_skel)
             on_train = holdout_scores(train, {"dag": result.dag}, score_cfg)
@@ -299,7 +285,6 @@ def cmd_mlc(args):
         score=_score_cfg(args),
         smoothing=args.smoothing,
         binarize=args.binarize,
-        jobs=args.jobs,
         export_dir=args.export_blocks,
         timing=args.timing,
     )
@@ -367,8 +352,6 @@ def build_parser():
     _add_jobs_flag(p)
     p.add_argument("--skeleton", default=None,
                    help="reuse a previously learned skeleton JSON")
-    p.add_argument("--skeleton-only", action="store_true",
-                   help="stop after the constraint phase; --out gets the skeleton")
     p.add_argument("--laplace", type=float, default=0.0,
                    help="CPT smoothing when fitting the learned network")
     p.add_argument("--timing", action="store_true")
@@ -436,6 +419,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if len(getattr(args, "delimiter", ",")) != 1:
+            raise _Usage("--delimiter must be a single character")
         return args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

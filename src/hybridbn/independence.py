@@ -13,7 +13,6 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .data import contingency
-from .graphs import d_separated
 
 
 @dataclass(frozen=True)
@@ -157,30 +156,3 @@ class DataIndependenceSource:
     def p_value(self, x, y, z=()):
         return self.result(x, y, z).p_value
 
-
-class DSeparationSource:
-    """Independence oracle backed by d-separation on a known DAG.
-
-    p-values collapse to 0 (dependent) or 1 (independent), which makes the
-    FDR machinery behave exactly on oracle input.
-    """
-
-    def __init__(self, dag):
-        self.dag = dag
-        self._cache = {}
-
-    @property
-    def n_vars(self):
-        return self.dag.d
-
-    def independent(self, x, y, z=()):
-        key = (x, y) if x < y else (y, x)
-        key = key + (frozenset(z),)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = d_separated(self.dag, key[0], key[1], key[2])
-            self._cache[key] = hit
-        return hit
-
-    def p_value(self, x, y, z=()):
-        return 1.0 if self.independent(x, y, z) else 0.0

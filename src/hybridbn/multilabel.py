@@ -19,7 +19,7 @@ from .data import CategoricalDataset, kfold, parse_numeric_column
 from .graphs import markov_sets
 from .independence import DataIndependenceSource, TestConfig
 from .scoring import ScoreConfig, hill_climb
-from .skeleton import _thread_map, build_skeleton, hpc
+from .skeleton import build_skeleton, hpc
 
 
 def minimal_label_powersets(g, labels):
@@ -159,22 +159,18 @@ def learn_local_dag(data, labels, test_cfg=None, score_cfg=None, jobs=1):
     universe, then hpc around the discovered neighbors (one expansion
     ring). The AND-rule skeleton is built within that ring and handed to
     the constrained hill climber; nodes outside the ring stay isolated.
+    jobs is accepted and has no effect.
     """
     test_cfg = test_cfg or TestConfig()
     score_cfg = score_cfg or ScoreConfig()
     labels = sorted(set(labels))
     src = DataIndependenceSource(data, test_cfg)
-
-    def neighborhoods(targets):
-        return _thread_map(lambda t: hpc(t, src, None, test_cfg), targets, jobs)
-
     ring = set(labels)
-    for found in neighborhoods(labels):
-        ring |= found
-    fringe = sorted(ring - set(labels))
-    for found in neighborhoods(fringe):
-        ring |= found
-    skel = build_skeleton(src, test_cfg, jobs=jobs, universe=sorted(ring))
+    for t in labels:
+        ring |= hpc(t, src, None, test_cfg)
+    for t in sorted(ring - set(labels)):
+        ring |= hpc(t, src, None, test_cfg)
+    skel = build_skeleton(src, test_cfg, universe=sorted(ring))
     return hill_climb(data, skel, score_cfg).dag
 
 
@@ -202,7 +198,7 @@ class MlcConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
     smoothing: float = 1.0
     binarize: bool = False
-    jobs: int = 1
+    jobs: int = 1  # accepted and has no effect
     export_dir: str | None = None
     timing: bool = False
 
@@ -292,7 +288,7 @@ def run_scenarios(data, labels, scenarios, cfg=None):
         )
         train = fold_data.subset_rows(train_idx)
         dag = (
-            learn_local_dag(train, labels, cfg.test, cfg.score, jobs=1)
+            learn_local_dag(train, labels, cfg.test, cfg.score)
             if needs_graph else None
         )
         test_rows = fold_data.rows[test_idx]
@@ -340,7 +336,7 @@ def run_scenarios(data, labels, scenarios, cfg=None):
             reports[key] = report
         return reports
 
-    by_fold = _thread_map(run_fold, range(cfg.folds), cfg.jobs)
+    by_fold = [run_fold(f) for f in range(cfg.folds)]
     return {key: _summary(key, data, labels, [r[key] for r in by_fold])
             for key in keys}
 

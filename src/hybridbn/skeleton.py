@@ -15,7 +15,6 @@ sources the order is the documented tie-break.
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -218,25 +217,15 @@ def hpc(target, src, universe=None, cfg=None):
     return pc
 
 
-def _thread_map(fn, items, jobs):
-    """[fn(x) for x in items] on a pool of jobs threads: the package's one
-    parallel site. Results keep the order of items, whatever the schedule."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def build_skeleton(src, cfg=None, jobs=1, universe=None):
     """Whole-graph skeleton: run hpc per node, keep mutual edges (AND rule).
 
-    Per-target runs are independent; with jobs > 1 they share a thread pool.
+    Targets run in column order on the calling thread; jobs is accepted
+    and has no effect.
     """
     cfg = cfg or TestConfig()
     nodes = sorted(universe if universe is not None else range(src.n_vars))
-    results = _thread_map(lambda t: hpc(t, src, nodes, cfg), nodes, jobs)
-    hpcs = dict(zip(nodes, results))
+    hpcs = {t: hpc(t, src, nodes, cfg) for t in nodes}
     edges = set()
     for x in nodes:
         for y in hpcs[x]:

@@ -7,13 +7,14 @@ is evidence, not tautology.
 """
 
 import math
+import threading
 from collections import deque
 from itertools import combinations, product
 
 import mpmath
 import numpy as np
 
-from hybridbn.graphs import Dag, Pdag, ancestors
+from hybridbn.graphs import Dag, Pdag, ancestors, d_separated
 from hybridbn.scoring import _IMPROVE_EPS, ScoreConfig, Scorer, SearchResult
 from hybridbn.skeleton import Skeleton
 
@@ -560,12 +561,14 @@ def bdeu_family_oracle(data, node, parents, ess):
 
 
 class RecordingSource:
-    """IndependenceSource wrapper that records conditioning-set sizes."""
+    """IndependenceSource wrapper that records conditioning-set sizes and
+    the threads that asked."""
 
     def __init__(self, inner):
         self.inner = inner
         self.max_z = -1
         self.calls = 0
+        self.threads = set()
 
     @property
     def n_vars(self):
@@ -573,6 +576,7 @@ class RecordingSource:
 
     def _note(self, z):
         self.calls += 1
+        self.threads.add(threading.get_ident())
         size = len(tuple(z))
         if size > self.max_z:
             self.max_z = size
@@ -584,6 +588,34 @@ class RecordingSource:
     def p_value(self, x, y, z=()):
         self._note(z)
         return self.inner.p_value(x, y, z)
+
+
+class DSeparationSource:
+    """Independence oracle backed by d-separation on a known DAG.
+
+    p-values collapse to 0 (dependent) or 1 (independent), which makes the
+    FDR machinery behave exactly on oracle input.
+    """
+
+    def __init__(self, dag):
+        self.dag = dag
+        self._cache = {}
+
+    @property
+    def n_vars(self):
+        return self.dag.d
+
+    def independent(self, x, y, z=()):
+        key = (x, y) if x < y else (y, x)
+        key = key + (frozenset(z),)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = d_separated(self.dag, key[0], key[1], key[2])
+            self._cache[key] = hit
+        return hit
+
+    def p_value(self, x, y, z=()):
+        return 1.0 if self.independent(x, y, z) else 0.0
 
 
 # ------------------------------------------------------------ multilabel

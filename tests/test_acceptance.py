@@ -33,7 +33,6 @@ from hybridbn.data import CategoricalDataset, ContingencyTable
 from hybridbn.graphs import Dag
 from hybridbn.independence import (
     DataIndependenceSource,
-    DSeparationSource,
     chi2_survival,
     g2_statistic,
     mutual_information,
@@ -58,6 +57,7 @@ from hybridbn.synthetic import (
 )
 
 from helpers import (
+    DSeparationSource,
     RecordingSource,
     all_dags,
     bdeu_family_oracle,

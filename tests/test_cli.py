@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridbn.cli import build_parser, main
+from hybridbn.cli import main
 from hybridbn.network import write_network
 from hybridbn.synthetic import (
     genbase_shape_network,
@@ -119,6 +119,18 @@ class TestBadInput:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @staticmethod
+    def valid_args(command, net_path, csv_path, out):
+        # a run of command that succeeds and writes out, before a bad flag
+        return {
+            "learn": ["--data", csv_path, "--out", out],
+            "learn-skeleton": ["--data", csv_path, "--out", out],
+            "mlc": ["--data", csv_path, "--label-count", 1, "--scenario",
+                    "br", "--folds", 2, "--seed", 0, "--report", out],
+            "evaluate": ["--learned", net_path, "--truth", net_path,
+                         "--test", csv_path, "--report", out],
+        }[command]
+
     def test_learn_alpha_out_of_range(self, tiny_csv, tmp_path, capsys):
         code = run("learn", "--data", tiny_csv, "--alpha", 2,
                    "--out", tmp_path / "o.json")
@@ -170,15 +182,23 @@ class TestBadInput:
         # NaN passes a plain `x <= 0` check; each of these once ran to exit 0
         _, net_path = small_net
         out = tmp_path / "out.json"
-        base = {
-            "learn": ["--data", sampled_csv, "--out", out],
-            "mlc": ["--data", sampled_csv, "--label-count", 1, "--scenario",
-                    "br", "--folds", 2, "--seed", 0, "--report", out],
-            "evaluate": ["--learned", net_path, "--truth", net_path,
-                         "--test", sampled_csv, "--report", out],
-        }[command]
+        base = self.valid_args(command, net_path, sampled_csv, out)
         assert run(command, *base, flag, value) == 1
         self.assert_one_line(capsys, f"usage error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["learn", "learn-skeleton", "evaluate", "mlc"])
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_not_one_character(self, command, delimiter, small_net,
+                                         sampled_csv, tmp_path, capsys):
+        # csv.reader raised a TypeError traceback for these
+        _, net_path = small_net
+        out = tmp_path / "out.json"
+        base = self.valid_args(command, net_path, sampled_csv, out)
+        assert run(command, *base, "--delimiter", delimiter) == 1
+        self.assert_one_line(
+            capsys, "usage error: --delimiter must be a single character"
+        )
         assert not out.exists()
 
     def test_learn_data_is_a_directory(self, tmp_path, capsys):
@@ -278,18 +298,9 @@ class TestLearn:
         assert "data" not in rep["config"] and "out" not in rep["config"]
         assert rep["config"]["alpha"] == 0.05
 
-    def test_skeleton_only(self, sampled_csv, tmp_path):
-        out = tmp_path / "skel.json"
-        report = tmp_path / "rep.json"
-        assert run("learn", "--data", sampled_csv, "--skeleton-only",
-                   "--out", out, "--report", report) == 0
-        doc = json.loads(out.read_text())
-        assert "cpts" not in doc and "edges" in doc
-        assert json.loads(report.read_text())["phase"] == "skeleton"
-
     def test_skeleton_reuse_matches_direct_run(self, sampled_csv, tmp_path):
         skel = tmp_path / "skel.json"
-        run("learn", "--data", sampled_csv, "--skeleton-only", "--out", skel)
+        run("learn-skeleton", "--data", sampled_csv, "--out", skel)
         direct = tmp_path / "direct.json"
         reused = tmp_path / "reused.json"
         run("learn", "--data", sampled_csv, "--out", direct)
@@ -486,19 +497,3 @@ class TestExportDot:
         assert run("export-dot", "--net", net_path, "--skeleton", net_path,
                    "--out", tmp_path / "x.dot") == 1
         capsys.readouterr()
-
-
-class TestJobsDefault:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HYBRIDBN_JOBS", "3")
-        args = build_parser().parse_args(
-            ["learn-skeleton", "--data", "x", "--out", "y"]
-        )
-        assert args.jobs == 3
-
-    def test_bad_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("HYBRIDBN_JOBS", "lots")
-        args = build_parser().parse_args(
-            ["learn-skeleton", "--data", "x", "--out", "y"]
-        )
-        assert args.jobs == 1

@@ -7,7 +7,6 @@ from hybridbn.data import CategoricalDataset, ContingencyTable, contingency
 from hybridbn.graphs import Dag
 from hybridbn.independence import (
     DataIndependenceSource,
-    DSeparationSource,
     chi2_survival,
     g2_statistic,
     mutual_information,
@@ -15,7 +14,7 @@ from hybridbn.independence import (
 from hybridbn.independence import TestConfig as Config
 from hybridbn.independence import test_independence as ci_test
 
-from helpers import chi2_sf_oracle, mi_brute
+from helpers import DSeparationSource, chi2_sf_oracle, mi_brute
 
 
 def table(counts):

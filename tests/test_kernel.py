@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from hybridbn import data as data_mod
 from hybridbn import independence as independence_mod
-from hybridbn.data import CategoricalDataset, contingency, observed_config_codes
+from hybridbn.data import (
+    CategoricalDataset,
+    contingency,
+    nominal_config_codes,
+    observed_config_codes,
+)
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.network import forward_sample
@@ -87,6 +92,62 @@ class TestObservedConfigCodes:
         arities = [100_000, 100_000, 2]
         rows = random_rows(np.random.default_rng(5), 10, arities)
         assert_same_codes(rows, arities)
+
+
+class TestCodeLimits:
+    """Each documented limit of the mixed-radix codes, at its edge."""
+
+    def test_nominal_space_below_2_to_the_62(self):
+        top = 2**31
+        rows = np.array([[top - 1, top - 2]])
+        # top * (top - 1) cells: just below the limit
+        assert nominal_config_codes(rows, [top, top - 1]).tolist() == [
+            (top - 1) ** 2 + top - 2]
+        with pytest.raises(ValueError, match="too large"):
+            nominal_config_codes(rows, [top, top])
+
+    @pytest.mark.parametrize("wide, prefix_ranked", [(40, False), (41, True)])
+    def test_observed_ranks_prefix_past_span(self, wide, prefix_ranked):
+        # 4 rows: the span 4n + 1024 is 1040 = 40 * 26 codes
+        rows = np.array([[0, 0], [wide - 1, 25], [3, 7], [3, 7]])
+        calls = []
+
+        def spy(code, cap, span):
+            calls.append(cap)
+            return dense_ranks(code, cap, span)
+
+        dense_ranks = data_mod._dense_ranks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod, "_dense_ranks", spy)
+            observed_config_codes(rows, [wide, 26])
+        assert len(calls) == 1 + prefix_ranked
+        assert_same_codes(rows, [wide, 26])
+
+    @pytest.mark.parametrize("wide, sorts", [(16 * 1032, False), (16 * 1032 + 1, True)])
+    def test_observed_sorts_past_sixteen_spans(self, wide, sorts):
+        # 2 rows: the span is 1032, and one column of arity wide has as
+        # many codes
+        rows = np.array([[0], [wide - 1]])
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod.np, "unique", spy)
+            observed_config_codes(rows, [wide])
+        assert bool(calls) == sorts
+        assert_same_codes(rows, [wide])
+
+    @pytest.mark.parametrize("q, ranked", [(257, False), (258, True)])
+    def test_contingency_one_pass_up_to_4u_plus_1024(self, q, ranked):
+        # one distinct row (U = 1): the bound is 1028 = 2 * 2 * 257 cells
+        rows = np.array([[1, 0, q - 1]] * 3)
+        data = CategoricalDataset.from_array(rows, arities=[2, 2, q])
+        assert takes_ranked_path(data, 0, 1, (2,)) == ranked
+        assert_same_results(data, 0, 1, (2,))
 
 
 def takes_ranked_path(data, x, y, z):

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hybridbn import multilabel as multilabel_mod
 from hybridbn.data import CategoricalDataset
 from hybridbn.graphs import Dag
+from hybridbn.independence import DataIndependenceSource
 from hybridbn.multilabel import (
     SCENARIOS,
     MlcConfig,
@@ -26,7 +28,12 @@ from hybridbn.synthetic import (
     two_cluster_network,
 )
 
-from helpers import blanket_and_minimal, brute_min_partition, predict_mpe
+from helpers import (
+    RecordingSource,
+    blanket_and_minimal,
+    brute_min_partition,
+    predict_mpe,
+)
 
 
 def dataset(rows, arities):
@@ -307,6 +314,30 @@ class TestRunScenario:
             a = run_scenario(ds, labels, scenario, MlcConfig(folds=3, jobs=1))
             b = run_scenario(ds, labels, scenario, MlcConfig(folds=3, jobs=3))
             assert a == b
+
+    def test_folds_and_queries_run_on_the_calling_thread(self, monkeypatch):
+        ds, labels = self._genbase_data(300)
+        sources = []
+        fold_threads = set()
+        learn = multilabel_mod.learn_local_dag
+
+        def recording_source(data, cfg):
+            sources.append(RecordingSource(DataIndependenceSource(data, cfg)))
+            return sources[-1]
+
+        def recording_learn(*args, **kwargs):
+            fold_threads.add(threading.get_ident())
+            return learn(*args, **kwargs)
+
+        monkeypatch.setattr(multilabel_mod, "DataIndependenceSource",
+                            recording_source)
+        monkeypatch.setattr(multilabel_mod, "learn_local_dag", recording_learn)
+        run_scenarios(ds, labels, ["mlp+mb"], MlcConfig(folds=3, jobs=4))
+        learn(ds, labels, jobs=4)
+        assert len(sources) == 4 and all(s.calls > 0 for s in sources)
+        me = threading.get_ident()
+        assert fold_threads == {me}
+        assert set().union(*(s.threads for s in sources)) == {me}
 
     def test_export_writes_block_csvs(self, tmp_path):
         ds, labels = self._genbase_data(200)

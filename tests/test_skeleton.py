@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from hybridbn.data import DataError
 from hybridbn.graphs import Dag
-from hybridbn.independence import DataIndependenceSource, DSeparationSource
+from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.network import forward_sample
 from hybridbn.skeleton import (
@@ -19,7 +21,7 @@ from hybridbn.skeleton import (
 )
 from hybridbn.synthetic import monotone_network, random_dag
 
-from helpers import RecordingSource, true_skeleton
+from helpers import DSeparationSource, RecordingSource, true_skeleton
 
 
 def oracle(d, edges):
@@ -238,6 +240,13 @@ class TestBuildSkeleton:
         g = random_dag(9, 3, np.random.default_rng(30))
         src = DSeparationSource(g)
         assert build_skeleton(src, jobs=1).edges == build_skeleton(src, jobs=4).edges
+
+    def test_queries_run_on_the_calling_thread(self):
+        g = random_dag(9, 3, np.random.default_rng(30))
+        src = RecordingSource(DSeparationSource(g))
+        build_skeleton(src, jobs=4)
+        assert src.calls > 0
+        assert src.threads == {threading.get_ident()}
 
     def test_statistical_recovery_on_a_chain(self):
         g = Dag(4, [(0, 1), (1, 2), (2, 3)])
