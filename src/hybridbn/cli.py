@@ -157,9 +157,11 @@ def cmd_learn(args):
         skel, names = read_skeleton(args.skeleton)
         if tuple(names) != data.names:
             raise DataError("skeleton variables do not match the dataset")
+        ci_tests = 0
     else:
         src = DataIndependenceSource(data, _test_cfg(args))
         skel = build_skeleton(src, src.cfg)
+        ci_tests = src.distinct_tests
     result = hill_climb(data, skel, score_cfg)
     net = fit_cpts(result.dag, data, laplace=args.laplace)
     write_network(net, args.out)
@@ -168,6 +170,7 @@ def cmd_learn(args):
         "n": data.n,
         "d": data.d,
         "skeleton_edges": len(skel.edges),
+        "ci_tests": ci_tests,
         "phase": "search",
         "dag_edges": result.dag.edge_count(),
         "score": result.score,

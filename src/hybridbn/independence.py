@@ -141,6 +141,11 @@ class DataIndependenceSource:
     def n_vars(self):
         return self.data.d
 
+    @property
+    def distinct_tests(self):
+        """How many distinct tests have run: the number of cache keys."""
+        return len(self._cache)
+
     def result(self, x, y, z=()):
         key = (x, y) if x < y else (y, x)
         key = key + (tuple(sorted(z)),)

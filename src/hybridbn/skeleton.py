@@ -171,6 +171,23 @@ def iamb_fdr(target, src, universe, alpha):
         seen_states.add(state)
 
 
+def _separated(target, x, boundary, src, max_condset):
+    """Whether some subset of boundary minus {x} separates x from target.
+
+    boundary is the target's Markov boundary estimate (sorted), so it never
+    holds the target. Subsets are tried in ascending size up to
+    max_condset, in itertools.combinations order within a size; the first
+    separating one ends the search.
+    """
+    others = [v for v in boundary if v != x]
+    cap = len(others) if max_condset is None else min(max_condset, len(others))
+    return any(
+        src.independent(target, x, zs)
+        for size in range(cap + 1)
+        for zs in itertools.combinations(others, size)
+    )
+
+
 def fdr_iapc(target, src, universe, alpha, max_condset=None):
     """Parents-children estimate: the Markov boundary minus its spouses.
 
@@ -179,21 +196,7 @@ def fdr_iapc(target, src, universe, alpha, max_condset=None):
     target; the first separating subset wins.
     """
     mb = sorted(iamb_fdr(target, src, universe, alpha))
-    pc = set(mb)
-    for x in mb:
-        others = [v for v in mb if v != x]
-        cap = len(others) if max_condset is None else min(max_condset, len(others))
-        separated = False
-        for size in range(cap + 1):
-            for zs in itertools.combinations(others, size):
-                if src.independent(target, x, zs):
-                    separated = True
-                    break
-            if separated:
-                break
-        if separated:
-            pc.discard(x)
-    return pc
+    return {x for x in mb if not _separated(target, x, mb, src, max_condset)}
 
 
 def hpc(target, src, universe=None, cfg=None):
@@ -203,16 +206,29 @@ def hpc(target, src, universe=None, cfg=None):
     there, then rescues each discarded PCS member X whose own fdr_iapc
     (within the same restricted universe) contains the target.
     """
-    cfg = cfg or TestConfig()
     if universe is None:
         universe = range(src.n_vars)
+    return _hpc(target, src, universe, cfg or TestConfig(), frozenset())
+
+
+def _hpc(target, src, universe, cfg, settled):
+    # hpc with the members of settled left out untested. Removing one
+    # member of the fixed boundary, and rescuing one PCS member, are each
+    # decided on their own, so the answer for every other variable is the
+    # one hpc gives. The rescue asks only whether the target survives in
+    # fdr_iapc(x), not for the rest of that set.
     universe = sorted(universe)
     res = de_pcs(target, src, universe)
     sps = de_sps(target, src, universe, res.pcs, res.dsep)
     restricted = sorted({target} | res.pcs | sps)
-    pc = fdr_iapc(target, src, restricted, cfg.alpha, cfg.max_condset)
-    for x in sorted(res.pcs - pc):
-        if target in fdr_iapc(x, src, restricted, cfg.alpha, cfg.max_condset):
+    mb = sorted(iamb_fdr(target, src, restricted, cfg.alpha))
+    pc = {
+        x for x in mb
+        if x not in settled and not _separated(target, x, mb, src, cfg.max_condset)
+    }
+    for x in sorted(res.pcs - pc - settled):
+        mbx = sorted(iamb_fdr(x, src, restricted, cfg.alpha))
+        if target in mbx and not _separated(x, target, mbx, src, cfg.max_condset):
             pc.add(x)
     return pc
 
@@ -221,11 +237,16 @@ def build_skeleton(src, cfg=None, jobs=1, universe=None):
     """Whole-graph skeleton: run hpc per node, keep mutual edges (AND rule).
 
     Targets run in column order on the calling thread; jobs is accepted
-    and has no effect.
+    and has no effect. An edge {X, T} with X before T and T not in hpc(X)
+    is already dropped, so hpc(T) skips X's subset search and OR rescue;
+    the edges are those of plain hpc runs.
     """
     cfg = cfg or TestConfig()
-    nodes = sorted(universe if universe is not None else range(src.n_vars))
-    hpcs = {t: hpc(t, src, nodes, cfg) for t in nodes}
+    nodes = sorted(set(universe if universe is not None else range(src.n_vars)))
+    hpcs = {}
+    for t in nodes:
+        settled = frozenset(x for x, pc in hpcs.items() if t not in pc)
+        hpcs[t] = _hpc(t, src, nodes, cfg, settled)
     edges = set()
     for x in nodes:
         for y in hpcs[x]:

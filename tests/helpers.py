@@ -16,7 +16,8 @@ import numpy as np
 
 from hybridbn.graphs import Dag, Pdag, ancestors, d_separated
 from hybridbn.scoring import _IMPROVE_EPS, ScoreConfig, Scorer, SearchResult
-from hybridbn.skeleton import Skeleton
+from hybridbn.independence import TestConfig
+from hybridbn.skeleton import Skeleton, de_pcs, de_sps, iamb_fdr
 
 mpmath.mp.dps = 30
 
@@ -255,6 +256,59 @@ def true_skeleton(dag):
 
 def random_pdag_pair(rng, d):
     return random_pdag(d, rng), random_pdag(d, rng)
+
+
+# -------------------------------------------------------------- skeleton
+
+
+def reference_fdr_iapc(target, src, universe, alpha, max_condset=None):
+    """fdr_iapc with the subset search spelled out for every member."""
+    mb = sorted(iamb_fdr(target, src, universe, alpha))
+    pc = set(mb)
+    for x in mb:
+        others = [v for v in mb if v != x]
+        cap = len(others) if max_condset is None else min(max_condset, len(others))
+        separated = False
+        for size in range(cap + 1):
+            for zs in combinations(others, size):
+                if src.independent(target, x, zs):
+                    separated = True
+                    break
+            if separated:
+                break
+        if separated:
+            pc.discard(x)
+    return pc
+
+
+def reference_hpc(target, src, universe=None, cfg=None):
+    """hpc whose OR phase runs the whole fdr_iapc of every discarded PCS
+    member and then looks for the target in it."""
+    cfg = cfg or TestConfig()
+    if universe is None:
+        universe = range(src.n_vars)
+    universe = sorted(universe)
+    res = de_pcs(target, src, universe)
+    sps = de_sps(target, src, universe, res.pcs, res.dsep)
+    restricted = sorted({target} | res.pcs | sps)
+    pc = reference_fdr_iapc(target, src, restricted, cfg.alpha, cfg.max_condset)
+    for x in sorted(res.pcs - pc):
+        if target in reference_fdr_iapc(x, src, restricted, cfg.alpha, cfg.max_condset):
+            pc.add(x)
+    return pc
+
+
+def reference_build_skeleton(src, cfg=None, universe=None):
+    """AND-rule skeleton from a full reference_hpc run around every node."""
+    cfg = cfg or TestConfig()
+    nodes = sorted(universe if universe is not None else range(src.n_vars))
+    hpcs = {t: reference_hpc(t, src, nodes, cfg) for t in nodes}
+    edges = set()
+    for x in nodes:
+        for y in hpcs[x]:
+            if y > x and x in hpcs[y]:
+                edges.add((x, y))
+    return Skeleton(d=src.n_vars, edges=frozenset(edges))
 
 
 # ---------------------------------------------------------------- search

@@ -291,9 +291,10 @@ class TestLearn:
         rep = json.loads(report.read_text())
         assert rep["phase"] == "search"
         assert rep["n"] == 400 and rep["d"] == 5
-        assert {"config", "skeleton_edges", "dag_edges", "score",
+        assert {"config", "skeleton_edges", "ci_tests", "dag_edges", "score",
                 "empty_score", "moves", "stop"} <= set(rep)
         assert rep["stop"] in ("patience", "no_move")
+        assert rep["ci_tests"] > 0
         # resolved configuration is echoed without any paths
         assert "data" not in rep["config"] and "out" not in rep["config"]
         assert rep["config"]["alpha"] == 0.05
@@ -304,9 +305,11 @@ class TestLearn:
         direct = tmp_path / "direct.json"
         reused = tmp_path / "reused.json"
         run("learn", "--data", sampled_csv, "--out", direct)
+        report = tmp_path / "report.json"
         assert run("learn", "--data", sampled_csv, "--skeleton", skel,
-                   "--out", reused) == 0
+                   "--out", reused, "--report", report) == 0
         assert direct.read_bytes() == reused.read_bytes()
+        assert json.loads(report.read_text())["ci_tests"] == 0
 
     def test_skeleton_name_mismatch(self, sampled_csv, tmp_path, capsys):
         skel = tmp_path / "skel.json"

@@ -271,10 +271,14 @@ class TestSources:
             rng.integers(0, 2, 60), rng.integers(0, 2, 60), rng.integers(0, 2, 60)
         )
         src = DataIndependenceSource(ds)
+        assert src.distinct_tests == 0
         a = src.result(0, 1, (2,))
         b = src.result(1, 0, (2,))
         assert a is b
         assert src.n_vars == 3
+        src.independent(2, 1, (0,))
+        src.p_value(1, 2, (0,))
+        assert src.distinct_tests == 2
         assert src.p_value(0, 1, (2,)) == a.p_value
 
     def test_dsep_source(self):

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridbn.data import DataError
 from hybridbn.graphs import Dag
@@ -19,13 +21,54 @@ from hybridbn.skeleton import (
     read_skeleton,
     write_skeleton,
 )
-from hybridbn.synthetic import monotone_network, random_dag
+from hybridbn.synthetic import (
+    child_shape_network,
+    monotone_network,
+    random_dag,
+    random_network,
+)
 
-from helpers import DSeparationSource, RecordingSource, true_skeleton
+from helpers import (
+    DSeparationSource,
+    RecordingSource,
+    random_dataset,
+    reference_build_skeleton,
+    reference_fdr_iapc,
+    reference_hpc,
+    true_skeleton,
+)
 
 
 def oracle(d, edges):
     return DSeparationSource(Dag(d, edges))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random DAG of up to 9 nodes, a full or partial universe and a
+    conditioning-set cap."""
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_dag(d, draw(st.integers(0, 3)), rng)
+    universe = draw(st.none() | st.sets(st.integers(0, d - 1), min_size=1).map(sorted))
+    cfg = Config(max_condset=draw(st.sampled_from([None, 1, 2])))
+    return DSeparationSource(g), universe, cfg
+
+
+@st.composite
+def data_cases(draw):
+    """A small sample: independent random columns, or rows drawn from a
+    random network so that the learners meet real structure."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(40, 800))
+    if draw(st.booleans()):
+        ds = random_dataset(rng, d, n, max_arity=3)
+    else:
+        net = random_network(random_dag(d, 4, rng), rng)
+        ds = forward_sample(net, n, seed=int(rng.integers(2**31)))
+    cfg = Config(max_condset=draw(st.sampled_from([None, 1, 2])))
+    return DataIndependenceSource(ds, cfg), None, cfg
 
 
 class ScriptedSource:
@@ -254,6 +297,47 @@ class TestBuildSkeleton:
         ds = forward_sample(net, 8000, seed=1)
         skel = build_skeleton(DataIndependenceSource(ds), cfg=Config())
         assert skel.edges == true_skeleton(g).edges
+
+
+class TestAgainstReference:
+    """The skeleton, hpc and fdr_iapc hold to the unpruned reference in
+    helpers."""
+
+    @staticmethod
+    def check(src, universe, cfg):
+        skel = build_skeleton(src, cfg, universe=universe)
+        assert skel.edges == reference_build_skeleton(src, cfg, universe).edges
+        nodes = universe if universe is not None else range(src.n_vars)
+        for t in nodes:
+            assert hpc(t, src, universe, cfg) == reference_hpc(t, src, universe, cfg)
+            assert fdr_iapc(t, src, nodes, cfg.alpha, cfg.max_condset) == (
+                reference_fdr_iapc(t, src, nodes, cfg.alpha, cfg.max_condset)
+            )
+
+    @given(oracle_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_oracle_sources(self, case):
+        self.check(*case)
+
+    @given(data_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_data(self, case):
+        self.check(*case)
+
+    def test_and_rule_skip_only_removes_tests(self):
+        ds = forward_sample(child_shape_network(), 2000, seed=0)
+        pruned, full = DataIndependenceSource(ds), DataIndependenceSource(ds)
+        assert build_skeleton(pruned).edges == reference_build_skeleton(full).edges
+        assert pruned._cache.keys() < full._cache.keys()
+
+    def test_duplicate_universe_entries_run_once(self):
+        g = random_dag(8, 3, np.random.default_rng(4))
+        once = RecordingSource(DSeparationSource(g))
+        twice = RecordingSource(DSeparationSource(g))
+        a = build_skeleton(once, universe=[0, 2, 3, 5, 6])
+        b = build_skeleton(twice, universe=[6, 0, 2, 2, 3, 5, 5, 6, 0])
+        assert a.edges == b.edges
+        assert once.calls == twice.calls
 
 
 class TestSkeletonObject:
