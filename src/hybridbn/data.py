@@ -1,5 +1,5 @@
-"""Discrete datasets: CSV I/O, contingency tables, cross-validation folds,
-and the checks shared by the JSON file readers.
+"""Discrete datasets: CSV I/O, count tables, cross-validation folds, and
+the checks shared by the JSON file readers.
 
 Variables are categorical with 0-based level indices. A dataset keeps the
 original tokens per level so predictions and exports can be mapped back.
@@ -62,32 +62,23 @@ class CategoricalDataset:
         object.__setattr__(self, "levels", tuple(tuple(lv) for lv in self.levels))
 
     @cached_property
-    def columns(self):
-        """Read-only column-major copy of rows, shape (d, n), in the smallest
-        unsigned dtype that holds every level index. columns[i] is
-        contiguous, so counting kernels read a variable without a strided
-        copy. Built on first use."""
-        top = max(self.arities, default=1) - 1
-        columns = np.ascontiguousarray(self.rows.T, dtype=np.min_scalar_type(top))
-        columns.setflags(write=False)
-        return columns
-
-    @cached_property
     def distinct_rows(self):
         """Read-only store of the distinct rows, as (columns, weights).
 
-        columns has shape (d, U), column-major in the dtype of ``columns``,
-        with one column per distinct row configuration; weights[u] is the
-        number of rows equal to distinct row u, as float64 (exact below
-        2**53). Counting kernels take a weighted ``bincount`` over the U
-        distinct rows instead of a plain one over all n rows. Built on
-        first use.
+        columns has shape (d, U), column-major in the smallest unsigned
+        dtype that holds every level index, with one column per distinct row
+        configuration; weights[u] is the number of rows equal to distinct
+        row u, as float64 (exact below 2**53). Every count table is a
+        weighted ``bincount`` over the U distinct rows (see ``count_table``).
+        Built on first use.
         """
-        codes, u = observed_config_codes(self.columns.T, self.arities)
+        top = max(self.arities, default=1) - 1
+        columns = np.ascontiguousarray(self.rows.T, dtype=np.min_scalar_type(top))
+        codes, u = observed_config_codes(columns.T, self.arities)
         weights = np.bincount(codes, minlength=u).astype(np.float64)
         first = np.zeros(u, dtype=np.intp)
         first[codes] = np.arange(self.n)
-        columns = np.ascontiguousarray(self.columns[:, first])
+        columns = np.ascontiguousarray(columns[:, first])
         columns.setflags(write=False)
         weights.setflags(write=False)
         return columns, weights
@@ -209,6 +200,10 @@ def observed_config_codes(rows, arities):
         a = int(arities[t])
         if cap * a > span:
             code, cap = _dense_ranks(code, cap, span)
+            if cap == n:
+                # Every row is distinct already; the prefix is the most
+                # significant part of the code, so its ranks are final.
+                return code, n
         cap *= a
         code = code.astype(np.min_scalar_type(cap), copy=False)
         code *= a
@@ -231,19 +226,13 @@ def _dense_ranks(code, cap, span):
 
 
 def nominal_config_codes(rows, arities):
-    """Mixed-radix codes over the full nominal space (last column fastest).
-
-    The caller must keep prod(arities) below 2**62; parent sets in this
-    package are small, so that always holds.
-    """
+    """Mixed-radix codes over the full nominal space (last column fastest);
+    a space of 2**62 codes or more is a ValueError."""
     rows = np.asarray(rows)
     n, m = rows.shape
     if m == 0:
         return np.zeros(n, dtype=np.int64)
-    q = 1
-    for a in arities:
-        q *= int(a)
-    if q >= _CODE_LIMIT:
+    if math.prod(int(a) for a in arities) >= _CODE_LIMIT:
         raise ValueError("nominal configuration space too large to encode")
     code = np.zeros(n, dtype=np.int64)
     for t in range(m):
@@ -251,49 +240,70 @@ def nominal_config_codes(rows, arities):
     return code
 
 
+def count_table(data, head, z=()):
+    """Joint counts of the head variables for each observed configuration of z.
+
+    Returns an int64 C-contiguous array of shape (*head arities, l):
+    counts[i_1, ..., i_k, j] is the number of rows whose head variables take
+    levels i_1..i_k and whose z takes its j-th observed configuration (in
+    mixed-radix order, last of z fastest). Strata with zero total count are
+    not indexed; with no z, l is 1 and the table is the nominal head table.
+
+    The table is a weighted count over the dataset's distinct rows. When the
+    nominal (head, Z) space is no wider than a few times the number of
+    distinct rows, each row gets its mixed-radix code over that space (head
+    slowest) and one ``bincount`` fills it; dropping the empty strata then
+    leaves them in observed-rank order. Wider spaces rank the
+    Z-configurations first with ``observed_config_codes``, which keeps the
+    code range bounded by the head table times the data; that range must
+    stay below 2**62.
+    """
+    head, z = tuple(head), tuple(z)
+    columns, weights = data.distinct_rows
+    shape = [data.arity(v) for v in head]
+    cells = math.prod(shape)
+    z_arities = [data.arity(v) for v in z]
+    q = math.prod(z_arities)
+    if cells * q <= 4 * weights.size + 1024:
+        code = _radix_code(columns, data, (*head, *z), np.min_scalar_type(cells * q))
+        counts = np.bincount(code, weights, minlength=cells * q).reshape(*shape, q)
+        if z:
+            counts = counts[..., counts.sum(axis=tuple(range(len(head)))) > 0]
+    else:
+        ranks, l = observed_config_codes(columns[list(z)].T, z_arities)
+        if cells * l >= _CODE_LIMIT:
+            raise ValueError("nominal configuration space too large to encode")
+        code = _radix_code(columns, data, head, np.int64)
+        code *= l
+        code += ranks
+        counts = np.bincount(code, weights, minlength=cells * l).reshape(*shape, l)
+    # C order fixes the summation order of every reduction over the table.
+    return np.ascontiguousarray(counts, dtype=np.int64)
+
+
+def _radix_code(columns, data, variables, dtype):
+    # Mixed-radix code of each distinct row over the given variables, first
+    # slowest, in a dtype that holds the whole code range.
+    code = columns[variables[0]].astype(dtype)
+    for v in variables[1:]:
+        code *= data.arity(v)
+        code += columns[v]
+    return code
+
+
 def contingency(data, x, y, z=()):
     """Joint counts of variables x and y for each observed configuration of z.
 
     counts[i, j, k] is the number of rows with X=i, Y=j and the k-th observed
-    Z-configuration; strata with zero total count are not indexed.
-
-    The table is a weighted count over the dataset's distinct rows. When the
-    nominal (x, y, Z) space is no wider than a few times the number of
-    distinct rows, each row gets its mixed-radix code over that space (x
-    slowest, the last of z fastest) and one ``bincount`` fills it; dropping
-    the empty strata then leaves them in observed-rank order. Wider spaces
-    rank the Z-configurations first with ``observed_config_codes``, which
-    keeps the table and the code range bounded by the data.
+    Z-configuration; strata with zero total count are not indexed. The
+    table is ``count_table`` with head (x, y).
     """
     z = tuple(z)
     if x == y or x in z or y in z:
         raise ValueError("x, y and z must be distinct")
-    r = data.arity(x)
-    c = data.arity(y)
-    columns, weights = data.distinct_rows
-    z_arities = [data.arity(v) for v in z]
-    q = math.prod(z_arities)
-    if r * c * q <= 4 * weights.size + 1024:
-        code = columns[x].astype(np.min_scalar_type(r * c * q))
-        code *= c
-        code += columns[y]
-        for v, a in zip(z, z_arities):
-            code *= a
-            code += columns[v]
-        counts = np.bincount(code, weights, minlength=r * c * q).reshape(r, c, q)
-        if z:
-            counts = counts[:, :, counts.sum(axis=(0, 1)) > 0]
-    else:
-        codes, l = observed_config_codes(columns[list(z)].T, z_arities)
-        code = columns[x].astype(np.int64)
-        code *= c
-        code += columns[y]
-        code *= l
-        code += codes
-        counts = np.bincount(code, weights, minlength=r * c * l).reshape(r, c, l)
-    # C order fixes the summation order of every reduction over the table.
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    return ContingencyTable(r=r, c=c, l=counts.shape[2], counts=counts, n=data.n)
+    counts = count_table(data, (x, y), z)
+    r, c, l = counts.shape
+    return ContingencyTable(r=r, c=c, l=l, counts=counts, n=data.n)
 
 
 def kfold(n, k, seed):

@@ -1,10 +1,6 @@
-"""Directed graphs over integer node ids: DAGs, PDAGs, d-separation, DOT.
-
-d-separation is a Bayes-ball reachability query for node pairs.
-"""
+"""Directed graphs over integer node ids: DAGs, PDAGs, Markov sets, DOT."""
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -125,55 +121,6 @@ def topological_order(g):
     if len(order) != g.d:
         raise ValueError("graph is cyclic")
     return order
-
-
-def ancestors(g, nodes):
-    """All ancestors of the given nodes, including the nodes themselves."""
-    anc = set(nodes)
-    stack = list(anc)
-    while stack:
-        v = stack.pop()
-        for p in g._parents[v]:
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
-    return anc
-
-
-def d_separated(g, x, y, z):
-    """Bayes-ball reachability: True iff every path between x and y is blocked.
-
-    A path is blocked by z when some non-collider on it is in z, or some
-    collider has neither itself nor any descendant in z.
-    """
-    z = frozenset(z)
-    if x == y or x in z or y in z:
-        raise ValueError("x, y must be distinct and disjoint from z")
-    anc_z = ancestors(g, z)
-    # states: (node, 1) reached moving up (from a child), (node, 0) moving down
-    visited = set()
-    queue = deque([(x, 1)])
-    while queue:
-        node, up = queue.popleft()
-        if (node, up) in visited:
-            continue
-        visited.add((node, up))
-        if node == y:
-            return False
-        if up:
-            if node not in z:
-                for p in g._parents[node]:
-                    queue.append((p, 1))
-                for c in g._children[node]:
-                    queue.append((c, 0))
-        else:
-            if node not in z:
-                for c in g._children[node]:
-                    queue.append((c, 0))
-            if node in anc_z:
-                for p in g._parents[node]:
-                    queue.append((p, 1))
-    return True
 
 
 @dataclass(frozen=True)

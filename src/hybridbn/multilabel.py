@@ -7,7 +7,6 @@ over its (optionally Markov-boundary-restricted) feature set, and the joint
 most probable explanation factorizes over blocks.
 """
 
-import csv
 import math
 import os
 import time
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CategoricalDataset, kfold, parse_numeric_column
+from .data import CategoricalDataset, kfold, parse_numeric_column, write_csv
 from .graphs import markov_sets
 from .independence import DataIndependenceSource, TestConfig
 from .scoring import ScoreConfig, hill_climb
@@ -226,13 +225,9 @@ def _binarize_for_fold(data, train_idx, labels):
 def _export_block(directory, fold, bix, dataset, rows_idx, block, features, tag):
     cols = list(features) + list(block)
     path = os.path.join(directory, f"fold{fold:02d}_block{bix:02d}_{tag}.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([dataset.names[c] for c in cols])
-        for i in rows_idx:
-            writer.writerow(
-                [dataset.levels[c][dataset.rows[i, c]] for c in cols]
-            )
+    names = [dataset.names[c] for c in cols]
+    levels = [dataset.levels[c] for c in cols]
+    write_csv(CategoricalDataset(names, levels, dataset.rows[rows_idx][:, cols]), path)
 
 
 def run_scenario(data, labels, scenario, cfg=None):

@@ -14,6 +14,7 @@ import numpy as np
 from .data import (
     CategoricalDataset,
     DataError,
+    count_table,
     name_pairs,
     nominal_config_codes,
     read_json_object,
@@ -84,12 +85,9 @@ def fit_cpts(dag, data, laplace=0.0):
     cpts = []
     for v in range(dag.d):
         r = data.arity(v)
-        pa = list(dag.parents(v))
-        pa_ar = [data.arity(p) for p in pa]
-        q = math.prod(pa_ar)
-        codes = nominal_config_codes(data.rows[:, pa], pa_ar)
-        flat = data.rows[:, v].astype(np.int64) * q + codes
-        counts = np.bincount(flat, minlength=r * q).reshape(r, q).astype(float)
+        pa = dag.parents(v)
+        q = math.prod(data.arity(p) for p in pa)
+        counts = count_table(data, (v, *pa)).reshape(r, q).astype(float)
         counts += laplace
         totals = counts.sum(axis=0)
         table = np.empty_like(counts)

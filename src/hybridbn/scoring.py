@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .data import observed_config_codes
+from .data import count_table
 from .graphs import Dag
 
 # Plateau guard: score gains below this never count as improvement, so float
@@ -48,16 +48,8 @@ class ScoreConfig:
 def _family_counts(data, node, parents):
     # counts over observed parent configurations only (rows: configs,
     # columns: node levels); q is the nominal configuration count.
-    r = data.arity(node)
-    parents = list(parents)
-    q = math.prod(data.arity(p) for p in parents)
-    flat, m = observed_config_codes(
-        data.columns[parents].T, [data.arity(p) for p in parents]
-    )
-    flat *= r
-    flat += data.columns[node]
-    counts = np.bincount(flat, minlength=m * r).reshape(m, r)
-    return counts, q
+    counts = np.ascontiguousarray(count_table(data, (node,), parents).T)
+    return counts, math.prod(data.arity(p) for p in parents)
 
 
 def bdeu_local(data, node, parents=(), ess=10.0):
@@ -189,7 +181,6 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     scorer = scorer or Scorer(data, cfg)
     d = data.d
     nbrs = [tuple(sorted(skeleton.pc[v])) for v in range(d)]
-    dag = Dag(d)
     parents = [() for _ in range(d)]
     local = [scorer.local(v, ()) for v in range(d)]
     # toggle[v][u]: score delta of adding u to, or deleting it from, v's
@@ -270,15 +261,15 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
             stop = "no_move"
             break
         op, u, v, delta = best_move
+        # the legality checks above keep the parent lists acyclic
         if op == _ADD:
-            dag.add_edge(u, v)
-        elif op == _DELETE:
-            dag.remove_edge(u, v)
+            parents[v] = tuple(sorted(parents[v] + (u,)))
         else:
-            dag.reverse_edge(u, v)
+            parents[v] = tuple(w for w in parents[v] if w != u)
+        if op == _REVERSE:
+            parents[u] = tuple(sorted(parents[u] + (v,)))
         current_edges = _moved(current_edges, op, u, v)
         for w in (u, v) if op == _REVERSE else (v,):
-            parents[w] = dag.parents(w)
             local[w] = scorer.local(w, parents[w])
             toggle[w] = {}
         anc = _ancestor_masks(parents)

@@ -4,9 +4,10 @@ The pipeline per target T: a parents-children superset via two elimination
 phases with conditioning sets of size at most 1 (de_pcs), a spouse superset
 with conditioning sets of size at most 2 (de_sps), then an FDR-controlled
 parents-children estimate on the restricted universe {T} union PCS union
-SPS (fdr_iapc on top of iamb_fdr), with a decentralized OR phase that
-rescues false negatives (hpc). The whole-graph skeleton keeps edge {X, Y}
-iff X is in hpc(Y) and Y is in hpc(X).
+SPS (FDR-IAPC: the iamb_fdr boundary minus the members some subset of it
+separates from T), with a decentralized OR phase that rescues false
+negatives (hpc). The whole-graph skeleton keeps edge {X, Y} iff X is in
+hpc(Y) and Y is in hpc(X).
 
 Iteration order over variables follows dataset column order everywhere;
 with oracle sources the output is order-independent, with statistical
@@ -188,23 +189,13 @@ def _separated(target, x, boundary, src, max_condset):
     )
 
 
-def fdr_iapc(target, src, universe, alpha, max_condset=None):
-    """Parents-children estimate: the Markov boundary minus its spouses.
-
-    X is removed when some subset of the (fixed) boundary estimate,
-    searched in ascending size up to max_condset, separates it from the
-    target; the first separating subset wins.
-    """
-    mb = sorted(iamb_fdr(target, src, universe, alpha))
-    return {x for x in mb if not _separated(target, x, mb, src, max_condset)}
-
-
 def hpc(target, src, universe=None, cfg=None):
     """Hybrid parents-children discovery around one target.
 
-    Filters the universe down to {T} union PCS union SPS, runs fdr_iapc
-    there, then rescues each discarded PCS member X whose own fdr_iapc
-    (within the same restricted universe) contains the target.
+    Filters the universe down to {T} union PCS union SPS, runs FDR-IAPC
+    there (the iamb_fdr boundary minus the members _separated prunes),
+    then rescues each discarded PCS member X whose own FDR-IAPC (within
+    the same restricted universe) contains the target.
     """
     if universe is None:
         universe = range(src.n_vars)
@@ -216,7 +207,7 @@ def _hpc(target, src, universe, cfg, settled):
     # member of the fixed boundary, and rescuing one PCS member, are each
     # decided on their own, so the answer for every other variable is the
     # one hpc gives. The rescue asks only whether the target survives in
-    # fdr_iapc(x), not for the rest of that set.
+    # FDR-IAPC(x), not for the rest of that set.
     universe = sorted(universe)
     res = de_pcs(target, src, universe)
     sps = de_sps(target, src, universe, res.pcs, res.dsep)

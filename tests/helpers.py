@@ -14,7 +14,7 @@ from itertools import combinations, product
 import mpmath
 import numpy as np
 
-from hybridbn.graphs import Dag, Pdag, ancestors, d_separated
+from hybridbn.graphs import Dag, Pdag
 from hybridbn.scoring import _IMPROVE_EPS, ScoreConfig, Scorer, SearchResult
 from hybridbn.independence import TestConfig
 from hybridbn.skeleton import Skeleton, de_pcs, de_sps, iamb_fdr
@@ -45,12 +45,61 @@ def is_acyclic(d, edges):
     return seen == d
 
 
+def ancestors(g, nodes):
+    """All ancestors of the given nodes, including the nodes themselves."""
+    anc = set(nodes)
+    stack = list(anc)
+    while stack:
+        v = stack.pop()
+        for p in g.parents(v):
+            if p not in anc:
+                anc.add(p)
+                stack.append(p)
+    return anc
+
+
+def d_separated(g, x, y, z):
+    """Bayes-ball reachability: True iff every path between x and y is blocked.
+
+    A path is blocked by z when some non-collider on it is in z, or some
+    collider has neither itself nor any descendant in z.
+    """
+    z = frozenset(z)
+    if x == y or x in z or y in z:
+        raise ValueError("x, y must be distinct and disjoint from z")
+    anc_z = ancestors(g, z)
+    # states: (node, 1) reached moving up (from a child), (node, 0) moving down
+    visited = set()
+    queue = deque([(x, 1)])
+    while queue:
+        node, up = queue.popleft()
+        if (node, up) in visited:
+            continue
+        visited.add((node, up))
+        if node == y:
+            return False
+        if up:
+            if node not in z:
+                for p in g.parents(node):
+                    queue.append((p, 1))
+                for c in g.children(node):
+                    queue.append((c, 0))
+        else:
+            if node not in z:
+                for c in g.children(node):
+                    queue.append((c, 0))
+            if node in anc_z:
+                for p in g.parents(node):
+                    queue.append((p, 1))
+    return True
+
+
 def d_separated_sets(g, xs, ys, z):
     """Moralized-ancestral-graph d-separation for node sets.
 
     True iff z separates xs from ys in the moral graph of the ancestral
     subgraph induced by xs, ys and z. An independent route to the answer
-    the package's Bayes-ball query gives for node pairs.
+    the Bayes-ball query d_separated gives for node pairs.
     """
     xs = frozenset(xs)
     ys = frozenset(ys)

@@ -190,17 +190,22 @@ class TestDataset:
     def test_column_store(self):
         rows = np.array([[0, 2], [1, 0], [1, 1]])
         ds = CategoricalDataset.from_array(rows)
-        assert ds.columns.dtype == np.uint8
-        assert ds.columns.flags.c_contiguous
+        assert not hasattr(ds, "columns")
+        columns, weights = ds.distinct_rows
+        assert columns.dtype == np.uint8
+        assert columns.flags.c_contiguous
         assert ds.rows.dtype == np.int32 and ds.rows.flags.c_contiguous
-        np.testing.assert_array_equal(ds.columns, rows.T)
+        # every row is distinct, so the store holds them all, in code order
+        np.testing.assert_array_equal(columns, rows.T)
+        assert weights.tolist() == [1.0, 1.0, 1.0]
         with pytest.raises(ValueError):
-            ds.columns[0, 0] = 1
+            columns[0, 0] = 1
 
     def test_column_store_widens_with_arity(self):
         ds = CategoricalDataset.from_array(np.array([[0, 299]]))
-        assert ds.columns.dtype == np.uint16
-        assert ds.columns[1].tolist() == [299]
+        columns, _ = ds.distinct_rows
+        assert columns.dtype == np.uint16
+        assert columns[1].tolist() == [299]
 
     def test_from_array_infers_arities(self):
         ds = CategoricalDataset.from_array(np.array([[0, 2], [1, 0]]))

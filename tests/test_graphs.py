@@ -6,15 +6,13 @@ import pytest
 from hybridbn.graphs import (
     Dag,
     Pdag,
-    ancestors,
-    d_separated,
     markov_sets,
     to_dot,
     topological_order,
 )
 from hybridbn.synthetic import random_dag
 
-from helpers import d_separated_sets, dsep_by_paths, is_acyclic
+from helpers import ancestors, d_separated, d_separated_sets, dsep_by_paths, is_acyclic
 
 
 class TestDag:

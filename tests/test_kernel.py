@@ -1,13 +1,15 @@
 """The counting kernel against its sorting reference.
 
 observed_config_codes ranks configurations with a presence mask instead of
-a sort; contingency tables count the dataset's distinct rows, weighted, in
-one pass over the nominal (x, y, Z) space or over ranked Z-configurations;
-g2_statistic takes the statistic and the dof from one set of marginals; and
-family counts read the dataset's column store instead of its int32 rows.
-All must agree exactly with the straightforward versions in helpers.py, so
-every CI-test result and local score stays bit-identical.
+a sort; every count table (contingency tables, local-score families, CPTs)
+counts the dataset's distinct rows, weighted, in one pass over the nominal
+(head, Z) space or over ranked Z-configurations; and g2_statistic takes
+the statistic and the dof from one set of marginals. All must agree
+exactly with the straightforward versions in helpers.py, so every CI-test
+result, local score and CPT stays bit-identical.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,14 +24,16 @@ from hybridbn.data import (
     nominal_config_codes,
     observed_config_codes,
 )
+from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
-from hybridbn.network import forward_sample
-from hybridbn.scoring import _family_counts
+from hybridbn.network import fit_cpts, forward_sample
+from hybridbn.scoring import _family_counts, bdeu_local, bic_local
 from hybridbn.skeleton import build_skeleton
 from hybridbn.synthetic import child_shape_network
 
 from helpers import (
+    bdeu_family_oracle,
     reference_config_codes,
     reference_contingency,
     reference_test_independence,
@@ -123,6 +127,26 @@ class TestCodeLimits:
         assert len(calls) == 1 + prefix_ranked
         assert_same_codes(rows, [wide, 26])
 
+    @pytest.mark.parametrize("last", [0, 1])
+    def test_observed_stops_once_every_row_is_distinct(self, last):
+        # 4 rows: the span is 1040 < 2000 * 3, so the first column is ranked
+        # before the second is added; it already tells the rows apart, so
+        # nothing after it is read, and the last column cannot change the codes
+        rows = np.array([[1999, 2, last], [0, 1, 1], [500, 0, 0], [1000, 2, 1]])
+        calls = []
+
+        def spy(code, cap, span):
+            calls.append(cap)
+            return dense_ranks(code, cap, span)
+
+        dense_ranks = data_mod._dense_ranks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_mod, "_dense_ranks", spy)
+            codes, l = observed_config_codes(rows, [2000, 3, 2])
+        assert calls == [2000]
+        assert codes.tolist() == [3, 0, 1, 2] and l == 4
+        assert_same_codes(rows, [2000, 3, 2])
+
     @pytest.mark.parametrize("wide, sorts", [(16 * 1032, False), (16 * 1032 + 1, True)])
     def test_observed_sorts_past_sixteen_spans(self, wide, sorts):
         # 2 rows: the span is 1032, and one column of arity wide has as
@@ -152,7 +176,12 @@ class TestCodeLimits:
 
 def takes_ranked_path(data, x, y, z):
     """Whether contingency ranks the Z-configurations first instead of
-    counting the nominal (x, y, Z) space in one pass; only the ranked path
+    counting the nominal (x, y, Z) space in one pass."""
+    return ranks_first(data, lambda: contingency(data, x, y, z))
+
+
+def ranks_first(data, count):
+    """Whether count() builds its table on the ranked path; only that path
     calls observed_config_codes once the distinct rows are built."""
     data.distinct_rows
     calls = []
@@ -163,7 +192,7 @@ def takes_ranked_path(data, x, y, z):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_mod, "observed_config_codes", spy)
-        contingency(data, x, y, z)
+        count()
     return bool(calls)
 
 
@@ -226,7 +255,7 @@ def test_both_passes_on_wide_columns(shape):
     if shape == "duplicated":
         rows = rows[rng.integers(0, n, size=2000)]
     data = CategoricalDataset.from_array(rows, arities=arities)
-    assert data.columns.dtype == np.uint16
+    assert data.distinct_rows[0].dtype == np.uint16
     cases = [(1, 3, ()), (3, 1, (4,)), (1, 3, (2, 4)), (0, 1, ()), (0, 2, (1,)),
              (1, 3, (0, 2)), (4, 3, (2, 1, 0))]
     assert {takes_ranked_path(data, *case) for case in cases} == {True, False}
@@ -254,7 +283,7 @@ def test_distinct_row_store():
     rows = np.array([[1, 0, 2], [0, 1, 0], [1, 0, 2], [1, 0, 2], [0, 1, 1]])
     data = CategoricalDataset.from_array(rows, arities=[2, 2, 3])
     columns, weights = data.distinct_rows
-    assert columns.dtype == data.columns.dtype and columns.flags.c_contiguous
+    assert columns.dtype == np.uint8 and columns.flags.c_contiguous
     assert not columns.flags.writeable and not weights.flags.writeable
     # one column per distinct row, with its multiplicity
     assert sorted(zip(map(tuple, columns.T.tolist()), weights.tolist())) == [
@@ -322,6 +351,79 @@ def test_wide_arity_dataset_matches_reference():
     ds = CategoricalDataset.from_array(
         random_rows(rng, 400, arities), arities=arities
     )
-    assert ds.columns.dtype == np.uint16
+    assert ds.distinct_rows[0].dtype == np.uint16
     for x, y, z in [(0, 1, ()), (1, 0, (2, 3)), (2, 3, (0,)), (3, 2, (0, 1))]:
         assert_same_results(ds, x, y, z)
+
+
+@pytest.fixture(scope="module")
+def duplicated_sample():
+    # 300 rows drawn from 12 patterns: U = 12 distinct rows, so the one-pass
+    # bound 4U + 1024 = 1072 lies between the families of the binary
+    # parents and those of the arity-400 one (3 * 400 = 1200 cells)
+    rng = np.random.default_rng(9)
+    arities = [3, 2, 2, 400]
+    pool = np.column_stack([rng.permutation(12) % a for a in arities])
+    rows = pool[rng.integers(0, 12, size=300)]
+    data = CategoricalDataset.from_array(rows, arities=arities)
+    assert data.distinct_rows[1].size == 12
+    return data
+
+
+def tallied_strata(data, node, parents):
+    """{parent configuration: count per node level}, from the int32 rows."""
+    strata = {}
+    for row in data.rows.tolist():
+        key = tuple(row[p] for p in parents)
+        strata.setdefault(key, [0] * data.arity(node))[row[node]] += 1
+    return dict(sorted(strata.items()))
+
+
+@pytest.mark.parametrize("node, parents, ranked", [
+    (0, (1, 2), False), (1, (0, 2), False), (0, (), False),
+    (0, (3,), True), (0, (1, 3), True), (3, (0,), True), (3, (), False),
+])
+def test_scores_and_cpts_on_both_paths(duplicated_sample, node, parents, ranked):
+    data = duplicated_sample
+    r = data.arity(node)
+    pa_arities = [data.arity(p) for p in parents]
+    q = math.prod(pa_arities)
+    assert ranks_first(data, lambda: _family_counts(data, node, parents)) == ranked
+    strata = tallied_strata(data, node, parents)
+    counts, got_q = _family_counts(data, node, parents)
+    assert got_q == q
+    np.testing.assert_array_equal(counts, np.array(list(strata.values())))
+    for ess in (1.0, 10.0):
+        assert bdeu_local(data, node, parents, ess) == pytest.approx(
+            bdeu_family_oracle(data, node, parents, ess), abs=1e-9)
+    loglik = sum(
+        c * math.log(c / sum(cells)) for cells in strata.values() for c in cells if c
+    )
+    assert bic_local(data, node, parents) == pytest.approx(
+        loglik - 0.5 * math.log(data.n) * q * (r - 1), rel=1e-12)
+    dag = Dag(data.d, [(p, node) for p in parents])
+    # the CPT's head is (node, *parents) with no Z: r * q cells
+    assert ranks_first(data, lambda: fit_cpts(dag, data)) == (r * q > 1072)
+    for laplace in (0.0, 1.0):
+        table = np.full((r, q), laplace)
+        for key, cells in strata.items():
+            table[:, np.ravel_multi_index(key, pa_arities) if parents else 0] += cells
+        totals = table.sum(axis=0)
+        want = np.where(totals > 0, table / np.where(totals > 0, totals, 1), 1.0 / r)
+        np.testing.assert_array_equal(fit_cpts(dag, data, laplace).cpts[node], want)
+
+
+@pytest.mark.parametrize("n_parents", [62, 63])
+def test_fit_cpts_rejects_a_parent_space_past_2_to_the_62(n_parents):
+    # 2**62 parent configurations is the first too many; at 2**63 an int64
+    # mixed-radix code of (node, *parents) would wrap silently
+    rows = np.random.default_rng(10).integers(0, 2, size=(20, n_parents + 1))
+    data = CategoricalDataset.from_array(rows, arities=[2] * (n_parents + 1))
+    parents = tuple(range(1, n_parents + 1))
+    dag = Dag(data.d, [(p, 0) for p in parents])
+    with pytest.raises(ValueError, match="too large"):
+        fit_cpts(dag, data)
+    # local scores count the observed parent configurations only
+    counts, q = _family_counts(data, 0, parents)
+    assert q == 2**n_parents and counts.sum() == 20
+    assert math.isfinite(bic_local(data, 0, parents))

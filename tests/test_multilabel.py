@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hybridbn import multilabel as multilabel_mod
-from hybridbn.data import CategoricalDataset
+from hybridbn.data import CategoricalDataset, kfold
 from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.multilabel import (
@@ -341,6 +341,10 @@ class TestRunScenario:
 
     def test_export_writes_block_csvs(self, tmp_path):
         ds, labels = self._genbase_data(200)
+        # tokens unlike the level indices, so the export must map them back
+        ds = CategoricalDataset(
+            ds.names, [[f"L{t}" for t in lv] for lv in ds.levels], ds.rows
+        )
         cfg = MlcConfig(folds=2, export_dir=str(tmp_path / "blocks"))
         run_scenario(ds, labels, "br", cfg)
         files = sorted(os.listdir(tmp_path / "blocks"))
@@ -348,9 +352,14 @@ class TestRunScenario:
         assert len(files) == 2 * 6 * 2
         assert "fold00_block00_train.csv" in files
         assert "fold01_block05_test.csv" in files
-        text = (tmp_path / "blocks" / "fold00_block00_train.csv").read_text()
-        header = text.splitlines()[0].split(",")
-        assert header[-1] == ds.names[labels[0]]
+        # br: every feature, then the block's one label, on the fold's
+        # training rows in row order
+        cols = [v for v in range(ds.d) if v not in labels] + [labels[0]]
+        lines = [",".join(ds.names[c] for c in cols)]
+        for i in kfold(ds.n, 2, cfg.seed).train_indices(0):
+            lines.append(",".join(ds.levels[c][ds.rows[i, c]] for c in cols))
+        want = "".join(line + "\n" for line in lines).encode()
+        assert (tmp_path / "blocks" / "fold00_block00_train.csv").read_bytes() == want
 
     def test_binarize_path(self):
         rng = np.random.default_rng(29)

@@ -15,7 +15,6 @@ from hybridbn.skeleton import (
     build_skeleton,
     de_pcs,
     de_sps,
-    fdr_iapc,
     hpc,
     iamb_fdr,
     read_skeleton,
@@ -33,7 +32,6 @@ from helpers import (
     RecordingSource,
     random_dataset,
     reference_build_skeleton,
-    reference_fdr_iapc,
     reference_hpc,
     true_skeleton,
 )
@@ -204,27 +202,32 @@ class TestIambFdr:
 
 
 class TestFdrIapc:
+    """The FDR-IAPC step of hpc: the iamb_fdr boundary estimate minus the
+    members some subset of the rest of it separates from the target."""
+
     def test_spouse_removed_by_empty_set(self):
         src = oracle(3, [(0, 1), (2, 1)])
-        assert fdr_iapc(0, src, range(3), 0.05) == {1}
+        assert iamb_fdr(0, src, range(3), 0.05) == {1, 2}
+        assert hpc(0, src) == {1}
 
     def test_adjacent_pair_retained(self):
         src = oracle(2, [(0, 1)])
-        assert fdr_iapc(0, src, range(2), 0.05) == {1}
-        assert fdr_iapc(1, src, range(2), 0.05) == {0}
+        assert hpc(0, src) == {1}
+        assert hpc(1, src) == {0}
 
     def test_empty_boundary(self):
         src = oracle(3, [])
-        assert fdr_iapc(0, src, range(3), 0.05) == set()
+        assert hpc(0, src) == set()
 
     def test_max_condset_limits_the_search(self):
         # 1 is separated from 0 only by the proper subset {2, 3}; it stays
-        # dependent given the full rest, so the boundary estimate keeps it
-        # and only the subset search can prune it
+        # dependent given any one variable and given the full rest, so the
+        # PCS and the boundary estimate keep it and only the subset search
+        # can prune it
         src = ScriptedSource(5, [(0, 1, (2, 3))])
         assert iamb_fdr(0, src, range(5), 0.05) == {1, 2, 3, 4}
-        assert fdr_iapc(0, src, range(5), 0.05) == {2, 3, 4}
-        assert fdr_iapc(0, src, range(5), 0.05, max_condset=1) == {1, 2, 3, 4}
+        assert hpc(0, src, cfg=Config()) == {2, 3, 4}
+        assert hpc(0, src, cfg=Config(max_condset=1)) == {1, 2, 3, 4}
 
 
 class TestHpc:
@@ -300,8 +303,7 @@ class TestBuildSkeleton:
 
 
 class TestAgainstReference:
-    """The skeleton, hpc and fdr_iapc hold to the unpruned reference in
-    helpers."""
+    """The skeleton and hpc hold to the unpruned reference in helpers."""
 
     @staticmethod
     def check(src, universe, cfg):
@@ -310,9 +312,6 @@ class TestAgainstReference:
         nodes = universe if universe is not None else range(src.n_vars)
         for t in nodes:
             assert hpc(t, src, universe, cfg) == reference_hpc(t, src, universe, cfg)
-            assert fdr_iapc(t, src, nodes, cfg.alpha, cfg.max_condset) == (
-                reference_fdr_iapc(t, src, nodes, cfg.alpha, cfg.max_condset)
-            )
 
     @given(oracle_cases())
     @settings(max_examples=80, deadline=None)
