@@ -8,7 +8,8 @@ multi-label classifier.
 Names are imported from the submodules (hybridbn.data, hybridbn.graphs,
 hybridbn.independence, hybridbn.skeleton, hybridbn.scoring,
 hybridbn.network, hybridbn.metrics, hybridbn.multilabel,
-hybridbn.synthetic); the package itself re-exports nothing.
+hybridbn.parallel, hybridbn.synthetic); the package itself re-exports
+nothing.
 """
 
 __version__ = "0.1.0"

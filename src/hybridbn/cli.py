@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Reports are JSON with
 sorted keys; file paths never appear in report bodies, so outputs are
-byte-identical across repeated runs. --jobs is accepted and has no effect.
-Wall-clock fields are emitted only behind --timing.
+byte-identical across repeated runs. --jobs sets the number of worker
+processes over the folds of mlc and the (size, repeat) cells of benchmark,
+capped at the cells and os.cpu_count(); outputs do not depend on it. learn
+and learn-skeleton accept --jobs and run sequentially. Wall-clock fields
+are emitted only behind --timing.
 """
 
 import argparse
@@ -21,6 +24,7 @@ from .independence import DataIndependenceSource, TestConfig
 from .metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
 from .multilabel import SCENARIOS, MlcConfig, run_scenario
 from .network import fit_cpts, forward_sample, read_network, write_network
+from .parallel import fork_map
 from .scoring import ScoreConfig, hill_climb
 from .skeleton import Skeleton, build_skeleton, read_skeleton, write_skeleton
 
@@ -96,9 +100,8 @@ def _add_score_flags(p):
                    help="moves without improvement before stopping")
 
 
-def _add_jobs_flag(p):
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and has no effect: runs are sequential")
+def _add_jobs_flag(p, help_text="accepted and has no effect: runs are sequential"):
+    p.add_argument("--jobs", type=int, default=1, help=help_text)
 
 
 def _non_negative(value, flag):
@@ -226,34 +229,38 @@ def cmd_benchmark(args):
         raise _Usage("--test-n must be at least 1")
     test_cfg = _test_cfg(args)
     score_cfg = _score_cfg(args)
-    rows = []
     empty = Dag(net.d)
-    for si, size in enumerate(sizes):
-        for rep in range(args.repeats):
-            train = forward_sample(net, size, seed=[args.seed, si, rep, 0])
-            test = forward_sample(net, args.test_n, seed=[args.seed, si, rep, 1])
-            src = DataIndependenceSource(train, test_cfg)
-            skel = build_skeleton(src, test_cfg)
-            result = hill_climb(train, skel, score_cfg)
-            sm = skeleton_metrics(skel, truth_skel)
-            on_train = holdout_scores(train, {"dag": result.dag}, score_cfg)
-            on_test = holdout_scores(
-                test, {"dag": result.dag, "empty": empty}, score_cfg
-            )
-            rows.append({
-                "size": size,
-                "repeat": rep,
-                **asdict(sm),
-                "shd": shd(dag_to_cpdag(result.dag), truth_cpdag),
-                "skeleton_edges": len(skel.edges),
-                "dag_edges": result.dag.edge_count(),
-                "moves": result.moves,
-                "bdeu_train": on_train["dag"]["bdeu"],
-                "bdeu_test": on_test["dag"]["bdeu"],
-                "bic_train": on_train["dag"]["bic"],
-                "bic_test": on_test["dag"]["bic"],
-                "bdeu_empty_test": on_test["empty"]["bdeu"],
-            })
+    cells = [(si, size, rep) for si, size in enumerate(sizes)
+             for rep in range(args.repeats)]
+
+    def run_cell(i):
+        si, size, rep = cells[i]
+        train = forward_sample(net, size, seed=[args.seed, si, rep, 0])
+        test = forward_sample(net, args.test_n, seed=[args.seed, si, rep, 1])
+        src = DataIndependenceSource(train, test_cfg)
+        skel = build_skeleton(src, test_cfg)
+        result = hill_climb(train, skel, score_cfg)
+        sm = skeleton_metrics(skel, truth_skel)
+        on_train = holdout_scores(train, {"dag": result.dag}, score_cfg)
+        on_test = holdout_scores(
+            test, {"dag": result.dag, "empty": empty}, score_cfg
+        )
+        return {
+            "size": size,
+            "repeat": rep,
+            **asdict(sm),
+            "shd": shd(dag_to_cpdag(result.dag), truth_cpdag),
+            "skeleton_edges": len(skel.edges),
+            "dag_edges": result.dag.edge_count(),
+            "moves": result.moves,
+            "bdeu_train": on_train["dag"]["bdeu"],
+            "bdeu_test": on_test["dag"]["bdeu"],
+            "bic_train": on_train["dag"]["bic"],
+            "bic_test": on_test["dag"]["bic"],
+            "bdeu_empty_test": on_test["empty"]["bdeu"],
+        }
+
+    rows = fork_map(run_cell, len(cells), args.jobs)
     if args.out.endswith(".csv"):
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS,
@@ -281,13 +288,15 @@ def cmd_mlc(args):
     if not 2 <= args.folds <= data.n:
         raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
     _non_negative(args.smoothing, "--smoothing")
-    cfg = MlcConfig(
+    cfg = _config(
+        MlcConfig,
         folds=args.folds,
         seed=args.seed,
         test=_test_cfg(args),
         score=_score_cfg(args),
         smoothing=args.smoothing,
         binarize=args.binarize,
+        jobs=args.jobs,
         export_dir=args.export_blocks,
         timing=args.timing,
     )
@@ -379,7 +388,8 @@ def build_parser():
     p.add_argument("--test-n", type=int, default=10000)
     _add_test_flags(p)
     _add_score_flags(p)
-    _add_jobs_flag(p)
+    _add_jobs_flag(p, "worker processes over the (size, repeat) cells, at "
+                      "most the CPU count; outputs do not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
 
@@ -398,7 +408,8 @@ def build_parser():
                    help="median-split non-label columns with arity > 2")
     _add_test_flags(p)
     _add_score_flags(p)
-    _add_jobs_flag(p)
+    _add_jobs_flag(p, "worker processes over the folds, at most the CPU "
+                      "count; outputs do not depend on it")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--export-blocks", default=None,
                    help="directory for per-block train/test CSV exports")
@@ -424,6 +435,8 @@ def main(argv=None):
     try:
         if len(getattr(args, "delimiter", ",")) != 1:
             raise _Usage("--delimiter must be a single character")
+        if getattr(args, "jobs", 1) < 1:
+            raise _Usage("--jobs must be at least 1")
         return args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

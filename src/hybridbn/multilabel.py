@@ -14,9 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CategoricalDataset, kfold, parse_numeric_column, write_csv
+from .data import (
+    CategoricalDataset,
+    count_table,
+    kfold,
+    parse_numeric_column,
+    write_csv,
+)
 from .graphs import markov_sets
 from .independence import DataIndependenceSource, TestConfig
+from .parallel import fork_map
 from .scoring import ScoreConfig, hill_climb
 from .skeleton import build_skeleton, hpc
 
@@ -108,18 +115,16 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
         raise ValueError("features must be disjoint from the block's labels")
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise ValueError("smoothing must be finite and non-negative")
-    sub = train.rows[:, list(block)]
-    classes, y = np.unique(sub, axis=0, return_inverse=True)
-    y = y.ravel()
-    k = len(classes)
-    n_c = np.bincount(y, minlength=k).astype(float)
-    log_prior = np.log(n_c / train.n)
+    classes, n_c = np.unique(train.rows[:, list(block)], axis=0,
+                             return_counts=True)
+    log_prior = np.log(n_c.astype(float) / train.n)
     log_like = []
     with np.errstate(divide="ignore"):
         for f in features:
-            a = train.arity(f)
-            counts = np.bincount(y * a + train.rows[:, f], minlength=k * a)
-            counts = counts.reshape(k, a).astype(float) + smoothing
+            # columns of the table are the observed block configurations in
+            # lexicographic order, which is the order of classes
+            counts = np.ascontiguousarray(count_table(train, (f,), block).T,
+                                          dtype=float) + smoothing
             log_like.append(np.log(counts / counts.sum(axis=1, keepdims=True)))
     return PowersetClassifier(
         block=block,
@@ -197,9 +202,13 @@ class MlcConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
     smoothing: float = 1.0
     binarize: bool = False
-    jobs: int = 1  # accepted and has no effect
+    jobs: int = 1  # worker processes over the folds
     export_dir: str | None = None
     timing: bool = False
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 def _binarize_for_fold(data, train_idx, labels):
@@ -256,7 +265,8 @@ def run_scenarios(data, labels, scenarios, cfg=None):
     graph rule, then applies every scenario's rules to it. Returns
     {scenario: report}; each report equals run_scenario's for that
     scenario. Block exports (cfg.export_dir) name no scenario, so they
-    need a single one.
+    need a single one. Folds run in up to cfg.jobs forked worker processes
+    (``fork_map``); the reports do not depend on cfg.jobs.
     """
     cfg = cfg or MlcConfig()
     keys = list(dict.fromkeys(_scenario_key(s) for s in scenarios))
@@ -331,7 +341,7 @@ def run_scenarios(data, labels, scenarios, cfg=None):
             reports[key] = report
         return reports
 
-    by_fold = [run_fold(f) for f in range(cfg.folds)]
+    by_fold = fork_map(run_fold, cfg.folds, cfg.jobs)
     return {key: _summary(key, data, labels, [r[key] for r in by_fold])
             for key in keys}
 

@@ -796,6 +796,28 @@ def dag_from_edges(d, edges):
     return Dag(d, edges)
 
 
+def reference_powerset_tables(train, block, features, smoothing=1.0):
+    """(classes, log_prior, log_like) of a powerset naive Bayes, tallied
+    with its own ``bincount`` over the raw rows: the class index of each
+    row comes from ``np.unique``, and feature counts are bucketed by
+    class * arity + level. fit_powerset_classifier must give equal arrays."""
+    sub = train.rows[:, list(block)]
+    classes, y = np.unique(sub, axis=0, return_inverse=True)
+    y = y.ravel()
+    k = len(classes)
+    n_c = np.bincount(y, minlength=k).astype(float)
+    log_prior = np.log(n_c / train.n)
+    log_like = []
+    with np.errstate(divide="ignore"):
+        for f in features:
+            a = train.arity(f)
+            counts = np.bincount(y * a + train.rows[:, f], minlength=k * a)
+            counts = counts.reshape(k, a).astype(float) + smoothing
+            log_like.append(np.log(counts / counts.sum(axis=1, keepdims=True)))
+    classes = tuple(tuple(int(v) for v in row) for row in classes)
+    return classes, log_prior, log_like
+
+
 def predict_mpe(classifiers, row):
     """Joint most probable label assignment for one row.
 

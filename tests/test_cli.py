@@ -129,6 +129,8 @@ class TestBadInput:
                     "br", "--folds", 2, "--seed", 0, "--report", out],
             "evaluate": ["--learned", net_path, "--truth", net_path,
                          "--test", csv_path, "--report", out],
+            "benchmark": ["--truth", net_path, "--sizes", 50, "--repeats", 1,
+                          "--seed", 0, "--test-n", 50, "--out", out],
         }[command]
 
     def test_learn_alpha_out_of_range(self, tiny_csv, tmp_path, capsys):
@@ -175,6 +177,12 @@ class TestBadInput:
         ("mlc", "--smoothing", "nan", "--smoothing must be finite and non-negative"),
         ("mlc", "--smoothing", "inf", "--smoothing must be finite and non-negative"),
         ("evaluate", "--ess", "nan", "ess must be finite and positive"),
+        ("learn", "--jobs", "0", "--jobs must be at least 1"),
+        ("learn-skeleton", "--jobs", "-3", "--jobs must be at least 1"),
+        ("mlc", "--jobs", "0", "--jobs must be at least 1"),
+        ("mlc", "--jobs", "-3", "--jobs must be at least 1"),
+        ("benchmark", "--jobs", "0", "--jobs must be at least 1"),
+        ("benchmark", "--jobs", "-3", "--jobs must be at least 1"),
     ])
     def test_non_finite_or_negative_setting(self, command, flag, value, message,
                                             small_net, sampled_csv, tmp_path,
@@ -406,6 +414,18 @@ class TestBenchmark:
         assert len(doc["rows"]) == 1
         assert doc["rows"][0]["size"] == 150
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_jobs_do_not_change_bytes(self, suffix, tmp_path):
+        # four (size, repeat) cells, in one process and in two workers
+        truth = tmp_path / "truth.json"
+        write_network(recovery_network(), truth)
+        outs = [tmp_path / f"jobs{jobs}{suffix}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert run("benchmark", "--truth", truth, "--sizes", "100,200",
+                       "--repeats", 2, "--seed", 0, "--test-n", 300,
+                       "--jobs", jobs, "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestMlc:
     @pytest.fixture
@@ -457,6 +477,15 @@ class TestMlc:
                    "--report", report) == 0
         doc = json.loads(report.read_text())
         assert all(rep["n_blocks"] >= 1 for rep in doc["folds"])
+
+    def test_jobs_do_not_change_bytes(self, mlc_csv, tmp_path):
+        data, _ = mlc_csv
+        reports = [tmp_path / f"jobs{jobs}.json" for jobs in (1, 2)]
+        for jobs, report in zip((1, 2), reports):
+            assert run("mlc", "--data", data, "--label-count", 6,
+                       "--scenario", "mlp+mb", "--folds", 3, "--seed", 0,
+                       "--jobs", jobs, "--report", report) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_export_blocks(self, mlc_csv, tmp_path):
         data, _ = mlc_csv

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridbn import multilabel as multilabel_mod
 from hybridbn.data import CategoricalDataset, kfold
@@ -33,6 +35,7 @@ from helpers import (
     blanket_and_minimal,
     brute_min_partition,
     predict_mpe,
+    reference_powerset_tables,
 )
 
 
@@ -204,6 +207,42 @@ class TestPowersetClassifier:
         np.testing.assert_array_equal(clf.predict(ds.rows), before)
 
 
+@st.composite
+def powerset_cases(draw):
+    # blocks of one to four labels, zero to four features, arities up to 5
+    d = draw(st.integers(2, 7))
+    arities = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.column_stack(
+        [rng.integers(0, a, size=n) for a in arities]
+    ).astype(np.int32)
+    order = draw(st.permutations(range(d)))
+    size = draw(st.integers(1, min(4, d)))
+    block = tuple(order[:size])
+    features = tuple(draw(st.sets(st.sampled_from(order[size:]), max_size=4))
+                     if size < d else ())
+    smoothing = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5]))
+    return dataset(rows, arities), block, features, smoothing
+
+
+class TestPowersetTables:
+    @given(powerset_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_bincount_reference(self, case):
+        ds, block, features, smoothing = case
+        clf = fit_powerset_classifier(ds, block, features, smoothing)
+        classes, log_prior, log_like = reference_powerset_tables(
+            ds, clf.block, clf.features, smoothing
+        )
+        assert clf.classes == classes
+        np.testing.assert_array_equal(clf.log_prior, log_prior)
+        assert len(clf.log_like) == len(log_like)
+        for got, want in zip(clf.log_like, log_like):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+
 class TestGlobalAccuracy:
     def test_exact_match_only(self):
         pred = np.array([[0, 1], [1, 1], [0, 0]])
@@ -268,6 +307,11 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(ds, [99], "br")
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            MlcConfig(jobs=jobs)
+
     def test_br_report_shape(self):
         ds, labels = self._genbase_data(300)
         cfg = MlcConfig(folds=3)
@@ -307,15 +351,41 @@ class TestRunScenario:
         b = run_scenario(ds, labels, "br", MlcConfig(folds=3))
         assert a == b
 
-    def test_jobs_do_not_change_results(self):
-        # br never learns a graph; mlp+mb learns a local DAG in every fold
+    def test_jobs_do_not_change_results(self, monkeypatch):
+        # every scenario in one and in two worker processes; a ternary
+        # feature gives --binarize a column to split inside each fold
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         ds, labels = self._genbase_data(300)
-        for scenario in ("br", "mlp+mb"):
-            a = run_scenario(ds, labels, scenario, MlcConfig(folds=3, jobs=1))
-            b = run_scenario(ds, labels, scenario, MlcConfig(folds=3, jobs=3))
-            assert a == b
+        rows = np.array(ds.rows)
+        rows[:, 0] = (rows[:, 0] + rows[:, 1] + rows[:, 2]) % 3
+        ds = CategoricalDataset(ds.names, (("0", "1", "2"),) + ds.levels[1:],
+                                rows)
+        for binarize in (False, True):
+            a, b = (
+                run_scenarios(ds, labels, SCENARIOS,
+                              MlcConfig(folds=3, binarize=binarize, jobs=jobs))
+                for jobs in (1, 2)
+            )
+            assert json.dumps(a) == json.dumps(b)
+
+    def test_fold_workers_time_their_folds(self, monkeypatch):
+        # with --timing, every fold carries seconds, and the reports of one
+        # and two worker processes agree apart from them
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ds, labels = self._genbase_data(300)
+        one, two = (
+            run_scenarios(ds, labels, ["br", "mlp+mb"],
+                          MlcConfig(folds=3, jobs=jobs, timing=True))
+            for jobs in (1, 2)
+        )
+        for report in (*one.values(), *two.values()):
+            for fold in report["folds"]:
+                assert fold.pop("seconds") > 0
+        assert json.dumps(one) == json.dumps(two)
 
     def test_folds_and_queries_run_on_the_calling_thread(self, monkeypatch):
+        # at jobs=1; at jobs=2 the folds run in forked worker processes
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         ds, labels = self._genbase_data(300)
         sources = []
         fold_threads = set()
@@ -332,12 +402,15 @@ class TestRunScenario:
         monkeypatch.setattr(multilabel_mod, "DataIndependenceSource",
                             recording_source)
         monkeypatch.setattr(multilabel_mod, "learn_local_dag", recording_learn)
-        run_scenarios(ds, labels, ["mlp+mb"], MlcConfig(folds=3, jobs=4))
+        run_scenarios(ds, labels, ["mlp+mb"], MlcConfig(folds=3, jobs=1))
         learn(ds, labels, jobs=4)
         assert len(sources) == 4 and all(s.calls > 0 for s in sources)
         me = threading.get_ident()
         assert fold_threads == {me}
         assert set().union(*(s.threads for s in sources)) == {me}
+        # the workers' sources and fold calls stay in the workers
+        run_scenarios(ds, labels, ["mlp+mb"], MlcConfig(folds=3, jobs=2))
+        assert len(sources) == 4 and fold_threads == {me}
 
     def test_export_writes_block_csvs(self, tmp_path):
         ds, labels = self._genbase_data(200)
