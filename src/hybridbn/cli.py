@@ -227,6 +227,8 @@ def cmd_benchmark(args):
     sizes = _parse_sizes(args.sizes)
     if args.test_n < 1:
         raise _Usage("--test-n must be at least 1")
+    if args.repeats < 1:
+        raise _Usage("--repeats must be at least 1")
     test_cfg = _test_cfg(args)
     score_cfg = _score_cfg(args)
     empty = Dag(net.d)

@@ -7,6 +7,7 @@ Datasets are immutable after construction and safe for concurrent readers.
 """
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -323,6 +324,20 @@ def kfold(n, k, seed):
     return FoldAssignment(fold_of_row=fold_of_row, k=k)
 
 
+class _StrippedIds(dict):
+    """Raw token -> id of its stripped token. Each raw token is stripped
+    once, when first looked up; ids count the distinct stripped tokens in
+    order of first appearance, and stripped maps each of them to its id."""
+
+    def __init__(self):
+        super().__init__()
+        self.stripped = {}
+
+    def __missing__(self, raw):
+        tid = self[raw] = self.stripped.setdefault(raw.strip(), len(self.stripped))
+        return tid
+
+
 def load_csv(path, delimiter=",", header=True):
     """Load a delimited text file into a CategoricalDataset.
 
@@ -332,55 +347,87 @@ def load_csv(path, delimiter=",", header=True):
     reported. So are files that are not UTF-8 text and fields the csv
     module rejects.
     """
+    # The rows are mapped as they are read, up to the first ragged one: one
+    # pass maps every cell to the id of its stripped token, and no row is
+    # kept. The rest of the file is still read, so that the csv module's
+    # errors come first wherever they are.
+    n, width = 0, None
+
+    def rows_before_ragged(rows, d):
+        nonlocal n, width
+        for row in rows:
+            if len(row) != d:
+                width = len(row)
+                return
+            n += 1
+            yield row
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            physical = list(reader)
+            top = next(reader, None)
+            if top is not None:
+                if header:
+                    names, body = [t.strip() for t in top], reader
+                else:
+                    names = [f"v{i}" for i in range(len(top))]
+                    body = itertools.chain([top], reader)
+                d = len(names)
+                ids = _StrippedIds()
+                cells = itertools.chain.from_iterable(rows_before_ragged(body, d))
+                cells = np.fromiter(map(ids.__getitem__, cells), np.int32)
+                for _ in reader:
+                    pass
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
         except csv.Error as exc:
             raise DataError(f"bad CSV at line {reader.line_num} of {path}: {exc}") from None
-    if not physical:
+    if top is None:
         raise DataError(f"empty file: {path}")
-    if header:
-        names = [t.strip() for t in physical[0]]
-        body = physical[1:]
-        first_line = 2
-    else:
-        names = [f"v{i}" for i in range(len(physical[0]))]
-        body = physical
-        first_line = 1
-    d = len(names)
-    if not body:
+    if n == 0 and width is None:
         raise DataError(f"no data rows in {path}")
-    # Only the rows before the first ragged one are read column by column;
-    # a missing value among them comes first in the file.
-    ragged = next((rix for rix, row in enumerate(body) if len(row) != d), len(body))
-    good = body if ragged == len(body) else body[:ragged]
-    rows = np.empty((len(good), d), dtype=np.int32)
-    tokens = []
-    missing = (ragged, None)
-    for cix, column in enumerate(zip(*good)):
-        stripped = {raw: raw.strip() for raw in dict.fromkeys(column)}
-        index = {tok: level for level, tok in enumerate(dict.fromkeys(stripped.values()))}
-        tokens.append(tuple(index))
-        level_of = {raw: index[tok] for raw, tok in stripped.items()}
-        rows[:, cix] = np.fromiter(map(level_of.__getitem__, column), np.int32, len(column))
-        if "" in index:
-            rix = int(np.argmax(rows[:, cix] == index[""]))
-            if rix < missing[0]:
-                missing = (rix, cix)
-    rix, cix = missing
-    if cix is not None:
+    first_line = 2 if header else 1
+    cells = cells.reshape(n, d)
+    tokens = list(ids.stripped)
+    if "" in ids.stripped:
+        rix, cix = divmod(int(np.argmax(cells.ravel() == ids.stripped[""])), d)
         raise DataError(f"missing value at row {rix + first_line}, column {names[cix]!r}")
-    if ragged < len(body):
-        raise DataError(
-            f"ragged row {ragged + first_line}: expected {d} fields, got {len(body[ragged])}"
-        )
+    if width is not None:
+        raise DataError(f"ragged row {n + first_line}: expected {d} fields, got {width}")
+    # A column's levels are its stripped ids in order of first appearance.
+    # With k distinct ids, first[c * k + t] is the first row of id t in
+    # column c (n if none); while k <= n the table is no bigger than the
+    # cells. More ids than rows: each column is ranked with np.unique. Ids,
+    # rows and codes are below the cell count, so int32 holds them for any
+    # file of fewer than 2**31 cells.
+    k = len(tokens)
+    if k <= n:
+        cells += np.arange(d, dtype=np.int32) * k
+        code = cells.ravel()
+        first = np.full(d * k, n, dtype=np.int32)
+        np.minimum.at(first, code, np.repeat(np.arange(n, dtype=np.int32), d))
+        first = first.reshape(d, k)
+        order = np.argsort(first, axis=1)
+        rank = np.empty((d, k), dtype=np.int32)
+        np.put_along_axis(rank, order, np.arange(k, dtype=np.int32)[None, :], axis=1)
+        rows = rank.ravel()[code].reshape(n, d)
+        seen = np.count_nonzero(first < n, axis=1)
+        level_ids = [order[cix, :seen[cix]] for cix in range(d)]
+    else:
+        rows = np.empty((n, d), dtype=np.int32)
+        level_ids = []
+        for cix in range(d):
+            uniq, first, inverse = np.unique(
+                cells[:, cix], return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            rows[:, cix] = np.argsort(order)[inverse]
+            level_ids.append(uniq[order])
     for cix in range(d):
-        if len(tokens[cix]) < 2:
+        if len(level_ids[cix]) < 2:
             raise DataError(f"constant column {names[cix]!r}")
-    return CategoricalDataset(tuple(names), tuple(tokens), rows)
+    levels = tuple(tuple(tokens[t] for t in lv.tolist()) for lv in level_ids)
+    return CategoricalDataset(tuple(names), levels, rows)
 
 
 def write_csv(data, path, delimiter=","):

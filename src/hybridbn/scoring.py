@@ -4,6 +4,7 @@ Both scores decompose over node families, so the search caches local scores
 keyed by (node, sorted parent tuple) and evaluates moves through deltas.
 """
 
+import heapq
 import math
 import numbers
 from collections import Counter, deque
@@ -123,12 +124,13 @@ class SearchResult:
     stop: str
 
 
-def _ancestor_masks(parents):
-    # Bit p of masks[v] is set iff p is a proper ancestor of v. Depth-first
-    # over parent lists: each node is pushed once and rescanned once per
-    # parent it waits for, so a pass is O(d + E) for bounded in-degrees.
-    masks = [None] * len(parents)
-    for root in range(len(parents)):
+def _fill_ancestor_masks(parents, masks, nodes):
+    # Fill in masks[v] for each v in nodes whose entry is None: bit p of
+    # masks[v] is set iff p is a proper ancestor of v. Every other entry must
+    # already be right. Depth-first over parent lists: each node is pushed
+    # once and rescanned once per parent it waits for, so a pass is
+    # O(nodes + their in-edges) for bounded in-degrees.
+    for root in nodes:
         if masks[root] is not None:
             continue
         stack = [root]
@@ -144,7 +146,6 @@ def _ancestor_masks(parents):
             else:
                 masks[v] = mask
                 stack.pop()
-    return masks
 
 
 _ADD, _DELETE, _REVERSE = 0, 1, 2  # also the tie-break rank of each op
@@ -170,10 +171,14 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     without a strict improvement of the best score ever seen, or when no
     move is available, and returns the best structure encountered.
 
-    A step costs O(candidate moves): the delta of toggling u in v's parent
-    set is cached until v's family changes, acyclicity is read off
-    per-node ancestor bitsets rebuilt after each move, and the tabu list is
-    consulted only for moves that would beat the best one so far.
+    The moves wait in a heap ordered by the tie-break key (-delta, op, u, v),
+    a total order, so each step walks from the front to the first legal,
+    non-tabu move. A move changes one family (two for a reverse); only the
+    moves whose delta reads a changed family are re-keyed. Deltas are
+    scored only while their move is legal: a move a cycle blocks waits in a
+    pending set, and since an add only grows ancestor sets, the set is
+    rechecked only after a delete or a reverse. Acyclicity is read off
+    per-node ancestor bitsets, which each move updates in place.
     """
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
@@ -187,6 +192,15 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     # parents; filled when first needed, dropped when v's family changes
     toggle = [{} for _ in range(d)]
     anc = [0] * d
+    # live[op, u, v] is the heap entry (-delta, op, u, v) of a move whose
+    # delta is current; any other heap entry is outdated and skipped. Every
+    # legal move is live. An illegal one is live or pending, or is an add
+    # against an existing edge, which the move that drops that edge re-keys.
+    heap = []
+    live = {}
+    # skeleton pairs (u, v) whose add or reverse of u -> v is not live
+    # because it would close a cycle through a path of two or more edges
+    pending = set()
     current = sum(local)
     empty_score = current
     best_score = current
@@ -208,71 +222,114 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         tabu.append(edges)
         in_tabu[edges] += 1
 
-    def consider(op, u, v, delta):
-        # keep the move if its key (-delta, op, u, v) beats the best so far
-        # and its structure is not tabu; keys are unique, so the scan order
-        # does not matter
-        nonlocal best_key, best_move
-        key = (-delta, op, u, v)
-        if best_key is not None and not key < best_key:
-            return
-        if in_tabu and _moved(current_edges, op, u, v) in in_tabu:
-            return
-        best_key = key
-        best_move = (op, u, v, delta)
+    def toggled(v, u):
+        delta = toggle[v].get(u)
+        if delta is None:
+            pa_v = parents[v]
+            rest = tuple(w for w in pa_v if w != u) if u in pa_v else pa_v + (u,)
+            delta = toggle[v][u] = scorer.local(v, rest) - local[v]
+        return delta
+
+    def reversible(u, v):
+        # reversing u -> v closes a cycle iff u is a proper ancestor of
+        # another parent of v (never of u itself)
+        above = 0
+        for p in parents[v]:
+            above |= anc[p]
+        return not above >> u & 1
+
+    def put(op, u, v, delta):
+        entry = live.get((op, u, v))
+        if entry is None or entry[0] != -delta:
+            entry = live[op, u, v] = (-delta, op, u, v)
+            heapq.heappush(heap, entry)
+
+    def block(op, u, v):
+        live.pop((op, u, v), None)
+        if op == _REVERSE or v not in parents[u]:
+            pending.add((u, v))
+
+    def refresh(u, v):
+        # re-key the moves of u -> v from the current graph
+        pending.discard((u, v))
+        if u in parents[v]:
+            live.pop((_ADD, u, v), None)
+            delta = toggled(v, u)
+            put(_DELETE, u, v, delta)
+            if reversible(u, v):
+                put(_REVERSE, u, v, delta + toggled(u, v))
+            else:
+                block(_REVERSE, u, v)
+        else:
+            live.pop((_DELETE, u, v), None)
+            live.pop((_REVERSE, u, v), None)
+            # v is no ancestor of u, so u is no child of v either
+            if not anc[u] >> v & 1:
+                put(_ADD, u, v, toggled(v, u))
+            else:
+                block(_ADD, u, v)
 
     visit(current_edges)
     stale = 0
     moves = 0
+    changed = range(d)
+    unblocked = False
     while True:
-        best_move = None
-        best_key = None
-        for v in range(d):
-            pa_v = parents[v]
-            deltas = toggle[v]
-            local_v = local[v]
-            # reversing u -> v closes a cycle iff u is a proper ancestor of
-            # another parent of v (never of u itself)
-            above = 0
-            for p in pa_v:
-                above |= anc[p]
-            for u in nbrs[v]:
-                if u in pa_v:
-                    delta = deltas.get(u)
-                    if delta is None:
-                        rest = tuple(w for w in pa_v if w != u)
-                        delta = scorer.local(v, rest) - local_v
-                        deltas[u] = delta
-                    consider(_DELETE, u, v, delta)
-                    if not above >> u & 1:
-                        back = toggle[u].get(v)
-                        if back is None:
-                            back = scorer.local(u, parents[u] + (v,)) - local[u]
-                            toggle[u][v] = back
-                        consider(_REVERSE, u, v, delta + back)
-                elif not anc[u] >> v & 1:
-                    # v is no ancestor of u, so u is no child of v either
-                    delta = deltas.get(u)
-                    if delta is None:
-                        delta = scorer.local(v, pa_v + (u,)) - local_v
-                        deltas[u] = delta
-                    consider(_ADD, u, v, delta)
-        if best_move is None:
+        # re-key the moves whose delta reads a changed family, and, after
+        # a delete or a reverse, the pending ones
+        pairs = {p for w in changed for x in nbrs[w] for p in ((x, w), (w, x))}
+        if unblocked:
+            pairs |= pending
+        for u, v in pairs:
+            refresh(u, v)
+        # the first live move in key order that is legal and not tabu; the
+        # tabu ones go back afterwards
+        chosen = None
+        held = []
+        while heap:
+            entry = heapq.heappop(heap)
+            _, op, u, v = entry
+            if live.get((op, u, v)) is not entry:
+                continue
+            if op == _ADD and anc[u] >> v & 1 or op == _REVERSE and not reversible(u, v):
+                block(op, u, v)
+            elif in_tabu and _moved(current_edges, op, u, v) in in_tabu:
+                held.append(entry)
+            else:
+                chosen = entry
+                break
+        for entry in held:
+            heapq.heappush(heap, entry)
+        if chosen is None:
             stop = "no_move"
             break
-        op, u, v, delta = best_move
+        del live[op, u, v]
+        delta = -chosen[0]
         # the legality checks above keep the parent lists acyclic
         if op == _ADD:
             parents[v] = tuple(sorted(parents[v] + (u,)))
+            # v and its descendants gain u and u's ancestors
+            gained = anc[u] | 1 << u
+            for w in range(d):
+                if w == v or anc[w] >> v & 1:
+                    anc[w] |= gained
         else:
             parents[v] = tuple(w for w in parents[v] if w != u)
-        if op == _REVERSE:
-            parents[u] = tuple(sorted(parents[u] + (v,)))
+            if op == _REVERSE:
+                parents[u] = tuple(sorted(parents[u] + (v,)))
+            # only the deleted edge's head (the reversed edge's old tail)
+            # and its old descendants can have other ancestors now
+            top = v if op == _DELETE else u
+            redo = [w for w in range(d) if w == top or anc[w] >> top & 1]
+            for w in redo:
+                anc[w] = None
+            _fill_ancestor_masks(parents, anc, redo)
         current_edges = _moved(current_edges, op, u, v)
-        for w in (u, v) if op == _REVERSE else (v,):
+        changed = (u, v) if op == _REVERSE else (v,)
+        unblocked = op != _ADD
+        for w in changed:
             local[w] = scorer.local(w, parents[w])
             toggle[w] = {}
-        anc = _ancestor_masks(parents)
         current += delta
         moves += 1
         visit(current_edges)

@@ -183,6 +183,8 @@ class TestBadInput:
         ("mlc", "--jobs", "-3", "--jobs must be at least 1"),
         ("benchmark", "--jobs", "0", "--jobs must be at least 1"),
         ("benchmark", "--jobs", "-3", "--jobs must be at least 1"),
+        ("benchmark", "--repeats", "0", "--repeats must be at least 1"),
+        ("benchmark", "--repeats", "-2", "--repeats must be at least 1"),
     ])
     def test_non_finite_or_negative_setting(self, command, flag, value, message,
                                             small_net, sampled_csv, tmp_path,

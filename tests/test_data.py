@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,19 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, text))
         assert (ds.n, ds.d) == (593, 78)
 
+    def test_padded_tokens_merge_in_first_appearance_order(self, tmp_path):
+        path = write(tmp_path, "a,b\n b,x\na ,y\n a ,x\nb,y\na,x\n")
+        ds = load_csv(path)
+        assert ds.levels[0] == ("b", "a")
+        assert ds.rows[:, 0].tolist() == [0, 1, 1, 0, 1]
+
+    def test_more_tokens_than_rows(self, tmp_path):
+        # four distinct tokens over three rows: every column is ranked alone
+        path = write(tmp_path, "a,b\nq,s\np,t\nq,s\n")
+        ds = load_csv(path)
+        assert ds.levels == (("q", "p"), ("s", "t"))
+        assert ds.rows.tolist() == [[0, 0], [1, 1], [0, 0]]
+
     def test_roundtrip_identity(self, tmp_path):
         path = write(tmp_path, "a,b\nfoo,2\nbar,3\nfoo,3\n")
         ds = load_csv(path)
@@ -148,7 +163,56 @@ def test_load_csv_matches_reference(csv_path, case):
     assert load_outcome(load_csv, path, delimiter, header) == want
 
 
+@st.composite
+def wide_csv_files(draw):
+    """(text, delimiter, header) of a file of up to 60 rows whose columns
+    each draw from up to 50 tokens, with one or more spaces around some
+    cells, so that several raw tokens strip to one level. The columns share
+    their tokens or keep their own; the latter gives more distinct tokens
+    than rows. One file in ten has a blank cell."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    header = draw(st.booleans())
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    shared = draw(st.booleans())
+    pools = [
+        [f"t{i}" if shared else f"c{cix}t{i}" for i in range(draw(st.integers(1, 50)))]
+        for cix in range(d)
+    ]
+    pad = st.sampled_from(["{}", " {}", "{} ", "  {} "])
+    lines = [[f"c{cix}" for cix in range(d)]] if header else []
+    for _ in range(n):
+        lines.append([draw(pad).format(draw(st.sampled_from(pool))) for pool in pools])
+    if draw(st.integers(0, 9)) == 0:
+        row = draw(st.integers(len(lines) - n, len(lines) - 1))
+        lines[row][draw(st.integers(0, d - 1))] = draw(st.sampled_from(["", " "]))
+    text = "".join(delimiter.join(line) + "\n" for line in lines)
+    return text, delimiter, header
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wide_csv_files())
+def test_load_csv_matches_reference_on_wide_columns(csv_path, case):
+    text, delimiter, header = case
+    csv_path.write_text(text, encoding="utf-8")
+    path = str(csv_path)
+    want = load_outcome(reference_load_csv, path, delimiter, header)
+    assert load_outcome(load_csv, path, delimiter, header) == want
+
+
 class TestLoadCsvErrors:
+    def test_file_errors_after_a_ragged_row_come_first(self, tmp_path):
+        # rows are mapped only up to the ragged one, but the whole file is read
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, f"a,b\n0,1\n1\n{big},0\n")
+        with pytest.raises(DataError, match="bad CSV at line 4"):
+            load_csv(path)
+        # past the first blocks the decoder reads
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("a,b\n0,\n1\n" + "0,1\n" * 50000 + "z\xe9ro,0\n").encode("latin-1"))
+        with pytest.raises(DataError, match="is not UTF-8 text"):
+            load_csv(str(path))
+
     def test_missing_value_before_a_later_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,b,c\n0,1,0\n1, ,1\n0,1\n")
         with pytest.raises(DataError, match="missing value at row 3, column 'b'"):

@@ -1,10 +1,11 @@
 """The incremental tabu hill climb against the search as first written.
 
-hill_climb caches move deltas per node, reads acyclicity off ancestor
-bitsets and consults the tabu list only for moves that could win. None of
-that may change a result: the learned DAG, score, empty-graph score, move
-count and stop reason must equal reference_hill_climb's in helpers.py, and both
-searches must score the same set of families.
+hill_climb keeps its moves in key order, re-keys only those whose families
+moved, parks the adds and reverses a cycle blocks until a delete or a
+reverse, and updates ancestor bitsets in place. None of that may change a
+result: the learned DAG, score, empty-graph score, move count and stop
+reason must equal reference_hill_climb's in helpers.py, and both searches
+must score the same set of families.
 """
 
 import numpy as np
@@ -67,6 +68,37 @@ def search_both(data, skeleton, cfg):
     score=st.sampled_from(["bdeu", "bic"]),
 )
 def test_matches_reference_search(seed, d, n, kind, tabu_length, patience, score):
+    assert_matches_reference(seed, d, n, kind, tabu_length, patience, score)
+
+
+# From d of about 10, an add that a path blocks and a later delete or
+# reverse frees is taken in about one search in ten.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(9, 16),
+    n=st.integers(5, 400),
+    kind=st.sampled_from(["true", "complete"]),
+    tabu_length=st.sampled_from([0, 1, 2, 100]),
+    patience=st.sampled_from([1, 2, 15]),
+    score=st.sampled_from(["bdeu", "bic"]),
+)
+def test_matches_reference_search_wider(seed, d, n, kind, tabu_length, patience,
+                                        score):
+    assert_matches_reference(seed, d, n, kind, tabu_length, patience, score)
+
+
+def test_blocked_add_taken_after_reverses():
+    # Move 2 adds 4 -> 10 and move 3 adds 1 -> 4, so the path 1 -> 4 -> 10
+    # blocks the add 10 -> 1. Moves 4, 8, 9 and 13 add 5 -> 11, 1 -> 5,
+    # 11 -> 9 and 9 -> 10, a second path from 1 to 10. Moves 18 and 19
+    # reverse 1 -> 4 and 1 -> 5, which leaves 1 without children, and move
+    # 20 is the add 10 -> 1, onto the parents {4, 5} of 1.
+    scored = assert_matches_reference(2, 12, 200, "true", 100, 15, "bdeu")
+    assert (1, (4, 5, 10)) in scored
+
+
+def assert_matches_reference(seed, d, n, kind, tabu_length, patience, score):
     dag, data = sample(seed, d, n)
     cfg = ScoreConfig(score=score, tabu_length=tabu_length, patience=patience)
     got, want, scored, ref_scored = search_both(data, skeleton_of(kind, dag), cfg)
@@ -76,3 +108,4 @@ def test_matches_reference_search(seed, d, n, kind, tabu_length, patience, score
     assert got.moves == want.moves
     assert got.stop == want.stop
     assert scored == ref_scored
+    return scored
