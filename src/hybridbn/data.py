@@ -397,9 +397,10 @@ def load_csv(path, delimiter=",", header=True):
     # A column's levels are its stripped ids in order of first appearance.
     # With k distinct ids, first[c * k + t] is the first row of id t in
     # column c (n if none); while k <= n the table is no bigger than the
-    # cells. More ids than rows: each column is ranked with np.unique. Ids,
-    # rows and codes are below the cell count, so int32 holds them for any
-    # file of fewer than 2**31 cells.
+    # cells. With more ids than rows it could reach d times the cells, so
+    # each column is ranked with np.unique, which is slower where the table
+    # fits (see the README). Ids, rows and codes are below the cell count,
+    # so int32 holds them for any file of fewer than 2**31 cells.
     k = len(tokens)
     if k <= n:
         cells += np.arange(d, dtype=np.int32) * k
