@@ -432,12 +432,20 @@ def load_csv(path, delimiter=",", header=True):
 
 
 def write_csv(data, path, delimiter=","):
-    """Write a dataset back to disk using its original tokens."""
+    """Write a dataset back to disk using its original tokens.
+
+    Rows go out in blocks of 512: each column's tokens come from one
+    lookup in an object array of its levels, and the csv writer quotes
+    them as it would one row at a time.
+    """
+    tokens = [np.array(lv, dtype=object) for lv in data.levels]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(data.names)
-        for row in data.rows:
-            writer.writerow([data.levels[i][v] for i, v in enumerate(row)])
+        for start in range(0, data.n, 512):
+            block = data.rows[start:start + 512]
+            columns = [tok[col] for tok, col in zip(tokens, block.T)]
+            writer.writerows(zip(*columns) if columns else [()] * len(block))
 
 
 def parse_numeric_column(data, col):

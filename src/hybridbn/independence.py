@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .data import contingency
+from .data import contingency, count_table
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,34 @@ def _mi_and_dof(table):
     nonzero_cols = (n_jk > 0).sum(axis=1)
     per_stratum = np.maximum(nonzero_rows - 1, 0) * np.maximum(nonzero_cols - 1, 0)
     return float(terms.sum() / table.n), int(per_stratum.sum())
+
+
+def _mi_and_dof_batch(counts, l, n):
+    """_mi_and_dof of each table in a batch, in one vectorized pass.
+
+    counts (float) has shape (r, c, sum(l)) and holds the tables side by
+    side: table t is on the l[t] strata after those of the tables before
+    it. The marginals are sums of integer counts, so they are exact; every
+    cell's term is _mi_and_dof's expression; and each table's terms are
+    summed alone, over a C-contiguous copy, in the order _mi_and_dof sums
+    them. So every value equals _mi_and_dof's on that table, bit for bit.
+    """
+    ni_k = counts.sum(axis=1, keepdims=True)
+    n_jk = counts.sum(axis=0, keepdims=True)
+    n__k = counts.sum(axis=(0, 1), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = counts * n__k / (ni_k * n_jk)
+        terms = np.where(counts > 0, counts * np.log(ratio), 0.0)
+    nonzero_rows = (ni_k > 0).sum(axis=0)
+    nonzero_cols = (n_jk > 0).sum(axis=1)
+    per_stratum = np.maximum(nonzero_rows - 1, 0) * np.maximum(nonzero_cols - 1, 0)
+    ends = np.cumsum(l).tolist()
+    starts = [0, *ends[:-1]]
+    mi = [
+        float(np.ascontiguousarray(terms[:, :, s:e]).sum() / n)
+        for s, e in zip(starts, ends)
+    ]
+    return mi, np.add.reduceat(per_stratum[0], starts).tolist()
 
 
 def mutual_information(table):
@@ -124,18 +152,64 @@ def test_independence(data, x, y, z=(), cfg=None):
     return TestResult(p, stat, dof, False, p > cfg.alpha)
 
 
+def _nominal_power_verdict(arity, n, x, y, z, cfg):
+    # The power rule on the nominal cell count, which needs no table: the
+    # verdict, or None.
+    if cfg.power_cells == "nominal":
+        cells = arity[x] * arity[y] * math.prod([arity[v] for v in z])
+        if n / cells < cfg.power_threshold:
+            return TestResult(1.0, 0.0, 0, True, True)
+    return None
+
+
+def _decide(counts, l, n, cfg):
+    # test_independence's verdicts on the (x, y, z) tables side by side in
+    # counts (see _mi_and_dof_batch) that the nominal power rule let
+    # through: the observed power rule, the dof <= 0 rule, then the
+    # chi-square p-value. A single test keeps test_independence's scalar
+    # path, which is cheaper for one table.
+    r, c, _ = counts.shape
+    observed = cfg.power_cells == "observed"
+    sparse = [observed and n / (r * c * li) < cfg.power_threshold for li in l]
+    mis, dofs = _mi_and_dof_batch(counts.astype(float, copy=False), l, n)
+    stats = np.array([2.0 * n * mi for mi in mis])
+    tested = (np.array(dofs) > 0) & ~np.array(sparse, dtype=bool)
+    if (stats[tested] < 0).any():
+        # chi2_survival rejects it; the batch queries rerun their batch one
+        # test at a time, which raises where the loop would
+        raise ValueError("x must be non-negative")
+    p_values = np.ones(len(l))
+    p_values[tested] = gammaincc(np.array(dofs)[tested] / 2.0, stats[tested] / 2.0)
+    out = []
+    for power, stat, dof, p in zip(sparse, stats.tolist(), dofs, p_values.tolist()):
+        if power:
+            out.append(TestResult(1.0, 0.0, 0, True, True))
+        elif dof <= 0:
+            out.append(TestResult(1.0, stat, dof, False, True))
+        else:
+            out.append(TestResult(p, stat, dof, False, p > cfg.alpha))
+    return out
+
+
 class DataIndependenceSource:
     """Statistical independence queries over a dataset, with memoization.
 
     Results are cached under the canonical key (min(x,y), max(x,y),
     sorted(z)); cached and uncached paths return identical values because
     the test is a pure function of the data.
+
+    Besides the one-at-a-time queries it answers two batch queries,
+    ``results`` and ``first_independent``. Each returns what the sequential
+    loop it stands for would, leaves the same keys in the cache in the same
+    order, and computes the G2 statistics of a batch in one vectorized
+    pass (``_mi_and_dof_batch``).
     """
 
     def __init__(self, data, cfg=None):
         self.data = data
         self.cfg = cfg or TestConfig()
         self._cache = {}
+        self._arity = data.arities
 
     @property
     def n_vars(self):
@@ -146,9 +220,13 @@ class DataIndependenceSource:
         """How many distinct tests have run: the number of cache keys."""
         return len(self._cache)
 
-    def result(self, x, y, z=()):
+    @staticmethod
+    def _key(x, y, z):
         key = (x, y) if x < y else (y, x)
-        key = key + (tuple(sorted(z)),)
+        return key + (tuple(sorted(z)),)
+
+    def result(self, x, y, z=()):
+        key = self._key(x, y, z)
         hit = self._cache.get(key)
         if hit is None:
             hit = test_independence(self.data, key[0], key[1], key[2], self.cfg)
@@ -161,3 +239,166 @@ class DataIndependenceSource:
     def p_value(self, x, y, z=()):
         return self.result(x, y, z).p_value
 
+    def results(self, queries):
+        """[result(x, y, z) for (x, y, z) in queries], in one batch.
+
+        Each table is counted with ``count_table``; the statistics of up to
+        about U table cells (U distinct rows) go through one vectorized
+        pass. A batch that would raise anywhere, and any batch on an empty
+        dataset, is run one test at a time, so the error and the cache
+        contents are those of the loop.
+        """
+        keys = [self._key(*q) for q in queries]
+        todo = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        try:
+            fresh = self._counted_results(todo) if self.data.n else None
+        except ValueError:
+            fresh = None
+        if fresh is None:
+            fresh = {key: self.result(*key) for key in todo}
+        self._cache.update(fresh)
+        return [self._cache[key] for key in keys]
+
+    def first_independent(self, x, y, zsets, scope):
+        """The first z in zsets with x and y independent given z, or None.
+
+        The answer, the cache keys and their order are those of asking
+        independent(x, y, z) for each z in turn until one holds. Every z
+        must be a subset of scope. While the nominal (x, y, scope) table
+        fits count_table's one-pass bound (4U + 1024 cells), it is counted
+        once, on the first uncached test, and each z's table is an exact
+        integer marginal of it. The tests are worked ahead in blocks that
+        double from four, each of at most about U cells (table cells plus
+        the joint's nonzero cells per table), and only the tests up to the
+        first independent one are cached. A wider scope, or an empty
+        dataset, runs the loop.
+        """
+        zsets = iter(zsets)
+        data = self.data
+        lo, hi = (x, y) if x < y else (y, x)
+        scope = tuple(sorted(scope))
+        arity = self._arity
+        rc = arity[lo] * arity[hi]
+        cap = data.distinct_rows[1].size
+        wide = rc * math.prod([arity[v] for v in scope]) > 4 * cap + 1024
+        if wide or data.n == 0 or lo == hi or lo in scope or hi in scope:
+            return next((z for z in zsets if self.independent(x, y, z)), None)
+        joint = None
+        ahead = 4
+        while True:
+            walk, todo, cells = [], {}, 0
+            for z in zsets:
+                key = (lo, hi, tuple(sorted(z)))
+                walk.append((z, key))
+                hit = self._cache.get(key)
+                if hit is None and key not in todo:
+                    hit = todo[key] = _nominal_power_verdict(
+                        arity, data.n, *key, self.cfg)
+                    if hit is None:
+                        joint = joint or _Joint(data, lo, hi, scope)
+                        cells += rc * joint.strata(key[2]) + joint.nonzero
+                found = hit is not None and hit.independent
+                if found or len(todo) >= ahead or cells >= cap:
+                    break
+            if not walk:
+                return None
+            try:
+                fresh = self._marginal_results(joint, todo)
+            except ValueError:
+                fresh = None
+            for z, key in walk:
+                hit = self._cache.get(key)
+                if hit is None:
+                    hit = self._cache[key] = (
+                        fresh[key] if fresh is not None else self.result(*key))
+                if hit.independent:
+                    return z
+            ahead *= 2
+
+    def _counted_results(self, keys):
+        # {key: TestResult} of the uncached keys, tables from count_table;
+        # the tables of one (r, c) shape go through one statistic pass.
+        data, cfg = self.data, self.cfg
+        out, batch, cells = {}, {}, 0
+        for key in keys:
+            x, y, z = key
+            if x == y or x in z or y in z:
+                raise ValueError("x, y and z must be distinct")
+            out[key] = _nominal_power_verdict(self._arity, data.n, x, y, z, cfg)
+            if out[key] is None:
+                table = count_table(data, (x, y), z)
+                batch.setdefault(table.shape[:2], []).append((key, table))
+                cells += table.size
+            if cells >= data.distinct_rows[1].size:
+                out.update(self._table_results(batch))
+                batch, cells = {}, 0
+        out.update(self._table_results(batch))
+        return out
+
+    def _table_results(self, batch):
+        # (key, TestResult) pairs of the tables batch holds per shape.
+        for group in batch.values():
+            counts = np.concatenate([table for _, table in group], axis=2)
+            l = [table.shape[2] for _, table in group]
+            res = _decide(counts, l, self.data.n, self.cfg)
+            yield from zip((key for key, _ in group), res)
+
+    def _marginal_results(self, joint, todo):
+        # {key: TestResult} of the uncached keys in todo, which holds the
+        # nominal power-rule verdicts; the other tables are marginals of
+        # joint.
+        zsets = [key[2] for key, hit in todo.items() if hit is None]
+        if zsets:
+            counts, l = joint.marginals(zsets)
+            res = _decide(counts, l, self.data.n, self.cfg)
+            todo.update(zip(((joint.lo, joint.hi, z) for z in zsets), res))
+        return todo
+
+
+class _Joint:
+    """Counts of (lo, hi, *scope), kept as the nonzero cells, from which
+    the (lo, hi, z) table of any z within scope is taken as an exact
+    integer marginal."""
+
+    def __init__(self, data, lo, hi, scope):
+        self.lo, self.hi = lo, hi
+        self.r, self.c = data.arity(lo), data.arity(hi)
+        self._arities = {v: data.arity(v) for v in scope}
+        self._position = {v: i for i, v in enumerate(scope)}
+        joint = count_table(data, (lo, hi, *scope)).reshape(self.r * self.c, -1)
+        # head cell, scope-configuration digits and count of each nonzero cell
+        self._head, config = np.nonzero(joint)
+        self._weights = joint[self._head, config].astype(float)
+        self.nonzero = config.size
+        shape = tuple(self._arities.values())
+        digits = np.unravel_index(config, shape) if scope else ()
+        self._digits = np.array(digits, dtype=float).reshape(len(scope), config.size)
+
+    def strata(self, z):
+        """Nominal configurations of z."""
+        return math.prod(self._arities[v] for v in z)
+
+    def marginals(self, zsets):
+        """(counts, l): the (lo, hi, z) tables of the sorted zsets side by
+        side, shape (r, c, sum(l)); table t holds the l[t] observed
+        z-configurations in rank order, as count_table lays them out."""
+        # radix[t, i]: the weight of scope variable i in z_t's mixed-radix
+        # code (last of z fastest); the codes are small integers, exact in
+        # the float product
+        radix = np.zeros((len(zsets), len(self._position)))
+        strata = np.empty(len(zsets), dtype=np.intp)
+        for t, z in enumerate(zsets):
+            step = 1
+            for v in reversed(z):
+                radix[t, self._position[v]] = step
+                step *= self._arities[v]
+            strata[t] = step
+        ends = np.cumsum(strata)
+        code = (radix @ self._digits).astype(np.intp) + (ends - strata)[:, None]
+        seen = np.cumsum(np.bincount(code.ravel(), minlength=int(ends[-1])) > 0)
+        total = int(seen[-1])
+        cell = self._head * total + seen[code] - 1
+        weights = np.broadcast_to(self._weights, cell.shape).ravel()
+        counts = np.bincount(cell.ravel(), weights, minlength=self.r * self.c * total)
+        l = np.diff(seen[ends - 1], prepend=0).tolist()
+        return counts.reshape(self.r, self.c, total), l

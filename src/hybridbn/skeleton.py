@@ -24,7 +24,20 @@ from .independence import TestConfig
 
 
 class IndependenceSource(Protocol):
-    """What the discovery algorithms need from an independence backend."""
+    """What the discovery algorithms need from an independence backend.
+
+    A source may also answer two batch queries, which the discovery loops
+    use when present (DataIndependenceSource has both):
+
+    - ``results(queries)``: for a list of (x, y, z), the objects that carry
+      ``independent`` and ``p_value`` for each, as if each were asked in
+      turn;
+    - ``first_independent(x, y, zsets, scope)``: the first z of the
+      iterable zsets (each a subset of scope) with ``independent(x, y, z)``,
+      or None, asking no test after it.
+
+    A source without them is asked one test at a time, in the same order.
+    """
 
     @property
     def n_vars(self) -> int: ...
@@ -32,6 +45,16 @@ class IndependenceSource(Protocol):
     def independent(self, x, y, z=()) -> bool: ...
 
     def p_value(self, x, y, z=()) -> float: ...
+
+
+def _ask_all(src, queries, answer):
+    # [src.<answer>(x, y, z) for (x, y, z) in queries], answer being
+    # "independent" or "p_value", in one batch where the source has one.
+    batch = getattr(src, "results", None)
+    if batch is None:
+        ask = getattr(src, answer)
+        return [ask(*q) for q in queries]
+    return [getattr(res, answer) for res in batch(queries)]
 
 
 @dataclass(frozen=True)
@@ -81,8 +104,9 @@ def de_pcs(target, src, universe):
     """
     pcs = [v for v in sorted(universe) if v != target]
     dsep = {}
-    for x in list(pcs):
-        if src.independent(target, x, ()):
+    marginal = _ask_all(src, [(target, x, ()) for x in pcs], "independent")
+    for x, independent in zip(list(pcs), marginal):
+        if independent:
             pcs.remove(x)
             dsep[x] = frozenset()
     for x in list(pcs):
@@ -105,10 +129,9 @@ def de_sps(target, src, universe, pcs, dsep):
     outside = [v for v in sorted(universe) if v != target and v not in pcs]
     sps = set()
     for x in sorted(pcs):
-        local = []
-        for y in outside:
-            if not src.independent(target, y, tuple(sorted(dsep[y] | {x}))):
-                local.append(y)
+        queries = [(target, y, tuple(sorted(dsep[y] | {x}))) for y in outside]
+        grown = _ask_all(src, queries, "independent")
+        local = [y for y, independent in zip(outside, grown) if not independent]
         for y in list(local):
             for z in [w for w in local if w != y]:
                 if src.independent(target, y, tuple(sorted((x, z)))):
@@ -149,17 +172,16 @@ def iamb_fdr(target, src, universe, alpha):
         changed = False
         candidates = [v for v in order if v not in mb]
         if candidates:
-            ps = [(v, src.p_value(target, v, tuple(mb))) for v in candidates]
+            queries = [(target, v, tuple(mb)) for v in candidates]
+            ps = list(zip(candidates, _ask_all(src, queries, "p_value")))
             survivors = _bh_significant(ps, alpha)
             if survivors:
                 best = min((p, v) for v, p in ps if v in survivors)[1]
                 mb.append(best)
                 changed = True
         while mb:
-            ps = [
-                (v, src.p_value(target, v, tuple(u for u in mb if u != v)))
-                for v in mb
-            ]
+            queries = [(target, v, tuple(u for u in mb if u != v)) for v in mb]
+            ps = list(zip(mb, _ask_all(src, queries, "p_value")))
             survivors = _bh_significant(ps, alpha)
             failures = [(p, v) for v, p in ps if v not in survivors]
             if not failures:
@@ -178,15 +200,18 @@ def _separated(target, x, boundary, src, max_condset):
     boundary is the target's Markov boundary estimate (sorted), so it never
     holds the target. Subsets are tried in ascending size up to
     max_condset, in itertools.combinations order within a size; the first
-    separating one ends the search.
+    separating one ends the search (a source's first_independent may work
+    ahead, but asks for no test after it).
     """
     others = [v for v in boundary if v != x]
     cap = len(others) if max_condset is None else min(max_condset, len(others))
-    return any(
-        src.independent(target, x, zs)
-        for size in range(cap + 1)
-        for zs in itertools.combinations(others, size)
+    zsets = (
+        zs for size in range(cap + 1) for zs in itertools.combinations(others, size)
     )
+    first = getattr(src, "first_independent", None)
+    if first is None:
+        return any(src.independent(target, x, zs) for zs in zsets)
+    return first(target, x, zsets, others) is not None
 
 
 def hpc(target, src, universe=None, cfg=None):

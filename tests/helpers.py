@@ -580,6 +580,18 @@ def reference_load_csv(path, delimiter=",", header=True):
     return CategoricalDataset(tuple(names), tuple(tuple(t) for t in tokens), rows)
 
 
+def reference_write_csv(data, path, delimiter=","):
+    """write_csv as first written: one csv row per dataset row, a token
+    lookup per cell."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(data.names)
+        for row in data.rows:
+            writer.writerow([data.levels[i][v] for i, v in enumerate(row)])
+
+
 def reference_contingency(data, x, y, z=()):
     """Contingency table from strided int32 row reads and sorted codes."""
     from hybridbn.data import ContingencyTable
@@ -690,6 +702,24 @@ class RecordingSource:
 
     def p_value(self, x, y, z=()):
         self._note(z)
+        return self.inner.p_value(x, y, z)
+
+
+class SequentialSource:
+    """IndependenceSource view of a source without its batch queries, so
+    the discovery loops ask it one test at a time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def n_vars(self):
+        return self.inner.n_vars
+
+    def independent(self, x, y, z=()):
+        return self.inner.independent(x, y, z)
+
+    def p_value(self, x, y, z=()):
         return self.inner.p_value(x, y, z)
 
 

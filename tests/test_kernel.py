@@ -33,6 +33,7 @@ from hybridbn.skeleton import build_skeleton
 from hybridbn.synthetic import child_shape_network
 
 from helpers import (
+    SequentialSource,
     bdeu_family_oracle,
     reference_config_codes,
     reference_contingency,
@@ -315,7 +316,8 @@ def test_child_sample_matches_reference(child_sample, power_cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(independence_mod, "test_independence", reference)
         ref = DataIndependenceSource(child_sample, cfg)
-        ref_skeleton = build_skeleton(ref, cfg, jobs=1)
+        # batch queries do not go through test_independence: ask one at a time
+        ref_skeleton = build_skeleton(SequentialSource(ref), cfg, jobs=1)
     # every cached result came from the reference path
     assert len(reference_calls) == len(ref._cache) > 100
     assert max(len(z) for _, _, z in ref._cache) >= 4
@@ -325,6 +327,124 @@ def test_child_sample_matches_reference(child_sample, power_cells):
         src = DataIndependenceSource(child_sample, cfg)
         assert build_skeleton(src, cfg, jobs=jobs).edges == ref_skeleton.edges
         assert src._cache == ref._cache
+        assert list(src._cache) == list(ref._cache)
+
+
+def uniform_rows(rng, n, arities):
+    return np.column_stack([rng.integers(0, a, size=n) for a in arities])
+
+
+def canonical(x, y, z):
+    return (x, y, tuple(sorted(z))) if x < y else (y, x, tuple(sorted(z)))
+
+
+def assert_batches_match_reference(data, cfg, queries):
+    """results() over the queries, first_independent() over each pair's
+    conditioning sets, and every result either of them caches, equal (==)
+    the reference test; returns the reference results."""
+    keys = [canonical(*q) for q in queries]
+    want = [reference_test_independence(data, *key, cfg) for key in keys]
+    assert DataIndependenceSource(data, cfg).results(queries) == want
+    by_pair = {}
+    for x, y, z in keys:
+        by_pair.setdefault((x, y), []).append(z)
+    for (x, y), zsets in by_pair.items():
+        src = DataIndependenceSource(data, cfg)
+        scope = sorted(set().union(*zsets))
+        # one batch up to the first independent test, then every test
+        src.first_independent(x, y, zsets, scope)
+        for z in zsets:
+            src.first_independent(x, y, [z], scope)
+        assert list(src._cache) == list(dict.fromkeys((x, y, z) for z in zsets))
+        for key, res in src._cache.items():
+            assert res == reference_test_independence(data, *key, cfg)
+    return want
+
+
+class TestBatchedStatistic:
+    """The batch queries compute the G2 statistic of many tables in one
+    pass; every result must still equal the reference test's."""
+
+    def test_tables_past_the_pairwise_block(self):
+        # numpy sums more than 128 terms pairwise in blocks; 360 and 9,600
+        # cells (the last past numpy's 8,192-element buffer too)
+        rng = np.random.default_rng(11)
+        arities = [6, 5, 3, 4, 40, 30, 8]
+        data = CategoricalDataset.from_array(
+            uniform_rows(rng, 3000, arities), arities=arities)
+        cfg = Config(power_threshold=0.01)
+        queries = [(0, 1, (2, 3)), (1, 0, (3,)), (0, 1, ()), (0, 1, (2,)),
+                   (0, 2, (3,)), (4, 5, (6,)), (5, 4, ()), (4, 5, (3,))]
+        assert {6 * 5 * 12, 40 * 30 * 8} <= {
+            contingency(data, *q).counts.size for q in queries}
+        assert_batches_match_reference(data, cfg, queries)
+
+    def test_dense_tables_side_by_side(self):
+        # several tables of 1,200 to 28,800 cells in one batch, dense and of
+        # skewed counts, so a sum in another order would move the last
+        # bits: each must be summed as if alone
+        rng = np.random.default_rng(3)
+        n = 100_000
+        x = np.minimum(rng.geometric(0.15, size=n) - 1, 39)
+        y = (x * 3 // 4 + np.minimum(rng.geometric(0.3, size=n) - 1, 29)) % 30
+        z = rng.integers(0, 8, size=n)
+        w = (x + rng.integers(0, 2, size=n)) % 3
+        data = CategoricalDataset.from_array(
+            np.column_stack([x, y, z, w]), arities=[40, 30, 8, 3])
+        queries = [(0, 1, (3,)), (1, 0, (2,)), (0, 1, ()), (0, 1, (2, 3))]
+        assert_batches_match_reference(data, Config(power_threshold=0.5), queries)
+
+    def test_strata_with_empty_rows_and_columns(self):
+        # given z = 0, x is always 0 (all-zero rows); given z = 1, y is
+        # always 1 (all-zero columns); z = 2 is unconstrained
+        rng = np.random.default_rng(12)
+        z = rng.integers(0, 3, size=400)
+        w = rng.integers(0, 2, size=400)
+        x = np.where(z == 0, 0, rng.integers(0, 3, size=400))
+        y = np.where(z == 1, 1, (x + rng.integers(0, 2, size=400)) % 3)
+        data = CategoricalDataset.from_array(np.column_stack([x, y, z, w]))
+        cfg = Config(power_threshold=0.5)
+        want = assert_batches_match_reference(
+            data, cfg, [(0, 1, (2,)), (0, 1, (2, 3)), (1, 0, (3,)), (0, 1, ())])
+        # the adjustment drops the empty rows and columns from the dof
+        assert want[0].dof == 0 + 0 + 2 * 2
+
+    @pytest.mark.parametrize("power_cells", ["nominal", "observed"])
+    def test_dof_zero_and_power_rule_verdicts(self, power_cells):
+        # x copies z, so x is constant in every z stratum: dof 0; the wide
+        # conditioning sets fall under the power rule
+        rng = np.random.default_rng(13)
+        arities = [3, 3, 3, 4, 4, 4]
+        rows = uniform_rows(rng, 200, arities)
+        rows[:, 0] = rows[:, 2]
+        data = CategoricalDataset.from_array(rows, arities=arities)
+        cfg = Config(power_cells=power_cells)
+        want = assert_batches_match_reference(data, cfg, [
+            (0, 1, (2,)), (1, 0, (2, 3)), (0, 1, ()), (0, 1, (3, 4)),
+            (1, 2, (3, 4, 5)), (1, 2, ()), (0, 1, (2, 4))])
+        kinds = {(r.decided_by_power_rule, r.dof <= 0) for r in want}
+        assert {(True, True), (False, True), (False, False)} <= kinds
+
+    def test_batch_caches_up_to_its_first_independent_test(self):
+        # x -> w -> y, and u apart: x and y are dependent given () and u,
+        # independent given w; the block of four works past w but keeps
+        # only the tests the loop asks
+        rng = np.random.default_rng(14)
+        n = 5000
+        x = rng.integers(0, 2, size=n)
+        w = np.where(rng.random(n) < 0.9, x, 1 - x)
+        y = np.where(rng.random(n) < 0.9, w, 1 - w)
+        u = rng.integers(0, 2, size=n)
+        data = CategoricalDataset.from_array(np.column_stack([x, y, w, u]))
+        zsets = [(), (3,), (2,), (2, 3)]
+        loop = DataIndependenceSource(data)
+        assert [loop.independent(0, 1, z) for z in zsets] == [False, False, True, True]
+        src = DataIndependenceSource(data)
+        assert src.first_independent(0, 1, iter(zsets), (2, 3)) == (2,)
+        assert src.distinct_tests == 3
+        assert list(src._cache) == list(loop._cache)[:3]
+        for key, res in src._cache.items():
+            assert res == reference_test_independence(data, *key)
 
 
 def test_family_counts_match_reference(child_sample):

@@ -15,7 +15,7 @@ from hybridbn.network import BayesianNetwork, read_network, write_network
 from hybridbn.skeleton import read_skeleton, write_skeleton
 from hybridbn.synthetic import random_dag, random_network
 
-from helpers import true_skeleton
+from helpers import reference_write_csv, true_skeleton
 
 # Names and tokens are any text JSON can carry, quotes and non-ASCII
 # included; CSV tokens exclude what the format itself cannot keep (line
@@ -97,3 +97,28 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
         want = np.array(ds.levels[i], dtype=object)[ds.rows[:, i]]
         assert got.tolist() == want.tolist()
         assert set(back.levels[i]) <= set(ds.levels[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 511, 512, 513, 1100]),
+    arities=st.lists(st.integers(1, 4), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    delimiter=st.sampled_from([",", ";", "\t", "a"]),
+    data=st.data(),
+)
+def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed,
+                                               delimiter, data):
+    # any text, delimiters, quotes and line breaks included, across the
+    # 512-row blocks, and with no column at all
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.integers(0, a, size=n) for a in arities]
+                           or [np.zeros((n, 0), dtype=int)])
+    text = st.text(max_size=4)
+    names = data.draw(st.lists(text, min_size=len(arities), max_size=len(arities),
+                               unique=True))
+    levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
+    ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
+    write_csv(ds, out_dir / "got.csv", delimiter)
+    reference_write_csv(ds, out_dir / "want.csv", delimiter)
+    assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
