@@ -18,6 +18,7 @@ from .data import (
     CategoricalDataset,
     count_table,
     kfold,
+    observed_config_codes,
     parse_numeric_column,
     write_csv,
 )
@@ -106,18 +107,33 @@ class PowersetClassifier:
 
 
 def fit_powerset_classifier(train, block, features, smoothing=1.0):
-    """Estimate p(class | features) for one block from training rows."""
+    """Estimate p(class | features) for one block from training rows.
+
+    The classes and their counts come from the training set's distinct-row
+    store: ``observed_config_codes`` ranks each distinct row's block
+    configuration in mixed-radix order (last label fastest), which is the
+    lexicographic order of ``np.unique(..., axis=0)`` and the column order of
+    ``count_table(train, (f,), block)``, and a weighted ``bincount`` of the
+    ranks gives each class's count. A training set with no rows is a
+    ValueError.
+    """
     block = tuple(sorted(block))
     features = tuple(sorted(features))
     if not block:
         raise ValueError("empty block")
+    if train.n == 0:
+        raise ValueError("no training rows")
     if set(block) & set(features):
         raise ValueError("features must be disjoint from the block's labels")
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise ValueError("smoothing must be finite and non-negative")
-    classes, n_c = np.unique(train.rows[:, list(block)], axis=0,
-                             return_counts=True)
-    log_prior = np.log(n_c.astype(float) / train.n)
+    columns, weights = train.distinct_rows
+    configs = columns[list(block)]
+    ranks, k = observed_config_codes(configs.T, [train.arity(y) for y in block])
+    n_c = np.bincount(ranks, weights, minlength=k)
+    first = np.empty(k, dtype=np.intp)
+    first[ranks] = np.arange(ranks.size)
+    log_prior = np.log(n_c / train.n)
     log_like = []
     with np.errstate(divide="ignore"):
         for f in features:
@@ -129,7 +145,7 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
     return PowersetClassifier(
         block=block,
         features=features,
-        classes=tuple(tuple(int(v) for v in row) for row in classes),
+        classes=tuple(map(tuple, configs[:, first].T.tolist())),
         log_prior=log_prior,
         log_like=log_like,
     )
@@ -211,23 +227,27 @@ class MlcConfig:
             raise ValueError("jobs must be at least 1")
 
 
-def _binarize_for_fold(data, train_idx, labels):
-    # Median split of every non-label column with arity > 2, medians taken
-    # from the training rows only; binary columns are left alone.
+def _numeric_columns(data, labels):
+    # {column: its values as floats} for every column the binarizer splits:
+    # each non-label column with arity > 2. The parse does not depend on the
+    # fold, so it is done once per dataset.
+    label_set = set(labels)
+    return {col: parse_numeric_column(data, col) for col in range(data.d)
+            if col not in label_set and data.arity(col) > 2}
+
+
+def _binarize_for_fold(data, train_idx, numeric):
+    # Median split of every column of numeric (_numeric_columns), medians
+    # taken from the training rows only; other columns are left alone, and
+    # with no such column the data itself is returned.
+    if not numeric:
+        return data
     rows = np.array(data.rows)
     levels = list(data.levels)
-    label_set = set(labels)
-    changed = False
-    for col in range(data.d):
-        if col in label_set or data.arity(col) <= 2:
-            continue
-        numeric = parse_numeric_column(data, col)
-        med = float(np.median(numeric[train_idx]))
-        rows[:, col] = (numeric > med).astype(np.int32)
+    for col, values in numeric.items():
+        med = float(np.median(values[train_idx]))
+        rows[:, col] = (values > med).astype(np.int32)
         levels[col] = ("le_median", "gt_median")
-        changed = True
-    if not changed:
-        return data
     return CategoricalDataset(data.names, tuple(levels), rows)
 
 
@@ -283,14 +303,13 @@ def run_scenarios(data, labels, scenarios, cfg=None):
     all_features = tuple(v for v in range(data.d) if v not in set(labels))
     folds = kfold(data.n, cfg.folds, cfg.seed)
     needs_graph = any(_SCENARIO_RULES[k] != (None, None) for k in keys)
+    numeric = _numeric_columns(data, labels) if cfg.binarize else {}
 
     def run_fold(f):
         started = time.perf_counter()
         train_idx = folds.train_indices(f)
         test_idx = folds.test_indices(f)
-        fold_data = (
-            _binarize_for_fold(data, train_idx, labels) if cfg.binarize else data
-        )
+        fold_data = _binarize_for_fold(data, train_idx, numeric)
         train = fold_data.subset_rows(train_idx)
         dag = (
             learn_local_dag(train, labels, cfg.test, cfg.score)

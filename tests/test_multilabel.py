@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn import multilabel as multilabel_mod
-from hybridbn.data import CategoricalDataset, kfold
+from hybridbn.data import (
+    CategoricalDataset,
+    DataError,
+    kfold,
+    parse_numeric_column,
+)
 from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.multilabel import (
     SCENARIOS,
     MlcConfig,
     _binarize_for_fold,
+    _numeric_columns,
     fit_powerset_classifier,
     global_accuracy,
     learn_local_dag,
@@ -178,6 +184,12 @@ class TestPowersetClassifier:
                 fit_powerset_classifier(ds, block=(1,), features=(0,),
                                         smoothing=smoothing)
 
+    def test_no_training_rows_rejected(self):
+        # a classifier with no classes could not predict
+        empty = dataset(np.zeros((0, 2)), (2, 2))
+        with pytest.raises(ValueError, match="no training rows"):
+            fit_powerset_classifier(empty, block=(1,), features=(0,))
+
     def test_mpe_concatenates_disjoint_blocks(self):
         x = np.arange(40) % 2
         rows = np.column_stack([x, x, 1 - x])
@@ -209,16 +221,21 @@ class TestPowersetClassifier:
 
 @st.composite
 def powerset_cases(draw):
-    # blocks of one to four labels, zero to four features, arities up to 5
-    d = draw(st.integers(2, 7))
-    arities = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+    # blocks of one to seven labels, zero to four features, arities up to 7,
+    # so the block's nominal space can pass observed_config_codes' 4n+1024
+    # span (its prefix-ranking path). A wide column, with more levels than
+    # 16 times that span, sends the ranking to its sort path.
+    d = draw(st.integers(2, 10))
+    arities = draw(st.lists(st.integers(1, 7), min_size=d, max_size=d))
     n = draw(st.integers(1, 120))
+    if draw(st.booleans()):
+        arities[draw(st.integers(0, d - 1))] = 16 * (4 * n + 1024) + 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = np.column_stack(
         [rng.integers(0, a, size=n) for a in arities]
     ).astype(np.int32)
     order = draw(st.permutations(range(d)))
-    size = draw(st.integers(1, min(4, d)))
+    size = draw(st.integers(1, min(7, d)))
     block = tuple(order[:size])
     features = tuple(draw(st.sets(st.sampled_from(order[size:]), max_size=4))
                      if size < d else ())
@@ -226,21 +243,31 @@ def powerset_cases(draw):
     return dataset(rows, arities), block, features, smoothing
 
 
+def assert_equal_to_reference(ds, block, features, smoothing=1.0):
+    clf = fit_powerset_classifier(ds, block, features, smoothing)
+    classes, log_prior, log_like = reference_powerset_tables(
+        ds, clf.block, clf.features, smoothing
+    )
+    assert clf.classes == classes
+    np.testing.assert_array_equal(clf.log_prior, log_prior)
+    assert len(clf.log_like) == len(log_like)
+    for got, want in zip(clf.log_like, log_like):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 class TestPowersetTables:
     @given(powerset_cases())
     @settings(max_examples=150, deadline=None)
     def test_equal_to_the_bincount_reference(self, case):
-        ds, block, features, smoothing = case
-        clf = fit_powerset_classifier(ds, block, features, smoothing)
-        classes, log_prior, log_like = reference_powerset_tables(
-            ds, clf.block, clf.features, smoothing
-        )
-        assert clf.classes == classes
-        np.testing.assert_array_equal(clf.log_prior, log_prior)
-        assert len(clf.log_like) == len(log_like)
-        for got, want in zip(clf.log_like, log_like):
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+        assert_equal_to_reference(*case)
+
+    @pytest.mark.parametrize("block", [(8,), (8, 9, 10), tuple(range(8, 14))])
+    def test_mlc_cv_shaped_training_fold(self, block):
+        # a training fold of the mlc-cv data: 4,500 rows of the two-cluster
+        # network, every non-label column a feature
+        ds = forward_sample(two_cluster_network(), 4500, seed=3)
+        assert_equal_to_reference(ds, block, range(8))
 
 
 class TestGlobalAccuracy:
@@ -524,7 +551,7 @@ class TestFoldBinarizer:
     def test_median_from_training_rows_only(self):
         ds = self._data()
         # training median of 1, 2, 3, 4, 10 is 3; all eight rows give 7
-        out = _binarize_for_fold(ds, np.arange(5), labels=[1])
+        out = _binarize_for_fold(ds, np.arange(5), _numeric_columns(ds, [1]))
         assert out.levels[0] == ("le_median", "gt_median")
         assert out.rows[:, 0].tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
         # the label and the binary feature are left as they are
@@ -534,5 +561,34 @@ class TestFoldBinarizer:
     def test_ties_go_low(self):
         ds = self._data()
         # training values 3, 4, 10: the median 4 is itself a training value
-        out = _binarize_for_fold(ds, np.array([2, 3, 4]), labels=[1])
+        out = _binarize_for_fold(ds, np.array([2, 3, 4]),
+                                 _numeric_columns(ds, [1]))
         assert out.rows[:, 0].tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_each_column_is_parsed_once(self, monkeypatch, folds):
+        # the parse does not depend on the fold: one per binarized column
+        # (here the features 0 and 2), at any number of folds
+        rng = np.random.default_rng(31)
+        rows = np.column_stack(
+            [rng.integers(0, a, 40) for a in (5, 2, 4, 2)]
+        ).astype(np.int32)
+        ds = dataset(rows, (5, 2, 4, 2))
+        parsed = []
+
+        def counting(data, col):
+            parsed.append(col)
+            return parse_numeric_column(data, col)
+
+        monkeypatch.setattr(multilabel_mod, "parse_numeric_column", counting)
+        run_scenario(ds, [1], "br", MlcConfig(folds=folds, binarize=True))
+        assert parsed == [0, 2]
+
+    def test_first_non_numeric_column_is_reported(self):
+        levels = (("1", "2", "3"), ("a", "b", "c"), ("x", "y", "z"), ("p", "q"))
+        rows = np.array([[i % 3, i % 3, (i + 1) % 3, i % 2] for i in range(12)],
+                        dtype=np.int32)
+        ds = CategoricalDataset(("f", "g", "h", "y"), levels, rows)
+        with pytest.raises(DataError, match=r"^column 'g' is not numeric and "
+                                            r"cannot be binarized$"):
+            run_scenario(ds, [3], "br", MlcConfig(folds=2, binarize=True))
