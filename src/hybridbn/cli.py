@@ -439,6 +439,8 @@ def main(argv=None):
             raise _Usage("--delimiter must be a single character")
         if getattr(args, "jobs", 1) < 1:
             raise _Usage("--jobs must be at least 1")
+        if getattr(args, "seed", 0) < 0:
+            raise _Usage("--seed must be non-negative")
         return args.func(args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)

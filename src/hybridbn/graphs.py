@@ -73,21 +73,6 @@ class Dag:
         self._children[u].add(v)
         self._parents[v].add(u)
 
-    def remove_edge(self, u, v):
-        if v not in self._children[u]:
-            raise ValueError(f"no edge {u}->{v}")
-        self._children[u].remove(v)
-        self._parents[v].remove(u)
-
-    def reverse_edge(self, u, v):
-        self.remove_edge(u, v)
-        try:
-            self.add_edge(v, u)
-        except ValueError:
-            self._children[u].add(v)
-            self._parents[v].add(u)
-            raise
-
     def copy(self):
         g = Dag(self.d)
         g._parents = [set(p) for p in self._parents]
@@ -207,12 +192,6 @@ class Pdag:
         p = cls(g.d)
         for u, v in g.edges():
             p.add_directed(u, v)
-        return p
-
-    def copy(self):
-        p = Pdag(self.d)
-        p.directed = set(self.directed)
-        p.undirected = set(self.undirected)
         return p
 
     def __eq__(self, other):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .data import contingency, count_table
+from .data import count_table
 
 
 @dataclass(frozen=True)
@@ -49,35 +49,20 @@ class TestResult:
     independent: bool
 
 
-def _mi_and_dof(table):
-    # One set of marginals serves both the statistic and the dof. Per
-    # stratum, an all-zero row or column is treated as absent: it cannot
-    # contribute degrees of freedom it does not have in the data.
-    if table.n <= 0:
-        raise ValueError("table is empty")
-    counts = table.counts.astype(float)
-    ni_k = counts.sum(axis=1, keepdims=True)
-    n_jk = counts.sum(axis=0, keepdims=True)
-    n__k = counts.sum(axis=(0, 1), keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = counts * n__k / (ni_k * n_jk)
-        terms = np.where(counts > 0, counts * np.log(ratio), 0.0)
-    nonzero_rows = (ni_k > 0).sum(axis=0)
-    nonzero_cols = (n_jk > 0).sum(axis=1)
-    per_stratum = np.maximum(nonzero_rows - 1, 0) * np.maximum(nonzero_cols - 1, 0)
-    return float(terms.sum() / table.n), int(per_stratum.sum())
-
-
 def _mi_and_dof_batch(counts, l, n):
-    """_mi_and_dof of each table in a batch, in one vectorized pass.
+    """mutual_information and the adjusted dof of each table in a batch.
 
     counts (float) has shape (r, c, sum(l)) and holds the tables side by
     side: table t is on the l[t] strata after those of the tables before
-    it. The marginals are sums of integer counts, so they are exact; every
-    cell's term is _mi_and_dof's expression; and each table's terms are
-    summed alone, over a C-contiguous copy, in the order _mi_and_dof sums
-    them. So every value equals _mi_and_dof's on that table, bit for bit.
+    it. Per stratum, an all-zero row or column is treated as absent: it
+    cannot contribute degrees of freedom it does not have in the data.
+
+    The marginals are sums of integer counts, so they are exact, and each
+    table's terms are summed alone, over a C-contiguous copy. So every
+    value is the one its table gets in a batch of its own, bit for bit.
     """
+    if n <= 0:
+        raise ValueError("table is empty")
     ni_k = counts.sum(axis=1, keepdims=True)
     n_jk = counts.sum(axis=0, keepdims=True)
     n__k = counts.sum(axis=(0, 1), keepdims=True)
@@ -87,6 +72,9 @@ def _mi_and_dof_batch(counts, l, n):
     nonzero_rows = (ni_k > 0).sum(axis=0)
     nonzero_cols = (n_jk > 0).sum(axis=1)
     per_stratum = np.maximum(nonzero_rows - 1, 0) * np.maximum(nonzero_cols - 1, 0)
+    if len(l) == 1:
+        # one table: its terms are the whole array, so no copy is needed
+        return [float(terms.sum() / n)], [int(per_stratum.sum())]
     ends = np.cumsum(l).tolist()
     starts = [0, *ends[:-1]]
     mi = [
@@ -102,12 +90,12 @@ def mutual_information(table):
     MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
     with n_ijk = 0 contribute 0.
     """
-    return _mi_and_dof(table)[0]
+    return _mi_and_dof_batch(table.counts.astype(float), [table.l], table.n)[0][0]
 
 
 def g2_statistic(table):
     """G2 statistic (2n times MI) and the adjusted degrees of freedom."""
-    mi, dof = _mi_and_dof(table)
+    (mi,), (dof,) = _mi_and_dof_batch(table.counts.astype(float), [table.l], table.n)
     return 2.0 * table.n * mi, dof
 
 
@@ -133,23 +121,11 @@ def test_independence(data, x, y, z=(), cfg=None):
     z = tuple(z)
     if x == y or x in z or y in z:
         raise ValueError("x, y and z must be distinct")
-    r = data.arity(x)
-    c = data.arity(y)
-    if cfg.power_cells == "nominal":
-        cells = r * c * math.prod(data.arity(v) for v in z)
-        if data.n / cells < cfg.power_threshold:
-            return TestResult(1.0, 0.0, 0, True, True)
-        table = contingency(data, x, y, z)
-    else:
-        table = contingency(data, x, y, z)
-        cells = r * c * table.l
-        if data.n / cells < cfg.power_threshold:
-            return TestResult(1.0, 0.0, 0, True, True)
-    stat, dof = g2_statistic(table)
-    if dof <= 0:
-        return TestResult(1.0, stat, dof, False, True)
-    p = chi2_survival(stat, dof)
-    return TestResult(p, stat, dof, False, p > cfg.alpha)
+    verdict = _nominal_power_verdict(data.arities, data.n, x, y, z, cfg)
+    if verdict is not None:
+        return verdict
+    counts = count_table(data, (x, y), z)
+    return _decide(counts, [counts.shape[2]], data.n, cfg)[0]
 
 
 def _nominal_power_verdict(arity, n, x, y, z, cfg):
@@ -163,30 +139,24 @@ def _nominal_power_verdict(arity, n, x, y, z, cfg):
 
 
 def _decide(counts, l, n, cfg):
-    # test_independence's verdicts on the (x, y, z) tables side by side in
-    # counts (see _mi_and_dof_batch) that the nominal power rule let
-    # through: the observed power rule, the dof <= 0 rule, then the
-    # chi-square p-value. A single test keeps test_independence's scalar
-    # path, which is cheaper for one table.
+    # The verdicts on the (x, y, z) tables side by side in counts (see
+    # _mi_and_dof_batch) that the nominal power rule let through: the
+    # observed power rule, then dof <= 0, then the chi-square p-value.
+    if not n:
+        # no rows, so no evidence either way: the power rule's verdict
+        return [TestResult(1.0, 0.0, 0, True, True) for _ in l]
     r, c, _ = counts.shape
     observed = cfg.power_cells == "observed"
-    sparse = [observed and n / (r * c * li) < cfg.power_threshold for li in l]
     mis, dofs = _mi_and_dof_batch(counts.astype(float, copy=False), l, n)
-    stats = np.array([2.0 * n * mi for mi in mis])
-    tested = (np.array(dofs) > 0) & ~np.array(sparse, dtype=bool)
-    if (stats[tested] < 0).any():
-        # chi2_survival rejects it; the batch queries rerun their batch one
-        # test at a time, which raises where the loop would
-        raise ValueError("x must be non-negative")
-    p_values = np.ones(len(l))
-    p_values[tested] = gammaincc(np.array(dofs)[tested] / 2.0, stats[tested] / 2.0)
     out = []
-    for power, stat, dof, p in zip(sparse, stats.tolist(), dofs, p_values.tolist()):
-        if power:
+    for li, mi, dof in zip(l, mis, dofs):
+        stat = 2.0 * n * mi
+        if observed and n / (r * c * li) < cfg.power_threshold:
             out.append(TestResult(1.0, 0.0, 0, True, True))
         elif dof <= 0:
             out.append(TestResult(1.0, stat, dof, False, True))
         else:
+            p = chi2_survival(stat, dof)
             out.append(TestResult(p, stat, dof, False, p > cfg.alpha))
     return out
 
@@ -201,8 +171,8 @@ class DataIndependenceSource:
     Besides the one-at-a-time queries it answers two batch queries,
     ``results`` and ``first_independent``. Each returns what the sequential
     loop it stands for would, leaves the same keys in the cache in the same
-    order, and computes the G2 statistics of a batch in one vectorized
-    pass (``_mi_and_dof_batch``).
+    order. A batch's tables go through the kernel of a single test
+    (``_decide``) together, so their G2 statistics take one vectorized pass.
     """
 
     def __init__(self, data, cfg=None):
@@ -244,14 +214,13 @@ class DataIndependenceSource:
 
         Each table is counted with ``count_table``; the statistics of up to
         about U table cells (U distinct rows) go through one vectorized
-        pass. A batch that would raise anywhere, and any batch on an empty
-        dataset, is run one test at a time, so the error and the cache
-        contents are those of the loop.
+        pass. A batch that would raise anywhere is run one test at a time,
+        so the error and the cache contents are those of the loop.
         """
         keys = [self._key(*q) for q in queries]
         todo = [key for key in dict.fromkeys(keys) if key not in self._cache]
         try:
-            fresh = self._counted_results(todo) if self.data.n else None
+            fresh = self._counted_results(todo)
         except ValueError:
             fresh = None
         if fresh is None:
@@ -270,8 +239,7 @@ class DataIndependenceSource:
         integer marginal of it. The tests are worked ahead in blocks that
         double from four, each of at most about U cells (table cells plus
         the joint's nonzero cells per table), and only the tests up to the
-        first independent one are cached. A wider scope, or an empty
-        dataset, runs the loop.
+        first independent one are cached. A wider scope runs the loop.
         """
         zsets = iter(zsets)
         data = self.data
@@ -281,7 +249,7 @@ class DataIndependenceSource:
         rc = arity[lo] * arity[hi]
         cap = data.distinct_rows[1].size
         wide = rc * math.prod([arity[v] for v in scope]) > 4 * cap + 1024
-        if wide or data.n == 0 or lo == hi or lo in scope or hi in scope:
+        if wide or lo == hi or lo in scope or hi in scope:
             return next((z for z in zsets if self.independent(x, y, z)), None)
         joint = None
         ahead = 4

@@ -45,6 +45,30 @@ def is_acyclic(d, edges):
     return seen == d
 
 
+def remove_edge(g, u, v):
+    """Delete the edge u -> v of the Dag g."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"no edge {u}->{v}")
+    g._children[u].remove(v)
+    g._parents[v].remove(u)
+
+
+def reverse_edge(g, u, v):
+    """Turn the edge u -> v of the Dag g into v -> u; when that closes a
+    cycle, g keeps u -> v and the ValueError is raised."""
+    remove_edge(g, u, v)
+    try:
+        g.add_edge(v, u)
+    except ValueError:
+        g.add_edge(u, v)
+        raise
+
+
+def copy_pdag(p):
+    """An independent copy of the Pdag p."""
+    return Pdag(p.d, directed=p.directed, undirected=p.undirected)
+
+
 def ancestors(g, nodes):
     """All ancestors of the given nodes, including the nodes themselves."""
     anc = set(nodes)
@@ -375,7 +399,7 @@ def _reference_legal_moves(dag, skeleton):
     for u, v in edges:
         yield ("delete", u, v)
     for u, v in edges:
-        dag.remove_edge(u, v)
+        remove_edge(dag, u, v)
         reversible = not dag.has_path(u, v)
         dag.add_edge(u, v)
         if reversible:
@@ -436,9 +460,9 @@ def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
         if op == "add":
             dag.add_edge(u, v)
         elif op == "delete":
-            dag.remove_edge(u, v)
+            remove_edge(dag, u, v)
         else:
-            dag.reverse_edge(u, v)
+            reverse_edge(dag, u, v)
             local[u] = scorer.local(u, dag.parents(u))
         local[v] = scorer.local(v, dag.parents(v))
         current += delta

@@ -123,6 +123,7 @@ class TestBadInput:
     def valid_args(command, net_path, csv_path, out):
         # a run of command that succeeds and writes out, before a bad flag
         return {
+            "sample": ["--net", net_path, "--n", 5, "--seed", 0, "--out", out],
             "learn": ["--data", csv_path, "--out", out],
             "learn-skeleton": ["--data", csv_path, "--out", out],
             "mlc": ["--data", csv_path, "--label-count", 1, "--scenario",
@@ -185,6 +186,9 @@ class TestBadInput:
         ("benchmark", "--jobs", "-3", "--jobs must be at least 1"),
         ("benchmark", "--repeats", "0", "--repeats must be at least 1"),
         ("benchmark", "--repeats", "-2", "--repeats must be at least 1"),
+        ("sample", "--seed", "-1", "--seed must be non-negative"),
+        ("mlc", "--seed", "-1", "--seed must be non-negative"),
+        ("benchmark", "--seed", "-1", "--seed must be non-negative"),
     ])
     def test_non_finite_or_negative_setting(self, command, flag, value, message,
                                             small_net, sampled_csv, tmp_path,

@@ -12,7 +12,16 @@ from hybridbn.graphs import (
 )
 from hybridbn.synthetic import random_dag
 
-from helpers import ancestors, d_separated, d_separated_sets, dsep_by_paths, is_acyclic
+from helpers import (
+    ancestors,
+    copy_pdag,
+    d_separated,
+    d_separated_sets,
+    dsep_by_paths,
+    is_acyclic,
+    remove_edge,
+    reverse_edge,
+)
 
 
 class TestDag:
@@ -21,7 +30,7 @@ class TestDag:
         g.add_edge(0, 1)
         assert g.has_edge(0, 1) and not g.has_edge(1, 0)
         assert g.parents(1) == (0,) and g.children(0) == (1,)
-        g.remove_edge(0, 1)
+        remove_edge(g, 0, 1)
         assert g.edge_count() == 0
 
     def test_rejects_cycles_self_loops_duplicates(self):
@@ -36,13 +45,13 @@ class TestDag:
     def test_reverse_edge_restores_on_failure(self):
         g = Dag(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError):
-            g.reverse_edge(0, 2)  # 1->2 and 0->1 force the cycle
+            reverse_edge(g, 0, 2)  # 1->2 and 0->1 force the cycle
         assert g.has_edge(0, 2)
 
     def test_copy_is_independent(self):
         g = Dag(2, [(0, 1)])
         h = g.copy()
-        h.remove_edge(0, 1)
+        remove_edge(h, 0, 1)
         assert g.has_edge(0, 1) and not h.has_edge(0, 1)
 
     def test_equality(self):
@@ -230,7 +239,7 @@ class TestPdag:
 
     def test_equality_and_copy(self):
         p = Pdag(3, directed=[(0, 1)], undirected=[(1, 2)])
-        q = p.copy()
+        q = copy_pdag(p)
         assert p == q
         q.orient(1, 2)
         assert p != q

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hybridbn.independence import (
     mutual_information,
 )
 from hybridbn.independence import TestConfig as Config
+from hybridbn.independence import TestResult as Result
 from hybridbn.independence import test_independence as ci_test
 
 from helpers import DSeparationSource, chi2_sf_oracle, mi_brute
@@ -255,6 +257,27 @@ class TestTestIndependence:
         )
         assert nominal.decided_by_power_rule
         assert not observed.decided_by_power_rule
+
+    @pytest.mark.parametrize("power_cells", ["nominal", "observed"])
+    def test_no_rows(self, power_cells):
+        # no observed stratum is no evidence: every query, single or in a
+        # batch, gets the power rule's verdict, with no division by zero
+        ds = CategoricalDataset.from_array(np.zeros((0, 4), dtype=np.int32),
+                                           arities=[2, 3, 2, 2])
+        cfg = Config(power_cells=power_cells)
+        power = Result(1.0, 0.0, 0, True, True)
+        zsets = [(), (2,), (2, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            src = DataIndependenceSource(ds, cfg)
+            for z in zsets:
+                assert ci_test(ds, 0, 1, z, cfg) == power
+                assert src.result(1, 0, z) == power
+            src = DataIndependenceSource(ds, cfg)
+            assert src.results([(0, 1, z) for z in zsets] + [(2, 3, ())]) == [power] * 4
+            src = DataIndependenceSource(ds, cfg)
+            assert src.first_independent(0, 1, [(2, 3), ()], (2, 3)) == (2, 3)
+            assert list(src._cache.values()) == [power]
 
     def test_validates_arguments(self):
         ds = dataset_from_columns([0, 1], [1, 0])

@@ -20,12 +20,17 @@ from hybridbn import data as data_mod
 from hybridbn import independence as independence_mod
 from hybridbn.data import (
     CategoricalDataset,
+    ContingencyTable,
     contingency,
     nominal_config_codes,
     observed_config_codes,
 )
 from hybridbn.graphs import Dag
-from hybridbn.independence import DataIndependenceSource
+from hybridbn.independence import (
+    DataIndependenceSource,
+    g2_statistic,
+    mutual_information,
+)
 from hybridbn.independence import TestConfig as Config
 from hybridbn.network import fit_cpts, forward_sample
 from hybridbn.scoring import _family_counts, bdeu_local, bic_local
@@ -339,12 +344,14 @@ def canonical(x, y, z):
 
 
 def assert_batches_match_reference(data, cfg, queries):
-    """results() over the queries, first_independent() over each pair's
-    conditioning sets, and every result either of them caches, equal (==)
-    the reference test; returns the reference results."""
+    """results() over the queries, test_independence() on each query's
+    canonical key, first_independent() over each pair's conditioning sets,
+    and every result any of them caches, equal (==) the reference test;
+    returns the reference results."""
     keys = [canonical(*q) for q in queries]
     want = [reference_test_independence(data, *key, cfg) for key in keys]
     assert DataIndependenceSource(data, cfg).results(queries) == want
+    assert [independence_mod.test_independence(data, *key, cfg) for key in keys] == want
     by_pair = {}
     for x, y, z in keys:
         by_pair.setdefault((x, y), []).append(z)
@@ -424,6 +431,29 @@ class TestBatchedStatistic:
             (1, 2, (3, 4, 5)), (1, 2, ()), (0, 1, (2, 4))])
         kinds = {(r.decided_by_power_rule, r.dof <= 0) for r in want}
         assert {(True, True), (False, True), (False, False)} <= kinds
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tables=st.integers(1, 6))
+    def test_one_table_equals_its_place_in_a_batch(self, seed, tables):
+        # tables of one (r, c) shape and one total n, side by side, some
+        # past numpy's pairwise block: each table's g2_statistic and
+        # mutual_information, alone, equal its values in the batch
+        rng = np.random.default_rng(seed)
+        r, c = (int(a) for a in rng.integers(1, 9, size=2))
+        l = [int(a) for a in rng.integers(1, 12, size=tables)]
+        n = int(rng.integers(1, 5000))
+        singles = []
+        for li in l:
+            # skewed cell weights, many of them zero
+            weights = rng.random(r * c * li) ** 4 * (rng.random(r * c * li) < 0.7)
+            weights[int(rng.integers(weights.size))] += 1.0
+            counts = rng.multinomial(n, weights / weights.sum()).reshape(r, c, li)
+            singles.append(ContingencyTable(r=r, c=c, l=li, counts=counts, n=n))
+        batch = np.concatenate([t.counts for t in singles], axis=2).astype(float)
+        mis, dofs = independence_mod._mi_and_dof_batch(batch, l, n)
+        for t, mi, dof in zip(singles, mis, dofs):
+            assert mutual_information(t) == mi
+            assert g2_statistic(t) == (2.0 * n * mi, dof)
 
     def test_batch_caches_up_to_its_first_independent_test(self):
         # x -> w -> y, and u apart: x and y are dependent given () and u,
