@@ -11,14 +11,13 @@ are emitted only behind --timing.
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 import time
 from dataclasses import asdict
 
-from .data import DataError, load_csv, write_csv
+from .data import DataError, load_csv, write_csv, write_json
 from .graphs import Dag, Pdag, to_dot
 from .independence import DataIndependenceSource, TestConfig
 from .metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
@@ -42,12 +41,6 @@ def _echo_config(args):
             continue
         out[key] = value
     return out
-
-
-def _write_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _config(cls, **fields):
@@ -184,7 +177,7 @@ def cmd_learn(args):
     if args.timing:
         report["seconds"] = time.perf_counter() - started
     if args.report:
-        _write_json(report, args.report)
+        write_json(report, args.report)
     return 0
 
 
@@ -209,7 +202,7 @@ def cmd_evaluate(args):
         report["scores"] = holdout_scores(
             test, graphs, _config(ScoreConfig, ess=args.ess)
         )
-    _write_json(report, args.report)
+    write_json(report, args.report)
     return 0
 
 
@@ -270,7 +263,7 @@ def cmd_benchmark(args):
             writer.writeheader()
             writer.writerows(rows)
     else:
-        _write_json({"config": _echo_config(args), "rows": rows}, args.out)
+        write_json({"config": _echo_config(args), "rows": rows}, args.out)
     return 0
 
 
@@ -304,7 +297,7 @@ def cmd_mlc(args):
     )
     report = run_scenario(data, labels, args.scenario, cfg)
     report["config"] = _echo_config(args)
-    _write_json(report, args.report)
+    write_json(report, args.report)
     return 0
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-# Nominal mixed-radix codes are built in int64 and must stay below this.
+# count_table's int64 codes over head cells and observed strata stay below this.
 _CODE_LIMIT = 2**62
 
 
@@ -161,7 +161,6 @@ class FoldAssignment:
     """Partition of rows into k cross-validation folds."""
 
     fold_of_row: np.ndarray
-    k: int
 
     def test_indices(self, fold):
         return np.flatnonzero(self.fold_of_row == fold)
@@ -226,21 +225,6 @@ def _dense_ranks(code, cap, span):
     return ranks[code], int(ranks[-1]) + 1
 
 
-def nominal_config_codes(rows, arities):
-    """Mixed-radix codes over the full nominal space (last column fastest);
-    a space of 2**62 codes or more is a ValueError."""
-    rows = np.asarray(rows)
-    n, m = rows.shape
-    if m == 0:
-        return np.zeros(n, dtype=np.int64)
-    if math.prod(int(a) for a in arities) >= _CODE_LIMIT:
-        raise ValueError("nominal configuration space too large to encode")
-    code = np.zeros(n, dtype=np.int64)
-    for t in range(m):
-        code = code * int(arities[t]) + rows[:, t]
-    return code
-
-
 def count_table(data, head, z=()):
     """Joint counts of the head variables for each observed configuration of z.
 
@@ -266,7 +250,8 @@ def count_table(data, head, z=()):
     z_arities = [data.arity(v) for v in z]
     q = math.prod(z_arities)
     if cells * q <= 4 * weights.size + 1024:
-        code = _radix_code(columns, data, (*head, *z), np.min_scalar_type(cells * q))
+        code = radix_code(
+            columns, (*head, *z), shape + z_arities, np.min_scalar_type(cells * q))
         counts = np.bincount(code, weights, minlength=cells * q).reshape(*shape, q)
         if z:
             counts = counts[..., counts.sum(axis=tuple(range(len(head)))) > 0]
@@ -274,7 +259,7 @@ def count_table(data, head, z=()):
         ranks, l = observed_config_codes(columns[list(z)].T, z_arities)
         if cells * l >= _CODE_LIMIT:
             raise ValueError("nominal configuration space too large to encode")
-        code = _radix_code(columns, data, head, np.int64)
+        code = radix_code(columns, head, shape, np.int64)
         code *= l
         code += ranks
         counts = np.bincount(code, weights, minlength=cells * l).reshape(*shape, l)
@@ -282,29 +267,18 @@ def count_table(data, head, z=()):
     return np.ascontiguousarray(counts, dtype=np.int64)
 
 
-def _radix_code(columns, data, variables, dtype):
-    # Mixed-radix code of each distinct row over the given variables, first
-    # slowest, in a dtype that holds the whole code range.
+def radix_code(columns, variables, arities, dtype):
+    """Mixed-radix code of each position of columns over the given
+    variables and their arities, first slowest; columns[v] holds the levels
+    of variable v. dtype must hold the whole code range (no check is made
+    here); no variables give code 0."""
+    if not variables:
+        return np.zeros(columns.shape[1], dtype=dtype)
     code = columns[variables[0]].astype(dtype)
-    for v in variables[1:]:
-        code *= data.arity(v)
+    for v, a in zip(variables[1:], arities[1:]):
+        code *= a
         code += columns[v]
     return code
-
-
-def contingency(data, x, y, z=()):
-    """Joint counts of variables x and y for each observed configuration of z.
-
-    counts[i, j, k] is the number of rows with X=i, Y=j and the k-th observed
-    Z-configuration; strata with zero total count are not indexed. The
-    table is ``count_table`` with head (x, y).
-    """
-    z = tuple(z)
-    if x == y or x in z or y in z:
-        raise ValueError("x, y and z must be distinct")
-    counts = count_table(data, (x, y), z)
-    r, c, l = counts.shape
-    return ContingencyTable(r=r, c=c, l=l, counts=counts, n=data.n)
 
 
 def kfold(n, k, seed):
@@ -321,7 +295,7 @@ def kfold(n, k, seed):
         size = base + (1 if f < rem else 0)
         fold_of_row[perm[start:start + size]] = f
         start += size
-    return FoldAssignment(fold_of_row=fold_of_row, k=k)
+    return FoldAssignment(fold_of_row=fold_of_row)
 
 
 class _StrippedIds(dict):
@@ -338,14 +312,15 @@ class _StrippedIds(dict):
         return tid
 
 
-def load_csv(path, delimiter=",", header=True):
+def load_csv(path, delimiter=","):
     """Load a delimited text file into a CategoricalDataset.
 
-    Tokens are mapped to level indices in first-appearance order, per column.
-    Constant columns, ragged rows, empty files and empty tokens are errors;
-    of the ragged rows and missing values, the first in file order is
-    reported. So are files that are not UTF-8 text and fields the csv
-    module rejects.
+    The first line holds the column names. Tokens are mapped to level
+    indices in first-appearance order, per column. Constant columns, ragged
+    rows, empty files and empty tokens are errors; of the ragged rows and
+    missing values, the first in file order is reported, by its line in the
+    file (the header is line 1). So are files that are not UTF-8 text and
+    fields the csv module rejects.
     """
     # The rows are mapped as they are read, up to the first ragged one: one
     # pass maps every cell to the id of its stripped token, and no row is
@@ -367,14 +342,10 @@ def load_csv(path, delimiter=",", header=True):
         try:
             top = next(reader, None)
             if top is not None:
-                if header:
-                    names, body = [t.strip() for t in top], reader
-                else:
-                    names = [f"v{i}" for i in range(len(top))]
-                    body = itertools.chain([top], reader)
+                names = [t.strip() for t in top]
                 d = len(names)
                 ids = _StrippedIds()
-                cells = itertools.chain.from_iterable(rows_before_ragged(body, d))
+                cells = itertools.chain.from_iterable(rows_before_ragged(reader, d))
                 cells = np.fromiter(map(ids.__getitem__, cells), np.int32)
                 for _ in reader:
                     pass
@@ -386,14 +357,13 @@ def load_csv(path, delimiter=",", header=True):
         raise DataError(f"empty file: {path}")
     if n == 0 and width is None:
         raise DataError(f"no data rows in {path}")
-    first_line = 2 if header else 1
     cells = cells.reshape(n, d)
     tokens = list(ids.stripped)
     if "" in ids.stripped:
         rix, cix = divmod(int(np.argmax(cells.ravel() == ids.stripped[""])), d)
-        raise DataError(f"missing value at row {rix + first_line}, column {names[cix]!r}")
+        raise DataError(f"missing value at row {rix + 2}, column {names[cix]!r}")
     if width is not None:
-        raise DataError(f"ragged row {n + first_line}: expected {d} fields, got {width}")
+        raise DataError(f"ragged row {n + 2}: expected {d} fields, got {width}")
     # A column's levels are its stripped ids in order of first appearance.
     # With k distinct ids, first[c * k + t] is the first row of id t in
     # column c (n if none); while k <= n the table is no bigger than the
@@ -431,7 +401,7 @@ def load_csv(path, delimiter=",", header=True):
     return CategoricalDataset(tuple(names), levels, rows)
 
 
-def write_csv(data, path, delimiter=","):
+def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
     Rows go out in blocks of 512: each column's tokens come from one
@@ -440,7 +410,7 @@ def write_csv(data, path, delimiter=","):
     """
     tokens = [np.array(lv, dtype=object) for lv in data.levels]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(data.names)
         for start in range(0, data.n, 512):
             block = data.rows[start:start + 512]
@@ -480,6 +450,13 @@ def read_json_object(path, fields):
             kind_name = "array" if kind is list else "object"
             raise DataError(f"{path} needs a JSON {kind_name} under {key!r}")
     return doc
+
+
+def write_json(doc, path):
+    """Write doc as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def name_pairs(pairs, index, what):

@@ -32,9 +32,6 @@ class Dag:
     def children(self, v):
         return tuple(sorted(self._children[v]))
 
-    def has_edge(self, u, v):
-        return v in self._children[u]
-
     def adjacent(self, u, v):
         return v in self._children[u] or u in self._children[v]
 
@@ -110,15 +107,15 @@ def topological_order(g):
 
 @dataclass(frozen=True)
 class MarkovSets:
-    """Per-node pc (parents + children), sp (spouses) and mb (pc union sp)."""
+    """Per-node pc (parents + children) and sp (spouses); a node's Markov
+    blanket is pc | sp."""
 
     pc: tuple
     sp: tuple
-    mb: tuple
 
 
 def markov_sets(g):
-    """Read pc, sp and mb for every node off the graph."""
+    """Read pc and sp for every node off the graph."""
     pc = [frozenset(g._parents[v] | g._children[v]) for v in range(g.d)]
     sp = []
     for v in range(g.d):
@@ -127,8 +124,7 @@ def markov_sets(g):
             s |= g._parents[c]
         s.discard(v)
         sp.append(frozenset(s))
-    mb = [pc[v] | sp[v] for v in range(g.d)]
-    return MarkovSets(pc=tuple(pc), sp=tuple(sp), mb=tuple(mb))
+    return MarkovSets(pc=tuple(pc), sp=tuple(sp))
 
 
 class Pdag:

@@ -52,17 +52,20 @@ class TestResult:
 def _mi_and_dof_batch(counts, l, n):
     """mutual_information and the adjusted dof of each table in a batch.
 
-    counts (float) has shape (r, c, sum(l)) and holds the tables side by
-    side: table t is on the l[t] strata after those of the tables before
-    it. Per stratum, an all-zero row or column is treated as absent: it
-    cannot contribute degrees of freedom it does not have in the data.
+    counts has shape (r, c, sum(l)) and holds the tables side by side:
+    table t is on the l[t] strata after those of the tables before it. Per
+    stratum, an all-zero row or column is treated as absent: it cannot
+    contribute degrees of freedom it does not have in the data.
 
-    The marginals are sums of integer counts, so they are exact, and each
-    table's terms are summed alone, over a C-contiguous copy. So every
-    value is the one its table gets in a batch of its own, bit for bit.
+    The counts are taken once as a C-contiguous float array, whatever the
+    caller's layout. The marginals are sums of integer counts, so they are
+    exact, and each table's terms are summed alone, over a C-contiguous
+    copy. So every value is the one its table gets in a batch of its own,
+    in any memory order, bit for bit.
     """
     if n <= 0:
         raise ValueError("table is empty")
+    counts = np.ascontiguousarray(counts, dtype=float)
     ni_k = counts.sum(axis=1, keepdims=True)
     n_jk = counts.sum(axis=0, keepdims=True)
     n__k = counts.sum(axis=(0, 1), keepdims=True)
@@ -90,12 +93,12 @@ def mutual_information(table):
     MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
     with n_ijk = 0 contribute 0.
     """
-    return _mi_and_dof_batch(table.counts.astype(float), [table.l], table.n)[0][0]
+    return _mi_and_dof_batch(table.counts, [table.l], table.n)[0][0]
 
 
 def g2_statistic(table):
     """G2 statistic (2n times MI) and the adjusted degrees of freedom."""
-    (mi,), (dof,) = _mi_and_dof_batch(table.counts.astype(float), [table.l], table.n)
+    (mi,), (dof,) = _mi_and_dof_batch(table.counts, [table.l], table.n)
     return 2.0 * table.n * mi, dof
 
 
@@ -147,7 +150,7 @@ def _decide(counts, l, n, cfg):
         return [TestResult(1.0, 0.0, 0, True, True) for _ in l]
     r, c, _ = counts.shape
     observed = cfg.power_cells == "observed"
-    mis, dofs = _mi_and_dof_batch(counts.astype(float, copy=False), l, n)
+    mis, dofs = _mi_and_dof_batch(counts, l, n)
     out = []
     for li, mi, dof in zip(l, mis, dofs):
         stat = 2.0 * n * mi
@@ -214,18 +217,12 @@ class DataIndependenceSource:
 
         Each table is counted with ``count_table``; the statistics of up to
         about U table cells (U distinct rows) go through one vectorized
-        pass. A batch that would raise anywhere is run one test at a time,
-        so the error and the cache contents are those of the loop.
+        pass. A batch that raises (a query whose x, y and z are not
+        distinct) leaves the cache as it was.
         """
         keys = [self._key(*q) for q in queries]
         todo = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        try:
-            fresh = self._counted_results(todo)
-        except ValueError:
-            fresh = None
-        if fresh is None:
-            fresh = {key: self.result(*key) for key in todo}
-        self._cache.update(fresh)
+        self._cache.update(self._counted_results(todo))
         return [self._cache[key] for key in keys]
 
     def first_independent(self, x, y, zsets, scope):
@@ -239,7 +236,8 @@ class DataIndependenceSource:
         integer marginal of it. The tests are worked ahead in blocks that
         double from four, each of at most about U cells (table cells plus
         the joint's nonzero cells per table), and only the tests up to the
-        first independent one are cached. A wider scope runs the loop.
+        first independent one are cached; a block that raises caches
+        none of its tests. A wider scope runs the loop.
         """
         zsets = iter(zsets)
         data = self.data
@@ -270,15 +268,11 @@ class DataIndependenceSource:
                     break
             if not walk:
                 return None
-            try:
-                fresh = self._marginal_results(joint, todo)
-            except ValueError:
-                fresh = None
+            fresh = self._marginal_results(joint, todo)
             for z, key in walk:
                 hit = self._cache.get(key)
                 if hit is None:
-                    hit = self._cache[key] = (
-                        fresh[key] if fresh is not None else self.result(*key))
+                    hit = self._cache[key] = fresh[key]
                 if hit.independent:
                     return z
             ahead *= 2

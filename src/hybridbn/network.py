@@ -6,7 +6,6 @@ mixed-radix order over the parents sorted by variable index, last parent
 fastest. Every column sums to 1 within 1e-9.
 """
 
-import json
 import math
 
 import numpy as np
@@ -16,8 +15,9 @@ from .data import (
     DataError,
     count_table,
     name_pairs,
-    nominal_config_codes,
+    radix_code,
     read_json_object,
+    write_json,
 )
 from .graphs import Dag, topological_order
 
@@ -104,14 +104,15 @@ def forward_sample(net, n, seed):
     if n < 0:
         raise ValueError("n must be non-negative")
     rng = np.random.default_rng(seed)
+    arities = net.arities
     rows = np.zeros((n, net.d), dtype=np.int32)
     for v in topological_order(net.graph):
         u = rng.random(n)
-        pa = list(net.graph.parents(v))
-        codes = nominal_config_codes(rows[:, pa], [net.arities[p] for p in pa])
+        pa = net.graph.parents(v)
+        codes = radix_code(rows.T, pa, [arities[p] for p in pa], np.int64)
         cdf = np.cumsum(net.cpts[v], axis=0)
         levels = (u[:, None] > cdf[:, codes].T).sum(axis=1)
-        rows[:, v] = np.minimum(levels, net.arities[v] - 1)
+        rows[:, v] = np.minimum(levels, arities[v] - 1)
     return CategoricalDataset(net.names, net.levels, rows)
 
 
@@ -130,9 +131,7 @@ def write_network(net, path):
             for v in range(net.d)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def read_network(path):

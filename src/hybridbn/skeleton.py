@@ -15,11 +15,10 @@ sources the order is the documented tie-break.
 """
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .data import DataError, name_pairs, read_json_object
+from .data import DataError, name_pairs, read_json_object, write_json
 from .independence import TestConfig
 
 
@@ -90,9 +89,6 @@ class Skeleton:
             pc[v].add(u)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "pc", tuple(frozenset(s) for s in pc))
-
-    def neighbors(self, v):
-        return self.pc[v]
 
 
 def de_pcs(target, src, universe):
@@ -283,9 +279,7 @@ def write_skeleton(skel, names, path):
             names[v]: [names[w] for w in sorted(skel.pc[v])] for v in range(skel.d)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def read_skeleton(path):

@@ -47,7 +47,7 @@ def is_acyclic(d, edges):
 
 def remove_edge(g, u, v):
     """Delete the edge u -> v of the Dag g."""
-    if not g.has_edge(u, v):
+    if v not in g.children(u):
         raise ValueError(f"no edge {u}->{v}")
     g._children[u].remove(v)
     g._parents[v].remove(u)
@@ -555,7 +555,7 @@ def reference_config_codes(rows, arities):
     return codes.astype(np.int64), l
 
 
-def reference_load_csv(path, delimiter=",", header=True):
+def reference_load_csv(path, delimiter=","):
     """``load_csv`` as first written: one NumPy store per cell inside a
     row-by-row loop, so the first bad row in file order is the one met
     first."""
@@ -567,14 +567,8 @@ def reference_load_csv(path, delimiter=",", header=True):
         physical = list(csv.reader(fh, delimiter=delimiter))
     if not physical:
         raise DataError(f"empty file: {path}")
-    if header:
-        names = [t.strip() for t in physical[0]]
-        body = physical[1:]
-        first_line = 2
-    else:
-        names = [f"v{i}" for i in range(len(physical[0]))]
-        body = physical
-        first_line = 1
+    names = [t.strip() for t in physical[0]]
+    body = physical[1:]
     d = len(names)
     if not body:
         raise DataError(f"no data rows in {path}")
@@ -584,13 +578,13 @@ def reference_load_csv(path, delimiter=",", header=True):
     for rix, row in enumerate(body):
         if len(row) != d:
             raise DataError(
-                f"ragged row {rix + first_line}: expected {d} fields, got {len(row)}"
+                f"ragged row {rix + 2}: expected {d} fields, got {len(row)}"
             )
         for cix, raw in enumerate(row):
             tok = raw.strip()
             if tok == "":
                 raise DataError(
-                    f"missing value at row {rix + first_line}, column {names[cix]!r}"
+                    f"missing value at row {rix + 2}, column {names[cix]!r}"
                 )
             level = index[cix].get(tok)
             if level is None:
@@ -604,13 +598,13 @@ def reference_load_csv(path, delimiter=",", header=True):
     return CategoricalDataset(tuple(names), tuple(tuple(t) for t in tokens), rows)
 
 
-def reference_write_csv(data, path, delimiter=","):
+def reference_write_csv(data, path):
     """write_csv as first written: one csv row per dataset row, a token
     lookup per cell."""
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(data.names)
         for row in data.rows:
             writer.writerow([data.levels[i][v] for i, v in enumerate(row)])

@@ -9,12 +9,12 @@ from hybridbn.data import (
     CategoricalDataset,
     ContingencyTable,
     DataError,
-    contingency,
+    count_table,
     kfold,
     load_csv,
-    nominal_config_codes,
     observed_config_codes,
     parse_numeric_column,
+    radix_code,
     write_csv,
 )
 
@@ -68,10 +68,10 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing value"):
             load_csv(path)
 
-    def test_headerless_and_delimiter(self, tmp_path):
-        path = write(tmp_path, "0;x\n1;y\n")
-        ds = load_csv(path, delimiter=";", header=False)
-        assert ds.names == ("v0", "v1")
+    def test_delimiter(self, tmp_path):
+        path = write(tmp_path, "a;b\n0;x\n1;y\n")
+        ds = load_csv(path, delimiter=";")
+        assert ds.names == ("a", "b")
         assert ds.arities == (2, 2)
 
     def test_emotions_shaped_file(self, tmp_path):
@@ -116,28 +116,25 @@ TOKENS = st.sampled_from(["0", "1", "a", "bb", " a", "a ", " 1 ", "x y", "", " "
 
 @st.composite
 def csv_files(draw):
-    """(text, delimiter, header) of a small file; in about half the files,
-    one row in six may be ragged or hold blank tokens."""
+    """(text, delimiter) of a small file, header line first; in about half
+    the files, one row in six may be ragged or hold blank tokens."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
-    header = draw(st.booleans())
     d = draw(st.integers(1, 5))
     n = draw(st.integers(0, 12))
     ok = st.lists(TOKENS.filter(str.strip), min_size=d, max_size=d)
     ragged = st.lists(TOKENS, min_size=0, max_size=d + 2)
     bad = draw(st.sampled_from(["none", "some"]))
-    lines = []
-    if header:
-        lines.append(draw(st.lists(
-            st.sampled_from(["a", "b", "c", "d", "e", "f", " g "]),
-            min_size=d, max_size=d, unique=True,
-        )))
+    lines = [draw(st.lists(
+        st.sampled_from(["a", "b", "c", "d", "e", "f", " g "]),
+        min_size=d, max_size=d, unique=True,
+    ))]
     for _ in range(n):
         if bad == "some" and draw(st.integers(0, 5)) == 0:
             lines.append(draw(ragged | st.lists(TOKENS, min_size=d, max_size=d)))
         else:
             lines.append(draw(ok))
     text = "".join(delimiter.join(line) + "\n" for line in lines)
-    return text, delimiter, header
+    return text, delimiter
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +142,9 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "d.csv"
 
 
-def load_outcome(loader, path, delimiter, header):
+def load_outcome(loader, path, delimiter):
     try:
-        ds = loader(path, delimiter=delimiter, header=header)
+        ds = loader(path, delimiter=delimiter)
     except DataError as exc:
         return str(exc)
     return ds.names, ds.levels, ds.rows.dtype, ds.rows.tolist()
@@ -156,22 +153,21 @@ def load_outcome(loader, path, delimiter, header):
 @settings(max_examples=400, deadline=None)
 @given(case=csv_files())
 def test_load_csv_matches_reference(csv_path, case):
-    text, delimiter, header = case
+    text, delimiter = case
     csv_path.write_text(text, encoding="utf-8")
     path = str(csv_path)
-    want = load_outcome(reference_load_csv, path, delimiter, header)
-    assert load_outcome(load_csv, path, delimiter, header) == want
+    want = load_outcome(reference_load_csv, path, delimiter)
+    assert load_outcome(load_csv, path, delimiter) == want
 
 
 @st.composite
 def wide_csv_files(draw):
-    """(text, delimiter, header) of a file of up to 60 rows whose columns
-    each draw from up to 50 tokens, with one or more spaces around some
-    cells, so that several raw tokens strip to one level. The columns share
-    their tokens or keep their own; the latter gives more distinct tokens
-    than rows. One file in ten has a blank cell."""
+    """(text, delimiter) of a file of a header and up to 60 rows whose
+    columns each draw from up to 50 tokens, with one or more spaces around
+    some cells, so that several raw tokens strip to one level. The columns
+    share their tokens or keep their own; the latter gives more distinct
+    tokens than rows. One file in ten has a blank cell."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
-    header = draw(st.booleans())
     d = draw(st.integers(1, 4))
     n = draw(st.integers(1, 60))
     shared = draw(st.booleans())
@@ -180,24 +176,24 @@ def wide_csv_files(draw):
         for cix in range(d)
     ]
     pad = st.sampled_from(["{}", " {}", "{} ", "  {} "])
-    lines = [[f"c{cix}" for cix in range(d)]] if header else []
+    lines = [[f"c{cix}" for cix in range(d)]]
     for _ in range(n):
         lines.append([draw(pad).format(draw(st.sampled_from(pool))) for pool in pools])
     if draw(st.integers(0, 9)) == 0:
-        row = draw(st.integers(len(lines) - n, len(lines) - 1))
+        row = draw(st.integers(1, n))
         lines[row][draw(st.integers(0, d - 1))] = draw(st.sampled_from(["", " "]))
     text = "".join(delimiter.join(line) + "\n" for line in lines)
-    return text, delimiter, header
+    return text, delimiter
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=wide_csv_files())
 def test_load_csv_matches_reference_on_wide_columns(csv_path, case):
-    text, delimiter, header = case
+    text, delimiter = case
     csv_path.write_text(text, encoding="utf-8")
     path = str(csv_path)
-    want = load_outcome(reference_load_csv, path, delimiter, header)
-    assert load_outcome(load_csv, path, delimiter, header) == want
+    want = load_outcome(reference_load_csv, path, delimiter)
+    assert load_outcome(load_csv, path, delimiter) == want
 
 
 class TestLoadCsvErrors:
@@ -304,8 +300,11 @@ class TestDataset:
 class TestConfigCodes:
     def test_nominal_last_column_fastest(self):
         rows = np.array([[0, 0], [0, 1], [1, 0], [1, 2]])
-        codes = nominal_config_codes(rows, [2, 3])
+        codes = radix_code(rows.T, (0, 1), [2, 3], np.int64)
         assert codes.tolist() == [0, 1, 3, 5]
+        # no variables (a root node of forward_sample): code 0 for every row
+        codes = radix_code(rows.T, (), [], np.int64)
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 0, 0, 0]
 
     def test_observed_compresses(self):
         rows = np.array([[1, 1], [0, 0], [1, 1], [0, 2]])
@@ -319,12 +318,18 @@ class TestConfigCodes:
         assert codes.tolist() == [0, 0, 0, 0] and l == 1
 
 
+def pair_table(ds, x, y, z=()):
+    counts = count_table(ds, (x, y), z)
+    r, c, l = counts.shape
+    return ContingencyTable(r=r, c=c, l=l, counts=counts, n=ds.n)
+
+
 class TestContingency:
     def test_marginal_pair_table(self):
         ds = CategoricalDataset.from_array(
             np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), arities=[2, 2]
         )
-        t = contingency(ds, 0, 1)
+        t = pair_table(ds, 0, 1)
         assert (t.r, t.c, t.l, t.n) == (2, 2, 1, 4)
         assert np.array_equal(t.counts[:, :, 0], np.ones((2, 2), dtype=int))
 
@@ -332,14 +337,14 @@ class TestContingency:
         ds = CategoricalDataset.from_array(
             np.array([[0, 0, 0], [1, 1, 0], [0, 1, 0]]), arities=[2, 2, 2]
         )
-        t = contingency(ds, 0, 1, (2,))
+        t = pair_table(ds, 0, 1, (2,))
         assert t.l == 1
 
     def test_counts_match_brute_force_tally(self):
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 3, size=(6, 4))
         ds = CategoricalDataset.from_array(rows, arities=[3, 3, 3, 3])
-        t = contingency(ds, 0, 2, (1, 3))
+        t = pair_table(ds, 0, 2, (1, 3))
         strata = tally_contingency(rows, 0, 2, (1, 3))
         assert t.l == len(strata)
         # match per-stratum counts irrespective of stratum indexing
@@ -359,17 +364,10 @@ class TestContingency:
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 2, size=(40, 5))
         ds = CategoricalDataset.from_array(rows, arities=[2] * 5)
-        t = contingency(ds, 1, 3, (0, 4))
+        t = pair_table(ds, 1, 3, (0, 4))
         assert int(t.counts.sum()) == t.n == 40
         ni_k = t.counts.sum(axis=1)
         assert np.all(ni_k.sum(axis=0) == t.counts.sum(axis=(0, 1)))
-
-    def test_rejects_overlap(self):
-        ds = CategoricalDataset.from_array(np.array([[0, 1]]), arities=[2, 2])
-        with pytest.raises(ValueError):
-            contingency(ds, 0, 0)
-        with pytest.raises(ValueError):
-            contingency(ds, 0, 1, (1,))
 
     def test_table_validation(self):
         with pytest.raises(ValueError):

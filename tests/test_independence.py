@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridbn.data import CategoricalDataset, ContingencyTable, contingency
+from hybridbn.data import CategoricalDataset, ContingencyTable
 from hybridbn.graphs import Dag
 from hybridbn.independence import (
     DataIndependenceSource,
@@ -280,11 +280,22 @@ class TestTestIndependence:
             assert list(src._cache.values()) == [power]
 
     def test_validates_arguments(self):
-        ds = dataset_from_columns([0, 1], [1, 0])
+        ds = dataset_from_columns([0, 1], [1, 0], [1, 1])
         with pytest.raises(ValueError):
             ci_test(ds, 1, 1)
         with pytest.raises(ValueError):
             ci_test(ds, 0, 1, (0,))
+        # a batch that raises leaves the cache as it was, even the valid
+        # query asked before the bad one
+        src = DataIndependenceSource(ds)
+        src.result(1, 0)
+        before = dict(src._cache)
+        with pytest.raises(ValueError, match="distinct"):
+            src.results([(0, 1, ()), (0, 2, ()), (2, 0, (1, 2))])
+        assert src._cache == before
+        with pytest.raises(ValueError, match="distinct"):
+            src.first_independent(2, 2, [(), (0,)], (0, 1))
+        assert src._cache == before
 
 
 class TestSources:

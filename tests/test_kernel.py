@@ -1,7 +1,7 @@
 """The counting kernel against its sorting reference.
 
 observed_config_codes ranks configurations with a presence mask instead of
-a sort; every count table (contingency tables, local-score families, CPTs)
+a sort; every count table (CI-test tables, local-score families, CPTs)
 counts the dataset's distinct rows, weighted, in one pass over the nominal
 (head, Z) space or over ranked Z-configurations; and g2_statistic takes
 the statistic and the dof from one set of marginals. All must agree
@@ -21,8 +21,7 @@ from hybridbn import independence as independence_mod
 from hybridbn.data import (
     CategoricalDataset,
     ContingencyTable,
-    contingency,
-    nominal_config_codes,
+    count_table,
     observed_config_codes,
 )
 from hybridbn.graphs import Dag
@@ -107,15 +106,6 @@ class TestObservedConfigCodes:
 class TestCodeLimits:
     """Each documented limit of the mixed-radix codes, at its edge."""
 
-    def test_nominal_space_below_2_to_the_62(self):
-        top = 2**31
-        rows = np.array([[top - 1, top - 2]])
-        # top * (top - 1) cells: just below the limit
-        assert nominal_config_codes(rows, [top, top - 1]).tolist() == [
-            (top - 1) ** 2 + top - 2]
-        with pytest.raises(ValueError, match="too large"):
-            nominal_config_codes(rows, [top, top])
-
     @pytest.mark.parametrize("wide, prefix_ranked", [(40, False), (41, True)])
     def test_observed_ranks_prefix_past_span(self, wide, prefix_ranked):
         # 4 rows: the span 4n + 1024 is 1040 = 40 * 26 codes
@@ -181,9 +171,9 @@ class TestCodeLimits:
 
 
 def takes_ranked_path(data, x, y, z):
-    """Whether contingency ranks the Z-configurations first instead of
+    """Whether count_table ranks the Z-configurations first instead of
     counting the nominal (x, y, Z) space in one pass."""
-    return ranks_first(data, lambda: contingency(data, x, y, z))
+    return ranks_first(data, lambda: count_table(data, (x, y), z))
 
 
 def ranks_first(data, count):
@@ -203,11 +193,11 @@ def ranks_first(data, count):
 
 
 def assert_same_table(data, x, y, z):
-    got = contingency(data, x, y, z)
+    got = count_table(data, (x, y), z)
     want = reference_contingency(data, x, y, z)
-    assert (got.r, got.c, got.l, got.n) == (want.r, want.c, want.l, want.n)
-    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
-    np.testing.assert_array_equal(got.counts, want.counts)
+    assert got.shape == (want.r, want.c, want.l)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want.counts)
 
 
 def assert_same_results(data, x, y, z):
@@ -383,7 +373,7 @@ class TestBatchedStatistic:
         queries = [(0, 1, (2, 3)), (1, 0, (3,)), (0, 1, ()), (0, 1, (2,)),
                    (0, 2, (3,)), (4, 5, (6,)), (5, 4, ()), (4, 5, (3,))]
         assert {6 * 5 * 12, 40 * 30 * 8} <= {
-            contingency(data, *q).counts.size for q in queries}
+            count_table(data, (x, y), z).size for x, y, z in queries}
         assert_batches_match_reference(data, cfg, queries)
 
     def test_dense_tables_side_by_side(self):
@@ -437,7 +427,8 @@ class TestBatchedStatistic:
     def test_one_table_equals_its_place_in_a_batch(self, seed, tables):
         # tables of one (r, c) shape and one total n, side by side, some
         # past numpy's pairwise block: each table's g2_statistic and
-        # mutual_information, alone, equal its values in the batch
+        # mutual_information, alone and in C or Fortran order, equal its
+        # values in the batch
         rng = np.random.default_rng(seed)
         r, c = (int(a) for a in rng.integers(1, 9, size=2))
         l = [int(a) for a in rng.integers(1, 12, size=tables)]
@@ -452,8 +443,12 @@ class TestBatchedStatistic:
         batch = np.concatenate([t.counts for t in singles], axis=2).astype(float)
         mis, dofs = independence_mod._mi_and_dof_batch(batch, l, n)
         for t, mi, dof in zip(singles, mis, dofs):
-            assert mutual_information(t) == mi
-            assert g2_statistic(t) == (2.0 * n * mi, dof)
+            fortran = ContingencyTable(r=r, c=c, l=t.l, n=n,
+                                       counts=np.asfortranarray(t.counts))
+            assert fortran.counts.flags.f_contiguous
+            for table in (t, fortran):
+                assert mutual_information(table) == mi
+                assert g2_statistic(table) == (2.0 * n * mi, dof)
 
     def test_batch_caches_up_to_its_first_independent_test(self):
         # x -> w -> y, and u apart: x and y are dependent given () and u,
@@ -495,7 +490,7 @@ def test_family_counts_match_reference(child_sample):
 
 
 def test_wide_arity_dataset_matches_reference():
-    # 300 levels put the column store in uint16; contingency must not care.
+    # 300 levels put the column store in uint16; count_table must not care.
     rng = np.random.default_rng(7)
     arities = [300, 3, 2, 5]
     ds = CategoricalDataset.from_array(

@@ -104,12 +104,10 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
     n=st.sampled_from([0, 1, 511, 512, 513, 1100]),
     arities=st.lists(st.integers(1, 4), max_size=5),
     seed=st.integers(0, 2**32 - 1),
-    delimiter=st.sampled_from([",", ";", "\t", "a"]),
     data=st.data(),
 )
-def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed,
-                                               delimiter, data):
-    # any text, delimiters, quotes and line breaks included, across the
+def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed, data):
+    # any text, commas, quotes and line breaks included, across the
     # 512-row blocks, and with no column at all
     rng = np.random.default_rng(seed)
     rows = np.column_stack([rng.integers(0, a, size=n) for a in arities]
@@ -119,6 +117,6 @@ def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed,
                                unique=True))
     levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
-    write_csv(ds, out_dir / "got.csv", delimiter)
-    reference_write_csv(ds, out_dir / "want.csv", delimiter)
+    write_csv(ds, out_dir / "got.csv")
+    reference_write_csv(ds, out_dir / "want.csv")
     assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()

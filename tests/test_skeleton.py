@@ -344,7 +344,7 @@ class TestSkeletonObject:
         s = Skeleton(d=3, edges=frozenset({(2, 0), (1, 2)}))
         assert s.edges == frozenset({(0, 2), (1, 2)})
         assert s.pc[2] == frozenset({0, 1})
-        assert s.neighbors(0) == frozenset({2})
+        assert s.pc[0] == frozenset({2})
 
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
