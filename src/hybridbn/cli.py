@@ -19,12 +19,12 @@ from dataclasses import asdict
 
 from .data import DataError, load_csv, write_csv, write_json
 from .graphs import Dag, Pdag, to_dot
-from .independence import DataIndependenceSource, TestConfig
+from .independence import POWER_CELLS, DataIndependenceSource, TestConfig
 from .metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
 from .multilabel import SCENARIOS, MlcConfig, run_scenario
 from .network import fit_cpts, forward_sample, read_network, write_network
 from .parallel import fork_map
-from .scoring import ScoreConfig, hill_climb
+from .scoring import SCORES, ScoreConfig, hill_climb
 from .skeleton import Skeleton, build_skeleton, read_skeleton, write_skeleton
 
 _PATH_DESTS = {
@@ -72,24 +72,25 @@ def _score_cfg(args):
 
 
 def _add_test_flags(p):
-    p.add_argument("--alpha", type=float, default=0.05,
+    p.add_argument("--alpha", type=float, default=TestConfig.alpha,
                    help="type-I level of the independence test")
-    p.add_argument("--power-threshold", type=float, default=5.0,
+    p.add_argument("--power-threshold", type=float,
+                   default=TestConfig.power_threshold,
                    help="minimum average sample per contingency cell")
-    p.add_argument("--max-condset", type=int, default=None,
+    p.add_argument("--max-condset", type=int, default=TestConfig.max_condset,
                    help="cap on conditioning-set size in the PC search")
-    p.add_argument("--power-cells", choices=("nominal", "observed"),
-                   default="nominal",
+    p.add_argument("--power-cells", choices=POWER_CELLS,
+                   default=TestConfig.power_cells,
                    help="cell count semantics of the power rule")
 
 
 def _add_score_flags(p):
-    p.add_argument("--score", choices=("bdeu", "bic"), default="bdeu")
-    p.add_argument("--ess", type=float, default=10.0,
+    p.add_argument("--score", choices=SCORES, default=ScoreConfig.score)
+    p.add_argument("--ess", type=float, default=ScoreConfig.ess,
                    help="equivalent sample size of the BDeu prior")
-    p.add_argument("--tabu", type=int, default=100,
+    p.add_argument("--tabu", type=int, default=ScoreConfig.tabu_length,
                    help="length of the structure TABU list")
-    p.add_argument("--patience", type=int, default=15,
+    p.add_argument("--patience", type=int, default=ScoreConfig.patience,
                    help="moves without improvement before stopping")
 
 
@@ -108,18 +109,17 @@ def _dag_skeleton(dag):
 
 
 def cmd_sample(args):
+    given = [v not in (None, "") for v in (args.sizes, args.out_dir, args.n, args.out)]
+    if given not in ([True, True, False, False], [False, False, True, True]):
+        raise _Usage("either --sizes with --out-dir, or --n with --out")
     net = read_network(args.net)
     if args.sizes:
-        if not args.out_dir:
-            raise _Usage("--sizes requires --out-dir")
         sizes = _parse_sizes(args.sizes)
         os.makedirs(args.out_dir, exist_ok=True)
         for size in sizes:
             ds = forward_sample(net, size, seed=[args.seed, size])
             write_csv(ds, os.path.join(args.out_dir, f"sample_{size}.csv"))
         return 0
-    if args.n is None or not args.out:
-        raise _Usage("either --sizes with --out-dir, or --n with --out")
     if args.n < 1:
         raise _Usage("--n must be at least 1")
     write_csv(forward_sample(net, args.n, seed=args.seed), args.out)
@@ -206,13 +206,6 @@ def cmd_evaluate(args):
     return 0
 
 
-_BENCH_COLUMNS = [
-    "size", "repeat", "tp", "fp", "fn", "precision", "recall", "fpr",
-    "euclidean", "shd", "skeleton_edges", "dag_edges", "moves",
-    "bdeu_train", "bdeu_test", "bic_train", "bic_test", "bdeu_empty_test",
-]
-
-
 def cmd_benchmark(args):
     net = read_network(args.truth)
     truth_skel = _dag_skeleton(net.graph)
@@ -258,7 +251,8 @@ def cmd_benchmark(args):
     rows = fork_map(run_cell, len(cells), args.jobs)
     if args.out.endswith(".csv"):
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS,
+            # the columns are the keys of a row, in the order built above
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]),
                                     lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
@@ -268,18 +262,18 @@ def cmd_benchmark(args):
 
 
 def cmd_mlc(args):
+    if (args.labels is None) == (args.label_count is None):
+        raise _Usage("exactly one of --labels or --label-count is required")
     data = load_csv(args.data, delimiter=args.delimiter)
-    if args.labels:
+    if args.labels is not None:
         names = [tok.strip() for tok in args.labels.split(",") if tok.strip()]
         if not names:
             raise _Usage("--labels lists no columns")
         labels = [data.column_index(name) for name in names]
-    elif args.label_count:
+    else:
         if not 0 < args.label_count < data.d:
             raise _Usage("--label-count out of range")
         labels = list(range(data.d - args.label_count, data.d))
-    else:
-        raise _Usage("one of --labels or --label-count is required")
     if not 2 <= args.folds <= data.n:
         raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
     _non_negative(args.smoothing, "--smoothing")
@@ -304,6 +298,8 @@ def cmd_mlc(args):
 def cmd_export_dot(args):
     if bool(args.net) == bool(args.skeleton):
         raise _Usage("exactly one of --net or --skeleton is required")
+    if args.cpdag and not args.net:
+        raise _Usage("--cpdag needs --net")
     if args.net:
         net = read_network(args.net)
         graph = dag_to_cpdag(net.graph) if args.cpdag else net.graph
@@ -371,7 +367,7 @@ def build_parser():
     p.add_argument("--truth", required=True)
     p.add_argument("--test", default=None)
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--ess", type=float, default=10.0)
+    p.add_argument("--ess", type=float, default=ScoreConfig.ess)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -396,9 +392,9 @@ def build_parser():
     p.add_argument("--label-count", type=int, default=None,
                    help="use the trailing N columns as labels")
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=int, default=MlcConfig.folds)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--smoothing", type=float, default=1.0)
+    p.add_argument("--smoothing", type=float, default=MlcConfig.smoothing)
     p.add_argument("--binarize", action="store_true",
                    help="median-split non-label columns with arity > 2")
     _add_test_flags(p)
@@ -406,7 +402,7 @@ def build_parser():
     _add_jobs_flag(p, "worker processes over the folds, at most the CPU "
                       "count; outputs do not depend on it")
     p.add_argument("--timing", action="store_true")
-    p.add_argument("--export-blocks", default=None,
+    p.add_argument("--export-blocks", default=MlcConfig.export_dir,
                    help="directory for per-block train/test CSV exports")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_mlc)

@@ -169,6 +169,12 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of_row != fold)
 
 
+def one_pass_cells(rows):
+    """The widest code range one ``bincount`` over rows rows fills densely:
+    count_table's one-pass bound and observed_config_codes' span."""
+    return 4 * rows + 1024
+
+
 def observed_config_codes(rows, arities):
     """Compress the given columns into dense codes of observed configurations.
 
@@ -193,7 +199,7 @@ def observed_config_codes(rows, arities):
     # Whenever the next radix would widen that range past a few times n, the
     # prefix is ranked first; ranking preserves order, so the result is the
     # same, and the range stays far below _CODE_LIMIT.
-    span = 4 * n + 1024
+    span = one_pass_cells(n)
     cap = int(arities[0])
     code = rows[:, 0].astype(np.min_scalar_type(cap))
     for t in range(1, m):
@@ -235,7 +241,7 @@ def count_table(data, head, z=()):
     not indexed; with no z, l is 1 and the table is the nominal head table.
 
     The table is a weighted count over the dataset's distinct rows. When the
-    nominal (head, Z) space is no wider than a few times the number of
+    nominal (head, Z) space is within ``one_pass_cells`` of the number of
     distinct rows, each row gets its mixed-radix code over that space (head
     slowest) and one ``bincount`` fills it; dropping the empty strata then
     leaves them in observed-rank order. Wider spaces rank the
@@ -249,7 +255,7 @@ def count_table(data, head, z=()):
     cells = math.prod(shape)
     z_arities = [data.arity(v) for v in z]
     q = math.prod(z_arities)
-    if cells * q <= 4 * weights.size + 1024:
+    if cells * q <= one_pass_cells(weights.size):
         code = radix_code(
             columns, (*head, *z), shape + z_arities, np.min_scalar_type(cells * q))
         counts = np.bincount(code, weights, minlength=cells * q).reshape(*shape, q)
@@ -265,6 +271,63 @@ def count_table(data, head, z=()):
         counts = np.bincount(code, weights, minlength=cells * l).reshape(*shape, l)
     # C order fixes the summation order of every reduction over the table.
     return np.ascontiguousarray(counts, dtype=np.int64)
+
+
+class JointCounts:
+    """Counts of (lo, hi, *scope), kept as the nonzero cells, from which
+    the (lo, hi, z) table of any z within scope is taken as an exact
+    integer marginal. Each marginal has exactly the layout that
+    ``count_table(data, (lo, hi), z)`` gives."""
+
+    def __init__(self, data, lo, hi, scope):
+        self.lo, self.hi = lo, hi
+        self.r, self.c = data.arity(lo), data.arity(hi)
+        self._arities = {v: data.arity(v) for v in scope}
+        self._position = {v: i for i, v in enumerate(scope)}
+        joint = count_table(data, (lo, hi, *scope)).reshape(self.r * self.c, -1)
+        # head cell, scope-configuration digits and count of each nonzero cell
+        self._head, config = np.nonzero(joint)
+        self._weights = joint[self._head, config].astype(float)
+        self.nonzero = config.size
+        shape = tuple(self._arities.values())
+        digits = np.unravel_index(config, shape) if scope else ()
+        self._digits = np.array(digits, dtype=float).reshape(len(scope), config.size)
+
+    @staticmethod
+    def fits(data, lo, hi, scope):
+        """Whether the nominal (lo, hi, *scope) table is within count_table's
+        one-pass bound; only such a joint is counted."""
+        cells = math.prod(data.arity(v) for v in (lo, hi, *scope))
+        return cells <= one_pass_cells(data.distinct_rows[1].size)
+
+    def strata(self, z):
+        """Nominal configurations of z."""
+        return math.prod(self._arities[v] for v in z)
+
+    def marginals(self, zsets):
+        """(counts, l): the (lo, hi, z) tables of the sorted zsets side by
+        side, shape (r, c, sum(l)); table t holds the l[t] observed
+        z-configurations in rank order, as count_table lays them out."""
+        # radix[t, i]: the weight of scope variable i in z_t's mixed-radix
+        # code (last of z fastest); the codes are small integers, exact in
+        # the float product
+        radix = np.zeros((len(zsets), len(self._position)))
+        strata = np.empty(len(zsets), dtype=np.intp)
+        for t, z in enumerate(zsets):
+            step = 1
+            for v in reversed(z):
+                radix[t, self._position[v]] = step
+                step *= self._arities[v]
+            strata[t] = step
+        ends = np.cumsum(strata)
+        code = (radix @ self._digits).astype(np.intp) + (ends - strata)[:, None]
+        seen = np.cumsum(np.bincount(code.ravel(), minlength=int(ends[-1])) > 0)
+        total = int(seen[-1])
+        cell = self._head * total + seen[code] - 1
+        weights = np.broadcast_to(self._weights, cell.shape).ravel()
+        counts = np.bincount(cell.ravel(), weights, minlength=self.r * self.c * total)
+        l = np.diff(seen[ends - 1], prepend=0).tolist()
+        return counts.reshape(self.r, self.c, total), l
 
 
 def radix_code(columns, variables, arities, dtype):

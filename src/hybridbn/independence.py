@@ -12,7 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .data import count_table
+from .data import JointCounts, count_table
+
+
+POWER_CELLS = ("nominal", "observed")
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,8 @@ class TestConfig:
             raise ValueError("power_threshold must be finite and positive")
         if self.max_condset is not None and self.max_condset < 0:
             raise ValueError("max_condset must be non-negative")
-        if self.power_cells not in ("nominal", "observed"):
-            raise ValueError("power_cells must be 'nominal' or 'observed'")
+        if self.power_cells not in POWER_CELLS:
+            raise ValueError(f"power_cells must be one of {POWER_CELLS}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,10 @@ class TestResult:
     dof: int
     decided_by_power_rule: bool
     independent: bool
+
+
+# the power rule's verdict, also that of a table with no rows
+_POWER_RULE = TestResult(1.0, 0.0, 0, True, True)
 
 
 def _mi_and_dof_batch(counts, l, n):
@@ -137,7 +144,7 @@ def _nominal_power_verdict(arity, n, x, y, z, cfg):
     if cfg.power_cells == "nominal":
         cells = arity[x] * arity[y] * math.prod([arity[v] for v in z])
         if n / cells < cfg.power_threshold:
-            return TestResult(1.0, 0.0, 0, True, True)
+            return _POWER_RULE
     return None
 
 
@@ -147,7 +154,7 @@ def _decide(counts, l, n, cfg):
     # observed power rule, then dof <= 0, then the chi-square p-value.
     if not n:
         # no rows, so no evidence either way: the power rule's verdict
-        return [TestResult(1.0, 0.0, 0, True, True) for _ in l]
+        return [_POWER_RULE] * len(l)
     r, c, _ = counts.shape
     observed = cfg.power_cells == "observed"
     mis, dofs = _mi_and_dof_batch(counts, l, n)
@@ -155,7 +162,7 @@ def _decide(counts, l, n, cfg):
     for li, mi, dof in zip(l, mis, dofs):
         stat = 2.0 * n * mi
         if observed and n / (r * c * li) < cfg.power_threshold:
-            out.append(TestResult(1.0, 0.0, 0, True, True))
+            out.append(_POWER_RULE)
         elif dof <= 0:
             out.append(TestResult(1.0, stat, dof, False, True))
         else:
@@ -231,24 +238,24 @@ class DataIndependenceSource:
         The answer, the cache keys and their order are those of asking
         independent(x, y, z) for each z in turn until one holds. Every z
         must be a subset of scope. While the nominal (x, y, scope) table
-        fits count_table's one-pass bound (4U + 1024 cells), it is counted
-        once, on the first uncached test, and each z's table is an exact
-        integer marginal of it. The tests are worked ahead in blocks that
-        double from four, each of at most about U cells (table cells plus
-        the joint's nonzero cells per table), and only the tests up to the
-        first independent one are cached; a block that raises caches
-        none of its tests. A wider scope runs the loop.
+        fits count_table's one-pass bound (``JointCounts.fits``), it is
+        counted once, on the first uncached test, as a ``JointCounts``, and
+        each z's table is one of its marginals. The tests are worked ahead
+        in blocks that double from four, each of at most about U cells
+        (table cells plus the joint's nonzero cells per table), and only the
+        tests up to the first independent one are cached; a block that
+        raises caches none of its tests. A wider scope runs the loop.
         """
         zsets = iter(zsets)
         data = self.data
         lo, hi = (x, y) if x < y else (y, x)
         scope = tuple(sorted(scope))
+        fits = JointCounts.fits(data, lo, hi, scope)
+        if not fits or lo == hi or lo in scope or hi in scope:
+            return next((z for z in zsets if self.independent(x, y, z)), None)
         arity = self._arity
         rc = arity[lo] * arity[hi]
         cap = data.distinct_rows[1].size
-        wide = rc * math.prod([arity[v] for v in scope]) > 4 * cap + 1024
-        if wide or lo == hi or lo in scope or hi in scope:
-            return next((z for z in zsets if self.independent(x, y, z)), None)
         joint = None
         ahead = 4
         while True:
@@ -261,7 +268,7 @@ class DataIndependenceSource:
                     hit = todo[key] = _nominal_power_verdict(
                         arity, data.n, *key, self.cfg)
                     if hit is None:
-                        joint = joint or _Joint(data, lo, hi, scope)
+                        joint = joint or JointCounts(data, lo, hi, scope)
                         cells += rc * joint.strata(key[2]) + joint.nonzero
                 found = hit is not None and hit.independent
                 if found or len(todo) >= ahead or cells >= cap:
@@ -315,52 +322,3 @@ class DataIndependenceSource:
             res = _decide(counts, l, self.data.n, self.cfg)
             todo.update(zip(((joint.lo, joint.hi, z) for z in zsets), res))
         return todo
-
-
-class _Joint:
-    """Counts of (lo, hi, *scope), kept as the nonzero cells, from which
-    the (lo, hi, z) table of any z within scope is taken as an exact
-    integer marginal."""
-
-    def __init__(self, data, lo, hi, scope):
-        self.lo, self.hi = lo, hi
-        self.r, self.c = data.arity(lo), data.arity(hi)
-        self._arities = {v: data.arity(v) for v in scope}
-        self._position = {v: i for i, v in enumerate(scope)}
-        joint = count_table(data, (lo, hi, *scope)).reshape(self.r * self.c, -1)
-        # head cell, scope-configuration digits and count of each nonzero cell
-        self._head, config = np.nonzero(joint)
-        self._weights = joint[self._head, config].astype(float)
-        self.nonzero = config.size
-        shape = tuple(self._arities.values())
-        digits = np.unravel_index(config, shape) if scope else ()
-        self._digits = np.array(digits, dtype=float).reshape(len(scope), config.size)
-
-    def strata(self, z):
-        """Nominal configurations of z."""
-        return math.prod(self._arities[v] for v in z)
-
-    def marginals(self, zsets):
-        """(counts, l): the (lo, hi, z) tables of the sorted zsets side by
-        side, shape (r, c, sum(l)); table t holds the l[t] observed
-        z-configurations in rank order, as count_table lays them out."""
-        # radix[t, i]: the weight of scope variable i in z_t's mixed-radix
-        # code (last of z fastest); the codes are small integers, exact in
-        # the float product
-        radix = np.zeros((len(zsets), len(self._position)))
-        strata = np.empty(len(zsets), dtype=np.intp)
-        for t, z in enumerate(zsets):
-            step = 1
-            for v in reversed(z):
-                radix[t, self._position[v]] = step
-                step *= self._arities[v]
-            strata[t] = step
-        ends = np.cumsum(strata)
-        code = (radix @ self._digits).astype(np.intp) + (ends - strata)[:, None]
-        seen = np.cumsum(np.bincount(code.ravel(), minlength=int(ends[-1])) > 0)
-        total = int(seen[-1])
-        cell = self._head * total + seen[code] - 1
-        weights = np.broadcast_to(self._weights, cell.shape).ravel()
-        counts = np.bincount(cell.ravel(), weights, minlength=self.r * self.c * total)
-        l = np.diff(seen[ends - 1], prepend=0).tolist()
-        return counts.reshape(self.r, self.c, total), l

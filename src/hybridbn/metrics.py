@@ -41,57 +41,40 @@ def skeleton_metrics(learned, truth):
     return SkeletonMetrics(tp, fp, fn, precision, recall, fpr, euclidean)
 
 
-def _orient(p, u, v):
-    key = (u, v) if u < v else (v, u)
-    if key in p.undirected:
-        p.orient(u, v)
-    elif (u, v) not in p.directed:
-        raise AssertionError(f"conflicting orientation for {u}->{v}")
-
-
-def _undirected_neighbors(p, v):
-    return {b if a == v else a for a, b in p.undirected if v in (a, b)}
-
-
 def _meek_orients(p, a, b):
-    # True when one of Meek's rules orients the undirected edge a-b as a->b.
-    dir_in_a = {u for u, w in p.directed if w == a}
+    # True when Meek's rule 1, 2 or 3 orients the undirected edge a-b as a->b.
     # R1: c -> a, c and b nonadjacent
-    for c in dir_in_a:
-        if not p.adjacent(c, b):
+    for c, w in p.directed:
+        if w == a and not p.adjacent(c, b):
             return True
     # R2: a -> c -> b
     for c, w in p.directed:
         if c == a and (w, b) in p.directed:
             return True
     # R3: a - c -> b and a - d -> b with c, d nonadjacent
-    und_a = _undirected_neighbors(p, a)
+    und_a = {v if u == a else u for u, v in p.undirected if a in (u, v)}
     into_b = {u for u, w in p.directed if w == b}
     spokes = sorted(und_a & into_b)
     for c, d in combinations(spokes, 2):
         if not p.adjacent(c, d):
             return True
-    # R4: a - k and k -> l -> b with k and b nonadjacent
-    for k in und_a:
-        if p.adjacent(k, b):
-            continue
-        for kk, l in p.directed:
-            if kk == k and (l, b) in p.directed:
-                return True
     return False
 
 
 def dag_to_cpdag(g):
     """The DAG pattern: compelled edges directed, reversible edges undirected.
 
-    Orients the v-structures of g and closes under Meek's orientation rules.
+    The edges of g's v-structures start directed, the rest undirected, and
+    Meek's rules 1-3 close the pattern. For a DAG's pattern these rules are
+    complete; rule 4 is needed only with background knowledge (Meek 1995).
     """
-    p = Pdag(g.d, undirected=g.edges())
+    v_edges = set()
     for w in range(g.d):
         for u, v in combinations(g.parents(w), 2):
             if not g.adjacent(u, v):
-                _orient(p, u, w)
-                _orient(p, v, w)
+                v_edges.update([(u, w), (v, w)])
+    p = Pdag(g.d, directed=v_edges,
+             undirected=[e for e in g.edges() if e not in v_edges])
     changed = True
     while changed:
         changed = False

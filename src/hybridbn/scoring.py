@@ -26,6 +26,9 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+SCORES = ("bdeu", "bic")
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
     """Score and search settings."""
@@ -36,8 +39,8 @@ class ScoreConfig:
     patience: int = 15
 
     def __post_init__(self):
-        if self.score not in ("bdeu", "bic"):
-            raise ValueError("score must be 'bdeu' or 'bic'")
+        if self.score not in SCORES:
+            raise ValueError(f"score must be one of {SCORES}")
         if not (math.isfinite(self.ess) and self.ess > 0):
             raise ValueError("ess must be finite and positive")
         if not _is_int(self.tabu_length) or self.tabu_length < 0:

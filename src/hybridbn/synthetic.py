@@ -24,15 +24,6 @@ def random_dag(d, max_parents, rng):
     return g
 
 
-def _config_levels(j, arities):
-    # decode mixed-radix configuration j (last parent fastest)
-    out = []
-    for a in reversed(arities):
-        out.append(j % a)
-        j //= a
-    return list(reversed(out))
-
-
 def _peaked_column(r, w, lo, hi):
     # A column whose mass peaks near level w*(r-1), linearly interpolated so
     # every parent level shift moves the distribution; for r=2 this is
@@ -72,10 +63,9 @@ def monotone_network(dag, arities=None, lo=0.1, hi=0.9, names=None):
             table[:, 0] = _peaked_column(r, w, lo, hi)
         else:
             denom = sum(a - 1 for a in pa_ar)
-            for j in range(q):
-                cfg = _config_levels(j, pa_ar)
-                w = sum(cfg) / denom
-                table[:, j] = _peaked_column(r, w, lo, hi)
+            # the parents' levels in configuration j, last parent fastest
+            for j, cfg in enumerate(zip(*np.unravel_index(range(q), pa_ar))):
+                table[:, j] = _peaked_column(r, sum(cfg) / denom, lo, hi)
         cpts.append(table)
     return BayesianNetwork(dag, names, levels, cpts)
 

@@ -152,17 +152,19 @@ class Spies:
     def __init__(self, mp):
         self.joints = 0
         self.ranked = 0
-        joint, ranks = independence_mod._Joint, data_mod.observed_config_codes
+        ranks = data_mod.observed_config_codes
+        spies = self
 
-        def counting_joint(*args):
-            self.joints += 1
-            return joint(*args)
+        class counting_joint(data_mod.JointCounts):
+            def __init__(self, *args):
+                spies.joints += 1
+                super().__init__(*args)
 
         def counting_ranks(*args):
             self.ranked += 1
             return ranks(*args)
 
-        mp.setattr(independence_mod, "_Joint", counting_joint)
+        mp.setattr(independence_mod, "JointCounts", counting_joint)
         mp.setattr(data_mod, "observed_config_codes", counting_ranks)
 
 

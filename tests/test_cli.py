@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridbn.cli import main
+from hybridbn.cli import _score_cfg, _test_cfg, build_parser, main
+from hybridbn.independence import TestConfig as Config
+from hybridbn.multilabel import MlcConfig
 from hybridbn.network import write_network
+from hybridbn.scoring import ScoreConfig
 from hybridbn.synthetic import (
     genbase_shape_network,
     monotone_network,
@@ -277,6 +280,74 @@ class TestBadInput:
                    "--test-n", 0, "--seed", 0, "--out", tmp_path / "b.json")
         assert code == 1
         self.assert_one_line(capsys, "usage error: --test-n must be at least 1")
+
+    @pytest.mark.parametrize("flags", [
+        ("--sizes", "--out-dir", "--n", "--out"),
+        ("--sizes", "--out-dir", "--n"),
+        ("--n", "--out", "--out-dir"),
+    ])
+    def test_sample_sweep_with_single_draw(self, flags, small_net, tmp_path,
+                                           capsys):
+        # one of the two pairs was silently ignored
+        _, net_path = small_net
+        sweep, out = tmp_path / "sweep", tmp_path / "s.csv"
+        values = {"--sizes": "20", "--out-dir": sweep, "--n": 5, "--out": out}
+        argv = [token for flag in flags for token in (flag, values[flag])]
+        assert run("sample", "--net", net_path, "--seed", 0, *argv) == 1
+        self.assert_one_line(
+            capsys, "usage error: either --sizes with --out-dir, or --n with --out")
+        assert not sweep.exists() and not out.exists()
+
+    def test_mlc_labels_with_label_count(self, tiny_csv, tmp_path, capsys):
+        # --label-count was silently ignored
+        out = tmp_path / "r.json"
+        code = run("mlc", "--data", tiny_csv, "--labels", "c", "--label-count", 1,
+                   "--scenario", "br", "--folds", 2, "--seed", 0, "--report", out)
+        assert code == 1
+        self.assert_one_line(
+            capsys, "usage error: exactly one of --labels or --label-count")
+        assert not out.exists()
+
+    def test_export_dot_cpdag_of_a_skeleton(self, sampled_csv, tmp_path, capsys):
+        # --cpdag was silently ignored
+        skel, out = tmp_path / "skel.json", tmp_path / "g.dot"
+        assert run("learn-skeleton", "--data", sampled_csv, "--out", skel) == 0
+        assert run("export-dot", "--skeleton", skel, "--cpdag", "--out", out) == 1
+        self.assert_one_line(capsys, "usage error: --cpdag needs --net")
+        assert not out.exists()
+
+
+class TestDefaults:
+    """An option that sets a config field defaults to the field's value."""
+
+    REQUIRED = {
+        "learn-skeleton": ["--data", "d.csv", "--out", "o"],
+        "learn": ["--data", "d.csv", "--out", "o"],
+        "evaluate": ["--learned", "l.json", "--truth", "t.json", "--report", "r"],
+        "benchmark": ["--truth", "t.json", "--sizes", "10", "--seed", 0,
+                      "--out", "o"],
+        "mlc": ["--data", "d.csv", "--scenario", "br", "--seed", 0,
+                "--report", "r"],
+    }
+
+    def parse(self, command):
+        argv = [command, *self.REQUIRED[command]]
+        return build_parser().parse_args([str(a) for a in argv])
+
+    @pytest.mark.parametrize("command", ["learn-skeleton", "learn", "benchmark", "mlc"])
+    def test_test_config(self, command):
+        assert _test_cfg(self.parse(command)) == Config()
+
+    @pytest.mark.parametrize("command", ["learn", "benchmark", "mlc"])
+    def test_score_config(self, command):
+        assert _score_cfg(self.parse(command)) == ScoreConfig()
+
+    def test_evaluate_ess(self):
+        assert self.parse("evaluate").ess == ScoreConfig().ess
+
+    def test_mlc_folds_and_smoothing(self):
+        args, cfg = self.parse("mlc"), MlcConfig()
+        assert (args.folds, args.smoothing) == (cfg.folds, cfg.smoothing)
 
 
 class TestLearnSkeleton:

@@ -115,6 +115,27 @@ class TestDagToCpdag:
                 got = dag_to_cpdag(Dag(d, edges))
                 assert got == expected, (d, edges)
 
+    def test_matches_brute_force_on_larger_graphs(self):
+        # 6 to 12 nodes, up to 4 parents each: past the reach of check 4's
+        # enumeration. A closure that also ran Meek's rule 4 would orient an
+        # edge by rule 4 before rules 1-3 reach it in DAGs 35, 36, 75, 87,
+        # 137, 156, 166, 274 and 281 of this sequence.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            d = int(rng.integers(6, 13))
+            g = random_dag(d, 4, rng)
+            assert dag_to_cpdag(g) == brute_force_cpdag(d, tuple(g.edges()))
+
+    def test_rules_one_to_three_close_where_rule_four_fires_first(self):
+        # Rules 1-4 would orient 6 -> 0 by rule 4 here, in the sweep before
+        # rules 1-3 could; rules 1-3 alone reach the same pattern
+        edges = ((1, 2), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4), (2, 5),
+                 (4, 0), (5, 0), (5, 4), (6, 0), (6, 1), (6, 2), (6, 3),
+                 (6, 4), (6, 5))
+        p = dag_to_cpdag(Dag(7, edges))
+        assert (6, 0) in p.directed
+        assert p == brute_force_cpdag(7, edges)
+
     def test_pattern_is_a_fixture_of_itself(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

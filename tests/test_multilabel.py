@@ -12,6 +12,7 @@ from hybridbn.data import (
     CategoricalDataset,
     DataError,
     kfold,
+    one_pass_cells,
     parse_numeric_column,
 )
 from hybridbn.graphs import Dag
@@ -222,14 +223,14 @@ class TestPowersetClassifier:
 @st.composite
 def powerset_cases(draw):
     # blocks of one to seven labels, zero to four features, arities up to 7,
-    # so the block's nominal space can pass observed_config_codes' 4n+1024
-    # span (its prefix-ranking path). A wide column, with more levels than
+    # so the block's nominal space can pass observed_config_codes' span,
+    # one_pass_cells(n) (its prefix-ranking path). A wide column, with more levels than
     # 16 times that span, sends the ranking to its sort path.
     d = draw(st.integers(2, 10))
     arities = draw(st.lists(st.integers(1, 7), min_size=d, max_size=d))
     n = draw(st.integers(1, 120))
     if draw(st.booleans()):
-        arities[draw(st.integers(0, d - 1))] = 16 * (4 * n + 1024) + 1
+        arities[draw(st.integers(0, d - 1))] = 16 * one_pass_cells(n) + 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = np.column_stack(
         [rng.integers(0, a, size=n) for a in arities]
