@@ -6,7 +6,9 @@ byte-identical across repeated runs. --jobs sets the number of worker
 processes over the folds of mlc and the (size, repeat) cells of benchmark,
 capped at the cells and os.cpu_count(); outputs do not depend on it. learn
 and learn-skeleton accept --jobs and run sequentially. Wall-clock fields
-are emitted only behind --timing.
+are emitted only behind --timing. A flag the run would not read (a test
+flag on learn --skeleton; --ess or --delimiter on evaluate without --test)
+is a usage error.
 """
 
 import argparse
@@ -37,7 +39,7 @@ def _echo_config(args):
     # Resolved non-path configuration, for provenance inside reports.
     out = {}
     for key, value in vars(args).items():
-        if key in _PATH_DESTS or key in ("func", "jobs", "timing") or callable(value):
+        if key in _PATH_DESTS or key in ("func", "given", "jobs", "timing") or callable(value):
             continue
         out[key] = value
     return out
@@ -71,16 +73,34 @@ def _score_cfg(args):
     )
 
 
+class _Noted(argparse.Action):
+    # stores the value and notes in args.given that the flag was passed
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+def _refuse(args, dests, reason):
+    # a flag the run does not read is a usage error, whatever its value
+    for dest in dests:
+        if dest in getattr(args, "given", ()):
+            raise _Usage(f"--{dest.replace('_', '-')} {reason}")
+
+
+_TEST_DESTS = ("alpha", "power_threshold", "max_condset", "power_cells")
+
+
 def _add_test_flags(p):
     p.add_argument("--alpha", type=float, default=TestConfig.alpha,
-                   help="type-I level of the independence test")
+                   action=_Noted, help="type-I level of the independence test")
     p.add_argument("--power-threshold", type=float,
-                   default=TestConfig.power_threshold,
+                   default=TestConfig.power_threshold, action=_Noted,
                    help="minimum average sample per contingency cell")
     p.add_argument("--max-condset", type=int, default=TestConfig.max_condset,
+                   action=_Noted,
                    help="cap on conditioning-set size in the PC search")
     p.add_argument("--power-cells", choices=POWER_CELLS,
-                   default=TestConfig.power_cells,
+                   default=TestConfig.power_cells, action=_Noted,
                    help="cell count semantics of the power rule")
 
 
@@ -139,12 +159,14 @@ def _parse_sizes(raw):
 def cmd_learn_skeleton(args):
     data = load_csv(args.data, delimiter=args.delimiter)
     src = DataIndependenceSource(data, _test_cfg(args))
-    skel = build_skeleton(src, src.cfg)
+    skel = build_skeleton(src)
     write_skeleton(skel, data.names, args.out)
     return 0
 
 
 def cmd_learn(args):
+    if args.skeleton:
+        _refuse(args, _TEST_DESTS, "is not read with --skeleton")
     _non_negative(args.laplace, "--laplace")
     score_cfg = _score_cfg(args)
     data = load_csv(args.data, delimiter=args.delimiter)
@@ -156,7 +178,7 @@ def cmd_learn(args):
         ci_tests = 0
     else:
         src = DataIndependenceSource(data, _test_cfg(args))
-        skel = build_skeleton(src, src.cfg)
+        skel = build_skeleton(src)
         ci_tests = src.distinct_tests
     result = hill_climb(data, skel, score_cfg)
     net = fit_cpts(result.dag, data, laplace=args.laplace)
@@ -182,6 +204,8 @@ def cmd_learn(args):
 
 
 def cmd_evaluate(args):
+    if not args.test:
+        _refuse(args, ("ess", "delimiter"), "needs --test")
     learned = read_network(args.learned)
     truth = read_network(args.truth)
     if learned.names != truth.names:
@@ -226,7 +250,7 @@ def cmd_benchmark(args):
         train = forward_sample(net, size, seed=[args.seed, si, rep, 0])
         test = forward_sample(net, args.test_n, seed=[args.seed, si, rep, 1])
         src = DataIndependenceSource(train, test_cfg)
-        skel = build_skeleton(src, test_cfg)
+        skel = build_skeleton(src)
         result = hill_climb(train, skel, score_cfg)
         sm = skeleton_metrics(skel, truth_skel)
         on_train = holdout_scores(train, {"dag": result.dag}, score_cfg)
@@ -366,8 +390,8 @@ def build_parser():
     p.add_argument("--learned", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--test", default=None)
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--ess", type=float, default=ScoreConfig.ess)
+    p.add_argument("--delimiter", default=",", action=_Noted)
+    p.add_argument("--ess", type=float, default=ScoreConfig.ess, action=_Noted)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -127,15 +127,39 @@ def test_independence(data, x, y, z=(), cfg=None):
     test with per-stratum degrees-of-freedom adjustment; dof <= 0 carries
     no evidence of dependence and is returned as independent.
     """
-    cfg = cfg or TestConfig()
-    z = tuple(z)
-    if x == y or x in z or y in z:
-        raise ValueError("x, y and z must be distinct")
-    verdict = _nominal_power_verdict(data.arities, data.n, x, y, z, cfg)
-    if verdict is not None:
-        return verdict
-    counts = count_table(data, (x, y), z)
-    return _decide(counts, [counts.shape[2]], data.n, cfg)[0]
+    return _evaluate(data, cfg or TestConfig(), [(x, y, tuple(z))])[0]
+
+
+def _evaluate(data, cfg, keys):
+    # The TestResults of the (x, y, z) keys, in order. Each key must name
+    # three distinct parts; the nominal power rule decides it, or its
+    # count_table goes to _decide. The tables of one (r, c) shape go
+    # through one statistic pass every U table cells (U distinct rows).
+    arity, cap = data.arities, data.distinct_rows[1].size
+    out = [None] * len(keys)
+    batch, cells = {}, 0
+
+    def flush():
+        for group in batch.values():
+            counts = np.concatenate([table for _, table in group], axis=2)
+            l = [table.shape[2] for _, table in group]
+            for (i, _), res in zip(group, _decide(counts, l, data.n, cfg)):
+                out[i] = res
+        batch.clear()
+
+    for i, (x, y, z) in enumerate(keys):
+        if x == y or x in z or y in z:
+            raise ValueError("x, y and z must be distinct")
+        out[i] = _nominal_power_verdict(arity, data.n, x, y, z, cfg)
+        if out[i] is None:
+            table = count_table(data, (x, y), z)
+            batch.setdefault(table.shape[:2], []).append((i, table))
+            cells += table.size
+        if cells >= cap:
+            flush()
+            cells = 0
+    flush()
+    return out
 
 
 def _nominal_power_verdict(arity, n, x, y, z, cfg):
@@ -181,8 +205,9 @@ class DataIndependenceSource:
     Besides the one-at-a-time queries it answers two batch queries,
     ``results`` and ``first_independent``. Each returns what the sequential
     loop it stands for would, leaves the same keys in the cache in the same
-    order. A batch's tables go through the kernel of a single test
-    (``_decide``) together, so their G2 statistics take one vectorized pass.
+    order. A cache miss of ``result`` or ``results`` goes to the one
+    evaluator that ``test_independence`` also runs; ``first_independent``
+    hands marginals of one joint table to the same kernel (``_decide``).
     """
 
     def __init__(self, data, cfg=None):
@@ -209,8 +234,7 @@ class DataIndependenceSource:
         key = self._key(x, y, z)
         hit = self._cache.get(key)
         if hit is None:
-            hit = test_independence(self.data, key[0], key[1], key[2], self.cfg)
-            self._cache[key] = hit
+            hit = self._cache[key] = _evaluate(self.data, self.cfg, [key])[0]
         return hit
 
     def independent(self, x, y, z=()):
@@ -222,14 +246,14 @@ class DataIndependenceSource:
     def results(self, queries):
         """[result(x, y, z) for (x, y, z) in queries], in one batch.
 
-        Each table is counted with ``count_table``; the statistics of up to
-        about U table cells (U distinct rows) go through one vectorized
+        The uncached keys go to the evaluator together, so the statistics
+        of up to about U table cells (U distinct rows) take one vectorized
         pass. A batch that raises (a query whose x, y and z are not
         distinct) leaves the cache as it was.
         """
         keys = [self._key(*q) for q in queries]
         todo = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        self._cache.update(self._counted_results(todo))
+        self._cache.update(zip(todo, _evaluate(self.data, self.cfg, todo)))
         return [self._cache[key] for key in keys]
 
     def first_independent(self, x, y, zsets, scope):
@@ -247,7 +271,7 @@ class DataIndependenceSource:
         raises caches none of its tests. A wider scope runs the loop.
         """
         zsets = iter(zsets)
-        data = self.data
+        data, cfg = self.data, self.cfg
         lo, hi = (x, y) if x < y else (y, x)
         scope = tuple(sorted(scope))
         fits = JointCounts.fits(data, lo, hi, scope)
@@ -261,12 +285,12 @@ class DataIndependenceSource:
         while True:
             walk, todo, cells = [], {}, 0
             for z in zsets:
-                key = (lo, hi, tuple(sorted(z)))
+                key = self._key(lo, hi, z)
                 walk.append((z, key))
                 hit = self._cache.get(key)
                 if hit is None and key not in todo:
                     hit = todo[key] = _nominal_power_verdict(
-                        arity, data.n, *key, self.cfg)
+                        arity, data.n, *key, cfg)
                     if hit is None:
                         joint = joint or JointCounts(data, lo, hi, scope)
                         cells += rc * joint.strata(key[2]) + joint.nonzero
@@ -275,50 +299,14 @@ class DataIndependenceSource:
                     break
             if not walk:
                 return None
-            fresh = self._marginal_results(joint, todo)
+            counted = [key for key, hit in todo.items() if hit is None]
+            if counted:
+                counts, l = joint.marginals([key[2] for key in counted])
+                todo.update(zip(counted, _decide(counts, l, data.n, cfg)))
             for z, key in walk:
                 hit = self._cache.get(key)
                 if hit is None:
-                    hit = self._cache[key] = fresh[key]
+                    hit = self._cache[key] = todo[key]
                 if hit.independent:
                     return z
             ahead *= 2
-
-    def _counted_results(self, keys):
-        # {key: TestResult} of the uncached keys, tables from count_table;
-        # the tables of one (r, c) shape go through one statistic pass.
-        data, cfg = self.data, self.cfg
-        out, batch, cells = {}, {}, 0
-        for key in keys:
-            x, y, z = key
-            if x == y or x in z or y in z:
-                raise ValueError("x, y and z must be distinct")
-            out[key] = _nominal_power_verdict(self._arity, data.n, x, y, z, cfg)
-            if out[key] is None:
-                table = count_table(data, (x, y), z)
-                batch.setdefault(table.shape[:2], []).append((key, table))
-                cells += table.size
-            if cells >= data.distinct_rows[1].size:
-                out.update(self._table_results(batch))
-                batch, cells = {}, 0
-        out.update(self._table_results(batch))
-        return out
-
-    def _table_results(self, batch):
-        # (key, TestResult) pairs of the tables batch holds per shape.
-        for group in batch.values():
-            counts = np.concatenate([table for _, table in group], axis=2)
-            l = [table.shape[2] for _, table in group]
-            res = _decide(counts, l, self.data.n, self.cfg)
-            yield from zip((key for key, _ in group), res)
-
-    def _marginal_results(self, joint, todo):
-        # {key: TestResult} of the uncached keys in todo, which holds the
-        # nominal power-rule verdicts; the other tables are marginals of
-        # joint.
-        zsets = [key[2] for key, hit in todo.items() if hit is None]
-        if zsets:
-            counts, l = joint.marginals(zsets)
-            res = _decide(counts, l, self.data.n, self.cfg)
-            todo.update(zip(((joint.lo, joint.hi, z) for z in zsets), res))
-        return todo

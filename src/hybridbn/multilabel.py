@@ -181,16 +181,14 @@ def learn_local_dag(data, labels, test_cfg=None, score_cfg=None, jobs=1):
     the constrained hill climber; nodes outside the ring stay isolated.
     jobs is accepted and has no effect.
     """
-    test_cfg = test_cfg or TestConfig()
-    score_cfg = score_cfg or ScoreConfig()
     labels = sorted(set(labels))
     src = DataIndependenceSource(data, test_cfg)
     ring = set(labels)
     for t in labels:
-        ring |= hpc(t, src, None, test_cfg)
+        ring |= hpc(t, src)
     for t in sorted(ring - set(labels)):
-        ring |= hpc(t, src, None, test_cfg)
-    skel = build_skeleton(src, test_cfg, universe=sorted(ring))
+        ring |= hpc(t, src)
+    skel = build_skeleton(src, universe=sorted(ring))
     return hill_climb(data, skel, score_cfg).dag
 
 

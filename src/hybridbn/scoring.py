@@ -7,7 +7,7 @@ keyed by (node, sorted parent tuple) and evaluates moves through deltas.
 import heapq
 import math
 import numbers
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,21 +209,19 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     best_score = current
     best_edges = frozenset()
     current_edges = frozenset()
-    # the last tabu_length structures, and how often each occurs among them;
-    # with tabu_length 0 both stay empty and nothing is tabu
-    tabu = deque(maxlen=cfg.tabu_length)
-    in_tabu = Counter()
+    # the last tabu_length structures, oldest first, and the same as a set:
+    # each move leaves the window, so no structure is in it twice; with
+    # tabu_length 0 both stay empty and nothing is tabu
+    tabu = deque()
+    in_tabu = set()
 
     def visit(edges):
-        if tabu.maxlen == 0:
+        if cfg.tabu_length == 0:
             return
-        if len(tabu) == tabu.maxlen:
-            old = tabu.popleft()
-            in_tabu[old] -= 1
-            if not in_tabu[old]:
-                del in_tabu[old]
+        if len(tabu) == cfg.tabu_length:
+            in_tabu.remove(tabu.popleft())
         tabu.append(edges)
-        in_tabu[edges] += 1
+        in_tabu.add(edges)
 
     def toggled(v, u):
         delta = toggle[v].get(u)

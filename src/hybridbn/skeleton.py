@@ -36,6 +36,8 @@ class IndependenceSource(Protocol):
       or None, asking no test after it.
 
     A source without them is asked one test at a time, in the same order.
+    A source's ``cfg`` (a TestConfig), where it has one, is the default of
+    hpc and build_skeleton.
     """
 
     @property
@@ -91,6 +93,20 @@ class Skeleton:
         object.__setattr__(self, "pc", tuple(frozenset(s) for s in pc))
 
 
+def _eliminate(target, src, members, given=()):
+    # The survivors, in order, and {dropped: w}: each member x in turn is
+    # dropped on the first other survivor w with the target independent of
+    # x given {w} | given (de_pcs phase II and de_sps's shrinking pass).
+    kept, dropped = list(members), {}
+    for x in list(kept):
+        for w in [v for v in kept if v != x]:
+            if src.independent(target, x, tuple(sorted((w, *given)))):
+                kept.remove(x)
+                dropped[x] = w
+                break
+    return kept, dropped
+
+
 def de_pcs(target, src, universe):
     """Parents-children superset by elimination with |Z| <= 1.
 
@@ -105,12 +121,8 @@ def de_pcs(target, src, universe):
         if independent:
             pcs.remove(x)
             dsep[x] = frozenset()
-    for x in list(pcs):
-        for y in [w for w in pcs if w != x]:
-            if src.independent(target, x, (y,)):
-                pcs.remove(x)
-                dsep[x] = frozenset((y,))
-                break
+    pcs, separated = _eliminate(target, src, pcs)
+    dsep.update((x, frozenset((y,))) for x, y in separated.items())
     return PcsResult(pcs=frozenset(pcs), dsep=dsep)
 
 
@@ -128,12 +140,7 @@ def de_sps(target, src, universe, pcs, dsep):
         queries = [(target, y, tuple(sorted(dsep[y] | {x}))) for y in outside]
         grown = _ask_all(src, queries, "independent")
         local = [y for y, independent in zip(outside, grown) if not independent]
-        for y in list(local):
-            for z in [w for w in local if w != y]:
-                if src.independent(target, y, tuple(sorted((x, z)))):
-                    local.remove(y)
-                    break
-        sps.update(local)
+        sps.update(_eliminate(target, src, local, (x,))[0])
     return frozenset(sps)
 
 
@@ -210,17 +217,23 @@ def _separated(target, x, boundary, src, max_condset):
     return first(target, x, zsets, others) is not None
 
 
+def _config(src, cfg):
+    # the test config the caller gave, else the source's own, else default
+    return cfg or getattr(src, "cfg", None) or TestConfig()
+
+
 def hpc(target, src, universe=None, cfg=None):
     """Hybrid parents-children discovery around one target.
 
     Filters the universe down to {T} union PCS union SPS, runs FDR-IAPC
     there (the iamb_fdr boundary minus the members _separated prunes),
     then rescues each discarded PCS member X whose own FDR-IAPC (within
-    the same restricted universe) contains the target.
+    the same restricted universe) contains the target. cfg (the FDR alpha
+    and max_condset) defaults to the source's cfg, else TestConfig().
     """
     if universe is None:
         universe = range(src.n_vars)
-    return _hpc(target, src, universe, cfg or TestConfig(), frozenset())
+    return _hpc(target, src, universe, _config(src, cfg), frozenset())
 
 
 def _hpc(target, src, universe, cfg, settled):
@@ -251,9 +264,9 @@ def build_skeleton(src, cfg=None, jobs=1, universe=None):
     Targets run in column order on the calling thread; jobs is accepted
     and has no effect. An edge {X, T} with X before T and T not in hpc(X)
     is already dropped, so hpc(T) skips X's subset search and OR rescue;
-    the edges are those of plain hpc runs.
+    the edges are those of plain hpc runs. cfg defaults as in hpc.
     """
-    cfg = cfg or TestConfig()
+    cfg = _config(src, cfg)
     nodes = sorted(set(universe if universe is not None else range(src.n_vars)))
     hpcs = {}
     for t in nodes:

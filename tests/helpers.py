@@ -17,7 +17,7 @@ import numpy as np
 from hybridbn.graphs import Dag, Pdag
 from hybridbn.scoring import _IMPROVE_EPS, ScoreConfig, Scorer, SearchResult
 from hybridbn.independence import TestConfig
-from hybridbn.skeleton import Skeleton, de_pcs, de_sps, iamb_fdr
+from hybridbn.skeleton import PcsResult, Skeleton, de_pcs, de_sps, iamb_fdr
 
 mpmath.mp.dps = 30
 
@@ -334,6 +334,43 @@ def random_pdag_pair(rng, d):
 # -------------------------------------------------------------- skeleton
 
 
+def reference_de_pcs(target, src, universe):
+    """de_pcs as first written: every test asked one at a time, phase I's
+    marginal tests first, then phase II's loop."""
+    pcs = [v for v in sorted(universe) if v != target]
+    dsep = {}
+    for x in list(pcs):
+        if src.independent(target, x, ()):
+            pcs.remove(x)
+            dsep[x] = frozenset()
+    for x in list(pcs):
+        for y in [w for w in pcs if w != x]:
+            if src.independent(target, x, (y,)):
+                pcs.remove(x)
+                dsep[x] = frozenset((y,))
+                break
+    return PcsResult(pcs=frozenset(pcs), dsep=dsep)
+
+
+def reference_de_sps(target, src, universe, pcs, dsep):
+    """de_sps as first written: per X in pcs, the growing tests one at a
+    time, then the shrinking loop."""
+    outside = [v for v in sorted(universe) if v != target and v not in pcs]
+    sps = set()
+    for x in sorted(pcs):
+        local = [
+            y for y in outside
+            if not src.independent(target, y, tuple(sorted(dsep[y] | {x})))
+        ]
+        for y in list(local):
+            for z in [w for w in local if w != y]:
+                if src.independent(target, y, tuple(sorted((x, z)))):
+                    local.remove(y)
+                    break
+        sps.update(local)
+    return frozenset(sps)
+
+
 def reference_fdr_iapc(target, src, universe, alpha, max_condset=None):
     """fdr_iapc with the subset search spelled out for every member."""
     mb = sorted(iamb_fdr(target, src, universe, alpha))
@@ -356,8 +393,8 @@ def reference_fdr_iapc(target, src, universe, alpha, max_condset=None):
 
 def reference_hpc(target, src, universe=None, cfg=None):
     """hpc whose OR phase runs the whole fdr_iapc of every discarded PCS
-    member and then looks for the target in it."""
-    cfg = cfg or TestConfig()
+    member and then looks for the target in it. cfg defaults as in hpc."""
+    cfg = cfg or getattr(src, "cfg", None) or TestConfig()
     if universe is None:
         universe = range(src.n_vars)
     universe = sorted(universe)
@@ -373,7 +410,7 @@ def reference_hpc(target, src, universe=None, cfg=None):
 
 def reference_build_skeleton(src, cfg=None, universe=None):
     """AND-rule skeleton from a full reference_hpc run around every node."""
-    cfg = cfg or TestConfig()
+    cfg = cfg or getattr(src, "cfg", None) or TestConfig()
     nodes = sorted(universe if universe is not None else range(src.n_vars))
     hpcs = {t: reference_hpc(t, src, nodes, cfg) for t in nodes}
     edges = set()
@@ -723,22 +760,61 @@ class RecordingSource:
         return self.inner.p_value(x, y, z)
 
 
-class SequentialSource:
-    """IndependenceSource view of a source without its batch queries, so
-    the discovery loops ask it one test at a time."""
+class QueryLog:
+    """IndependenceSource wrapper that logs every (x, y, z) it is asked, one
+    at a time or in a ``results`` batch, in the order asked. It answers
+    ``results`` only where the inner source does."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.queries = []
+        if hasattr(inner, "results"):
+            self.results = self._results
 
     @property
     def n_vars(self):
         return self.inner.n_vars
 
     def independent(self, x, y, z=()):
+        self.queries.append((x, y, tuple(z)))
         return self.inner.independent(x, y, z)
 
     def p_value(self, x, y, z=()):
+        self.queries.append((x, y, tuple(z)))
         return self.inner.p_value(x, y, z)
+
+    def _results(self, queries):
+        queries = list(queries)
+        self.queries += [(x, y, tuple(z)) for x, y, z in queries]
+        return self.inner.results(queries)
+
+
+class ReferenceSource:
+    """IndependenceSource that runs ``reference_test_independence`` once per
+    canonical key (min(x, y), max(x, y), sorted z), one test at a time: it
+    has no batch queries, so the discovery loops ask it test by test. Its
+    cache holds the keys in the order first asked."""
+
+    def __init__(self, data, cfg=None):
+        self.data = data
+        self.cfg = cfg or TestConfig()
+        self._cache = {}
+
+    @property
+    def n_vars(self):
+        return self.data.d
+
+    def result(self, x, y, z=()):
+        key = (min(x, y), max(x, y), tuple(sorted(z)))
+        if key not in self._cache:
+            self._cache[key] = reference_test_independence(self.data, *key, self.cfg)
+        return self._cache[key]
+
+    def independent(self, x, y, z=()):
+        return self.result(x, y, z).independent
+
+    def p_value(self, x, y, z=()):
+        return self.result(x, y, z).p_value
 
 
 class DSeparationSource:

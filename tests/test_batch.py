@@ -1,10 +1,12 @@
-"""The batch queries of DataIndependenceSource against its own sequential
-answers.
+"""The batch queries of DataIndependenceSource against a sequential
+reference.
 
 results() and first_independent() may work ahead and compute many tests
 in one pass, but they must give what asking independent / p_value one at a
 time gives: the same answers, the same TestResults (==), and the same cache
 keys in the same order. So must every discovery routine that uses them.
+The sequential side is helpers.ReferenceSource, which shares no code with
+the package's evaluator: one reference test per key, no batch queries.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.skeleton import build_skeleton, hpc
 
-from helpers import SequentialSource
+from helpers import ReferenceSource
 
 
 @st.composite
@@ -65,15 +67,13 @@ def assert_same_cache(batched, sequential):
 @given(data=datasets(), cfg=configs)
 def test_skeleton_and_hpc_match_the_sequential_source(data, cfg):
     batched = DataIndependenceSource(data, cfg)
-    sequential = DataIndependenceSource(data, cfg)
-    skeleton = build_skeleton(batched, cfg)
-    assert skeleton == build_skeleton(SequentialSource(sequential), cfg)
+    sequential = ReferenceSource(data, cfg)
+    assert build_skeleton(batched, cfg) == build_skeleton(sequential, cfg)
     assert_same_cache(batched, sequential)
     for target in range(data.d):
         batched = DataIndependenceSource(data, cfg)
-        sequential = DataIndependenceSource(data, cfg)
-        assert hpc(target, batched, None, cfg) == hpc(
-            target, SequentialSource(sequential), None, cfg)
+        sequential = ReferenceSource(data, cfg)
+        assert hpc(target, batched, None, cfg) == hpc(target, sequential, None, cfg)
         assert_same_cache(batched, sequential)
 
 
@@ -82,17 +82,17 @@ def test_skeleton_and_hpc_match_the_sequential_source(data, cfg):
 def test_local_dag_matches_the_sequential_source(data, cfg):
     sources = []
 
-    def source(view):
+    def source(cls):
         def make(data, cfg):
-            sources.append(DataIndependenceSource(data, cfg))
-            return view(sources[-1])
+            sources.append(cls(data, cfg))
+            return sources[-1]
         return make
 
     labels = list(range(data.d - 2, data.d))
     dags = []
-    for view in (lambda src: src, SequentialSource):
+    for cls in (DataIndependenceSource, ReferenceSource):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(multilabel_mod, "DataIndependenceSource", source(view))
+            mp.setattr(multilabel_mod, "DataIndependenceSource", source(cls))
             dags.append(multilabel_mod.learn_local_dag(data, labels, cfg))
     assert dags[0] == dags[1]
     assert_same_cache(*sources)
@@ -132,7 +132,7 @@ def query_plans(draw):
 def test_batch_queries_match_the_loop(case):
     data, cfg, plan = case
     batched = DataIndependenceSource(data, cfg)
-    sequential = DataIndependenceSource(data, cfg)
+    sequential = ReferenceSource(data, cfg)
     for step in plan:
         if step[0] == "results":
             got = batched.results(step[1])
@@ -185,7 +185,7 @@ def test_each_path_runs_and_matches_the_loop(power_cells):
     data = wide_data()
     cfg = Config(power_cells=power_cells, power_threshold=0.01)
     batched = DataIndependenceSource(data, cfg)
-    sequential = DataIndependenceSource(data, cfg)
+    sequential = ReferenceSource(data, cfg)
     narrow, wide = (2, 3, 4), (2, 3, 4, 5, 6)
     # count_table's one-pass and ranked paths
     queries = [(0, 1, narrow), (1, 0, wide), (0, 1, ())]

@@ -317,6 +317,36 @@ class TestBadInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", 0.5),
+        ("--alpha", 0.05),
+        ("--power-threshold", 2),
+        ("--max-condset", 1),
+        ("--power-cells", "observed"),
+    ])
+    def test_learn_test_flag_with_skeleton(self, flag, value, tmp_path, capsys):
+        # the search reads no test flag, yet the report echoed it; a flag
+        # counts whatever its value, and is refused before any file is read
+        missing, out = tmp_path / "missing", tmp_path / "n.json"
+        code = run("learn", "--data", missing, "--skeleton", missing,
+                   flag, value, "--out", out)
+        assert code == 1
+        self.assert_one_line(capsys, f"usage error: {flag} is not read with --skeleton")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ess", 3), ("--ess", 10), ("--delimiter", ";"), ("--delimiter", ","),
+    ])
+    def test_evaluate_flag_without_test(self, flag, value, tmp_path, capsys):
+        # only the holdout scores of --test read these
+        missing, out = tmp_path / "missing.json", tmp_path / "r.json"
+        code = run("evaluate", "--learned", missing, "--truth", missing,
+                   flag, value, "--report", out)
+        assert code == 1
+        self.assert_one_line(capsys, f"usage error: {flag} needs --test")
+        assert not out.exists()
+
+
 class TestDefaults:
     """An option that sets a config field defaults to the field's value."""
 

@@ -37,7 +37,7 @@ from hybridbn.skeleton import build_skeleton
 from hybridbn.synthetic import child_shape_network
 
 from helpers import (
-    SequentialSource,
+    ReferenceSource,
     bdeu_family_oracle,
     reference_config_codes,
     reference_contingency,
@@ -302,19 +302,10 @@ def child_sample():
 @pytest.mark.parametrize("power_cells", ["nominal", "observed"])
 def test_child_sample_matches_reference(child_sample, power_cells):
     cfg = Config(power_cells=power_cells)
-    reference_calls = []
-
-    def reference(*args):
-        reference_calls.append(args[1:4])
-        return reference_test_independence(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(independence_mod, "test_independence", reference)
-        ref = DataIndependenceSource(child_sample, cfg)
-        # batch queries do not go through test_independence: ask one at a time
-        ref_skeleton = build_skeleton(SequentialSource(ref), cfg, jobs=1)
-    # every cached result came from the reference path
-    assert len(reference_calls) == len(ref._cache) > 100
+    # every result of the reference source comes from the reference test
+    ref = ReferenceSource(child_sample, cfg)
+    ref_skeleton = build_skeleton(ref, cfg, jobs=1)
+    assert len(ref._cache) > 100
     assert max(len(z) for _, _, z in ref._cache) >= 4
     for x, y, z in ref._cache:
         assert_same_table(child_sample, x, y, z)

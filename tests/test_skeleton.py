@@ -29,9 +29,12 @@ from hybridbn.synthetic import (
 
 from helpers import (
     DSeparationSource,
+    QueryLog,
     RecordingSource,
     random_dataset,
     reference_build_skeleton,
+    reference_de_pcs,
+    reference_de_sps,
     reference_hpc,
     true_skeleton,
 )
@@ -300,6 +303,53 @@ class TestBuildSkeleton:
         ds = forward_sample(net, 8000, seed=1)
         skel = build_skeleton(DataIndependenceSource(ds), cfg=Config())
         assert skel.edges == true_skeleton(g).edges
+
+
+    def test_source_config_is_the_default(self):
+        # without cfg, the FDR alpha and max_condset were TestConfig()'s,
+        # whatever the source tested with: 25 edges here instead of 31
+        ds = forward_sample(child_shape_network(), 3000, seed=1)
+        cfg = Config(max_condset=0)
+        src = DataIndependenceSource(ds, cfg)
+        skel = build_skeleton(src)
+        assert skel == build_skeleton(src, cfg)
+        assert skel != build_skeleton(src, Config())
+        for t in range(ds.d):
+            assert hpc(t, src) == hpc(t, src, None, cfg)
+
+
+class TestQueryOrder:
+    """de_pcs and de_sps ask the (x, y, z) queries of their loops as first
+    written (helpers), in the same order, whether one at a time or in
+    batches."""
+
+    @staticmethod
+    def check(src):
+        for target in range(src.n_vars):
+            universe = range(src.n_vars)
+            got, want = QueryLog(src), QueryLog(src)
+            res = de_pcs(target, got, universe)
+            assert res == reference_de_pcs(target, want, universe)
+            sps = de_sps(target, got, universe, res.pcs, res.dsep)
+            assert sps == reference_de_sps(target, want, universe, res.pcs, res.dsep)
+            assert got.queries == want.queries
+
+    @given(oracle_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_sources(self, case):
+        self.check(case[0])
+
+    @given(data_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_data(self, case):
+        self.check(case[0])
+
+    def test_child_sample(self):
+        ds = forward_sample(child_shape_network(), 2000, seed=0)
+        src = QueryLog(DataIndependenceSource(ds))
+        self.check(src)
+        # both elimination loops ran: phase II (|Z| = 1) and shrink (|Z| = 2)
+        assert {len(z) for _, _, z in src.queries} == {0, 1, 2}
 
 
 class TestAgainstReference:
