@@ -7,8 +7,8 @@ processes over the folds of mlc and the (size, repeat) cells of benchmark,
 capped at the cells and os.cpu_count(); outputs do not depend on it. learn
 and learn-skeleton accept --jobs and run sequentially. Wall-clock fields
 are emitted only behind --timing. A flag the run would not read (a test
-flag on learn --skeleton; --ess or --delimiter on evaluate without --test)
-is a usage error.
+flag on learn --skeleton; a test or score flag on mlc --scenario br; --ess
+or --delimiter on evaluate without --test) is a usage error.
 """
 
 import argparse
@@ -104,13 +104,18 @@ def _add_test_flags(p):
                    help="cell count semantics of the power rule")
 
 
+_SCORE_DESTS = ("score", "ess", "tabu", "patience")
+
+
 def _add_score_flags(p):
-    p.add_argument("--score", choices=SCORES, default=ScoreConfig.score)
-    p.add_argument("--ess", type=float, default=ScoreConfig.ess,
+    p.add_argument("--score", choices=SCORES, default=ScoreConfig.score,
+                   action=_Noted)
+    p.add_argument("--ess", type=float, default=ScoreConfig.ess, action=_Noted,
                    help="equivalent sample size of the BDeu prior")
     p.add_argument("--tabu", type=int, default=ScoreConfig.tabu_length,
-                   help="length of the structure TABU list")
+                   action=_Noted, help="length of the structure TABU list")
     p.add_argument("--patience", type=int, default=ScoreConfig.patience,
+                   action=_Noted,
                    help="moves without improvement before stopping")
 
 
@@ -133,6 +138,7 @@ def cmd_sample(args):
     if given not in ([True, True, False, False], [False, False, True, True]):
         raise _Usage("either --sizes with --out-dir, or --n with --out")
     net = read_network(args.net)
+    _check_csv_tokens(net)
     if args.sizes:
         sizes = _parse_sizes(args.sizes)
         os.makedirs(args.out_dir, exist_ok=True)
@@ -144,6 +150,25 @@ def cmd_sample(args):
         raise _Usage("--n must be at least 1")
     write_csv(forward_sample(net, args.n, seed=args.seed), args.out)
     return 0
+
+
+def _check_csv_tokens(net):
+    # load_csv strips every token and reads a blank cell as missing, and the
+    # csv writer leaves a bare carriage return unquoted, so a network whose
+    # names or levels break these rules samples to a file learn cannot read
+    if not net.names:
+        raise DataError("the network has no variables, so a sample has no columns")
+    for name, levels in zip(net.names, net.levels):
+        for token in (name, *levels):
+            if token != token.strip() or "\r" in token:
+                raise DataError(
+                    f"{token!r} of variable {name!r} cannot be written to CSV: "
+                    "blanks around it or a carriage return in it"
+                )
+        if "" in levels:
+            raise DataError(f"variable {name!r} has an empty level")
+        if len(set(levels)) < len(levels):
+            raise DataError(f"variable {name!r} has two equal levels")
 
 
 def _parse_sizes(raw):
@@ -286,6 +311,8 @@ def cmd_benchmark(args):
 
 
 def cmd_mlc(args):
+    if args.scenario == "br":
+        _refuse(args, _TEST_DESTS + _SCORE_DESTS, "is not read with --scenario br")
     if (args.labels is None) == (args.label_count is None):
         raise _Usage("exactly one of --labels or --label-count is required")
     data = load_csv(args.data, delimiter=args.delimiter)

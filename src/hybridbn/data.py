@@ -362,9 +362,10 @@ def kfold(n, k, seed):
 
 
 class _StrippedIds(dict):
-    """Raw token -> id of its stripped token. Each raw token is stripped
-    once, when first looked up; ids count the distinct stripped tokens in
-    order of first appearance, and stripped maps each of them to its id."""
+    """One column's raw token -> level index of its stripped token. Each
+    raw token is stripped once, when first looked up; level indices count
+    the column's distinct stripped tokens in order of first appearance, and
+    stripped maps each of them, in that order, to its index."""
 
     def __init__(self):
         super().__init__()
@@ -380,15 +381,17 @@ def load_csv(path, delimiter=","):
 
     The first line holds the column names. Tokens are mapped to level
     indices in first-appearance order, per column. Constant columns, ragged
-    rows, empty files and empty tokens are errors; of the ragged rows and
-    missing values, the first in file order is reported, by its line in the
-    file (the header is line 1). So are files that are not UTF-8 text and
-    fields the csv module rejects.
+    rows, empty files, a blank first line and empty tokens are errors; of
+    the ragged rows and missing values, the first in file order is
+    reported, by its line in the file (the header is line 1). So are files
+    that are not UTF-8 text and fields the csv module rejects.
     """
     # The rows are mapped as they are read, up to the first ragged one: one
-    # pass maps every cell to the id of its stripped token, and no row is
-    # kept. The rest of the file is still read, so that the csv module's
-    # errors come first wherever they are.
+    # pass maps every cell, through its column's _StrippedIds, to its level
+    # index, and no row is kept. The rest of the file is still read, so that
+    # the csv module's errors come first wherever they are. Level indices
+    # are below the row count, so int32 holds them for any file of fewer
+    # than 2**31 rows.
     n, width = 0, None
 
     def rows_before_ragged(rows, d):
@@ -407,10 +410,14 @@ def load_csv(path, delimiter=","):
             if top is not None:
                 names = [t.strip() for t in top]
                 d = len(names)
-                ids = _StrippedIds()
-                cells = itertools.chain.from_iterable(rows_before_ragged(reader, d))
-                cells = np.fromiter(map(ids.__getitem__, cells), np.int32)
-                for _ in reader:
+                ids = [_StrippedIds() for _ in names]
+                body = rows_before_ragged(reader, d)
+                cells = itertools.chain.from_iterable(body)
+                rows = np.fromiter(
+                    map(_StrippedIds.__getitem__, itertools.cycle(ids), cells), np.int32
+                )
+                # with no columns the map takes no cell, so body is read here
+                for _ in itertools.chain(body, reader):
                     pass
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
@@ -420,47 +427,20 @@ def load_csv(path, delimiter=","):
         raise DataError(f"empty file: {path}")
     if n == 0 and width is None:
         raise DataError(f"no data rows in {path}")
-    cells = cells.reshape(n, d)
-    tokens = list(ids.stripped)
-    if "" in ids.stripped:
-        rix, cix = divmod(int(np.argmax(cells.ravel() == ids.stripped[""])), d)
+    rows = rows.reshape(n, d)
+    # a column's id of "" is -1 while no cell of it is blank
+    blank = [col.stripped.get("", -1) for col in ids]
+    if max(blank, default=-1) >= 0:
+        rix, cix = divmod(int(np.argmax(rows == blank)), d)
         raise DataError(f"missing value at row {rix + 2}, column {names[cix]!r}")
     if width is not None:
         raise DataError(f"ragged row {n + 2}: expected {d} fields, got {width}")
-    # A column's levels are its stripped ids in order of first appearance.
-    # With k distinct ids, first[c * k + t] is the first row of id t in
-    # column c (n if none); while k <= n the table is no bigger than the
-    # cells. With more ids than rows it could reach d times the cells, so
-    # each column is ranked with np.unique, which is slower where the table
-    # fits (see the README). Ids, rows and codes are below the cell count,
-    # so int32 holds them for any file of fewer than 2**31 cells.
-    k = len(tokens)
-    if k <= n:
-        cells += np.arange(d, dtype=np.int32) * k
-        code = cells.ravel()
-        first = np.full(d * k, n, dtype=np.int32)
-        np.minimum.at(first, code, np.repeat(np.arange(n, dtype=np.int32), d))
-        first = first.reshape(d, k)
-        order = np.argsort(first, axis=1)
-        rank = np.empty((d, k), dtype=np.int32)
-        np.put_along_axis(rank, order, np.arange(k, dtype=np.int32)[None, :], axis=1)
-        rows = rank.ravel()[code].reshape(n, d)
-        seen = np.count_nonzero(first < n, axis=1)
-        level_ids = [order[cix, :seen[cix]] for cix in range(d)]
-    else:
-        rows = np.empty((n, d), dtype=np.int32)
-        level_ids = []
-        for cix in range(d):
-            uniq, first, inverse = np.unique(
-                cells[:, cix], return_index=True, return_inverse=True
-            )
-            order = np.argsort(first)
-            rows[:, cix] = np.argsort(order)[inverse]
-            level_ids.append(uniq[order])
-    for cix in range(d):
-        if len(level_ids[cix]) < 2:
-            raise DataError(f"constant column {names[cix]!r}")
-    levels = tuple(tuple(tokens[t] for t in lv.tolist()) for lv in level_ids)
+    if d == 0:
+        raise DataError(f"no column names on line 1 of {path}")
+    for name, col in zip(names, ids):
+        if len(col.stripped) < 2:
+            raise DataError(f"constant column {name!r}")
+    levels = tuple(tuple(col.stripped) for col in ids)
     return CategoricalDataset(tuple(names), levels, rows)
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from hybridbn.cli import _score_cfg, _test_cfg, build_parser, main
+from hybridbn.graphs import Dag
 from hybridbn.independence import TestConfig as Config
 from hybridbn.multilabel import MlcConfig
-from hybridbn.network import write_network
+from hybridbn.network import BayesianNetwork, write_network
 from hybridbn.scoring import ScoreConfig
 from hybridbn.synthetic import (
     genbase_shape_network,
@@ -332,6 +333,58 @@ class TestBadInput:
                    flag, value, "--out", out)
         assert code == 1
         self.assert_one_line(capsys, f"usage error: {flag} is not read with --skeleton")
+        assert not out.exists()
+
+    def test_learn_blank_first_line(self, tmp_path, capsys):
+        # it once wrote a network with no variables and exited 0
+        data, out = tmp_path / "blank.csv", tmp_path / "n.json"
+        data.write_text("\n\n")
+        assert run("learn", "--data", data, "--out", out) == 2
+        self.assert_one_line(capsys, "data error: no column names on line 1 of ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", 0.5),
+        ("--power-threshold", 2),
+        ("--max-condset", 1),
+        ("--power-cells", "observed"),
+        ("--score", "bic"),
+        ("--ess", 10),
+        ("--tabu", 3),
+        ("--patience", 5),
+    ])
+    def test_mlc_br_graph_flag(self, flag, value, tmp_path, capsys):
+        # br learns no graph, yet the report echoed these
+        missing, out = tmp_path / "missing.csv", tmp_path / "r.json"
+        code = run("mlc", "--data", missing, "--label-count", 1,
+                   "--scenario", "br", "--seed", 0, flag, value,
+                   "--report", out)
+        assert code == 1
+        self.assert_one_line(
+            capsys, f"usage error: {flag} is not read with --scenario br"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names, levels, message", [
+        ([], [], "the network has no variables"),
+        (["a"], [["x", " x"]], "' x' of variable 'a' cannot be written to CSV"),
+        (["a"], [["a\rb", "c"]], "'a\\rb' of variable 'a' cannot be written"),
+        (["a "], [["0", "1"]], "'a ' of variable 'a ' cannot be written"),
+        (["a"], [["0", ""]], "variable 'a' has an empty level"),
+        (["a"], [["0", "1", "0"]], "variable 'a' has two equal levels"),
+    ])
+    def test_sample_tokens_a_csv_cannot_carry(self, names, levels, message,
+                                              tmp_path, capsys):
+        # each once sampled to a file that learn could not read back
+        net = BayesianNetwork(
+            Dag(len(names)), names, levels,
+            [np.full((len(lv), 1), 1 / len(lv)) for lv in levels],
+        )
+        net_path, out = tmp_path / "net.json", tmp_path / "s.csv"
+        write_network(net, net_path)
+        code = run("sample", "--net", net_path, "--n", 5, "--seed", 0, "--out", out)
+        assert code == 2
+        self.assert_one_line(capsys, f"data error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [

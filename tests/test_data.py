@@ -228,6 +228,21 @@ class TestLoadCsvErrors:
             load_csv(path)
 
 
+    def test_blank_first_line(self, tmp_path):
+        # it once loaded as a dataset with no columns
+        path = write(tmp_path, "\n\n")
+        with pytest.raises(DataError, match="no column names on line 1 of "):
+            load_csv(path)
+        # a row after it is still ragged, and csv errors still come first
+        path = write(tmp_path, "\n1,2\n")
+        with pytest.raises(DataError, match="ragged row 2: expected 0 fields, got 2"):
+            load_csv(path)
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, f"\n\n{big}\n")
+        with pytest.raises(DataError, match="bad CSV at line 3"):
+            load_csv(path)
+
+
 class TestDataset:
     def test_level_range_validated(self):
         with pytest.raises(DataError, match="out of range"):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridbn.data import CategoricalDataset, load_csv, write_csv
+from hybridbn.cli import _check_csv_tokens
+from hybridbn.data import CategoricalDataset, DataError, load_csv, write_csv
 from hybridbn.network import BayesianNetwork, read_network, write_network
 from hybridbn.skeleton import read_skeleton, write_skeleton
 from hybridbn.synthetic import random_dag, random_network
@@ -120,3 +121,29 @@ def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed, data):
     write_csv(ds, out_dir / "got.csv")
     reference_write_csv(ds, out_dir / "want.csv")
     assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tokens_sample_accepts_load_back(out_dir, data):
+    # any text: what sample's check lets through, write_csv and load_csv
+    # carry unchanged (line breaks inside a token included)
+    text = st.text(max_size=3)
+    arities = data.draw(st.lists(st.integers(2, 3), max_size=3))
+    names = data.draw(st.lists(text, min_size=len(arities), max_size=len(arities),
+                               unique=True))
+    levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
+    net = BayesianNetwork(random_dag(len(arities), 0, np.random.default_rng(0)),
+                          names, levels,
+                          [np.full((a, 1), 1 / a) for a in arities])
+    try:
+        _check_csv_tokens(net)
+    except DataError:
+        return
+    # row i holds level i % arity, so levels appear in their own order
+    rows = np.arange(max(arities))[:, None] % np.array(arities)
+    ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
+    write_csv(ds, out_dir / "sample.csv")
+    back = load_csv(str(out_dir / "sample.csv"))
+    assert (back.names, back.levels, back.rows.tolist()) == (
+        ds.names, ds.levels, ds.rows.tolist())
