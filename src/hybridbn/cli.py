@@ -137,17 +137,18 @@ def cmd_sample(args):
     given = [v not in (None, "") for v in (args.sizes, args.out_dir, args.n, args.out)]
     if given not in ([True, True, False, False], [False, False, True, True]):
         raise _Usage("either --sizes with --out-dir, or --n with --out")
+    if args.sizes:
+        sizes = _parse_sizes(args.sizes)
+    elif args.n < 1:
+        raise _Usage("--n must be at least 1")
     net = read_network(args.net)
     _check_csv_tokens(net)
     if args.sizes:
-        sizes = _parse_sizes(args.sizes)
         os.makedirs(args.out_dir, exist_ok=True)
         for size in sizes:
             ds = forward_sample(net, size, seed=[args.seed, size])
             write_csv(ds, os.path.join(args.out_dir, f"sample_{size}.csv"))
         return 0
-    if args.n < 1:
-        raise _Usage("--n must be at least 1")
     write_csv(forward_sample(net, args.n, seed=args.seed), args.out)
     return 0
 
@@ -256,9 +257,6 @@ def cmd_evaluate(args):
 
 
 def cmd_benchmark(args):
-    net = read_network(args.truth)
-    truth_skel = _dag_skeleton(net.graph)
-    truth_cpdag = dag_to_cpdag(net.graph)
     sizes = _parse_sizes(args.sizes)
     if args.test_n < 1:
         raise _Usage("--test-n must be at least 1")
@@ -266,6 +264,9 @@ def cmd_benchmark(args):
         raise _Usage("--repeats must be at least 1")
     test_cfg = _test_cfg(args)
     score_cfg = _score_cfg(args)
+    net = read_network(args.truth)
+    truth_skel = _dag_skeleton(net.graph)
+    truth_cpdag = dag_to_cpdag(net.graph)
     empty = Dag(net.d)
     cells = [(si, size, rep) for si, size in enumerate(sizes)
              for rep in range(args.repeats)]

@@ -7,6 +7,7 @@ Datasets are immutable after construction and safe for concurrent readers.
 """
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -447,18 +448,43 @@ def load_csv(path, delimiter=","):
 def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
-    Rows go out in blocks of 512: each column's tokens come from one
-    lookup in an object array of its levels, and the csv writer quotes
-    them as it would one row at a time.
+    The csv writer writes each level once. Rows go out in blocks of 512,
+    each gathered from those written forms in one lookup and joined, so the
+    bytes are the ones the writer would give row by row.
     """
-    tokens = [np.array(lv, dtype=object) for lv in data.levels]
+    forms = _written_forms(data)
+    first = np.cumsum((0,) + data.arities)[:-1]  # each column's first form
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(data.names)
+        csv.writer(fh, lineterminator="\n").writerow(data.names)
+        if not data.d:
+            fh.write("\n" * data.n)  # no form carries the line ends
         for start in range(0, data.n, 512):
-            block = data.rows[start:start + 512]
-            columns = [tok[col] for tok, col in zip(tokens, block.T)]
-            writer.writerows(zip(*columns) if columns else [()] * len(block))
+            block = forms[data.rows[start:start + 512] + first]
+            # One list per block, not one per row: lists are containers the
+            # garbage collector counts, and 512 a block moved it on so far
+            # that forked workers later collected, and so copied, the whole
+            # heap they inherit.
+            fh.write("".join(block.ravel().tolist()))
+
+
+def _written_forms(data):
+    # Every level of every column as the csv writer writes it, followed by
+    # the separator that ends the field: "," or, after the last column, the
+    # line end. A field's written form does not depend on its row, except
+    # that a row of one empty field is quoted, so a one-column file takes
+    # its forms from one-field rows.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    alone = data.d == 1
+    forms = []
+    for col, levels in enumerate(data.levels):
+        end = "\n" if col == data.d - 1 else ","
+        for token in levels:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow([token] if alone else [token, ""])
+            forms.append(buf.getvalue()[:-1 if alone else -2] + end)
+    return np.array(forms, dtype=object)
 
 
 def parse_numeric_column(data, col):

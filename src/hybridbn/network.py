@@ -24,6 +24,10 @@ from .graphs import Dag, topological_order
 _COLUMN_SUM_READ_TOL = 1e-6
 _COLUMN_SUM_TOL = 1e-9
 
+# Cells of one dense (r, q) CPT, 128 MiB in float64: past it, fitting or
+# holding the table would run out of memory instead of failing in one line.
+CPT_CELL_LIMIT = 2**24
+
 
 class BayesianNetwork:
     """A Dag plus per-node conditional probability tables and metadata."""
@@ -56,12 +60,21 @@ class BayesianNetwork:
             if r < 2:
                 raise DataError(f"variable {self.names[v]!r} needs at least 2 levels")
             q = math.prod(self.parent_arities(v))
+            _check_cpt_cells(self.names[v], r, q)
             if self.cpts[v].shape != (r, q):
                 raise DataError(
                     f"CPT of {self.names[v]!r} has shape {self.cpts[v].shape}, "
                     f"expected {(r, q)}"
                 )
             _check_cpt(self.names[v], self.cpts[v], _COLUMN_SUM_TOL)
+
+
+def _check_cpt_cells(name, r, q):
+    if r * q > CPT_CELL_LIMIT:
+        raise DataError(
+            f"CPT of {name!r} is too large: {r} levels x {q} parent "
+            f"configurations is over {CPT_CELL_LIMIT} cells"
+        )
 
 
 def _check_cpt(name, table, tol):
@@ -78,7 +91,8 @@ def fit_cpts(dag, data, laplace=0.0):
     """Maximum-likelihood CPTs from data, with optional Laplace smoothing.
 
     With laplace = 0, parent configurations never observed get a uniform
-    column (there is no evidence to prefer any level).
+    column (there is no evidence to prefer any level). A family whose CPT
+    would pass CPT_CELL_LIMIT cells is a DataError, raised before counting.
     """
     if not (math.isfinite(laplace) and laplace >= 0):
         raise ValueError("laplace must be finite and non-negative")
@@ -87,6 +101,7 @@ def fit_cpts(dag, data, laplace=0.0):
         r = data.arity(v)
         pa = dag.parents(v)
         q = math.prod(data.arity(p) for p in pa)
+        _check_cpt_cells(data.names[v], r, q)
         counts = count_table(data, (v, *pa)).reshape(r, q).astype(float)
         counts += laplace
         totals = counts.sum(axis=0)
@@ -110,9 +125,14 @@ def forward_sample(net, n, seed):
         u = rng.random(n)
         pa = net.graph.parents(v)
         codes = radix_code(rows.T, pa, [arities[p] for p in pa], np.int64)
+        # The level is the number of cdf boundaries u passes. cdf never
+        # decreases, so a u past the last boundary passes every inner one:
+        # counting the r - 1 inner boundaries needs no clamp. level is the
+        # node's zeroed column of rows, counted in place.
         cdf = np.cumsum(net.cpts[v], axis=0)
-        levels = (u[:, None] > cdf[:, codes].T).sum(axis=1)
-        rows[:, v] = np.minimum(levels, arities[v] - 1)
+        level = rows[:, v]
+        for boundary in cdf[:-1]:
+            level += u > boundary[codes]
     return CategoricalDataset(net.names, net.levels, rows)
 
 

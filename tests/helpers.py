@@ -629,10 +629,37 @@ def reference_load_csv(path, delimiter=","):
                 index[cix][tok] = level
                 tokens[cix].append(tok)
             rows[rix, cix] = level
+    if d == 0:
+        raise DataError(f"no column names on line 1 of {path}")
     for cix in range(d):
         if len(tokens[cix]) < 2:
             raise DataError(f"constant column {names[cix]!r}")
     return CategoricalDataset(tuple(names), tuple(tuple(t) for t in tokens), rows)
+
+
+def reference_forward_sample(net, n, seed):
+    """The rows of ``forward_sample`` as first written: a node's level is the
+    number of its column's r cumulative boundaries that the uniform draw
+    passes, clamped to r - 1, with the parent configuration from
+    ``np.ravel_multi_index``. The draws are consumed as the package does:
+    one generator, nodes in its topological order."""
+    from hybridbn.graphs import topological_order
+
+    rng = np.random.default_rng(seed)
+    arities = net.arities
+    rows = np.zeros((n, net.d), dtype=np.int32)
+    for v in topological_order(net.graph):
+        u = rng.random(n)
+        pa = net.graph.parents(v)
+        if pa:
+            codes = np.ravel_multi_index(tuple(rows[:, p] for p in pa),
+                                         [arities[p] for p in pa])
+        else:
+            codes = np.zeros(n, dtype=np.int64)
+        cdf = np.cumsum(net.cpts[v], axis=0)
+        levels = (u[:, None] > cdf[:, codes].T).sum(axis=1)
+        rows[:, v] = np.minimum(levels, arities[v] - 1)
+    return rows
 
 
 def reference_write_csv(data, path):

@@ -282,6 +282,28 @@ class TestBadInput:
         assert code == 1
         self.assert_one_line(capsys, "usage error: --test-n must be at least 1")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("sample", "--net", "{missing}", "--n", 0, "--seed", 0,
+          "--out", "{out}"), "--n must be at least 1"),
+        (("sample", "--net", "{missing}", "--sizes", "10,0", "--seed", 0,
+          "--out-dir", "{out}"), "bad --sizes list"),
+        (("benchmark", "--truth", "{missing}", "--sizes", "x", "--seed", 0,
+          "--out", "{out}"), "bad --sizes list"),
+        (("benchmark", "--truth", "{missing}", "--sizes", 50, "--test-n", 0,
+          "--seed", 0, "--out", "{out}"), "--test-n must be at least 1"),
+        (("benchmark", "--truth", "{missing}", "--sizes", 50, "--repeats", 0,
+          "--seed", 0, "--out", "{out}"), "--repeats must be at least 1"),
+        (("benchmark", "--truth", "{missing}", "--sizes", 50, "--alpha", 2,
+          "--seed", 0, "--out", "{out}"), "alpha must lie in (0, 1)"),
+    ])
+    def test_counts_are_checked_before_the_network_is_read(self, argv, message,
+                                                          tmp_path, capsys):
+        # the network file was read first, so these exited 2 with "No such file"
+        paths = {"{missing}": tmp_path / "missing.json", "{out}": tmp_path / "out"}
+        assert run(*(paths.get(a, a) for a in argv)) == 1
+        self.assert_one_line(capsys, f"usage error: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [
         ("--sizes", "--out-dir", "--n", "--out"),
         ("--sizes", "--out-dir", "--n"),

@@ -117,9 +117,10 @@ TOKENS = st.sampled_from(["0", "1", "a", "bb", " a", "a ", " 1 ", "x y", "", " "
 @st.composite
 def csv_files(draw):
     """(text, delimiter) of a small file, header line first; in about half
-    the files, one row in six may be ragged or hold blank tokens."""
+    the files, one row in six may be ragged or hold blank tokens. A header
+    of no columns is a blank first line."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
-    d = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 5))
     n = draw(st.integers(0, 12))
     ok = st.lists(TOKENS.filter(str.strip), min_size=d, max_size=d)
     ragged = st.lists(TOKENS, min_size=0, max_size=d + 2)
@@ -166,9 +167,10 @@ def wide_csv_files(draw):
     columns each draw from up to 50 tokens, with one or more spaces around
     some cells, so that several raw tokens strip to one level. The columns
     share their tokens or keep their own; the latter gives more distinct
-    tokens than rows. One file in ten has a blank cell."""
+    tokens than rows. One file in ten with columns has a blank cell; a file
+    of no columns has a blank first line and blank rows."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 4))
     n = draw(st.integers(1, 60))
     shared = draw(st.booleans())
     pools = [
@@ -179,7 +181,7 @@ def wide_csv_files(draw):
     lines = [[f"c{cix}" for cix in range(d)]]
     for _ in range(n):
         lines.append([draw(pad).format(draw(st.sampled_from(pool))) for pool in pools])
-    if draw(st.integers(0, 9)) == 0:
+    if d and draw(st.integers(0, 9)) == 0:
         row = draw(st.integers(1, n))
         lines[row][draw(st.integers(0, d - 1))] = draw(st.sampled_from(["", " "]))
     text = "".join(delimiter.join(line) + "\n" for line in lines)

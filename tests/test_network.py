@@ -2,19 +2,34 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridbn import network
 from hybridbn.data import CategoricalDataset, DataError
 from hybridbn.graphs import Dag
 from hybridbn.network import (
+    CPT_CELL_LIMIT,
     BayesianNetwork,
     fit_cpts,
     forward_sample,
     read_network,
     write_network,
 )
-from hybridbn.synthetic import child_shape_network, monotone_network, random_dag
+from hybridbn.synthetic import (
+    child_shape_network,
+    monotone_network,
+    random_dag,
+    random_network,
+)
+
+from helpers import reference_forward_sample
 
 B = ("0", "1")
+
+# (r, q) of a CPT at the cell limit, 2**24, and one cell past it
+CPT_EDGE = [(256, 65536), (97, 172961)]
+assert [r * q - CPT_CELL_LIMIT for r, q in CPT_EDGE] == [0, 1]
 
 
 def binary_chain():
@@ -50,6 +65,17 @@ class TestValidation:
         g = Dag(1)
         with pytest.raises(ValueError, match="negative"):
             BayesianNetwork(g, ("a",), (B,), [np.array([[1.5], [-0.5]])])
+
+    @pytest.mark.parametrize("r, q", CPT_EDGE)
+    def test_cpt_cell_limit(self, r, q):
+        # the size is checked before the shape, so a placeholder CPT for b
+        # tells the two sides of the limit apart without allocating it
+        over = r * q - CPT_CELL_LIMIT
+        levels = [tuple(map(str, range(q))), tuple(map(str, range(r)))]
+        cpts = [np.full((q, 1), 1 / q), np.ones((1, 1))]
+        with pytest.raises(DataError,
+                           match="CPT of 'b' is too large" if over else "shape"):
+            BayesianNetwork(Dag(2, [(0, 1)]), ("a", "b"), levels, cpts)
 
 
 def dataset(rows, arities):
@@ -87,6 +113,19 @@ class TestFitCpts:
         np.testing.assert_allclose(net.cpts[2][:, 0], [1.0, 0.0])  # a=0,b=0
         np.testing.assert_allclose(net.cpts[2][:, 1], [0.0, 1.0])  # a=0,b=1
         np.testing.assert_allclose(net.cpts[2][:, 2], [0.0, 1.0])  # a=1,b=0
+
+    @pytest.mark.parametrize("r, q", CPT_EDGE)
+    def test_cpt_cell_limit_is_checked_before_counting(self, monkeypatch, r, q):
+        # a counting stub stands in for the table at the limit, which would
+        # take several hundred MB
+        def count_table(*args):
+            raise LookupError("counted")
+
+        monkeypatch.setattr(network, "count_table", count_table)
+        over = r * q - CPT_CELL_LIMIT
+        with pytest.raises(DataError if over else LookupError,
+                           match="CPT of 'v0' is too large" if over else "counted"):
+            fit_cpts(Dag(2, [(1, 0)]), dataset([[0, 0], [1, 1]], (r, q)))
 
     def test_preserves_metadata(self):
         ds = dataset([[0, 2], [1, 0], [1, 1]], (2, 3))
@@ -132,6 +171,34 @@ class TestForwardSample:
         c = forward_sample(net, 50, seed=[3, 501])
         np.testing.assert_array_equal(a.rows, b.rows)
         assert not np.array_equal(a.rows, c.rows)
+
+
+@st.composite
+def sampling_networks(draw):
+    """Random networks of arities 2 to 6 and up to 3 parents a node. Some
+    CPT columns are shrunk after validation, so that their cumulative sum
+    ends well below 1.0 and draws past the last boundary are common; a
+    valid CPT leaves them at most 1e-9 of room."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arities = draw(st.lists(st.integers(2, 6), min_size=d, max_size=d))
+    net = random_network(random_dag(d, draw(st.integers(0, 3)), rng), rng,
+                         arities=arities,
+                         concentration=draw(st.sampled_from([0.01, 0.5, 5.0])))
+    shrink = draw(st.sampled_from([1.0, 1.0 - 2**-40, 0.7]))
+    for table in net.cpts:
+        table[:, rng.random(table.shape[1]) < 0.5] *= shrink
+    return net
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=sampling_networks(), n=st.sampled_from([0, 1, 513]),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_sample_matches_reference(net, n, seed):
+    got = forward_sample(net, n, seed)
+    want = reference_forward_sample(net, n, seed)
+    assert got.rows.dtype == want.dtype
+    np.testing.assert_array_equal(got.rows, want)
 
 
 class TestSerialization:
