@@ -137,19 +137,21 @@ def cmd_sample(args):
     given = [v not in (None, "") for v in (args.sizes, args.out_dir, args.n, args.out)]
     if given not in ([True, True, False, False], [False, False, True, True]):
         raise _Usage("either --sizes with --out-dir, or --n with --out")
+    # (rows, seed, path) of each file, checked before the network is read
     if args.sizes:
-        sizes = _parse_sizes(args.sizes)
+        jobs = [(size, [args.seed, size],
+                 os.path.join(args.out_dir, f"sample_{size}.csv"))
+                for size in _parse_sizes(args.sizes)]
     elif args.n < 1:
         raise _Usage("--n must be at least 1")
+    else:
+        jobs = [(args.n, args.seed, args.out)]
     net = read_network(args.net)
     _check_csv_tokens(net)
-    if args.sizes:
+    if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for size in sizes:
-            ds = forward_sample(net, size, seed=[args.seed, size])
-            write_csv(ds, os.path.join(args.out_dir, f"sample_{size}.csv"))
-        return 0
-    write_csv(forward_sample(net, args.n, seed=args.seed), args.out)
+    for n, seed, path in jobs:
+        write_csv(forward_sample(net, n, seed=seed), path)
     return 0
 
 

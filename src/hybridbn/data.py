@@ -7,12 +7,12 @@ Datasets are immutable after construction and safe for concurrent readers.
 """
 
 import csv
-import io
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -448,43 +448,51 @@ def load_csv(path, delimiter=","):
 def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
-    The csv writer writes each level once. Rows go out in blocks of 512,
-    each gathered from those written forms in one lookup and joined, so the
-    bytes are the ones the writer would give row by row.
+    The csv writer writes each level that some row uses once. Rows go out
+    in blocks of 512, each gathered from those written forms in one lookup
+    and joined, so the bytes are the ones the writer would give row by row.
     """
-    forms = _written_forms(data)
+    d = data.d
     first = np.cumsum((0,) + data.arities)[:-1]  # each column's first form
+    forms = _written_forms(data, first)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(data.names)
-        if not data.d:
-            fh.write("\n" * data.n)  # no form carries the line ends
         for start in range(0, data.n, 512):
-            block = forms[data.rows[start:start + 512] + first]
-            # One list per block, not one per row: lists are containers the
-            # garbage collector counts, and 512 a block moved it on so far
-            # that forked workers later collected, and so copied, the whole
-            # heap they inherit.
-            fh.write("".join(block.ravel().tolist()))
+            block = data.rows[start:start + 512]
+            cells = forms.take(block + first).ravel().tolist()
+            # One list a block and one short-lived slice a row: lists are
+            # containers the garbage collector counts, and 512 of them alive
+            # at once moved it on so far that forked workers later
+            # collected, and so copied, the whole heap they inherit.
+            fh.write("\n".join([",".join(cells[i * d:(i + 1) * d])
+                                for i in range(len(block))]))
+            fh.write("\n")
 
 
-def _written_forms(data):
-    # Every level of every column as the csv writer writes it, followed by
-    # the separator that ends the field: "," or, after the last column, the
-    # line end. A field's written form does not depend on its row, except
-    # that a row of one empty field is quoted, so a one-column file takes
-    # its forms from one-field rows.
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _written_forms(data, first):
+    # The levels the rows use, as the csv writer writes them. Levels no row
+    # uses stay None, so the cost follows the cells written, not the levels
+    # (a fold of a real-valued file carries every level of the whole file).
+    # The writer hands each row it writes to lines. A row of a column's
+    # tokens that comes back as their plain join shows that each token is
+    # its own form, since quoting only lengthens a field; otherwise each
+    # token is written in a row of its own. So is each token of a
+    # one-column file, whose row of one empty field is quoted.
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     alone = data.d == 1
-    forms = []
+    forms = np.empty(int(sum(data.arities)), dtype=object)
     for col, levels in enumerate(data.levels):
-        end = "\n" if col == data.d - 1 else ","
-        for token in levels:
-            buf.seek(0)
-            buf.truncate()
-            writer.writerow([token] if alone else [token, ""])
-            forms.append(buf.getvalue()[:-1 if alone else -2] + end)
-    return np.array(forms, dtype=object)
+        used = np.flatnonzero(np.bincount(data.rows[:, col], minlength=len(levels)))
+        tokens = [levels[i] for i in used.tolist()]
+        lines.clear()
+        writer.writerow(tokens)
+        if alone or lines[0] != ",".join(tokens) + "\n":
+            lines.clear()
+            writer.writerows([t] if alone else [t, ""] for t in tokens)
+            tokens = [line[:-1 if alone else -2] for line in lines]
+        forms[first[col] + used] = tokens
+    return forms
 
 
 def parse_numeric_column(data, col):

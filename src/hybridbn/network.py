@@ -24,8 +24,13 @@ from .graphs import Dag, topological_order
 _COLUMN_SUM_READ_TOL = 1e-6
 _COLUMN_SUM_TOL = 1e-9
 
-# Cells of one dense (r, q) CPT, 128 MiB in float64: past it, fitting or
-# holding the table would run out of memory instead of failing in one line.
+# Cells of one dense (r, q) CPT. The table alone is 8 bytes a cell, but
+# fit_cpts peaks near 41 bytes a cell while it counts, write_network near 32
+# and read_network near 56 (the JSON list of Python floats; tracemalloc at
+# 2**21 cells). At 2**24 cells that is 0.65, 0.5 and 0.9 GiB for a single
+# family, so a wider one is refused in one line instead of running a machine
+# out of memory. The benchmark networks' largest CPT, true or learned, has
+# 243 cells.
 CPT_CELL_LIMIT = 2**24
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn.data import (
+    _written_forms,
     CategoricalDataset,
     ContingencyTable,
     DataError,
@@ -107,6 +108,16 @@ class TestLoadCsv:
         assert again.names == ds.names
         assert again.levels == ds.levels
         assert np.array_equal(again.rows, ds.rows)
+
+    def test_write_csv_forms_only_the_levels_rows_use(self):
+        # a fold of a real-valued file carries every level of the whole
+        # file, so the forms follow the cells written, not the levels
+        many = tuple(str(i) for i in range(10_000))
+        ds = CategoricalDataset(("a", "b"), (many, ("x", "y,z")),
+                                np.array([[7, 1], [9, 1]]))
+        forms = _written_forms(ds, np.array([0, len(many)]))
+        made = {i: form for i, form in enumerate(forms) if form is not None}
+        assert made == {7: "7", 9: "9", len(many) + 1: '"y,z"'}
 
 
 # Tokens never contain a delimiter or a quote; padded and empty ones test
