@@ -10,7 +10,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -22,6 +22,15 @@ _CODE_LIMIT = 2**62
 
 class DataError(ValueError):
     """An input file or dataset violates the format contract."""
+
+
+def row_dtype(arities):
+    """The dtype a dataset holds its level indices in: the smallest unsigned
+    type that holds max(arities) - 1 (uint8 up to 256 levels, uint16 up to
+    65,536, uint32 above). Arithmetic on rows stays in that type unless the
+    other operand is wider (NumPy 2), so widen before adding or multiplying
+    past the arity."""
+    return np.min_scalar_type(max(arities, default=1) - 1)
 
 
 @dataclass(frozen=True)
@@ -36,12 +45,15 @@ class CategoricalDataset:
         levels[i][v] is the token behind level index v of variable i;
         the arity of variable i is len(levels[i]).
     rows : ndarray of shape (n, d)
-        Integer level indices, 0 <= rows[:, i] < arity(i).
+        Integer level indices, 0 <= rows[:, i] < arity(i). They are checked
+        in the dtype given and stored C-contiguous and read-only in
+        ``row_dtype(arities)``.
     """
 
     names: tuple
     levels: tuple
     rows: np.ndarray
+    arities: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows)
@@ -52,30 +64,38 @@ class CategoricalDataset:
         if len(set(self.names)) != len(self.names):
             dup = next(v for v in self.names if self.names.count(v) > 1)
             raise DataError(f"duplicate column name {dup!r}")
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
-        for i, lv in enumerate(self.levels):
-            if len(lv) < 1:
+        levels = tuple(tuple(lv) for lv in self.levels)
+        arities = tuple(len(lv) for lv in levels)
+        # checked in the given dtype, so no index wraps into range first; the
+        # whole array's min and max clear it at once unless some column has
+        # an index at or past the smallest arity
+        top = np.array(arities, dtype=np.int64)
+        bad = top < 1
+        if rows.size and (rows.min() < 0 or rows.max() >= min(arities)):
+            bad |= (rows.min(axis=0) < 0) | (rows.max(axis=0) >= top)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not arities[i]:
                 raise DataError(f"variable {self.names[i]!r} has no levels")
-            if rows.shape[0] and (rows[:, i].min() < 0 or rows[:, i].max() >= len(lv)):
-                raise DataError(f"level index out of range in column {self.names[i]!r}")
+            raise DataError(f"level index out of range in column {self.names[i]!r}")
+        rows = np.ascontiguousarray(rows, dtype=row_dtype(arities))
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "levels", tuple(tuple(lv) for lv in self.levels))
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "arities", arities)
 
     @cached_property
     def distinct_rows(self):
         """Read-only store of the distinct rows, as (columns, weights).
 
-        columns has shape (d, U), column-major in the smallest unsigned
-        dtype that holds every level index, with one column per distinct row
-        configuration; weights[u] is the number of rows equal to distinct
-        row u, as float64 (exact below 2**53). Every count table is a
-        weighted ``bincount`` over the U distinct rows (see ``count_table``).
-        Built on first use.
+        columns has shape (d, U), column-major in the rows' own dtype, with
+        one column per distinct row configuration; weights[u] is the number
+        of rows equal to distinct row u, as float64 (exact below 2**53).
+        Every count table is a weighted ``bincount`` over the U distinct rows
+        (see ``count_table``). Built on first use.
         """
-        top = max(self.arities, default=1) - 1
-        columns = np.ascontiguousarray(self.rows.T, dtype=np.min_scalar_type(top))
+        columns = np.ascontiguousarray(self.rows.T)
         codes, u = observed_config_codes(columns.T, self.arities)
         weights = np.bincount(codes, minlength=u).astype(np.float64)
         first = np.zeros(u, dtype=np.intp)
@@ -93,12 +113,8 @@ class CategoricalDataset:
     def d(self):
         return self.rows.shape[1]
 
-    @property
-    def arities(self):
-        return tuple(len(lv) for lv in self.levels)
-
     def arity(self, i):
-        return len(self.levels[i])
+        return self.arities[i]
 
     def column_index(self, name):
         try:
@@ -113,14 +129,14 @@ class CategoricalDataset:
         Arities default to max+1 per column; tokens default to the decimal
         digits of the level indices.
         """
-        rows = np.asarray(rows, dtype=np.int32)
+        rows = np.asarray(rows)
         if rows.ndim != 2:
             raise DataError("rows must be a 2-d array")
         d = rows.shape[1]
         if arities is None:
             if rows.shape[0] == 0:
                 raise DataError("cannot infer arities from an empty matrix")
-            arities = [int(rows[:, i].max()) + 1 for i in range(d)]
+            arities = (rows.max(axis=0).astype(np.int64) + 1).tolist()
         if names is None:
             names = [f"v{i}" for i in range(d)]
         levels = [tuple(str(v) for v in range(a)) for a in arities]
@@ -377,6 +393,10 @@ class _StrippedIds(dict):
         return tid
 
 
+# Cells (at most) that load_csv maps before it narrows them to the row dtype.
+_LOAD_CHUNK = 65536
+
+
 def load_csv(path, delimiter=","):
     """Load a delimited text file into a CategoricalDataset.
 
@@ -389,10 +409,14 @@ def load_csv(path, delimiter=","):
     """
     # The rows are mapped as they are read, up to the first ragged one: one
     # pass maps every cell, through its column's _StrippedIds, to its level
-    # index, and no row is kept. The rest of the file is still read, so that
-    # the csv module's errors come first wherever they are. Level indices
-    # are below the row count, so int32 holds them for any file of fewer
-    # than 2**31 rows.
+    # index, and no row is kept. The cells are taken in chunks of whole rows
+    # and at most _LOAD_CHUNK cells, each narrowed to the row dtype of the
+    # levels seen so far, so no whole-file array wider than the dataset's
+    # own exists; slicing rows, not cells, keeps the per-cell path as short
+    # as one whole-file map. Level indices are below the row count, so a
+    # chunk's int32 holds them for any file of fewer than 2**31 rows. The
+    # rest of the file is still read, so that the csv module's errors come
+    # first wherever they are.
     n, width = 0, None
 
     def rows_before_ragged(rows, d):
@@ -413,10 +437,16 @@ def load_csv(path, delimiter=","):
                 d = len(names)
                 ids = [_StrippedIds() for _ in names]
                 body = rows_before_ragged(reader, d)
-                cells = itertools.chain.from_iterable(body)
-                rows = np.fromiter(
-                    map(_StrippedIds.__getitem__, itertools.cycle(ids), cells), np.int32
-                )
+                per_chunk = max(1, _LOAD_CHUNK // max(d, 1))  # whole rows
+                chunks = []
+                while True:
+                    cells = itertools.chain.from_iterable(itertools.islice(body, per_chunk))
+                    chunk = np.fromiter(
+                        map(_StrippedIds.__getitem__, itertools.cycle(ids), cells), np.int32
+                    )
+                    if not chunk.size:
+                        break
+                    chunks.append(chunk.astype(row_dtype([len(c.stripped) for c in ids])))
                 # with no columns the map takes no cell, so body is read here
                 for _ in itertools.chain(body, reader):
                     pass
@@ -428,6 +458,8 @@ def load_csv(path, delimiter=","):
         raise DataError(f"empty file: {path}")
     if n == 0 and width is None:
         raise DataError(f"no data rows in {path}")
+    arities = [len(col.stripped) for col in ids]
+    rows = np.concatenate([np.empty(0, np.uint8), *chunks], dtype=row_dtype(arities))
     rows = rows.reshape(n, d)
     # a column's id of "" is -1 while no cell of it is blank
     blank = [col.stripped.get("", -1) for col in ids]
@@ -438,8 +470,8 @@ def load_csv(path, delimiter=","):
         raise DataError(f"ragged row {n + 2}: expected {d} fields, got {width}")
     if d == 0:
         raise DataError(f"no column names on line 1 of {path}")
-    for name, col in zip(names, ids):
-        if len(col.stripped) < 2:
+    for name, arity in zip(names, arities):
+        if arity < 2:
             raise DataError(f"constant column {name!r}")
     levels = tuple(tuple(col.stripped) for col in ids)
     return CategoricalDataset(tuple(names), levels, rows)
@@ -496,13 +528,19 @@ def _written_forms(data, first):
 
 
 def parse_numeric_column(data, col):
-    """Original tokens of one column as floats (for median binarization)."""
+    """Original tokens of one column as floats (for median binarization);
+    a token that is not a finite number is a DataError."""
     try:
         lut = np.array([float(t) for t in data.levels[col]], dtype=float)
     except ValueError:
         raise DataError(
             f"column {data.names[col]!r} is not numeric and cannot be binarized"
         ) from None
+    if not np.isfinite(lut).all():
+        raise DataError(
+            f"column {data.names[col]!r} holds a value that is not finite "
+            "and cannot be binarized"
+        )
     return lut[data.rows[:, col]]
 
 
@@ -518,8 +556,12 @@ def read_json_object(path, fields):
             doc = json.load(fh)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer of more digits than
+            # sys.get_int_max_str_digits()
             raise DataError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise DataError(f"{path} nests JSON arrays or objects too deeply") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path} does not hold a JSON object")
     for key, kind in fields.items():

@@ -17,6 +17,7 @@ from .data import (
     name_pairs,
     radix_code,
     read_json_object,
+    row_dtype,
     write_json,
 )
 from .graphs import Dag, topological_order
@@ -125,7 +126,7 @@ def forward_sample(net, n, seed):
         raise ValueError("n must be non-negative")
     rng = np.random.default_rng(seed)
     arities = net.arities
-    rows = np.zeros((n, net.d), dtype=np.int32)
+    rows = np.zeros((n, net.d), dtype=row_dtype(arities))
     for v in topological_order(net.graph):
         u = rng.random(n)
         pa = net.graph.parents(v)

@@ -266,6 +266,38 @@ class TestBadInput:
         assert code == 2
         self.assert_one_line(capsys, f"data error: {learned} is not UTF-8 text")
 
+    def test_network_nested_too_deeply(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code = run("sample", "--net", deep, "--n", 5, "--seed", 0,
+                   "--out", tmp_path / "o.csv")
+        assert code == 2
+        self.assert_one_line(
+            capsys, f"data error: {deep} nests JSON arrays or objects too deeply")
+
+    def test_network_number_with_too_many_digits(self, small_net, tmp_path, capsys):
+        _, net_path = small_net
+        learned = tmp_path / "learned.json"
+        text = Path(net_path).read_text()
+        learned.write_text(text.replace("{", '{"x": ' + "9" * 5000 + ", ", 1))
+        code = run("evaluate", "--learned", learned, "--truth", net_path,
+                   "--report", tmp_path / "r.json")
+        assert code == 2
+        self.assert_one_line(
+            capsys, f"data error: invalid JSON in {learned}: Exceeds the limit")
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_mlc_binarize_non_finite_feature(self, token, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("f,g,y\n1.5,0,0\n2.5,1,1\n%s,0,1\n3.5,1,0\n" % token)
+        code = run("mlc", "--data", path, "--label-count", 1, "--scenario", "br",
+                   "--folds", 2, "--seed", 0, "--binarize",
+                   "--report", tmp_path / "r.json")
+        assert code == 2
+        self.assert_one_line(capsys, "data error: column 'f' holds a value that "
+                                     "is not finite and cannot be binarized")
+        assert not (tmp_path / "r.json").exists()
+
     def test_benchmark_zero_size(self, tmp_path, capsys):
         truth = tmp_path / "truth.json"
         write_network(recovery_network(), truth)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn.data import (
+    _LOAD_CHUNK,
     _written_forms,
     CategoricalDataset,
     ContingencyTable,
@@ -16,6 +18,7 @@ from hybridbn.data import (
     observed_config_codes,
     parse_numeric_column,
     radix_code,
+    row_dtype,
     write_csv,
 )
 
@@ -282,7 +285,7 @@ class TestDataset:
         columns, weights = ds.distinct_rows
         assert columns.dtype == np.uint8
         assert columns.flags.c_contiguous
-        assert ds.rows.dtype == np.int32 and ds.rows.flags.c_contiguous
+        assert ds.rows.dtype == np.uint8 and ds.rows.flags.c_contiguous
         # every row is distinct, so the store holds them all, in code order
         np.testing.assert_array_equal(columns, rows.T)
         assert weights.tolist() == [1.0, 1.0, 1.0]
@@ -323,6 +326,102 @@ class TestDataset:
         ds = load_csv(str(path))
         with pytest.raises(DataError, match="not numeric"):
             parse_numeric_column(ds, 0)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_parse_numeric_column_rejects_non_finite(self, token):
+        ds = CategoricalDataset(("a", "b"), (("1.5", token, "2"), ("0", "1")),
+                                np.array([[0, 0], [1, 1], [2, 0]]))
+        with pytest.raises(DataError, match=r"^column 'a' holds a value that "
+                                            r"is not finite"):
+            parse_numeric_column(ds, 0)
+
+    def test_arities_are_kept(self):
+        ds = CategoricalDataset.from_array(np.array([[0, 2], [1, 0]]))
+        assert ds.arities == (2, 3)
+        assert ds.arities is ds.arities
+
+    def test_indices_are_checked_before_they_are_narrowed(self):
+        # 256 as uint16 and -1 as int64 would each wrap into range as uint8
+        levels = (tuple(map(str, range(256))),)
+        for bad in (np.array([[256]], dtype=np.uint16), np.array([[-1]])):
+            with pytest.raises(DataError, match="out of range in column 'a'"):
+                CategoricalDataset(("a",), levels, bad)
+
+
+# Arities on each side of the uint8 and uint16 limits, with the row dtype
+# each one gives.
+BOUNDARY_DTYPES = {255: np.uint8, 256: np.uint8, 257: np.uint16,
+                   65535: np.uint16, 65536: np.uint16, 65537: np.uint32}
+
+
+@settings(max_examples=30, deadline=None)
+@given(arities=st.lists(st.sampled_from([2, *BOUNDARY_DTYPES]), min_size=1, max_size=3),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       given_dtype=st.sampled_from([np.int64, np.int32, np.uint32]))
+def test_rows_take_the_narrowest_dtype(arities, n, seed, given_dtype):
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.integers(0, a, n) for a in arities])
+    rows[0] = np.array(arities) - 1  # the top level of every column occurs
+    want = BOUNDARY_DTYPES.get(max(arities), np.uint8)
+    assert row_dtype(arities) == want
+    names = tuple(f"v{i}" for i in range(len(arities)))
+    levels = tuple(tuple(map(str, range(a))) for a in arities)
+    perm = rng.permutation(n)
+    built = {
+        "constructor": (CategoricalDataset(names, levels, rows.astype(given_dtype)),
+                        rows),
+        "from_array": (CategoricalDataset.from_array(rows.astype(given_dtype)), rows),
+        "subset_rows": (CategoricalDataset.from_array(rows, arities=arities)
+                        .subset_rows(perm), rows[perm]),
+    }
+    for path, (ds, values) in built.items():
+        assert ds.rows.dtype == want and ds.rows.flags.c_contiguous, path
+        assert ds.arities == tuple(arities), path
+        assert ds.distinct_rows[0].dtype == want, path
+        np.testing.assert_array_equal(ds.rows, values, err_msg=path)
+
+
+@pytest.mark.parametrize("arity", sorted(BOUNDARY_DTYPES))
+def test_csv_round_trip_keeps_the_row_dtype(tmp_path, arity):
+    # level v of x first appears in row v, so its token keeps its index
+    rows = np.column_stack([np.arange(arity), np.arange(arity) % 2])
+    ds = CategoricalDataset.from_array(rows, names=["x", "y"])
+    path = tmp_path / "wide.csv"
+    write_csv(ds, path)
+    back = load_csv(str(path))
+    assert back.rows.dtype == ds.rows.dtype == BOUNDARY_DTYPES[arity]
+    assert back.levels == ds.levels
+    np.testing.assert_array_equal(back.rows, rows)
+
+
+def test_load_csv_widens_in_a_later_chunk(tmp_path):
+    # x has 200 levels in the first chunks and 600 after them; y repeats 3
+    n = 2 * _LOAD_CHUNK
+    x = np.where(np.arange(n) < _LOAD_CHUNK, np.arange(n) % 200, np.arange(n) % 600)
+    lines = [f"t{a},{b}" for a, b in zip(x.tolist(), (np.arange(n) % 3).tolist())]
+    path = tmp_path / "widens.csv"
+    path.write_text("x,y\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    got, want = load_csv(str(path)), reference_load_csv(str(path))
+    assert got.rows.dtype == want.rows.dtype == np.uint16
+    assert got.arities == (600, 3)
+    assert got.levels == want.levels
+    np.testing.assert_array_equal(got.rows, want.rows)
+
+
+def test_load_csv_holds_under_three_bytes_a_cell(tmp_path):
+    # a 5,000 x 200 ternary file: the rows end up one byte a cell, and no
+    # whole-file array wider than that is built on the way
+    rows = np.random.default_rng(0).integers(0, 3, size=(5000, 200))
+    path = tmp_path / "ternary.csv"
+    write_csv(CategoricalDataset.from_array(rows), path)
+    tracemalloc.start()
+    try:
+        ds = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows.size
+    assert ds.rows.shape == rows.shape and ds.rows.dtype == np.uint8
 
 
 class TestConfigCodes:

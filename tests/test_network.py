@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn import network
-from hybridbn.data import CategoricalDataset, DataError
+from hybridbn.data import CategoricalDataset, DataError, row_dtype
 from hybridbn.graphs import Dag
 from hybridbn.network import (
     CPT_CELL_LIMIT,
@@ -197,8 +197,25 @@ def sampling_networks(draw):
 def test_forward_sample_matches_reference(net, n, seed):
     got = forward_sample(net, n, seed)
     want = reference_forward_sample(net, n, seed)
-    assert got.rows.dtype == want.dtype
+    assert got.rows.dtype == row_dtype(net.arities)
     np.testing.assert_array_equal(got.rows, want)
+
+
+@pytest.mark.parametrize("arity, dtype", [
+    (255, np.uint8), (256, np.uint8), (257, np.uint16),
+    (65535, np.uint16), (65536, np.uint16), (65537, np.uint32),
+])
+def test_forward_sample_draws_into_the_row_dtype(arity, dtype):
+    # a root of the given arity and a binary child of it: the child's parent
+    # codes come from the narrow store
+    rng = np.random.default_rng(arity)
+    root = rng.dirichlet(np.ones(arity))[:, None]
+    child = rng.dirichlet(np.ones(2), size=arity).T
+    net = BayesianNetwork(Dag(2, [(0, 1)]), ("x", "y"),
+                          (tuple(map(str, range(arity))), B), [root, child])
+    got = forward_sample(net, 300, seed=arity)
+    assert got.rows.dtype == dtype == row_dtype(net.arities)
+    np.testing.assert_array_equal(got.rows, reference_forward_sample(net, 300, arity))
 
 
 class TestSerialization:
