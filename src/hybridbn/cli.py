@@ -74,10 +74,24 @@ def _score_cfg(args):
 
 
 class _Noted(argparse.Action):
-    # stores the value and notes in args.given that the flag was passed
+    # checks the value against rule (ok, text), stores it, notes it in args.given
+    def __init__(self, *args, rule=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rule = rule
+
     def __call__(self, parser, namespace, values, option_string=None):
+        if self.rule and not self.rule[0](values):
+            raise _Usage(f"{option_string} {self.rule[1]}")
         setattr(namespace, self.dest, values)
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+# CLI-only value rules, the rule= of a _Noted flag
+_POSITIVE = (lambda v: v >= 1, "must be at least 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+# NaN and infinity fail the test, so they are usage errors too
+_FINITE = (lambda v: math.isfinite(v) and v >= 0, "must be finite and non-negative")
+_ONE_CHAR = (lambda v: len(v) == 1, "must be a single character")
 
 
 def _refuse(args, dests, reason):
@@ -120,13 +134,8 @@ def _add_score_flags(p):
 
 
 def _add_jobs_flag(p, help_text="accepted and has no effect: runs are sequential"):
-    p.add_argument("--jobs", type=int, default=1, help=help_text)
-
-
-def _non_negative(value, flag):
-    # NaN and infinity fail the test, so they are usage errors too.
-    if not (math.isfinite(value) and value >= 0):
-        raise _Usage(f"{flag} must be finite and non-negative")
+    p.add_argument("--jobs", type=int, default=1, action=_Noted,
+                   rule=_POSITIVE, help=help_text)
 
 
 def _dag_skeleton(dag):
@@ -137,13 +146,11 @@ def cmd_sample(args):
     given = [v not in (None, "") for v in (args.sizes, args.out_dir, args.n, args.out)]
     if given not in ([True, True, False, False], [False, False, True, True]):
         raise _Usage("either --sizes with --out-dir, or --n with --out")
-    # (rows, seed, path) of each file, checked before the network is read
+    # (rows, seed, path) of each file
     if args.sizes:
         jobs = [(size, [args.seed, size],
                  os.path.join(args.out_dir, f"sample_{size}.csv"))
-                for size in _parse_sizes(args.sizes)]
-    elif args.n < 1:
-        raise _Usage("--n must be at least 1")
+                for size in args.sizes.sizes]
     else:
         jobs = [(args.n, args.seed, args.out)]
     net = read_network(args.net)
@@ -174,19 +181,27 @@ def _check_csv_tokens(net):
             raise DataError(f"variable {name!r} has two equal levels")
 
 
+class _Sizes(str):
+    """The --sizes text as given, which reports echo; .sizes holds its values."""
+
+
 def _parse_sizes(raw):
+    # the argparse type of --sizes; argparse lets a _Usage through
     try:
         sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise _Usage(f"bad --sizes list: {raw!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise _Usage(f"bad --sizes list (sizes must be at least 1): {raw!r}")
-    return sizes
+    parsed = _Sizes(raw)
+    parsed.sizes = sizes
+    return parsed
 
 
 def cmd_learn_skeleton(args):
+    cfg = _test_cfg(args)
     data = load_csv(args.data, delimiter=args.delimiter)
-    src = DataIndependenceSource(data, _test_cfg(args))
+    src = DataIndependenceSource(data, cfg)
     skel = build_skeleton(src)
     write_skeleton(skel, data.names, args.out)
     return 0
@@ -195,8 +210,7 @@ def cmd_learn_skeleton(args):
 def cmd_learn(args):
     if args.skeleton:
         _refuse(args, _TEST_DESTS, "is not read with --skeleton")
-    _non_negative(args.laplace, "--laplace")
-    score_cfg = _score_cfg(args)
+    test_cfg, score_cfg = _test_cfg(args), _score_cfg(args)
     data = load_csv(args.data, delimiter=args.delimiter)
     started = time.perf_counter()
     if args.skeleton:
@@ -205,7 +219,7 @@ def cmd_learn(args):
             raise DataError("skeleton variables do not match the dataset")
         ci_tests = 0
     else:
-        src = DataIndependenceSource(data, _test_cfg(args))
+        src = DataIndependenceSource(data, test_cfg)
         skel = build_skeleton(src)
         ci_tests = src.distinct_tests
     result = hill_climb(data, skel, score_cfg)
@@ -234,6 +248,7 @@ def cmd_learn(args):
 def cmd_evaluate(args):
     if not args.test:
         _refuse(args, ("ess", "delimiter"), "needs --test")
+    score_cfg = _config(ScoreConfig, ess=args.ess)
     learned = read_network(args.learned)
     truth = read_network(args.truth)
     if learned.names != truth.names:
@@ -251,26 +266,18 @@ def cmd_evaluate(args):
         if test.arities != learned.arities:
             raise DataError("test data arities do not match the networks")
         graphs = {"learned": learned.graph, "truth": truth.graph, "empty": Dag(test.d)}
-        report["scores"] = holdout_scores(
-            test, graphs, _config(ScoreConfig, ess=args.ess)
-        )
+        report["scores"] = holdout_scores(test, graphs, score_cfg)
     write_json(report, args.report)
     return 0
 
 
 def cmd_benchmark(args):
-    sizes = _parse_sizes(args.sizes)
-    if args.test_n < 1:
-        raise _Usage("--test-n must be at least 1")
-    if args.repeats < 1:
-        raise _Usage("--repeats must be at least 1")
-    test_cfg = _test_cfg(args)
-    score_cfg = _score_cfg(args)
+    test_cfg, score_cfg = _test_cfg(args), _score_cfg(args)
     net = read_network(args.truth)
     truth_skel = _dag_skeleton(net.graph)
     truth_cpdag = dag_to_cpdag(net.graph)
     empty = Dag(net.d)
-    cells = [(si, size, rep) for si, size in enumerate(sizes)
+    cells = [(si, size, rep) for si, size in enumerate(args.sizes.sizes)
              for rep in range(args.repeats)]
 
     def run_cell(i):
@@ -318,19 +325,6 @@ def cmd_mlc(args):
         _refuse(args, _TEST_DESTS + _SCORE_DESTS, "is not read with --scenario br")
     if (args.labels is None) == (args.label_count is None):
         raise _Usage("exactly one of --labels or --label-count is required")
-    data = load_csv(args.data, delimiter=args.delimiter)
-    if args.labels is not None:
-        names = [tok.strip() for tok in args.labels.split(",") if tok.strip()]
-        if not names:
-            raise _Usage("--labels lists no columns")
-        labels = [data.column_index(name) for name in names]
-    else:
-        if not 0 < args.label_count < data.d:
-            raise _Usage("--label-count out of range")
-        labels = list(range(data.d - args.label_count, data.d))
-    if not 2 <= args.folds <= data.n:
-        raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
-    _non_negative(args.smoothing, "--smoothing")
     cfg = _config(
         MlcConfig,
         folds=args.folds,
@@ -343,6 +337,18 @@ def cmd_mlc(args):
         export_dir=args.export_blocks,
         timing=args.timing,
     )
+    data = load_csv(args.data, delimiter=args.delimiter)
+    if args.labels is not None:
+        names = [tok.strip() for tok in args.labels.split(",") if tok.strip()]
+        if not names:
+            raise _Usage("--labels lists no columns")
+        labels = [data.column_index(name) for name in names]
+    else:
+        if not 0 < args.label_count < data.d:
+            raise _Usage("--label-count out of range")
+        labels = list(range(data.d - args.label_count, data.d))
+    if not 2 <= args.folds <= data.n:
+        raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
     report = run_scenario(data, labels, args.scenario, cfg)
     report["config"] = _echo_config(args)
     write_json(report, args.report)
@@ -368,15 +374,14 @@ def cmd_export_dot(args):
 
 
 class _Usage(Exception):
-    """Bad flag combination detected after parsing."""
+    """A bad flag, flag value or flag combination: exit 1, one line."""
 
 
 class _Parser(argparse.ArgumentParser):
-    # the contract reserves exit code 2 for data errors; argparse uses it
-    # for usage errors by default
+    # argparse prints its usage block and exits 2 by default, but exit code
+    # 2 is for data errors and main prints every usage error as one line
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        raise _Usage(message)
 
 
 def build_parser():
@@ -385,17 +390,17 @@ def build_parser():
 
     p = sub.add_parser("sample", parents=[], help="draw rows from a network")
     p.add_argument("--net", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--sizes", default=None,
+    p.add_argument("--n", type=int, default=None, action=_Noted, rule=_POSITIVE)
+    p.add_argument("--sizes", type=_parse_sizes, default=None,
                    help="comma list; one CSV per size into --out-dir")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, action=_Noted, rule=_NON_NEGATIVE)
     p.add_argument("--out", default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("learn-skeleton", help="constraint-based skeleton only")
     p.add_argument("--data", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", action=_Noted, rule=_ONE_CHAR)
     _add_test_flags(p)
     _add_jobs_flag(p)
     p.add_argument("--out", required=True)
@@ -403,14 +408,14 @@ def build_parser():
 
     p = sub.add_parser("learn", help="full hybrid structure learning")
     p.add_argument("--data", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", action=_Noted, rule=_ONE_CHAR)
     _add_test_flags(p)
     _add_score_flags(p)
     _add_jobs_flag(p)
     p.add_argument("--skeleton", default=None,
                    help="reuse a previously learned skeleton JSON")
-    p.add_argument("--laplace", type=float, default=0.0,
-                   help="CPT smoothing when fitting the learned network")
+    p.add_argument("--laplace", type=float, default=0.0, action=_Noted,
+                   rule=_FINITE, help="CPT smoothing when fitting the learned network")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
@@ -420,17 +425,17 @@ def build_parser():
     p.add_argument("--learned", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--test", default=None)
-    p.add_argument("--delimiter", default=",", action=_Noted)
+    p.add_argument("--delimiter", default=",", action=_Noted, rule=_ONE_CHAR)
     p.add_argument("--ess", type=float, default=ScoreConfig.ess, action=_Noted)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="size sweep with repeats")
     p.add_argument("--truth", required=True)
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--test-n", type=int, default=10000)
+    p.add_argument("--sizes", type=_parse_sizes, required=True)
+    p.add_argument("--repeats", type=int, default=10, action=_Noted, rule=_POSITIVE)
+    p.add_argument("--seed", type=int, required=True, action=_Noted, rule=_NON_NEGATIVE)
+    p.add_argument("--test-n", type=int, default=10000, action=_Noted, rule=_POSITIVE)
     _add_test_flags(p)
     _add_score_flags(p)
     _add_jobs_flag(p, "worker processes over the (size, repeat) cells, at "
@@ -440,15 +445,16 @@ def build_parser():
 
     p = sub.add_parser("mlc", help="multi-label cross-validation experiment")
     p.add_argument("--data", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=",", action=_Noted, rule=_ONE_CHAR)
     p.add_argument("--labels", default=None,
                    help="comma list of label column names")
     p.add_argument("--label-count", type=int, default=None,
                    help="use the trailing N columns as labels")
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
     p.add_argument("--folds", type=int, default=MlcConfig.folds)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--smoothing", type=float, default=MlcConfig.smoothing)
+    p.add_argument("--seed", type=int, required=True, action=_Noted, rule=_NON_NEGATIVE)
+    p.add_argument("--smoothing", type=float, default=MlcConfig.smoothing,
+                   action=_Noted, rule=_FINITE)
     p.add_argument("--binarize", action="store_true",
                    help="median-split non-label columns with arity > 2")
     _add_test_flags(p)
@@ -475,16 +481,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if len(getattr(args, "delimiter", ",")) != 1:
-            raise _Usage("--delimiter must be a single character")
-        if getattr(args, "jobs", 1) < 1:
-            raise _Usage("--jobs must be at least 1")
-        if getattr(args, "seed", 0) < 0:
-            raise _Usage("--seed must be non-negative")
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -214,7 +214,6 @@ class DataIndependenceSource:
         self.data = data
         self.cfg = cfg or TestConfig()
         self._cache = {}
-        self._arity = data.arities
 
     @property
     def n_vars(self):
@@ -277,7 +276,7 @@ class DataIndependenceSource:
         fits = JointCounts.fits(data, lo, hi, scope)
         if not fits or lo == hi or lo in scope or hi in scope:
             return next((z for z in zsets if self.independent(x, y, z)), None)
-        arity = self._arity
+        arity = data.arities
         rc = arity[lo] * arity[hi]
         cap = data.distinct_rows[1].size
         joint = None

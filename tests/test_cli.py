@@ -31,17 +31,62 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# the required flags of each subcommand, with values that parse
+REQUIRED = {
+    "sample": ["--net", "n.json", "--seed", 0],
+    "learn-skeleton": ["--data", "d.csv", "--out", "o"],
+    "learn": ["--data", "d.csv", "--out", "o"],
+    "evaluate": ["--learned", "l.json", "--truth", "t.json", "--report", "r"],
+    "benchmark": ["--truth", "t.json", "--sizes", "10", "--seed", 0,
+                  "--out", "o"],
+    "mlc": ["--data", "d.csv", "--scenario", "br", "--seed", 0,
+            "--report", "r"],
+    "export-dot": ["--out", "o"],
+}
+
+# (argv, argparse's reason) for each kind of parser error on each subcommand
+PARSER_ERRORS = [
+    ((), "the following arguments are required: command"),
+    *(((c,), "the following arguments are required: --") for c in REQUIRED),
+    *(((c, *REQUIRED[c], "--bogus", 1), "unrecognized arguments: --bogus 1")
+      for c in REQUIRED),
+    *(((c, *REQUIRED[c], "--score", "foo"), "argument --score: invalid choice: 'foo'")
+      for c in ("learn", "benchmark", "mlc")),
+    (("mlc", *REQUIRED["mlc"], "--scenario", "nope"),
+     "argument --scenario: invalid choice: 'nope'"),
+    *(((c, *REQUIRED[c], "--alpha", "abc"), "argument --alpha: invalid float value: 'abc'")
+      for c in ("learn-skeleton", "learn", "benchmark", "mlc")),
+    (("evaluate", *REQUIRED["evaluate"], "--ess", "abc"),
+     "argument --ess: invalid float value: 'abc'"),
+    (("sample", *REQUIRED["sample"], "--n", "abc"),
+     "argument --n: invalid int value: 'abc'"),
+]
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         assert run("--help") == 0
 
+    @pytest.mark.parametrize("command", REQUIRED)
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        assert run(command, "--help") == 0
+        assert capsys.readouterr().out.startswith(f"usage: hybridbn {command}")
+
     def test_missing_required_flag(self, capsys):
         assert run("learn-skeleton") == 1
-        capsys.readouterr()
+        TestBadInput.assert_one_line(
+            capsys, "usage error: the following arguments are required: --data, --out")
 
     def test_unknown_subcommand(self, capsys):
         assert run("transmogrify") == 1
-        capsys.readouterr()
+        TestBadInput.assert_one_line(
+            capsys, "usage error: argument command: invalid choice: 'transmogrify'")
+
+    @pytest.mark.parametrize("argv, reason", PARSER_ERRORS)
+    def test_parser_error_is_one_line(self, argv, reason, capsys):
+        # argparse printed a usage block of several lines, without the reason
+        assert run(*argv) == 1
+        TestBadInput.assert_one_line(capsys, f"usage error: {reason}")
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = run(
@@ -336,6 +381,26 @@ class TestBadInput:
         self.assert_one_line(capsys, f"usage error: {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("learn-skeleton", "--alpha", 2), "alpha must lie in (0, 1)"),
+        (("learn", "--alpha", 2), "alpha must lie in (0, 1)"),
+        (("evaluate", "--ess", "nan"), "ess must be finite and positive"),
+        (("mlc", "--scenario", "mlp", "--alpha", 2), "alpha must lie in (0, 1)"),
+        (("mlc", "--scenario", "mlp", "--tabu", -1),
+         "tabu_length must be a non-negative integer"),
+        (("mlc", "--smoothing", -1), "--smoothing must be finite and non-negative"),
+    ])
+    def test_flags_are_checked_before_the_data_is_read(self, argv, message,
+                                                       tmp_path, capsys):
+        # the data or the networks were read first, so these exited 2 with
+        # "No such file"
+        command, *flags = argv
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        base = self.valid_args(command, missing, missing, out)
+        assert run(command, *base, *flags) == 1
+        self.assert_one_line(capsys, f"usage error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ("--sizes", "--out-dir", "--n", "--out"),
         ("--sizes", "--out-dir", "--n"),
@@ -457,18 +522,8 @@ class TestBadInput:
 class TestDefaults:
     """An option that sets a config field defaults to the field's value."""
 
-    REQUIRED = {
-        "learn-skeleton": ["--data", "d.csv", "--out", "o"],
-        "learn": ["--data", "d.csv", "--out", "o"],
-        "evaluate": ["--learned", "l.json", "--truth", "t.json", "--report", "r"],
-        "benchmark": ["--truth", "t.json", "--sizes", "10", "--seed", 0,
-                      "--out", "o"],
-        "mlc": ["--data", "d.csv", "--scenario", "br", "--seed", 0,
-                "--report", "r"],
-    }
-
     def parse(self, command):
-        argv = [command, *self.REQUIRED[command]]
+        argv = [command, *REQUIRED[command]]
         return build_parser().parse_args([str(a) for a in argv])
 
     @pytest.mark.parametrize("command", ["learn-skeleton", "learn", "benchmark", "mlc"])
