@@ -88,6 +88,7 @@ class _Noted(argparse.Action):
 
 # CLI-only value rules, the rule= of a _Noted flag
 _POSITIVE = (lambda v: v >= 1, "must be at least 1")
+_TWO_OR_MORE = (lambda v: v >= 2, "must be at least 2")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 # NaN and infinity fail the test, so they are usage errors too
 _FINITE = (lambda v: math.isfinite(v) and v >= 0, "must be finite and non-negative")
@@ -150,7 +151,7 @@ def cmd_sample(args):
     if args.sizes:
         jobs = [(size, [args.seed, size],
                  os.path.join(args.out_dir, f"sample_{size}.csv"))
-                for size in args.sizes.sizes]
+                for size in args.sizes.items]
     else:
         jobs = [(args.n, args.seed, args.out)]
     net = read_network(args.net)
@@ -181,21 +182,33 @@ def _check_csv_tokens(net):
             raise DataError(f"variable {name!r} has two equal levels")
 
 
-class _Sizes(str):
-    """The --sizes text as given, which reports echo; .sizes holds its values."""
+class _Listed(str):
+    """A comma-list flag's text as given, which reports echo; .items holds
+    its parsed values."""
+
+    def __new__(cls, raw, items):
+        listed = super().__new__(cls, raw)
+        listed.items = items
+        return listed
 
 
 def _parse_sizes(raw):
-    # the argparse type of --sizes; argparse lets a _Usage through
+    # the argparse type of --sizes, as _parse_labels is of --labels;
+    # argparse lets a _Usage through
     try:
         sizes = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise _Usage(f"bad --sizes list: {raw!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise _Usage(f"bad --sizes list (sizes must be at least 1): {raw!r}")
-    parsed = _Sizes(raw)
-    parsed.sizes = sizes
-    return parsed
+    return _Listed(raw, sizes)
+
+
+def _parse_labels(raw):
+    names = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if not names:
+        raise _Usage("--labels lists no columns")
+    return _Listed(raw, names)
 
 
 def cmd_learn_skeleton(args):
@@ -277,7 +290,7 @@ def cmd_benchmark(args):
     truth_skel = _dag_skeleton(net.graph)
     truth_cpdag = dag_to_cpdag(net.graph)
     empty = Dag(net.d)
-    cells = [(si, size, rep) for si, size in enumerate(args.sizes.sizes)
+    cells = [(si, size, rep) for si, size in enumerate(args.sizes.items)
              for rep in range(args.repeats)]
 
     def run_cell(i):
@@ -339,15 +352,12 @@ def cmd_mlc(args):
     )
     data = load_csv(args.data, delimiter=args.delimiter)
     if args.labels is not None:
-        names = [tok.strip() for tok in args.labels.split(",") if tok.strip()]
-        if not names:
-            raise _Usage("--labels lists no columns")
-        labels = [data.column_index(name) for name in names]
+        labels = [data.column_index(name) for name in args.labels.items]
     else:
-        if not 0 < args.label_count < data.d:
+        if args.label_count >= data.d:
             raise _Usage("--label-count out of range")
         labels = list(range(data.d - args.label_count, data.d))
-    if not 2 <= args.folds <= data.n:
+    if args.folds > data.n:
         raise _Usage(f"--folds must lie in [2, {data.n}], the number of rows")
     report = run_scenario(data, labels, args.scenario, cfg)
     report["config"] = _echo_config(args)
@@ -446,12 +456,13 @@ def build_parser():
     p = sub.add_parser("mlc", help="multi-label cross-validation experiment")
     p.add_argument("--data", required=True)
     p.add_argument("--delimiter", default=",", action=_Noted, rule=_ONE_CHAR)
-    p.add_argument("--labels", default=None,
+    p.add_argument("--labels", type=_parse_labels, default=None,
                    help="comma list of label column names")
-    p.add_argument("--label-count", type=int, default=None,
-                   help="use the trailing N columns as labels")
+    p.add_argument("--label-count", type=int, default=None, action=_Noted,
+                   rule=_POSITIVE, help="use the trailing N columns as labels")
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p.add_argument("--folds", type=int, default=MlcConfig.folds)
+    p.add_argument("--folds", type=int, default=MlcConfig.folds, action=_Noted,
+                   rule=_TWO_OR_MORE)
     p.add_argument("--seed", type=int, required=True, action=_Noted, rule=_NON_NEGATIVE)
     p.add_argument("--smoothing", type=float, default=MlcConfig.smoothing,
                    action=_Noted, rule=_FINITE)

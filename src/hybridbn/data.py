@@ -149,31 +149,6 @@ class CategoricalDataset:
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
-    """Joint counts n_ijk of a variable pair over observed Z-configurations.
-
-    counts has shape (r, c, l); the last axis indexes the conditioning-set
-    configurations that actually occur in the data (zero strata are never
-    materialized).
-    """
-
-    r: int
-    c: int
-    l: int
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (self.r, self.c, self.l):
-            raise ValueError("counts shape disagrees with (r, c, l)")
-        if int(counts.sum()) != self.n:
-            raise ValueError("counts do not sum to n")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
 class FoldAssignment:
     """Partition of rows into k cross-validation folds."""
 

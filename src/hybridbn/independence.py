@@ -94,19 +94,22 @@ def _mi_and_dof_batch(counts, l, n):
     return mi, np.add.reduceat(per_stratum[0], starts).tolist()
 
 
-def mutual_information(table):
-    """Conditional mutual information of the table, in nats.
+def mutual_information(counts):
+    """Conditional mutual information, in nats, of the (r, c, l) counts that
+    count_table(data, (x, y), z) returns.
 
     MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
     with n_ijk = 0 contribute 0.
     """
-    return _mi_and_dof_batch(table.counts, [table.l], table.n)[0][0]
+    return _mi_and_dof_batch(counts, [counts.shape[2]], int(counts.sum()))[0][0]
 
 
-def g2_statistic(table):
-    """G2 statistic (2n times MI) and the adjusted degrees of freedom."""
-    (mi,), (dof,) = _mi_and_dof_batch(table.counts, [table.l], table.n)
-    return 2.0 * table.n * mi, dof
+def g2_statistic(counts):
+    """G2 statistic (2n times MI) and the adjusted degrees of freedom of the
+    (r, c, l) counts."""
+    n = int(counts.sum())
+    (mi,), (dof,) = _mi_and_dof_batch(counts, [counts.shape[2]], n)
+    return 2.0 * n * mi, dof
 
 
 def chi2_survival(x, dof):

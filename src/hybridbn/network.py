@@ -76,9 +76,10 @@ class BayesianNetwork:
 
 
 def _check_cpt_cells(name, r, q):
+    # q can pass Python's 4300-digit limit on int to str, so it is not printed
     if r * q > CPT_CELL_LIMIT:
         raise DataError(
-            f"CPT of {name!r} is too large: {r} levels x {q} parent "
+            f"CPT of {name!r} is too large: {r} levels times its parent "
             f"configurations is over {CPT_CELL_LIMIT} cells"
         )
 
@@ -192,6 +193,7 @@ def read_network(path):
             raise DataError(f"missing CPT for {name!r}")
         r = len(levels[v])
         q = math.prod(len(levels[p]) for p in dag.parents(v))
+        _check_cpt_cells(name, r, q)
         flat = doc["cpts"][name]
         if not isinstance(flat, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat

@@ -389,6 +389,9 @@ class TestBadInput:
         (("mlc", "--scenario", "mlp", "--tabu", -1),
          "tabu_length must be a non-negative integer"),
         (("mlc", "--smoothing", -1), "--smoothing must be finite and non-negative"),
+        (("mlc", "--folds", 1), "--folds must be at least 2"),
+        (("mlc", "--label-count", 0), "--label-count must be at least 1"),
+        (("mlc", "--labels", " , "), "--labels lists no columns"),
     ])
     def test_flags_are_checked_before_the_data_is_read(self, argv, message,
                                                        tmp_path, capsys):
@@ -516,6 +519,29 @@ class TestBadInput:
                    flag, value, "--report", out)
         assert code == 1
         self.assert_one_line(capsys, f"usage error: {flag} needs --test")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-dot", "sample"])
+    def test_network_with_a_huge_parent_space(self, command, tmp_path, capsys):
+        # 10**4400 parent configurations: the CPT's expected entry count was
+        # formatted first, past Python's 4300-digit limit, so this ended in
+        # a ValueError traceback
+        parents = [f"p{i}" for i in range(4400)]
+        doc = {
+            "variables": [{"name": p, "levels": list("0123456789")}
+                          for p in parents] + [{"name": "c", "levels": ["0", "1"]}],
+            "edges": [[p, "c"] for p in parents],
+            "cpts": {**{p: [0.1] * 10 for p in parents}, "c": [0.5, 0.5]},
+        }
+        net_path, out = tmp_path / "net.json", tmp_path / "out"
+        net_path.write_text(json.dumps(doc))
+        argv = {
+            "evaluate": ["--learned", net_path, "--truth", net_path, "--report", out],
+            "export-dot": ["--net", net_path, "--out", out],
+            "sample": ["--net", net_path, "--n", 5, "--seed", 0, "--out", out],
+        }[command]
+        assert run(command, *argv) == 2
+        self.assert_one_line(capsys, "data error: CPT of 'c' is too large")
         assert not out.exists()
 
 

@@ -10,7 +10,6 @@ from hybridbn.data import (
     _LOAD_CHUNK,
     _written_forms,
     CategoricalDataset,
-    ContingencyTable,
     DataError,
     count_table,
     kfold,
@@ -446,9 +445,7 @@ class TestConfigCodes:
 
 
 def pair_table(ds, x, y, z=()):
-    counts = count_table(ds, (x, y), z)
-    r, c, l = counts.shape
-    return ContingencyTable(r=r, c=c, l=l, counts=counts, n=ds.n)
+    return count_table(ds, (x, y), z)
 
 
 class TestContingency:
@@ -457,15 +454,15 @@ class TestContingency:
             np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), arities=[2, 2]
         )
         t = pair_table(ds, 0, 1)
-        assert (t.r, t.c, t.l, t.n) == (2, 2, 1, 4)
-        assert np.array_equal(t.counts[:, :, 0], np.ones((2, 2), dtype=int))
+        assert (t.shape, t.sum()) == ((2, 2, 1), 4)
+        assert np.array_equal(t[:, :, 0], np.ones((2, 2), dtype=int))
 
     def test_unseen_stratum_not_materialized(self):
         ds = CategoricalDataset.from_array(
             np.array([[0, 0, 0], [1, 1, 0], [0, 1, 0]]), arities=[2, 2, 2]
         )
         t = pair_table(ds, 0, 1, (2,))
-        assert t.l == 1
+        assert t.shape[2] == 1
 
     def test_counts_match_brute_force_tally(self):
         rng = np.random.default_rng(7)
@@ -473,17 +470,18 @@ class TestContingency:
         ds = CategoricalDataset.from_array(rows, arities=[3, 3, 3, 3])
         t = pair_table(ds, 0, 2, (1, 3))
         strata = tally_contingency(rows, 0, 2, (1, 3))
-        assert t.l == len(strata)
+        r, c, l = t.shape
+        assert l == len(strata)
         # match per-stratum counts irrespective of stratum indexing
         seen = sorted(
             tuple(sorted(pairs)) for pairs in strata.values()
         )
         built = []
-        for k in range(t.l):
+        for k in range(l):
             pairs = []
-            for i in range(t.r):
-                for j in range(t.c):
-                    pairs.extend([(i, j)] * int(t.counts[i, j, k]))
+            for i in range(r):
+                for j in range(c):
+                    pairs.extend([(i, j)] * int(t[i, j, k]))
             built.append(tuple(sorted(pairs)))
         assert sorted(built) == seen
 
@@ -492,13 +490,9 @@ class TestContingency:
         rows = rng.integers(0, 2, size=(40, 5))
         ds = CategoricalDataset.from_array(rows, arities=[2] * 5)
         t = pair_table(ds, 1, 3, (0, 4))
-        assert int(t.counts.sum()) == t.n == 40
-        ni_k = t.counts.sum(axis=1)
-        assert np.all(ni_k.sum(axis=0) == t.counts.sum(axis=(0, 1)))
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            ContingencyTable(r=2, c=2, l=1, counts=np.ones((2, 2, 1), int), n=5)
+        assert t.sum() == ds.n == 40
+        ni_k = t.sum(axis=1)
+        assert np.all(ni_k.sum(axis=0) == t.sum(axis=(0, 1)))
 
 
 class TestKfold:
