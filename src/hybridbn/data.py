@@ -43,9 +43,9 @@ class CategoricalDataset:
         One name per variable (column).
     levels : tuple of tuple of str
         levels[i][v] is the token behind level index v of variable i;
-        the arity of variable i is len(levels[i]).
+        the arity of variable i, ``arities[i]``, is len(levels[i]).
     rows : ndarray of shape (n, d)
-        Integer level indices, 0 <= rows[:, i] < arity(i). They are checked
+        Integer level indices, 0 <= rows[:, i] < arities[i]. They are checked
         in the dtype given and stored C-contiguous and read-only in
         ``row_dtype(arities)``.
     """
@@ -113,34 +113,11 @@ class CategoricalDataset:
     def d(self):
         return self.rows.shape[1]
 
-    def arity(self, i):
-        return self.arities[i]
-
     def column_index(self, name):
         try:
             return self.names.index(name)
         except ValueError:
             raise DataError(f"unknown column {name!r}") from None
-
-    @classmethod
-    def from_array(cls, rows, arities=None, names=None):
-        """Build a dataset from an integer matrix.
-
-        Arities default to max+1 per column; tokens default to the decimal
-        digits of the level indices.
-        """
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise DataError("rows must be a 2-d array")
-        d = rows.shape[1]
-        if arities is None:
-            if rows.shape[0] == 0:
-                raise DataError("cannot infer arities from an empty matrix")
-            arities = (rows.max(axis=0).astype(np.int64) + 1).tolist()
-        if names is None:
-            names = [f"v{i}" for i in range(d)]
-        levels = [tuple(str(v) for v in range(a)) for a in arities]
-        return cls(tuple(names), tuple(levels), rows)
 
     def subset_rows(self, indices):
         """Dataset restricted to the given row indices (metadata shared)."""
@@ -243,9 +220,9 @@ def count_table(data, head, z=()):
     """
     head, z = tuple(head), tuple(z)
     columns, weights = data.distinct_rows
-    shape = [data.arity(v) for v in head]
+    shape = [data.arities[v] for v in head]
     cells = math.prod(shape)
-    z_arities = [data.arity(v) for v in z]
+    z_arities = [data.arities[v] for v in z]
     q = math.prod(z_arities)
     if cells * q <= one_pass_cells(weights.size):
         code = radix_code(
@@ -273,8 +250,8 @@ class JointCounts:
 
     def __init__(self, data, lo, hi, scope):
         self.lo, self.hi = lo, hi
-        self.r, self.c = data.arity(lo), data.arity(hi)
-        self._arities = {v: data.arity(v) for v in scope}
+        self.r, self.c = data.arities[lo], data.arities[hi]
+        self._arities = {v: data.arities[v] for v in scope}
         self._position = {v: i for i, v in enumerate(scope)}
         joint = count_table(data, (lo, hi, *scope)).reshape(self.r * self.c, -1)
         # head cell, scope-configuration digits and count of each nonzero cell
@@ -289,7 +266,7 @@ class JointCounts:
     def fits(data, lo, hi, scope):
         """Whether the nominal (lo, hi, *scope) table is within count_table's
         one-pass bound; only such a joint is counted."""
-        cells = math.prod(data.arity(v) for v in (lo, hi, *scope))
+        cells = math.prod(data.arities[v] for v in (lo, hi, *scope))
         return cells <= one_pass_cells(data.distinct_rows[1].size)
 
     def strata(self, z):

@@ -206,7 +206,8 @@ class Pdag:
 
 
 def _quote(name):
-    return '"' + str(name).replace('"', '\\"') + '"'
+    # a DOT quoted ID: backslash first, so that no escape it adds is doubled
+    return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(g, names=None):

@@ -57,12 +57,16 @@ _POWER_RULE = TestResult(1.0, 0.0, 0, True, True)
 
 
 def _mi_and_dof_batch(counts, l, n):
-    """mutual_information and the adjusted dof of each table in a batch.
+    """Conditional mutual information, in nats, and the adjusted dof of each
+    table in a batch of tables over n > 0 rows each.
 
-    counts has shape (r, c, sum(l)) and holds the tables side by side:
-    table t is on the l[t] strata after those of the tables before it. Per
-    stratum, an all-zero row or column is treated as absent: it cannot
-    contribute degrees of freedom it does not have in the data.
+    counts has shape (r, c, sum(l)) and holds the (r, c, l) tables that
+    count_table(data, (x, y), z) returns side by side: table t is on the
+    l[t] strata after those of the tables before it. MI = sum_ijk (n_ijk /
+    n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms with n_ijk = 0
+    contribute 0. Per stratum, an all-zero row or column is treated as
+    absent: it cannot contribute degrees of freedom it does not have in the
+    data.
 
     The counts are taken once as a C-contiguous float array, whatever the
     caller's layout. The marginals are sums of integer counts, so they are
@@ -70,8 +74,6 @@ def _mi_and_dof_batch(counts, l, n):
     copy. So every value is the one its table gets in a batch of its own,
     in any memory order, bit for bit.
     """
-    if n <= 0:
-        raise ValueError("table is empty")
     counts = np.ascontiguousarray(counts, dtype=float)
     ni_k = counts.sum(axis=1, keepdims=True)
     n_jk = counts.sum(axis=0, keepdims=True)
@@ -94,24 +96,6 @@ def _mi_and_dof_batch(counts, l, n):
     return mi, np.add.reduceat(per_stratum[0], starts).tolist()
 
 
-def mutual_information(counts):
-    """Conditional mutual information, in nats, of the (r, c, l) counts that
-    count_table(data, (x, y), z) returns.
-
-    MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
-    with n_ijk = 0 contribute 0.
-    """
-    return _mi_and_dof_batch(counts, [counts.shape[2]], int(counts.sum()))[0][0]
-
-
-def g2_statistic(counts):
-    """G2 statistic (2n times MI) and the adjusted degrees of freedom of the
-    (r, c, l) counts."""
-    n = int(counts.sum())
-    (mi,), (dof,) = _mi_and_dof_batch(counts, [counts.shape[2]], n)
-    return 2.0 * n * mi, dof
-
-
 def chi2_survival(x, dof):
     """Upper-tail probability P(Chi2_dof >= x) via the regularized upper
     incomplete gamma function."""
@@ -120,17 +104,6 @@ def chi2_survival(x, dof):
     if x < 0:
         raise ValueError("x must be non-negative")
     return gammaincc(dof / 2.0, x / 2.0)
-
-
-def test_independence(data, x, y, z=(), cfg=None):
-    """Decide whether x and y are conditionally independent given z.
-
-    Follows the two-heuristic protocol: the power rule first (independent
-    with p_value 1 when the table is too sparse on average), then the G2
-    test with per-stratum degrees-of-freedom adjustment; dof <= 0 carries
-    no evidence of dependence and is returned as independent.
-    """
-    return _evaluate(data, cfg or TestConfig(), [(x, y, tuple(z))])[0]
 
 
 def _evaluate(data, cfg, keys):
@@ -209,8 +182,8 @@ class DataIndependenceSource:
     ``results`` and ``first_independent``. Each returns what the sequential
     loop it stands for would, leaves the same keys in the cache in the same
     order. A cache miss of ``result`` or ``results`` goes to the one
-    evaluator that ``test_independence`` also runs; ``first_independent``
-    hands marginals of one joint table to the same kernel (``_decide``).
+    evaluator, ``_evaluate``; ``first_independent`` hands marginals of one
+    joint table to the same kernel (``_decide``).
     """
 
     def __init__(self, data, cfg=None):

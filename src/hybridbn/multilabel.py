@@ -129,7 +129,7 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
         raise ValueError("smoothing must be finite and non-negative")
     columns, weights = train.distinct_rows
     configs = columns[list(block)]
-    ranks, k = observed_config_codes(configs.T, [train.arity(y) for y in block])
+    ranks, k = observed_config_codes(configs.T, [train.arities[y] for y in block])
     n_c = np.bincount(ranks, weights, minlength=k)
     first = np.empty(k, dtype=np.intp)
     first[ranks] = np.arange(ranks.size)
@@ -231,7 +231,7 @@ def _numeric_columns(data, labels):
     # fold, so it is done once per dataset.
     label_set = set(labels)
     return {col: parse_numeric_column(data, col) for col in range(data.d)
-            if col not in label_set and data.arity(col) > 2}
+            if col not in label_set and data.arities[col] > 2}
 
 
 def _binarize_for_fold(data, train_idx, numeric):

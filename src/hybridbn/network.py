@@ -105,9 +105,9 @@ def fit_cpts(dag, data, laplace=0.0):
         raise ValueError("laplace must be finite and non-negative")
     cpts = []
     for v in range(dag.d):
-        r = data.arity(v)
+        r = data.arities[v]
         pa = dag.parents(v)
-        q = math.prod(data.arity(p) for p in pa)
+        q = math.prod(data.arities[p] for p in pa)
         _check_cpt_cells(data.names[v], r, q)
         counts = count_table(data, (v, *pa)).reshape(r, q).astype(float)
         counts += laplace

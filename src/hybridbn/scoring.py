@@ -53,7 +53,7 @@ def _family_counts(data, node, parents):
     # counts over observed parent configurations only (rows: configs,
     # columns: node levels); q is the nominal configuration count.
     counts = np.ascontiguousarray(count_table(data, (node,), parents).T)
-    return counts, math.prod(data.arity(p) for p in parents)
+    return counts, math.prod(data.arities[p] for p in parents)
 
 
 def bdeu_local(data, node, parents=(), ess=10.0, lgammas=None):
@@ -68,7 +68,7 @@ def bdeu_local(data, node, parents=(), ess=10.0, lgammas=None):
     if node in parents:
         raise ValueError("node cannot be its own parent")
     counts, q = _family_counts(data, node, parents)
-    r = data.arity(node)
+    r = data.arities[node]
     a_j = ess / q
     a_jk = ess / (q * r)
     n_j = counts.sum(axis=1)
@@ -127,7 +127,7 @@ def bic_local(data, node, parents=()):
     if node in parents:
         raise ValueError("node cannot be its own parent")
     counts, q = _family_counts(data, node, parents)
-    r = data.arity(node)
+    r = data.arities[node]
     n_j = counts.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(counts / n_j), 0.0)

@@ -125,13 +125,3 @@ def two_cluster_network():
     names = [f"x{i}" for i in range(8)] + [f"y{i}" for i in range(6)]
     return monotone_network(Dag(14, edges), names=names)
 
-
-def genbase_shape_network():
-    """Six labels, each with two private feature parents and no label-label
-    connection: every minimal powerset is a singleton."""
-    edges = []
-    for i in range(6):
-        edges.append((2 * i, 12 + i))
-        edges.append((2 * i + 1, 12 + i))
-    names = [f"x{i}" for i in range(12)] + [f"y{i}" for i in range(6)]
-    return monotone_network(Dag(18, edges), names=names)

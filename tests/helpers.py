@@ -14,12 +14,47 @@ from itertools import combinations, product
 import mpmath
 import numpy as np
 
+from hybridbn.data import CategoricalDataset, DataError
 from hybridbn.graphs import Dag, Pdag
 from hybridbn.scoring import _IMPROVE_EPS, ScoreConfig, Scorer, SearchResult
-from hybridbn.independence import TestConfig
+from hybridbn.independence import TestConfig, _evaluate, _mi_and_dof_batch
 from hybridbn.skeleton import PcsResult, Skeleton, de_pcs, de_sps, iamb_fdr
+from hybridbn.synthetic import monotone_network
 
 mpmath.mp.dps = 30
+
+
+# ------------------------------------------------------------- fixtures
+
+
+def from_array(rows, arities=None, names=None):
+    """A CategoricalDataset of an integer matrix.
+
+    Arities default to max+1 per column; tokens default to the decimal
+    digits of the level indices; names default to v0, v1, ...
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise DataError("rows must be a 2-d array")
+    if arities is None:
+        if rows.shape[0] == 0:
+            raise DataError("cannot infer arities from an empty matrix")
+        arities = (rows.max(axis=0).astype(np.int64) + 1).tolist()
+    if names is None:
+        names = [f"v{i}" for i in range(rows.shape[1])]
+    levels = [tuple(str(v) for v in range(a)) for a in arities]
+    return CategoricalDataset(tuple(names), tuple(levels), rows)
+
+
+def genbase_shape_network():
+    """Six labels, each with two private feature parents and no label-label
+    connection: every minimal powerset is a singleton."""
+    edges = []
+    for i in range(6):
+        edges.append((2 * i, 12 + i))
+        edges.append((2 * i + 1, 12 + i))
+    names = [f"x{i}" for i in range(12)] + [f"y{i}" for i in range(6)]
+    return monotone_network(Dag(18, edges), names=names)
 
 
 # ---------------------------------------------------------------- graphs
@@ -533,6 +568,50 @@ def total_score(data, g, cfg=None):
     return Scorer(data, cfg).total(g)
 
 
+def _mi_and_dof(counts):
+    # n, the mutual information and the adjusted dof of one (r, c, l) count
+    # array, by the package's statistic kernel
+    n = int(counts.sum())
+    if n <= 0:
+        raise ValueError("table is empty")
+    (mi,), (dof,) = _mi_and_dof_batch(counts, [counts.shape[2]], n)
+    return n, mi, dof
+
+
+def mutual_information(counts):
+    """Conditional mutual information, in nats, of the (r, c, l) counts that
+    count_table(data, (x, y), z) returns, by the package's kernel.
+
+    MI = sum_ijk (n_ijk / n) * ln(n_ijk * n_++k / (n_i+k * n_+jk)); terms
+    with n_ijk = 0 contribute 0. An all-zero table raises ValueError.
+    """
+    return _mi_and_dof(counts)[1]
+
+
+def g2_statistic(counts):
+    """G2 statistic (2n times MI) and the adjusted degrees of freedom of the
+    (r, c, l) counts, by the package's kernel."""
+    n, mi, dof = _mi_and_dof(counts)
+    return 2.0 * n * mi, dof
+
+
+def test_independence(data, x, y, z=(), cfg=None):
+    """The package's verdict on whether x and y are conditionally
+    independent given z: its one evaluator on the one key (x, y, z).
+
+    Follows the two-heuristic protocol: the power rule first (independent
+    with p_value 1 when the table is too sparse on average), then the G2
+    test with per-stratum degrees-of-freedom adjustment; dof <= 0 carries
+    no evidence of dependence and is returned as independent.
+    """
+    return _evaluate(data, cfg or TestConfig(), [(x, y, tuple(z))])[0]
+
+
+# not a test: pytest would otherwise collect it in each test module that
+# imports it by this name
+test_independence.__test__ = False
+
+
 def chi2_sf_oracle(x, dof):
     """Upper-tail chi-square probability by high-precision integration."""
     return float(mpmath.gammainc(mpmath.mpf(dof) / 2, a=mpmath.mpf(x) / 2,
@@ -597,8 +676,6 @@ def reference_load_csv(path, delimiter=","):
     row-by-row loop, so the first bad row in file order is the one met
     first."""
     import csv
-
-    from hybridbn.data import CategoricalDataset, DataError
 
     with open(path, newline="", encoding="utf-8") as fh:
         physical = list(csv.reader(fh, delimiter=delimiter))
@@ -678,9 +755,9 @@ def reference_contingency(data, x, y, z=()):
     """Contingency table from strided int32 row reads and sorted codes: the
     (r, c, l) count array."""
     z = tuple(z)
-    r, c = data.arity(x), data.arity(y)
+    r, c = data.arities[x], data.arities[y]
     codes, l = reference_config_codes(
-        data.rows[:, list(z)], [data.arity(v) for v in z]
+        data.rows[:, list(z)], [data.arities[v] for v in z]
     )
     flat = (data.rows[:, x].astype(np.int64) * c + data.rows[:, y]) * l + codes
     return np.bincount(flat, minlength=r * c * l).reshape(r, c, l)
@@ -711,10 +788,10 @@ def reference_test_independence(data, x, y, z=(), cfg=None):
 
     cfg = cfg or TestConfig()
     z = tuple(z)
-    r, c = data.arity(x), data.arity(y)
+    r, c = data.arities[x], data.arities[y]
     table = reference_contingency(data, x, y, z)
     if cfg.power_cells == "nominal":
-        cells = r * c * math.prod(data.arity(v) for v in z)
+        cells = r * c * math.prod(data.arities[v] for v in z)
     else:
         cells = r * c * table.shape[2]
     if data.n / cells < cfg.power_threshold:
@@ -741,11 +818,11 @@ def dm_log_marginal(counts, alphas):
 
 def bdeu_family_oracle(data, node, parents, ess):
     """BDeu local score built from the Dirichlet-multinomial oracle."""
-    r = data.arity(node)
+    r = data.arities[node]
     parents = sorted(parents)
     q = 1
     for p in parents:
-        q *= data.arity(p)
+        q *= data.arities[p]
     strata = {}
     for row in data.rows:
         key = tuple(int(row[p]) for p in parents)
@@ -934,13 +1011,11 @@ def blanket_and_minimal(g, block, labels, boundary):
 
 
 def random_dataset(rng, d, n, max_arity=2):
-    from hybridbn.data import CategoricalDataset
-
     arities = [int(rng.integers(2, max_arity + 1)) for _ in range(d)]
     rows = np.column_stack(
         [rng.integers(0, a, size=n, dtype=np.int32) for a in arities]
     )
-    return CategoricalDataset.from_array(rows, arities=arities)
+    return from_array(rows, arities=arities)
 
 
 def dag_from_edges(d, edges):
@@ -961,7 +1036,7 @@ def reference_powerset_tables(train, block, features, smoothing=1.0):
     log_like = []
     with np.errstate(divide="ignore"):
         for f in features:
-            a = train.arity(f)
+            a = train.arities[f]
             counts = np.bincount(y * a + train.rows[:, f], minlength=k * a)
             counts = counts.reshape(k, a).astype(float) + smoothing
             log_like.append(np.log(counts / counts.sum(axis=1, keepdims=True)))

@@ -31,13 +31,7 @@ import hybridbn.skeleton as skeleton_mod
 from hybridbn.cli import main
 from hybridbn.data import CategoricalDataset
 from hybridbn.graphs import Dag
-from hybridbn.independence import (
-    DataIndependenceSource,
-    chi2_survival,
-    g2_statistic,
-    mutual_information,
-)
-from hybridbn.independence import test_independence as ci_test
+from hybridbn.independence import DataIndependenceSource, chi2_survival
 from hybridbn.metrics import dag_to_cpdag, shd, skeleton_metrics
 from hybridbn.multilabel import (
     MlcConfig,
@@ -49,7 +43,6 @@ from hybridbn.network import forward_sample, write_network
 from hybridbn.scoring import ScoreConfig, Scorer, bdeu_local, bic_local, hill_climb
 from hybridbn.skeleton import build_skeleton, hpc
 from hybridbn.synthetic import (
-    genbase_shape_network,
     monotone_network,
     random_dag,
     recovery_network,
@@ -66,11 +59,15 @@ from helpers import (
     brute_min_partition,
     chi2_sf_oracle,
     equivalence_key,
+    g2_statistic,
+    genbase_shape_network,
     mi_brute,
+    mutual_information,
     random_dataset,
     random_pdag_pair,
     true_skeleton,
 )
+from helpers import test_independence as ci_test
 from hybridbn.multilabel import powerset_markov_boundary
 
 

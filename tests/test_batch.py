@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from hybridbn import data as data_mod
 from hybridbn import independence as independence_mod
 from hybridbn import multilabel as multilabel_mod
-from hybridbn.data import CategoricalDataset
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.skeleton import build_skeleton, hpc
 
-from helpers import ReferenceSource
+from helpers import ReferenceSource, from_array
 
 
 @st.composite
@@ -47,7 +46,7 @@ def datasets(draw):
             cols.append(np.where(noisy, rng.integers(0, a, size=n), source % a))
         else:
             cols.append(rng.integers(0, a, size=n))
-    return CategoricalDataset.from_array(np.column_stack(cols), arities=arities)
+    return from_array(np.column_stack(cols), arities=arities)
 
 
 configs = st.builds(
@@ -175,7 +174,7 @@ def wide_data():
     rng = np.random.default_rng(21)
     rows = rng.integers(0, 4, size=(300, 7))
     rows[:, 1] = np.where(rng.random(300) < 0.7, rows[:, 0], rows[:, 1])
-    data = CategoricalDataset.from_array(rows, arities=[4] * 7)
+    data = from_array(rows, arities=[4] * 7)
     data.distinct_rows
     return data
 

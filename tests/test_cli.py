@@ -1,23 +1,27 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridbn.cli import _score_cfg, _test_cfg, build_parser, main
+from hybridbn.data import write_csv
 from hybridbn.graphs import Dag
 from hybridbn.independence import TestConfig as Config
-from hybridbn.multilabel import MlcConfig
-from hybridbn.network import BayesianNetwork, write_network
+from hybridbn.multilabel import SCENARIOS, MlcConfig
+from hybridbn.network import BayesianNetwork, forward_sample, write_network
 from hybridbn.scoring import ScoreConfig
-from hybridbn.synthetic import (
-    genbase_shape_network,
-    monotone_network,
-    random_dag,
-    recovery_network,
-)
+from hybridbn.skeleton import Skeleton, write_skeleton
+from hybridbn.synthetic import monotone_network, random_dag, recovery_network
+
+from helpers import genbase_shape_network
 
 
 @pytest.fixture
@@ -876,3 +880,82 @@ class TestExportDot:
         assert run("export-dot", "--net", net_path, "--skeleton", net_path,
                    "--out", tmp_path / "x.dot") == 1
         capsys.readouterr()
+
+
+# ------------------------------------------------------------ drawn input
+
+# byte strings that data files give meaning to, for the mutants to insert
+TOKENS = [b"\n", b"\r", b",", b";", b'"', b" ", b"[", b"]", b"{", b"}", b":",
+          b"-1", b"0", b"1e400", b"NaN", b"null", b"\x00", b"\xff", b"\\u0000"]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """{kind: bytes} of a valid network, CSV sample and skeleton file."""
+    root = tmp_path_factory.mktemp("valid")
+    net = monotone_network(Dag(3, [(0, 1), (1, 2)]))
+    write_network(net, root / "net.json")
+    write_csv(forward_sample(net, 24, seed=0), root / "data.csv")
+    write_skeleton(Skeleton(3, frozenset({(0, 1), (1, 2)})), net.names,
+                   root / "skel.json")
+    return {kind: (root / name).read_bytes() for kind, name in
+            [("net", "net.json"), ("csv", "data.csv"), ("skel", "skel.json")]}
+
+
+@st.composite
+def contents(draw, valid):
+    """Drawn bytes (one time in four), or valid with up to two slices
+    replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data[i:j] = draw(st.one_of(st.sampled_from(TOKENS), st.binary(max_size=8)))
+    return bytes(data)
+
+
+# each subcommand's argv, with the file kind of each drawn file argument
+DRAWN_RUNS = {
+    "sample": ["--net", "net", "--n", 20, "--seed", 0, "--out", "o.csv"],
+    "learn-skeleton": ["--data", "csv", "--out", "o.json"],
+    "learn": ["--data", "csv", "--out", "o.json", "--report", "r.json"],
+    "learn --skeleton": ["--data", "csv", "--skeleton", "skel", "--out",
+                         "o.json"],
+    "evaluate": ["--learned", "net", "--truth", "net", "--test", "csv",
+                 "--report", "r.json"],
+    "benchmark": ["--truth", "net", "--sizes", 20, "--repeats", 1, "--seed",
+                  0, "--test-n", 20, "--out", "o.json"],
+    "mlc": ["--data", "csv", "--label-count", 1, "--folds", 2, "--seed", 0,
+            "--report", "r.json", "--scenario"],
+    "export-dot --net": ["--net", "net", "--out", "o.dot"],
+    "export-dot --cpdag": ["--net", "net", "--cpdag", "--out", "o.dot"],
+    "export-dot --skeleton": ["--skeleton", "skel", "--out", "o.dot"],
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(run_name=st.sampled_from(sorted(DRAWN_RUNS)), data=st.data())
+def test_drawn_files_end_in_an_exit_code(valid_files, run_name, data):
+    """Whatever bytes the files hold, main returns 0, 1 or 2; it raises
+    nothing, and a failure is one stderr line."""
+    argv = run_name.split()[:1]
+    with tempfile.TemporaryDirectory() as root:
+        for i, arg in enumerate(DRAWN_RUNS[run_name]):
+            if arg in valid_files:
+                path = os.path.join(root, f"in{i}")
+                with open(path, "wb") as fh:
+                    fh.write(data.draw(contents(valid_files[arg]), label=arg))
+                arg = path
+            elif isinstance(arg, str) and "." in arg:
+                arg = os.path.join(root, arg)
+            argv.append(str(arg))
+        if run_name == "mlc":
+            argv.append(data.draw(st.sampled_from(SCENARIOS), label="scenario"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

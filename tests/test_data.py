@@ -21,7 +21,7 @@ from hybridbn.data import (
     write_csv,
 )
 
-from helpers import reference_load_csv, tally_contingency
+from helpers import from_array, reference_load_csv, tally_contingency
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -268,7 +268,7 @@ class TestDataset:
             CategoricalDataset(("a", "b"), (("0", "1"),), np.zeros((2, 2), int))
 
     def test_rows_become_readonly(self):
-        ds = CategoricalDataset.from_array(np.array([[0, 1], [1, 0]]))
+        ds = from_array(np.array([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 1
 
@@ -279,7 +279,7 @@ class TestDataset:
 
     def test_column_store(self):
         rows = np.array([[0, 2], [1, 0], [1, 1]])
-        ds = CategoricalDataset.from_array(rows)
+        ds = from_array(rows)
         assert not hasattr(ds, "columns")
         columns, weights = ds.distinct_rows
         assert columns.dtype == np.uint8
@@ -292,31 +292,31 @@ class TestDataset:
             columns[0, 0] = 1
 
     def test_column_store_widens_with_arity(self):
-        ds = CategoricalDataset.from_array(np.array([[0, 299]]))
+        ds = from_array(np.array([[0, 299]]))
         columns, _ = ds.distinct_rows
         assert columns.dtype == np.uint16
         assert columns[1].tolist() == [299]
 
     def test_from_array_infers_arities(self):
-        ds = CategoricalDataset.from_array(np.array([[0, 2], [1, 0]]))
+        ds = from_array(np.array([[0, 2], [1, 0]]))
         assert ds.arities == (2, 3)
         assert ds.levels[1] == ("0", "1", "2")
 
     def test_column_index(self):
-        ds = CategoricalDataset.from_array(np.array([[0, 1]]), arities=[2, 2],
+        ds = from_array(np.array([[0, 1]]), arities=[2, 2],
                                            names=["a", "b"])
         assert ds.column_index("b") == 1
         with pytest.raises(DataError, match="unknown column"):
             ds.column_index("zzz")
 
     def test_subset_rows(self):
-        ds = CategoricalDataset.from_array(np.array([[0], [1], [0]]), arities=[2])
+        ds = from_array(np.array([[0], [1], [0]]), arities=[2])
         sub = ds.subset_rows([2, 0])
         assert sub.rows[:, 0].tolist() == [0, 0]
         assert sub.levels == ds.levels
 
     def test_parse_numeric_column(self):
-        ds = CategoricalDataset.from_array(np.array([[0], [1], [1]]), arities=[2])
+        ds = from_array(np.array([[0], [1], [1]]), arities=[2])
         assert parse_numeric_column(ds, 0).tolist() == [0.0, 1.0, 1.0]
 
     def test_parse_numeric_column_rejects_tokens(self, tmp_path):
@@ -335,7 +335,7 @@ class TestDataset:
             parse_numeric_column(ds, 0)
 
     def test_arities_are_kept(self):
-        ds = CategoricalDataset.from_array(np.array([[0, 2], [1, 0]]))
+        ds = from_array(np.array([[0, 2], [1, 0]]))
         assert ds.arities == (2, 3)
         assert ds.arities is ds.arities
 
@@ -369,8 +369,8 @@ def test_rows_take_the_narrowest_dtype(arities, n, seed, given_dtype):
     built = {
         "constructor": (CategoricalDataset(names, levels, rows.astype(given_dtype)),
                         rows),
-        "from_array": (CategoricalDataset.from_array(rows.astype(given_dtype)), rows),
-        "subset_rows": (CategoricalDataset.from_array(rows, arities=arities)
+        "from_array": (from_array(rows.astype(given_dtype)), rows),
+        "subset_rows": (from_array(rows, arities=arities)
                         .subset_rows(perm), rows[perm]),
     }
     for path, (ds, values) in built.items():
@@ -384,7 +384,7 @@ def test_rows_take_the_narrowest_dtype(arities, n, seed, given_dtype):
 def test_csv_round_trip_keeps_the_row_dtype(tmp_path, arity):
     # level v of x first appears in row v, so its token keeps its index
     rows = np.column_stack([np.arange(arity), np.arange(arity) % 2])
-    ds = CategoricalDataset.from_array(rows, names=["x", "y"])
+    ds = from_array(rows, names=["x", "y"])
     path = tmp_path / "wide.csv"
     write_csv(ds, path)
     back = load_csv(str(path))
@@ -412,7 +412,7 @@ def test_load_csv_holds_under_three_bytes_a_cell(tmp_path):
     # whole-file array wider than that is built on the way
     rows = np.random.default_rng(0).integers(0, 3, size=(5000, 200))
     path = tmp_path / "ternary.csv"
-    write_csv(CategoricalDataset.from_array(rows), path)
+    write_csv(from_array(rows), path)
     tracemalloc.start()
     try:
         ds = load_csv(str(path))
@@ -450,7 +450,7 @@ def pair_table(ds, x, y, z=()):
 
 class TestContingency:
     def test_marginal_pair_table(self):
-        ds = CategoricalDataset.from_array(
+        ds = from_array(
             np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), arities=[2, 2]
         )
         t = pair_table(ds, 0, 1)
@@ -458,7 +458,7 @@ class TestContingency:
         assert np.array_equal(t[:, :, 0], np.ones((2, 2), dtype=int))
 
     def test_unseen_stratum_not_materialized(self):
-        ds = CategoricalDataset.from_array(
+        ds = from_array(
             np.array([[0, 0, 0], [1, 1, 0], [0, 1, 0]]), arities=[2, 2, 2]
         )
         t = pair_table(ds, 0, 1, (2,))
@@ -467,7 +467,7 @@ class TestContingency:
     def test_counts_match_brute_force_tally(self):
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 3, size=(6, 4))
-        ds = CategoricalDataset.from_array(rows, arities=[3, 3, 3, 3])
+        ds = from_array(rows, arities=[3, 3, 3, 3])
         t = pair_table(ds, 0, 2, (1, 3))
         strata = tally_contingency(rows, 0, 2, (1, 3))
         r, c, l = t.shape
@@ -488,7 +488,7 @@ class TestContingency:
     def test_marginal_invariants(self):
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 2, size=(40, 5))
-        ds = CategoricalDataset.from_array(rows, arities=[2] * 5)
+        ds = from_array(rows, arities=[2] * 5)
         t = pair_table(ds, 1, 3, (0, 4))
         assert t.sum() == ds.n == 40
         ni_k = t.sum(axis=1)

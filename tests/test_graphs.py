@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -261,3 +262,11 @@ class TestDot:
     def test_quoting(self):
         g = Dag(1)
         assert '"we\\"ird"' in to_dot(g, ['we"ird'])
+
+    def test_quoted_ids_read_back_as_the_names(self):
+        # a backslash that is not escaped would escape the closing quote
+        names = ["a\\", 'b"c', '\\"d\\\\', "plain"]
+        dot = to_dot(Dag(4, [(0, 1), (2, 3)]), names)
+        ids = [re.sub(r"\\(.)", r"\1", m[1:-1])
+               for m in re.findall(r'"(?:[^"\\]|\\.)*"', dot)]
+        assert ids == names + names

@@ -4,19 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridbn.data import CategoricalDataset
 from hybridbn.graphs import Dag
-from hybridbn.independence import (
-    DataIndependenceSource,
-    chi2_survival,
-    g2_statistic,
-    mutual_information,
-)
+from hybridbn.independence import DataIndependenceSource, chi2_survival
 from hybridbn.independence import TestConfig as Config
 from hybridbn.independence import TestResult as Result
-from hybridbn.independence import test_independence as ci_test
 
-from helpers import DSeparationSource, chi2_sf_oracle, mi_brute
+from helpers import (
+    DSeparationSource,
+    chi2_sf_oracle,
+    from_array,
+    g2_statistic,
+    mi_brute,
+    mutual_information,
+)
+from helpers import test_independence as ci_test
 
 
 def table(counts):
@@ -184,7 +185,7 @@ def dataset_from_columns(*cols, arities=None):
     rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in cols])
     if arities is None:
         arities = [2] * rows.shape[1]
-    return CategoricalDataset.from_array(rows, arities=arities)
+    return from_array(rows, arities=arities)
 
 
 class TestTestIndependence:
@@ -259,7 +260,7 @@ class TestTestIndependence:
     def test_no_rows(self, power_cells):
         # no observed stratum is no evidence: every query, single or in a
         # batch, gets the power rule's verdict, with no division by zero
-        ds = CategoricalDataset.from_array(np.zeros((0, 4), dtype=np.int32),
+        ds = from_array(np.zeros((0, 4), dtype=np.int32),
                                            arities=[2, 3, 2, 2])
         cfg = Config(power_cells=power_cells)
         power = Result(1.0, 0.0, 0, True, True)

@@ -3,9 +3,9 @@
 observed_config_codes ranks configurations with a presence mask instead of
 a sort; every count table (CI-test tables, local-score families, CPTs)
 counts the dataset's distinct rows, weighted, in one pass over the nominal
-(head, Z) space or over ranked Z-configurations; and g2_statistic takes
-the statistic and the dof from one set of marginals. All must agree
-exactly with the straightforward versions in helpers.py, so every CI-test
+(head, Z) space or over ranked Z-configurations; and the kernel behind
+g2_statistic takes the statistic and the dof from one set of marginals.
+All must agree exactly with the straightforward versions in helpers.py, so every CI-test
 result, local score and CPT stays bit-identical.
 """
 
@@ -18,17 +18,9 @@ from hypothesis import strategies as st
 
 from hybridbn import data as data_mod
 from hybridbn import independence as independence_mod
-from hybridbn.data import (
-    CategoricalDataset,
-    count_table,
-    observed_config_codes,
-)
+from hybridbn.data import count_table, observed_config_codes
 from hybridbn.graphs import Dag
-from hybridbn.independence import (
-    DataIndependenceSource,
-    g2_statistic,
-    mutual_information,
-)
+from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.network import fit_cpts, forward_sample
 from hybridbn.scoring import _family_counts, bdeu_local, bic_local
@@ -38,10 +30,14 @@ from hybridbn.synthetic import child_shape_network
 from helpers import (
     ReferenceSource,
     bdeu_family_oracle,
+    from_array,
+    g2_statistic,
+    mutual_information,
     reference_config_codes,
     reference_contingency,
     reference_test_independence,
 )
+from helpers import test_independence as ci_test
 
 
 def assert_same_codes(rows, arities):
@@ -164,7 +160,7 @@ class TestCodeLimits:
     def test_contingency_one_pass_up_to_4u_plus_1024(self, q, ranked):
         # one distinct row (U = 1): the bound is 1028 = 2 * 2 * 257 cells
         rows = np.array([[1, 0, q - 1]] * 3)
-        data = CategoricalDataset.from_array(rows, arities=[2, 2, q])
+        data = from_array(rows, arities=[2, 2, q])
         assert takes_ranked_path(data, 0, 1, (2,)) == ranked
         assert_same_results(data, 0, 1, (2,))
 
@@ -204,7 +200,7 @@ def assert_same_results(data, x, y, z):
     for power_cells in ("nominal", "observed"):
         for power_threshold in (5.0, 0.01):
             cfg = Config(power_cells=power_cells, power_threshold=power_threshold)
-            got = independence_mod.test_independence(data, x, y, z, cfg)
+            got = ci_test(data, x, y, z, cfg)
             assert got == reference_test_independence(data, x, y, z, cfg)
 
 
@@ -226,7 +222,7 @@ def datasets(draw):
     if shape == "distinct":
         arities[0] = max(arities[0], n)
         rows[:, 0] = rng.permutation(n)
-    return CategoricalDataset.from_array(rows, arities=arities)
+    return from_array(rows, arities=arities)
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,7 +245,7 @@ def test_both_passes_on_wide_columns(shape):
     rows = random_rows(rng, n, arities)
     if shape == "duplicated":
         rows = rows[rng.integers(0, n, size=2000)]
-    data = CategoricalDataset.from_array(rows, arities=arities)
+    data = from_array(rows, arities=arities)
     assert data.distinct_rows[0].dtype == np.uint16
     cases = [(1, 3, ()), (3, 1, (4,)), (1, 3, (2, 4)), (0, 1, ()), (0, 2, (1,)),
              (1, 3, (0, 2)), (4, 3, (2, 1, 0))]
@@ -268,7 +264,7 @@ def test_radix_at_a_dtype_boundary(wide):
     rows = np.column_stack([np.zeros(n, dtype=int), np.arange(n) * wide // n,
                             np.arange(n) % 2])
     rows[0, 1] = wide - 1
-    data = CategoricalDataset.from_array(rows, arities=[1, wide, 2])
+    data = from_array(rows, arities=[1, wide, 2])
     assert not takes_ranked_path(data, 0, 1, ())
     for case in [(0, 1, ()), (1, 0, ()), (0, 2, (1,)), (2, 0, (1,)), (0, 1, (2,))]:
         assert_same_results(data, *case)
@@ -276,7 +272,7 @@ def test_radix_at_a_dtype_boundary(wide):
 
 def test_distinct_row_store():
     rows = np.array([[1, 0, 2], [0, 1, 0], [1, 0, 2], [1, 0, 2], [0, 1, 1]])
-    data = CategoricalDataset.from_array(rows, arities=[2, 2, 3])
+    data = from_array(rows, arities=[2, 2, 3])
     columns, weights = data.distinct_rows
     assert columns.dtype == np.uint8 and columns.flags.c_contiguous
     assert not columns.flags.writeable and not weights.flags.writeable
@@ -287,7 +283,7 @@ def test_distinct_row_store():
 
 
 def test_no_rows():
-    data = CategoricalDataset.from_array(np.zeros((0, 3), dtype=int), arities=[2, 3, 2])
+    data = from_array(np.zeros((0, 3), dtype=int), arities=[2, 3, 2])
     assert data.distinct_rows[0].shape == (3, 0)
     for z in [(), (2,)]:
         assert_same_table(data, 0, 1, z)
@@ -331,7 +327,7 @@ def assert_batches_match_reference(data, cfg, queries):
     keys = [canonical(*q) for q in queries]
     want = [reference_test_independence(data, *key, cfg) for key in keys]
     assert DataIndependenceSource(data, cfg).results(queries) == want
-    assert [independence_mod.test_independence(data, *key, cfg) for key in keys] == want
+    assert [ci_test(data, *key, cfg) for key in keys] == want
     by_pair = {}
     for x, y, z in keys:
         by_pair.setdefault((x, y), []).append(z)
@@ -357,7 +353,7 @@ class TestBatchedStatistic:
         # cells (the last past numpy's 8,192-element buffer too)
         rng = np.random.default_rng(11)
         arities = [6, 5, 3, 4, 40, 30, 8]
-        data = CategoricalDataset.from_array(
+        data = from_array(
             uniform_rows(rng, 3000, arities), arities=arities)
         cfg = Config(power_threshold=0.01)
         queries = [(0, 1, (2, 3)), (1, 0, (3,)), (0, 1, ()), (0, 1, (2,)),
@@ -376,7 +372,7 @@ class TestBatchedStatistic:
         y = (x * 3 // 4 + np.minimum(rng.geometric(0.3, size=n) - 1, 29)) % 30
         z = rng.integers(0, 8, size=n)
         w = (x + rng.integers(0, 2, size=n)) % 3
-        data = CategoricalDataset.from_array(
+        data = from_array(
             np.column_stack([x, y, z, w]), arities=[40, 30, 8, 3])
         queries = [(0, 1, (3,)), (1, 0, (2,)), (0, 1, ()), (0, 1, (2, 3))]
         assert_batches_match_reference(data, Config(power_threshold=0.5), queries)
@@ -389,7 +385,7 @@ class TestBatchedStatistic:
         w = rng.integers(0, 2, size=400)
         x = np.where(z == 0, 0, rng.integers(0, 3, size=400))
         y = np.where(z == 1, 1, (x + rng.integers(0, 2, size=400)) % 3)
-        data = CategoricalDataset.from_array(np.column_stack([x, y, z, w]))
+        data = from_array(np.column_stack([x, y, z, w]))
         cfg = Config(power_threshold=0.5)
         want = assert_batches_match_reference(
             data, cfg, [(0, 1, (2,)), (0, 1, (2, 3)), (1, 0, (3,)), (0, 1, ())])
@@ -404,7 +400,7 @@ class TestBatchedStatistic:
         arities = [3, 3, 3, 4, 4, 4]
         rows = uniform_rows(rng, 200, arities)
         rows[:, 0] = rows[:, 2]
-        data = CategoricalDataset.from_array(rows, arities=arities)
+        data = from_array(rows, arities=arities)
         cfg = Config(power_cells=power_cells)
         want = assert_batches_match_reference(data, cfg, [
             (0, 1, (2,)), (1, 0, (2, 3)), (0, 1, ()), (0, 1, (3, 4)),
@@ -449,7 +445,7 @@ class TestBatchedStatistic:
         w = np.where(rng.random(n) < 0.9, x, 1 - x)
         y = np.where(rng.random(n) < 0.9, w, 1 - w)
         u = rng.integers(0, 2, size=n)
-        data = CategoricalDataset.from_array(np.column_stack([x, y, w, u]))
+        data = from_array(np.column_stack([x, y, w, u]))
         zsets = [(), (3,), (2,), (2, 3)]
         loop = DataIndependenceSource(data)
         assert [loop.independent(0, 1, z) for z in zsets] == [False, False, True, True]
@@ -470,9 +466,9 @@ def test_family_counts_match_reference(child_sample):
         counts, _ = _family_counts(child_sample, node, parents)
         codes, m = reference_config_codes(
             child_sample.rows[:, list(parents)],
-            [child_sample.arity(p) for p in parents],
+            [child_sample.arities[p] for p in parents],
         )
-        r = child_sample.arity(node)
+        r = child_sample.arities[node]
         flat = codes * r + child_sample.rows[:, node]
         want = np.bincount(flat, minlength=m * r).reshape(m, r)
         np.testing.assert_array_equal(counts, want)
@@ -482,7 +478,7 @@ def test_wide_arity_dataset_matches_reference():
     # 300 levels put the column store in uint16; count_table must not care.
     rng = np.random.default_rng(7)
     arities = [300, 3, 2, 5]
-    ds = CategoricalDataset.from_array(
+    ds = from_array(
         random_rows(rng, 400, arities), arities=arities
     )
     assert ds.distinct_rows[0].dtype == np.uint16
@@ -499,7 +495,7 @@ def duplicated_sample():
     arities = [3, 2, 2, 400]
     pool = np.column_stack([rng.permutation(12) % a for a in arities])
     rows = pool[rng.integers(0, 12, size=300)]
-    data = CategoricalDataset.from_array(rows, arities=arities)
+    data = from_array(rows, arities=arities)
     assert data.distinct_rows[1].size == 12
     return data
 
@@ -509,7 +505,7 @@ def tallied_strata(data, node, parents):
     strata = {}
     for row in data.rows.tolist():
         key = tuple(row[p] for p in parents)
-        strata.setdefault(key, [0] * data.arity(node))[row[node]] += 1
+        strata.setdefault(key, [0] * data.arities[node])[row[node]] += 1
     return dict(sorted(strata.items()))
 
 
@@ -519,8 +515,8 @@ def tallied_strata(data, node, parents):
 ])
 def test_scores_and_cpts_on_both_paths(duplicated_sample, node, parents, ranked):
     data = duplicated_sample
-    r = data.arity(node)
-    pa_arities = [data.arity(p) for p in parents]
+    r = data.arities[node]
+    pa_arities = [data.arities[p] for p in parents]
     q = math.prod(pa_arities)
     assert ranks_first(data, lambda: _family_counts(data, node, parents)) == ranked
     strata = tallied_strata(data, node, parents)
@@ -552,7 +548,7 @@ def test_fit_cpts_rejects_a_parent_space_past_2_to_the_62(n_parents):
     # 2**62 parent configurations is the first too many; at 2**63 an int64
     # mixed-radix code of (node, *parents) would wrap silently
     rows = np.random.default_rng(10).integers(0, 2, size=(20, n_parents + 1))
-    data = CategoricalDataset.from_array(rows, arities=[2] * (n_parents + 1))
+    data = from_array(rows, arities=[2] * (n_parents + 1))
     parents = tuple(range(1, n_parents + 1))
     dag = Dag(data.d, [(p, 0) for p in parents])
     with pytest.raises(ValueError, match="too large"):

@@ -31,23 +31,21 @@ from hybridbn.multilabel import (
     run_scenarios,
 )
 from hybridbn.network import forward_sample
-from hybridbn.synthetic import (
-    genbase_shape_network,
-    random_dag,
-    two_cluster_network,
-)
+from hybridbn.synthetic import random_dag, two_cluster_network
 
 from helpers import (
     RecordingSource,
     blanket_and_minimal,
     brute_min_partition,
+    from_array,
+    genbase_shape_network,
     predict_mpe,
     reference_powerset_tables,
 )
 
 
 def dataset(rows, arities):
-    return CategoricalDataset.from_array(
+    return from_array(
         np.asarray(rows, dtype=np.int32), arities=arities
     )
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn import network
-from hybridbn.data import CategoricalDataset, DataError, row_dtype
+from hybridbn.data import DataError, row_dtype
 from hybridbn.graphs import Dag
 from hybridbn.network import (
     CPT_CELL_LIMIT,
@@ -23,7 +23,7 @@ from hybridbn.synthetic import (
     random_network,
 )
 
-from helpers import reference_forward_sample
+from helpers import from_array, reference_forward_sample
 
 B = ("0", "1")
 
@@ -79,7 +79,7 @@ class TestValidation:
 
 
 def dataset(rows, arities):
-    return CategoricalDataset.from_array(
+    return from_array(
         np.asarray(rows, dtype=np.int32), arities=arities
     )
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridbn.data import CategoricalDataset, DataError
+from hybridbn.data import DataError
 from hybridbn.graphs import Dag
 from hybridbn.metrics import dag_to_cpdag
 from hybridbn.network import forward_sample
@@ -22,6 +22,7 @@ from helpers import (
     all_dags,
     bdeu_family_oracle,
     equivalence_key,
+    from_array,
     random_dataset,
     total_score,
     true_skeleton,
@@ -29,7 +30,7 @@ from helpers import (
 
 
 def dataset(rows, arities):
-    return CategoricalDataset.from_array(
+    return from_array(
         np.asarray(rows, dtype=np.int32), arities=arities
     )
 

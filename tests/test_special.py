@@ -241,7 +241,7 @@ def test_bdeu_local_equals_the_gammaln_formula():
     # gammaln gave, bit for bit, whether a table is fresh or shared
     def gammaln_bdeu(data, node, parents, ess):
         counts, q = _family_counts(data, node, parents)
-        a_j, a_jk = ess / q, ess / (q * data.arity(node))
+        a_j, a_jk = ess / q, ess / (q * data.arities[node])
         config_terms = sc.gammaln(a_j) - sc.gammaln(a_j + counts.sum(axis=1))
         cell_terms = sc.gammaln(a_jk + counts) - sc.gammaln(a_jk)
         return float(config_terms.sum() + cell_terms.sum())
