@@ -15,7 +15,7 @@ from hybridbn.cli import _score_cfg, _test_cfg, build_parser, main
 from hybridbn.data import write_csv
 from hybridbn.graphs import Dag
 from hybridbn.independence import TestConfig as Config
-from hybridbn.multilabel import SCENARIOS, MlcConfig
+from hybridbn.multilabel import MlcConfig
 from hybridbn.network import BayesianNetwork, forward_sample, write_network
 from hybridbn.scoring import ScoreConfig
 from hybridbn.skeleton import Skeleton, write_skeleton
@@ -916,7 +916,8 @@ def contents(draw, valid):
     return bytes(data)
 
 
-# each subcommand's argv, with the file kind of each drawn file argument
+# an argv of each subcommand: a file kind ("net", "csv", "skel") stands for
+# a drawn input file of that kind, a name with a suffix for an output file
 DRAWN_RUNS = {
     "sample": ["--net", "net", "--n", 20, "--seed", 0, "--out", "o.csv"],
     "learn-skeleton": ["--data", "csv", "--out", "o.json"],
@@ -928,7 +929,10 @@ DRAWN_RUNS = {
     "benchmark": ["--truth", "net", "--sizes", 20, "--repeats", 1, "--seed",
                   0, "--test-n", 20, "--out", "o.json"],
     "mlc": ["--data", "csv", "--label-count", 1, "--folds", 2, "--seed", 0,
-            "--report", "r.json", "--scenario"],
+            "--scenario", "mlp+mb", "--report", "r.json"],
+    "mlc --binarize": ["--data", "csv", "--label-count", 1, "--folds", 2,
+                       "--seed", 0, "--scenario", "br", "--binarize",
+                       "--report", "r.json"],
     "export-dot --net": ["--net", "net", "--out", "o.dot"],
     "export-dot --cpdag": ["--net", "net", "--cpdag", "--out", "o.dot"],
     "export-dot --skeleton": ["--skeleton", "skel", "--out", "o.dot"],
@@ -951,8 +955,6 @@ def test_drawn_files_end_in_an_exit_code(valid_files, run_name, data):
             elif isinstance(arg, str) and "." in arg:
                 arg = os.path.join(root, arg)
             argv.append(str(arg))
-        if run_name == "mlc":
-            argv.append(data.draw(st.sampled_from(SCENARIOS), label="scenario"))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv)

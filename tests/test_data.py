@@ -303,8 +303,7 @@ class TestDataset:
         assert ds.levels[1] == ("0", "1", "2")
 
     def test_column_index(self):
-        ds = from_array(np.array([[0, 1]]), arities=[2, 2],
-                                           names=["a", "b"])
+        ds = from_array(np.array([[0, 1]]), arities=[2, 2], names=["a", "b"])
         assert ds.column_index("b") == 1
         with pytest.raises(DataError, match="unknown column"):
             ds.column_index("zzz")

@@ -260,8 +260,7 @@ class TestTestIndependence:
     def test_no_rows(self, power_cells):
         # no observed stratum is no evidence: every query, single or in a
         # batch, gets the power rule's verdict, with no division by zero
-        ds = from_array(np.zeros((0, 4), dtype=np.int32),
-                                           arities=[2, 3, 2, 2])
+        ds = from_array(np.zeros((0, 4), dtype=np.int32), arities=[2, 3, 2, 2])
         cfg = Config(power_cells=power_cells)
         power = Result(1.0, 0.0, 0, True, True)
         zsets = [(), (2,), (2, 3)]
