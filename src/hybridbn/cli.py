@@ -164,11 +164,17 @@ def cmd_sample(args):
 
 
 def _check_csv_tokens(net):
-    # load_csv strips every token and reads a blank cell as missing, and the
-    # csv writer leaves a bare carriage return unquoted, so a network whose
-    # names or levels break these rules samples to a file learn cannot read
+    # load_csv strips every token, drops a byte-order mark at the start of
+    # the file and reads a blank cell as missing, and the csv writer leaves a
+    # bare carriage return unquoted, so a network whose names or levels break
+    # these rules samples to a file learn cannot read back
     if not net.names:
         raise DataError("the network has no variables, so a sample has no columns")
+    if net.names[0].startswith("\ufeff"):
+        raise DataError(
+            f"variable {net.names[0]!r} starts with a byte-order mark, which "
+            "load_csv drops from the start of a file"
+        )
     for name, levels in zip(net.names, net.levels):
         for token in (name, *levels):
             if token != token.strip() or "\r" in token:

@@ -194,10 +194,17 @@ def _dense_ranks(code, cap, span):
     if cap > 16 * span:
         uniq, ranks = np.unique(code, return_inverse=True)
         return ranks.astype(np.int64), int(uniq.size)
+    # The counts become the presence mask and then its running sum in place,
+    # and the ranks overwrite the intp codes, which are observed_config_codes'
+    # own: each position's code is read before its rank is written there
+    # (mode "raise" would buffer the output). So the pass makes one cap-long
+    # and at most one row-long array.
     code = code.astype(np.intp, copy=False)
-    ranks = np.cumsum(np.bincount(code, minlength=cap) > 0, dtype=np.int64)
+    ranks = np.bincount(code, minlength=cap)
+    np.minimum(ranks, 1, out=ranks)
+    np.cumsum(ranks, out=ranks)
     ranks -= 1
-    return ranks[code], int(ranks[-1]) + 1
+    return ranks.take(code, out=code, mode="clip"), int(ranks[-1]) + 1
 
 
 def count_table(data, head, z=()):
@@ -357,7 +364,8 @@ def load_csv(path, delimiter=","):
     rows, empty files, a blank first line and empty tokens are errors; of
     the ragged rows and missing values, the first in file order is
     reported, by its line in the file (the header is line 1). So are files
-    that are not UTF-8 text and fields the csv module rejects.
+    that are not UTF-8 text and fields the csv module rejects. A leading
+    UTF-8 byte-order mark is not part of the text.
     """
     # The rows are mapped as they are read, up to the first ragged one: one
     # pass maps every cell, through its column's _StrippedIds, to its level
@@ -380,7 +388,9 @@ def load_csv(path, delimiter=","):
             n += 1
             yield row
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             top = next(reader, None)
@@ -432,25 +442,65 @@ def load_csv(path, delimiter=","):
 def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
-    The csv writer writes each level that some row uses once. Rows go out
-    in blocks of 512, each gathered from those written forms in one lookup
-    and joined, so the bytes are the ones the writer would give row by row.
+    The csv writer writes each level that some row uses once, and lines are
+    joined from those written forms, so the bytes are the ones the writer
+    would give row by row. The rows are ranked with
+    ``observed_config_codes``. When at most half of them are distinct, each
+    distinct row's line is joined once, and the rows go out as those lines,
+    _GATHER_BLOCK rows a write. Otherwise each block of _JOIN_BLOCK rows is
+    joined from the forms.
     """
-    d = data.d
     first = np.cumsum((0,) + data.arities)[:-1]  # each column's first form
     forms = _written_forms(data, first)
+    ranks, u = observed_config_codes(data.rows, data.arities)
+    # at most half the rows distinct: the line cache holds at most half the
+    # file's lines
+    if 2 * u <= data.n:
+        lines = _distinct_lines(data, forms, first, ranks, u)
+        blocks = (lines.take(ranks[start:start + _GATHER_BLOCK]).tolist()
+                  for start in range(0, data.n, _GATHER_BLOCK))
+    else:
+        del ranks  # not read here; freed before the file is written
+        blocks = (_row_lines(data.rows[start:start + _JOIN_BLOCK], forms, first)
+                  for start in range(0, data.n, _JOIN_BLOCK))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(data.names)
-        for start in range(0, data.n, 512):
-            block = data.rows[start:start + 512]
-            cells = forms.take(block + first).ravel().tolist()
-            # One list a block and one short-lived slice a row: lists are
-            # containers the garbage collector counts, and 512 of them alive
-            # at once moved it on so far that forked workers later
-            # collected, and so copied, the whole heap they inherit.
-            fh.write("\n".join([",".join(cells[i * d:(i + 1) * d])
-                                for i in range(len(block))]))
+        for block in blocks:
+            fh.write("\n".join(block))
             fh.write("\n")
+
+
+# Rows _row_lines joins at a time, and rows one write of write_csv's
+# distinct-line path gathers.
+_JOIN_BLOCK = 512
+_GATHER_BLOCK = 4096
+
+
+def _distinct_lines(data, forms, first, ranks, u):
+    # lines[r]: the line of the distinct row of rank r. The distinct rows are
+    # copied out a block at a time, so no row-length index exists beside the
+    # ranks; rows of one rank hold equal levels, so it does not matter which
+    # of them a repeated rank stores.
+    distinct = np.empty((u, data.d), dtype=data.rows.dtype)
+    for start in range(0, data.n, _GATHER_BLOCK):
+        distinct[ranks[start:start + _GATHER_BLOCK]] = data.rows[start:start + _GATHER_BLOCK]
+    lines = np.empty(u, dtype=object)
+    for start in range(0, u, _JOIN_BLOCK):
+        lines[start:start + _JOIN_BLOCK] = _row_lines(
+            distinct[start:start + _JOIN_BLOCK], forms, first)
+    return lines
+
+
+def _row_lines(block, forms, first):
+    # The lines of a block of rows, without line ends: one take of the rows'
+    # level indices plus each column's offset into forms, one flat list, and
+    # one join a row over its slice of that list. One list a block and one
+    # short-lived slice a row: lists are containers the garbage collector
+    # counts, and 512 of them alive at once moved it on so far that forked
+    # workers later collected, and so copied, the whole heap they inherit.
+    d = block.shape[1]
+    cells = forms.take(block + first).ravel().tolist()
+    return [",".join(cells[i * d:(i + 1) * d]) for i in range(len(block))]
 
 
 def _written_forms(data, first):

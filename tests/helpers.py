@@ -677,7 +677,7 @@ def reference_load_csv(path, delimiter=","):
     first."""
     import csv
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         physical = list(csv.reader(fh, delimiter=delimiter))
     if not physical:
         raise DataError(f"empty file: {path}")

@@ -550,6 +550,8 @@ class TestBadInput:
         (["a "], [["0", "1"]], "'a ' of variable 'a ' cannot be written"),
         (["a"], [["0", ""]], "variable 'a' has an empty level"),
         (["a"], [["0", "1", "0"]], "variable 'a' has two equal levels"),
+        (["\ufeffa", "b"], [["0", "1"], ["0", "1"]],
+         "variable '\\ufeffa' starts with a byte-order mark"),
     ])
     def test_sample_tokens_a_csv_cannot_carry(self, names, levels, message,
                                               tmp_path, capsys):
@@ -640,6 +642,19 @@ class TestLearnSkeleton:
 
 
 class TestLearn:
+    def test_byte_order_mark_is_not_a_name(self, sampled_csv, tmp_path):
+        # a file saved with a leading UTF-8 byte-order mark: its first column
+        # keeps its name through learn, and mlc finds it as a label
+        plain = Path(sampled_csv).read_bytes()
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        first = plain.split(b",", 1)[0].decode()
+        for path, out in ((sampled_csv, "plain.json"), (marked, "marked.json")):
+            assert run("learn", "--data", path, "--out", tmp_path / out) == 0
+        assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert run("mlc", "--data", marked, "--labels", first, "--scenario", "br",
+                   "--folds", 2, "--seed", 0, "--report", tmp_path / "r.json") == 0
+
     def test_network_and_report(self, sampled_csv, tmp_path):
         out = tmp_path / "learned.json"
         report = tmp_path / "report.json"

@@ -1,4 +1,5 @@
 import csv
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn.data import (
+    _GATHER_BLOCK,
     _LOAD_CHUNK,
     _written_forms,
     CategoricalDataset,
@@ -392,6 +394,25 @@ def test_csv_round_trip_keeps_the_row_dtype(tmp_path, arity):
     np.testing.assert_array_equal(back.rows, rows)
 
 
+BYTE_ORDER_MARKED = b"\xef\xbb\xbfa,b\nx,p\ny,\xef\xbb\xbfq\n"
+
+
+def test_load_csv_drops_a_leading_byte_order_mark(tmp_path):
+    # only the mark that opens the file goes; one inside a token is text
+    path = tmp_path / "marked.csv"
+    path.write_bytes(BYTE_ORDER_MARKED)
+    ds = load_csv(str(path))
+    assert ds.names == ("a", "b")
+    assert ds.levels == (("x", "y"), ("p", "\ufeffq"))
+
+
+def test_reference_load_csv_drops_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.csv"
+    path.write_bytes(BYTE_ORDER_MARKED)
+    ds = reference_load_csv(str(path))
+    assert (ds.names, ds.levels) == (("a", "b"), (("x", "y"), ("p", "\ufeffq")))
+
+
 def test_load_csv_widens_in_a_later_chunk(tmp_path):
     # x has 200 levels in the first chunks and 600 after them; y repeats 3
     n = 2 * _LOAD_CHUNK
@@ -420,6 +441,27 @@ def test_load_csv_holds_under_three_bytes_a_cell(tmp_path):
         tracemalloc.stop()
     assert peak < 3 * rows.size
     assert ds.rows.shape == rows.shape and ds.rows.dtype == np.uint8
+
+
+def test_write_csv_holds_the_ranks_not_an_object_a_row(tmp_path):
+    # 200,000 rows of six binary columns, 64 distinct, so write_csv joins
+    # one line a distinct row. Beside the rows it holds the int64 ranks
+    # (8 bytes a row), the one-byte codes they are ranked from, the distinct
+    # lines and one gather block: a Python object or an index per row (a
+    # list of the ranks, say, at 8 bytes a row more) breaks the bound.
+    n = 200_000
+    ds = from_array(np.random.default_rng(0).integers(0, 2, size=(n, 6)))
+    line = sys.getsizeof("0,1,0,1,0,1")
+    lines = 64 * (line + 8)
+    # the gathered references, their list, the joined text and its bytes
+    block = _GATHER_BLOCK * (8 + 8 + 2 * 12)
+    tracemalloc.start()
+    try:
+        write_csv(ds, tmp_path / "binary.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n + lines + block + 64 * 1024
 
 
 class TestConfigCodes:

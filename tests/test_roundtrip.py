@@ -5,11 +5,14 @@ through write_network/read_network and write_skeleton/read_skeleton; random
 datasets go through write_csv/load_csv.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridbn import data as data_mod
 from hybridbn.cli import _check_csv_tokens
 from hybridbn.data import CategoricalDataset, DataError, load_csv, write_csv
 from hybridbn.network import BayesianNetwork, read_network, write_network
@@ -111,34 +114,80 @@ class Scripted:
         return next(self.values)
 
 
+def drawn_rows(n, arities, distinct, rng):
+    """n rows over the given arities: uniform draws ("any"), or U distinct
+    rows that each appear at least once, U being n // 2 ("half"),
+    n // 2 + 1 ("half+1") or 1 ("one"), as far as n and the nominal space
+    allow."""
+    if distinct == "any" or not arities:
+        return np.column_stack([rng.integers(0, a, size=n) for a in arities]
+                               or [np.zeros((n, 0), dtype=int)])
+    u = {"half": n // 2, "half+1": n // 2 + 1, "one": 1}[distinct]
+    u = max(min(u, n, math.prod(arities)), min(n, 1))
+    configs = np.array(np.unravel_index(np.arange(u), arities), dtype=int).T
+    which = np.concatenate([np.arange(u), rng.integers(0, max(u, 1), size=n - u)])
+    return configs.reshape(u, len(arities))[rng.permutation(which)]
+
+
+# a column's name and its two levels, for examples of many binary columns
+def binary_columns(d):
+    return Scripted([f"c{i}" for i in range(d)], *[["0", "1"]] * d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 511, 512, 513, 1100]),
+    n=st.sampled_from([0, 1, 511, 512, 513, 1100, 4095, 4097]),
     arities=st.lists(st.integers(1, 4), max_size=5),
+    distinct=st.sampled_from(["any", "half", "half+1", "one"]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 # a row of one empty field is the one place where the writer quotes a token
 # by its context: it writes "" there, and nothing in a wider row
-@example(n=3, arities=[1], seed=0, data=Scripted([""], [""]))
-@example(n=5, arities=[2], seed=1, data=Scripted(["a"], ["", "x"]))
-@example(n=5, arities=[2, 1], seed=1, data=Scripted(["a", "b"], ["", "x"], [""]))
-@example(n=0, arities=[1], seed=0, data=Scripted(["a"], [""]))
-@example(n=0, arities=[2, 3], seed=0, data=Scripted(["a", "b"], ["x", "y"], ["p", "q", "r"]))
-def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed, data):
-    # any text, commas, quotes and line breaks included, across the
-    # 512-row blocks, and with no column at all
-    rng = np.random.default_rng(seed)
-    rows = np.column_stack([rng.integers(0, a, size=n) for a in arities]
-                           or [np.zeros((n, 0), dtype=int)])
+@example(n=3, arities=[1], distinct="any", seed=0, data=Scripted([""], [""]))
+@example(n=5, arities=[2], distinct="any", seed=1, data=Scripted(["a"], ["", "x"]))
+@example(n=5, arities=[2, 1], distinct="any", seed=1,
+         data=Scripted(["a", "b"], ["", "x"], [""]))
+@example(n=0, arities=[1], distinct="any", seed=0, data=Scripted(["a"], [""]))
+@example(n=0, arities=[2, 3], distinct="any", seed=0,
+         data=Scripted(["a", "b"], ["x", "y"], ["p", "q", "r"]))
+# each side of write_csv's switch at U = n / 2, and of its gather block
+@example(n=1100, arities=[2] * 10, distinct="half", seed=2, data=binary_columns(10))
+@example(n=1100, arities=[2] * 10, distinct="half+1", seed=2, data=binary_columns(10))
+@example(n=4095, arities=[2] * 11, distinct="half", seed=3, data=binary_columns(11))
+@example(n=4097, arities=[2] * 12, distinct="half", seed=3, data=binary_columns(12))
+@example(n=4097, arities=[2] * 12, distinct="half+1", seed=3, data=binary_columns(12))
+@example(n=4097, arities=[3, 2], distinct="one", seed=4,
+         data=Scripted(["a", "b"], ["x", "y,", 'z"'], ["", "p"]))
+@example(n=4095, arities=[4], distinct="half", seed=5,
+         data=Scripted(["a"], ["", "x", "y", "z"]))
+@example(n=4097, arities=[], distinct="any", seed=0, data=Scripted([]))
+def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, seed, data):
+    # any text, commas, quotes and line breaks included, across the blocks
+    # of either path, and with no column at all; rows repeat as drawn
+    rows = drawn_rows(n, arities, distinct, np.random.default_rng(seed))
     text = st.text(max_size=4)
     names = data.draw(st.lists(text, min_size=len(arities), max_size=len(arities),
                                unique=True))
     levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
-    write_csv(ds, out_dir / "got.csv")
+    took = []
+    distinct_lines = data_mod._distinct_lines
+
+    def spy(*args):
+        took.append("distinct lines")
+        return distinct_lines(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "_distinct_lines", spy)
+        write_csv(ds, out_dir / "got.csv")
     reference_write_csv(ds, out_dir / "want.csv")
     assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
+    # at most half the rows distinct: one line a distinct row; else blocks
+    # (a file of no rows writes no row either way)
+    u = len({tuple(row) for row in rows.tolist()})
+    if n:
+        assert took == (["distinct lines"] if 2 * u <= n else [])
 
 
 @settings(max_examples=300, deadline=None)
