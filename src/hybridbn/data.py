@@ -6,10 +6,13 @@ original tokens per level so predictions and exports can be mapped back.
 Datasets are immutable after construction and safe for concurrent readers.
 """
 
+import codecs
 import csv
 import itertools
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -366,7 +369,19 @@ def load_csv(path, delimiter=","):
     reported, by its line in the file (the header is line 1). So are files
     that are not UTF-8 text and fields the csv module rejects. A leading
     UTF-8 byte-order mark is not part of the text.
+
+    A plain regular file (no quote, carriage return or NUL, a one-byte ASCII
+    delimiter, short tokens and few levels) is read with whole-array passes
+    (``_load_plain``); every other file, and every file with an error, is
+    read by the csv module. Both give the same dataset.
     """
+    data = _load_plain(path, delimiter)
+    return data if data is not None else _load_with_csv(path, delimiter)
+
+
+def _load_with_csv(path, delimiter):
+    # The csv path reads any file and is the only one that raises.
+    #
     # The rows are mapped as they are read, up to the first ragged one: one
     # pass maps every cell, through its column's _StrippedIds, to its level
     # index, and no row is kept. The cells are taken in chunks of whole rows
@@ -439,6 +454,187 @@ def load_csv(path, delimiter=","):
     return CategoricalDataset(tuple(names), levels, rows)
 
 
+# The array path reads _BLOCK_BYTES at a time. A field is keyed by its node
+# in a trie of the raw tokens met so far, one byte a step, so a field wider
+# than _KEY_BYTES or a trie of more than _MAX_NODES nodes declines the file.
+# Level indices are one byte and _NO_LEVEL marks a column's unseen node, so
+# a column of more than _MAX_LEVELS levels declines it too.
+_BLOCK_BYTES = 1 << 15
+_KEY_BYTES = 16
+_MAX_NODES = 1024
+_NO_NODE = np.iinfo(np.uint16).max
+_MAX_LEVELS = _NO_LEVEL = 255
+
+
+class _Decline(Exception):
+    """The array path cannot show that its dataset is the csv path's."""
+
+
+def _load_plain(path, delimiter):
+    """The dataset the csv path would return, read with whole-array passes,
+    or None where that cannot be shown (the README's library tour lists
+    when). Without a quote or a carriage return, each line is a row and each
+    delimiter ends a field, which is all the csv module would find there."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1
+            and delimiter.isascii() and delimiter not in '"\r\n\0'):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # a pipe would be read twice
+        with open(path, "rb") as fh:
+            n = _plain_lines(fh) - 1
+            fh.seek(0)
+            return _read_plain(fh, n, delimiter)
+    except (OSError, UnicodeDecodeError, _Decline):
+        return None
+
+
+def _plain_lines(fh):
+    # The lines of the file, a last one without its line end included. A
+    # quote, carriage return or NUL anywhere declines before any array is made.
+    lines, last = 0, b"\n"
+    while block := fh.read(_BLOCK_BYTES):
+        if b'"' in block or b"\r" in block or b"\0" in block:
+            raise _Decline
+        lines += block.count(b"\n")
+        last = block[-1:]
+    return lines + (last != b"\n")
+
+
+def _read_plain(fh, n, delimiter):
+    # n data rows follow the header; the rows are filled a block at a time.
+    head = fh.readline().removeprefix(codecs.BOM_UTF8)
+    if n < 1 or head == b"\n" or len(head) > csv.field_size_limit():
+        raise _Decline
+    names = [t.strip() for t in head[:-1].decode("utf-8").split(delimiter)]
+    if len(set(names)) < len(names):
+        raise _Decline
+    reader = _PlainBlocks(ord(delimiter), len(names))
+    rows = np.empty((n, len(names)), np.uint8)
+    done = 0
+    for block in _line_blocks(fh):
+        k = block.count(b"\n")
+        if done + k > n:
+            raise _Decline
+        rows[done:done + k] = reader.ids(block, k)
+        done += k
+    if done < n or min(map(len, reader.levels)) < 2:
+        raise _Decline
+    return CategoricalDataset(tuple(names), tuple(map(tuple, reader.levels)), rows)
+
+
+def _line_blocks(fh):
+    # The rest of fh in blocks of whole lines, each cut after its last line
+    # end; a last line without one is given it.
+    rest = b""
+    while chunk := fh.read(max(_BLOCK_BYTES, len(rest))):
+        block = rest + chunk
+        cut = block.rfind(b"\n") + 1
+        rest = block[cut:]
+        if cut:
+            yield block[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+class _PlainBlocks:
+    """The level indices of the fields of successive blocks of d-field
+    lines. It keeps the trie of the raw tokens met so far, each column's
+    level index of each trie node, and each column's stripped tokens (the
+    keys of levels[c]) in order of first appearance."""
+
+    def __init__(self, delimiter, d):
+        self.delimiter, self.d = delimiter, d
+        # trie[node << 8 | byte]: the node one byte on; byte 0 (a field
+        # past its end, as no token holds a NUL) keeps every node
+        self.trie = np.full(256, _NO_NODE, np.uint16)
+        self.trie[0] = 0
+        self.raw = [b""]  # each node's bytes; node 0 is the root
+        # table[node, c]: column c's level index of the node's token
+        self.table = np.empty((0, d), np.uint8)
+        self.levels = [{} for _ in range(d)]
+        self.stripped = {}  # node -> its token, decoded and stripped
+
+    def ids(self, block, k):
+        """Level indices of the k lines of block, shape (k, d)."""
+        d = self.d
+        node = self._nodes(np.frombuffer(block, np.uint8), k)
+        if self.table.shape[0] < len(self.raw):
+            unseen = np.full((len(self.raw) - self.table.shape[0], d), _NO_LEVEL, np.uint8)
+            self.table = np.concatenate([self.table, unseen])
+        cell = node.reshape(k, d).astype(np.intp)
+        cell *= d
+        cell += np.arange(d)
+        ids = self.table.take(cell)
+        new = ids == _NO_LEVEL
+        if new.any():
+            # a column's new nodes in order of first appearance, so that
+            # its levels count its stripped tokens in that order
+            for c in _in_first_order(cell[new]).tolist():
+                levels = self.levels[c % d]
+                level = levels.setdefault(self._token(c // d), len(levels))
+                if level >= _MAX_LEVELS:
+                    raise _Decline
+                self.table.flat[c] = level
+            ids = self.table.take(cell)
+        return ids
+
+    def _nodes(self, a, k):
+        # The trie node of each of the k * d fields, row-major.
+        d = self.d
+        ends = np.flatnonzero((a == self.delimiter) | (a == 10))
+        # k line ends, each the d-th field end of its line: no row is ragged
+        if ends.size != k * d or not (a[ends[d - 1::d]] == 10).all():
+            raise _Decline
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        widths = ends - starts
+        if widths.min() < 1 or widths.max() > _KEY_BYTES:
+            raise _Decline
+        node = self._step(a.take(starts))  # the root's step is the byte itself
+        for j in range(1, int(widths.max())):
+            step = np.left_shift(node, 8, dtype=np.intp)
+            byte = a.take(starts + j, mode="clip")
+            byte[widths <= j] = 0
+            step |= byte
+            node = self._step(step)
+        return node
+
+    def _step(self, step):
+        node = self.trie.take(step)
+        fresh = node == _NO_NODE
+        if fresh.any():
+            steps = _in_first_order(step[fresh]).tolist()
+            first = len(self.raw)
+            if first + len(steps) > _MAX_NODES:
+                raise _Decline
+            self.raw += [self.raw[s >> 8] + bytes((s & 255,)) for s in steps]
+            grown = np.full((len(steps), 256), _NO_NODE, np.uint16)
+            grown[:, 0] = np.arange(first, len(self.raw))
+            self.trie = np.concatenate([self.trie, grown.ravel()])
+            self.trie[steps] = grown[:, 0]
+            node = self.trie.take(step)
+        return node
+
+    def _token(self, node):
+        token = self.stripped.get(node)
+        if token is None:
+            token = self.stripped[node] = self.raw[node].decode("utf-8").strip()
+            if not token:
+                raise _Decline
+        return token
+
+
+def _in_first_order(values):
+    # The distinct values in order of first appearance. np.unique without
+    # indices would import numpy.ma (about 1.5 MB) into a process that
+    # otherwise never loads it.
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    return values[np.sort(order[np.concatenate(([True], ranked[1:] != ranked[:-1]))])]
+
+
 def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
@@ -470,10 +666,12 @@ def write_csv(data, path):
             fh.write("\n")
 
 
-# Rows _row_lines joins at a time, and rows one write of write_csv's
-# distinct-line path gathers.
+# Rows _row_lines joins at a time, rows one write of write_csv's
+# distinct-line path gathers, and rows of a column _written_forms counts at
+# a time.
 _JOIN_BLOCK = 512
 _GATHER_BLOCK = 4096
+_COUNT_BLOCK = 65536
 
 
 def _distinct_lines(data, forms, first, ranks, u):
@@ -517,7 +715,13 @@ def _written_forms(data, first):
     alone = data.d == 1
     forms = np.empty(int(sum(data.arities)), dtype=object)
     for col, levels in enumerate(data.levels):
-        used = np.flatnonzero(np.bincount(data.rows[:, col], minlength=len(levels)))
+        # bincount copies the column to intp, 8 bytes a row, so it counts
+        # _COUNT_BLOCK rows at a time
+        used = np.zeros(len(levels), dtype=bool)
+        for start in range(0, data.n, _COUNT_BLOCK):
+            block = data.rows[start:start + _COUNT_BLOCK, col]
+            used |= np.bincount(block, minlength=len(levels)) > 0
+        used = np.flatnonzero(used)
         tokens = [levels[i] for i in used.tolist()]
         lines.clear()
         writer.writerow(tokens)

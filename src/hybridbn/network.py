@@ -120,6 +120,12 @@ def fit_cpts(dag, data, laplace=0.0):
     return BayesianNetwork(dag.copy(), data.names, data.levels, cpts)
 
 
+# Rows forward_sample draws a node at a time: three 8-byte arrays of this
+# length at most (1.5 MB), and the benchmark samples of up to 20,000 rows
+# are one block.
+_SAMPLE_BLOCK = 1 << 16
+
+
 def forward_sample(net, n, seed):
     """Ancestral sampling: one generator per dataset, consumed in
     (lexicographically smallest) topological node order, row order within."""
@@ -129,17 +135,23 @@ def forward_sample(net, n, seed):
     arities = net.arities
     rows = np.zeros((n, net.d), dtype=row_dtype(arities))
     for v in topological_order(net.graph):
-        u = rng.random(n)
         pa = net.graph.parents(v)
-        codes = radix_code(rows.T, pa, [arities[p] for p in pa], np.int64)
-        # The level is the number of cdf boundaries u passes. cdf never
-        # decreases, so a u past the last boundary passes every inner one:
-        # counting the r - 1 inner boundaries needs no clamp. level is the
-        # node's zeroed column of rows, counted in place.
         cdf = np.cumsum(net.cpts[v], axis=0)
-        level = rows[:, v]
-        for boundary in cdf[:-1]:
-            level += u > boundary[codes]
+        # A node's draws are taken _SAMPLE_BLOCK rows at a time: random()
+        # takes one generator output a double, so the blocks draw the same
+        # stream as one call, and only a block's draws, codes and compared
+        # boundaries are alive at once.
+        for start in range(0, n, _SAMPLE_BLOCK):
+            block = rows[start:start + _SAMPLE_BLOCK]
+            u = rng.random(len(block))
+            codes = radix_code(block.T, pa, [arities[p] for p in pa], np.int64)
+            # The level is the number of cdf boundaries u passes. cdf never
+            # decreases, so a u past the last boundary passes every inner
+            # one: counting the r - 1 inner boundaries needs no clamp. level
+            # is the node's zeroed column of the block, counted in place.
+            level = block[:, v]
+            for boundary in cdf[:-1]:
+                level += u > boundary[codes]
     return CategoricalDataset(net.names, net.levels, rows)
 
 

@@ -7,9 +7,7 @@ benchmark sweep. The skeleton phase is not split: its targets share one
 test cache, and private caches would run the same tests many times over.
 """
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 # The function being mapped, set only while a pool runs. Forked workers
 # inherit it, so it may be a closure over large data that is never pickled.
@@ -34,7 +32,13 @@ def fork_map(fn, count, jobs):
     """
     global _cell_fn
     workers = min(jobs, count, os.cpu_count() or 1)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    # imported here, so that a process that never runs a pool never loads them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(i) for i in range(count)]
     _cell_fn = fn
     try:

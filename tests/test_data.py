@@ -1,15 +1,18 @@
 import csv
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridbn import data as datamod
 from hybridbn.data import (
     _GATHER_BLOCK,
     _LOAD_CHUNK,
+    _load_with_csv,
     _written_forms,
     CategoricalDataset,
     DataError,
@@ -22,6 +25,8 @@ from hybridbn.data import (
     row_dtype,
     write_csv,
 )
+from hybridbn.network import forward_sample
+from hybridbn.synthetic import child_shape_network
 
 from helpers import from_array, reference_load_csv, tally_contingency
 
@@ -127,17 +132,37 @@ class TestLoadCsv:
 # Tokens never contain a delimiter or a quote; padded and empty ones test
 # the stripping and the missing-value report.
 TOKENS = st.sampled_from(["0", "1", "a", "bb", " a", "a ", " 1 ", "x y", "", " "])
+# Tokens the array path keys and decodes: multi-byte UTF-8, a byte-order
+# mark inside a token, and one as wide as the 16-byte key.
+KEYED_TOKENS = st.sampled_from(["é", " ü", "日本", "\ufeffa", "k" * 16])
+# Tokens that leave only the csv module to read the file: quoted fields
+# around the delimiter ({}), a line end or a doubled quote, a NUL, and a
+# token wider than the key.
+DECLINED_TOKENS = st.sampled_from(['"a{}b"', '"x\ny"', '"q""r"', "n\0", "k" * 17])
+# Bytes the array path reads at a time: tiny blocks cut most rows across
+# block edges.
+READ_BLOCKS = st.sampled_from([1, 2, 5, 16, datamod._BLOCK_BYTES])
 
 
 @st.composite
 def csv_files(draw):
-    """(text, delimiter) of a small file, header line first; in about half
-    the files, one row in six may be ragged or hold blank tokens. A header
+    """(bytes, delimiter) of a small file, header line first; in about half
+    the files, one row in six may be ragged or hold blank tokens. A third
+    of the files take their tokens from KEYED_TOKENS too, and a third from
+    both KEYED_TOKENS and DECLINED_TOKENS. Lines end in \n, \r\n or a
+    bare \r, one kind a file or a mix; a file may start with a byte-order
+    mark, lack its last line end, or write é as one Latin-1 byte. A header
     of no columns is a blank first line."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     d = draw(st.integers(0, 5))
     n = draw(st.integers(0, 12))
-    ok = st.lists(TOKENS.filter(str.strip), min_size=d, max_size=d)
+    plain = TOKENS.filter(str.strip)
+    odd = draw(st.sampled_from(["none", "keyed", "any"]))
+    if odd != "none":
+        plain |= KEYED_TOKENS
+    if odd == "any":
+        plain |= DECLINED_TOKENS.map(lambda t: t.format(delimiter))
+    ok = st.lists(plain, min_size=d, max_size=d)
     ragged = st.lists(TOKENS, min_size=0, max_size=d + 2)
     bad = draw(st.sampled_from(["none", "some"]))
     lines = [draw(st.lists(
@@ -149,8 +174,20 @@ def csv_files(draw):
             lines.append(draw(ragged | st.lists(TOKENS, min_size=d, max_size=d)))
         else:
             lines.append(draw(ok))
-    text = "".join(delimiter.join(line) + "\n" for line in lines)
-    return text, delimiter
+    ends = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "mixed"]))
+    if ends == "mixed":
+        ends = st.sampled_from(["\n", "\r\n", "\r"])
+    else:
+        ends = st.just(ends)
+    text = "".join(delimiter.join(line) + draw(ends) for line in lines)
+    if draw(st.integers(0, 4)) == 0:
+        text = text.removesuffix("\n").removesuffix("\r")
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        raw = raw.replace("é".encode("utf-8"), b"\xe9", 1)
+    return raw, delimiter
 
 
 @pytest.fixture(scope="module")
@@ -163,17 +200,21 @@ def load_outcome(loader, path, delimiter):
         ds = loader(path, delimiter=delimiter)
     except DataError as exc:
         return str(exc)
+    except UnicodeDecodeError:
+        # reference_load_csv lets the decoder's error out; load_csv names it
+        return f"{path} is not UTF-8 text"
     return ds.names, ds.levels, ds.rows.dtype, ds.rows.tolist()
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=csv_files())
-def test_load_csv_matches_reference(csv_path, case):
-    text, delimiter = case
-    csv_path.write_text(text, encoding="utf-8")
+@given(case=csv_files(), block=READ_BLOCKS)
+def test_load_csv_matches_reference(csv_path, case, block):
+    raw, delimiter = case
+    csv_path.write_bytes(raw)
     path = str(csv_path)
     want = load_outcome(reference_load_csv, path, delimiter)
-    assert load_outcome(load_csv, path, delimiter) == want
+    with mock.patch.object(datamod, "_BLOCK_BYTES", block):
+        assert load_outcome(load_csv, path, delimiter) == want
 
 
 @st.composite
@@ -182,14 +223,18 @@ def wide_csv_files(draw):
     columns each draw from up to 50 tokens, with one or more spaces around
     some cells, so that several raw tokens strip to one level. The columns
     share their tokens or keep their own; the latter gives more distinct
-    tokens than rows. One file in ten with columns has a blank cell; a file
-    of no columns has a blank first line and blank rows."""
+    tokens than rows. Tokens start with one ASCII or multi-byte character
+    or with a stem that makes some of them as wide as the 16-byte key and
+    some wider. One file in ten with columns has a blank cell; a file of no
+    columns has a blank first line and blank rows."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     d = draw(st.integers(0, 4))
     n = draw(st.integers(1, 60))
     shared = draw(st.booleans())
+    stem = draw(st.sampled_from(["t", "é", "日", "k" * 13, "k" * 14]))
     pools = [
-        [f"t{i}" if shared else f"c{cix}t{i}" for i in range(draw(st.integers(1, 50)))]
+        [f"{stem}{i}" if shared else f"c{cix}{stem}{i}"
+         for i in range(draw(st.integers(1, 50)))]
         for cix in range(d)
     ]
     pad = st.sampled_from(["{}", " {}", "{} ", "  {} "])
@@ -204,13 +249,89 @@ def wide_csv_files(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=wide_csv_files())
-def test_load_csv_matches_reference_on_wide_columns(csv_path, case):
+@given(case=wide_csv_files(), block=READ_BLOCKS, caps=st.sampled_from(
+    [(datamod._MAX_LEVELS, datamod._MAX_NODES)] * 3 + [(3, datamod._MAX_NODES), (20, 64)]))
+def test_load_csv_matches_reference_on_wide_columns(csv_path, case, block, caps):
+    # columns past the level cap and tries past the node cap leave the file
+    # to the csv module; lower caps (levels, nodes) put both in reach of a
+    # small file
     text, delimiter = case
     csv_path.write_text(text, encoding="utf-8")
     path = str(csv_path)
     want = load_outcome(reference_load_csv, path, delimiter)
-    assert load_outcome(load_csv, path, delimiter) == want
+    with mock.patch.multiple(datamod, _BLOCK_BYTES=block, _MAX_LEVELS=caps[0],
+                             _MAX_NODES=caps[1]):
+        assert load_outcome(load_csv, path, delimiter) == want
+
+
+@pytest.fixture
+def csv_module_reads(monkeypatch):
+    """The paths load_csv hands to the csv module's reader."""
+    calls = []
+
+    def spy(path, delimiter):
+        calls.append(path)
+        return _load_with_csv(path, delimiter)
+
+    monkeypatch.setattr(datamod, "_load_with_csv", spy)
+    return calls
+
+
+def test_benchmark_shaped_files_take_the_array_path(tmp_path, csv_module_reads):
+    # a silent decline would leave the datasets equal and the loads slow
+    ternary = tmp_path / "ternary.csv"
+    write_csv(from_array(np.random.default_rng(0).integers(0, 3, size=(5000, 200))),
+              ternary)
+    child = tmp_path / "child.csv"
+    write_csv(forward_sample(child_shape_network(), 20_000, seed=0), child)
+    for path in map(str, (ternary, child)):
+        want = load_outcome(_load_with_csv, path, ",")
+        assert load_outcome(load_csv, path, ",") == want
+        assert csv_module_reads == []
+    quoted = write(tmp_path, 'a,b\n"0",1\n1,0\n', "quoted.csv")
+    assert load_csv(quoted).levels == (("0", "1"), ("1", "0"))
+    assert csv_module_reads == [quoted]
+
+
+def lines_of(column):
+    return "x,y\n" + "".join(f"{t},{i % 2}\n" for i, t in enumerate(column))
+
+
+def hex_tokens(count):
+    # 12-character tokens that share few prefixes, so that each adds about
+    # 8.5 trie nodes
+    return [format(i * 2654435761 % 2**48, "012x") for i in range(count)]
+
+
+@pytest.mark.parametrize("text, array_path", [
+    # one-byte level indices, with one value kept to mark an unseen key
+    (lines_of(f"t{i}" for i in range(255)), True),
+    (lines_of(f"t{i}" for i in range(256)), False),
+    # a key of at most 16 bytes
+    (lines_of(["k" * 16, "k" * 15]), True),
+    (lines_of(["k" * 17, "k" * 15]), False),
+    # a trie of at most 1,024 nodes: 870 and 1,735 here
+    (lines_of(hex_tokens(100)), True),
+    (lines_of(hex_tokens(200)), False),
+    # the dataset would raise; the csv path alone raises
+    ("x,x\n0,1\n1,0\n", False),
+])
+def test_the_array_path_limits(tmp_path, csv_module_reads, text, array_path):
+    path = write(tmp_path, text)
+    want = load_outcome(reference_load_csv, path, ",")
+    assert load_outcome(load_csv, path, ",") == want
+    assert (csv_module_reads == []) is array_path
+
+
+@pytest.mark.parametrize("miscount", [-1, 1])
+def test_a_file_that_changes_between_passes_goes_to_the_csv_module(
+        tmp_path, csv_module_reads, miscount):
+    # the array path counts the lines before it reads them
+    path = write(tmp_path, "a,b\n0,1\n1,0\n")
+    count = datamod._plain_lines
+    with mock.patch.object(datamod, "_plain_lines", lambda fh: count(fh) + miscount):
+        assert load_csv(path).rows.tolist() == [[0, 0], [1, 1]]
+    assert csv_module_reads == [path]
 
 
 class TestLoadCsvErrors:
@@ -225,6 +346,12 @@ class TestLoadCsvErrors:
         path.write_bytes(("a,b\n0,\n1\n" + "0,1\n" * 50000 + "z\xe9ro,0\n").encode("latin-1"))
         with pytest.raises(DataError, match="is not UTF-8 text"):
             load_csv(str(path))
+
+    def test_ragged_rows_that_balance_each_other(self, tmp_path):
+        # the block holds as many fields as two rows of three should
+        path = write(tmp_path, "a,b,c\n0,1\n2,1,0,3\n")
+        with pytest.raises(DataError, match="ragged row 2: expected 3 fields, got 2"):
+            load_csv(path)
 
     def test_missing_value_before_a_later_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,b,c\n0,1,0\n1, ,1\n0,1\n")
@@ -253,6 +380,9 @@ class TestLoadCsvErrors:
         # a row after it is still ragged, and csv errors still come first
         path = write(tmp_path, "\n1,2\n")
         with pytest.raises(DataError, match="ragged row 2: expected 0 fields, got 2"):
+            load_csv(path)
+        path = write(tmp_path, "\n0\n1\n")
+        with pytest.raises(DataError, match="ragged row 2: expected 0 fields, got 1"):
             load_csv(path)
         big = "x" * (csv.field_size_limit() + 1)
         path = write(tmp_path, f"\n\n{big}\n")
@@ -441,6 +571,21 @@ def test_load_csv_holds_under_three_bytes_a_cell(tmp_path):
         tracemalloc.stop()
     assert peak < 3 * rows.size
     assert ds.rows.shape == rows.shape and ds.rows.dtype == np.uint8
+
+
+def test_written_forms_copy_no_column():
+    # the used levels are counted a bounded block of rows at a time; a
+    # bincount of a whole one-byte column would copy it to intp, 8 bytes a row
+    n = 400_000
+    ds = from_array(np.random.default_rng(0).integers(0, 2, size=(n, 3)))
+    tracemalloc.start()
+    try:
+        forms = _written_forms(ds, np.array([0, 2, 4]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forms.tolist() == ["0", "1"] * 3
+    assert peak < 2 * n
 
 
 def test_write_csv_holds_the_ranks_not_an_object_a_row(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,13 +193,29 @@ def sampling_networks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(net=sampling_networks(), n=st.sampled_from([0, 1, 513]),
+@given(net=sampling_networks(),
+       n=st.sampled_from([0, 1, 513, 2 * network._SAMPLE_BLOCK + 7]),
        seed=st.integers(0, 2**32 - 1))
 def test_forward_sample_matches_reference(net, n, seed):
     got = forward_sample(net, n, seed)
     want = reference_forward_sample(net, n, seed)
     assert got.rows.dtype == row_dtype(net.arities)
     np.testing.assert_array_equal(got.rows, want)
+
+
+def test_forward_sample_holds_one_block_of_draws():
+    # the draws, parent codes and compared boundaries of one node are 8
+    # bytes a row each; drawn a block at a time, only a block of them lives
+    n = 300_000
+    assert n > 4 * network._SAMPLE_BLOCK
+    net = child_shape_network()
+    tracemalloc.start()
+    try:
+        got = forward_sample(net, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.rows.nbytes + 3 * 8 * network._SAMPLE_BLOCK + 256 * 1024
 
 
 @pytest.mark.parametrize("arity, dtype", [

@@ -1,9 +1,14 @@
+import concurrent.futures
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hybridbn
 from hybridbn import parallel
 from hybridbn.data import DataError
 from hybridbn.parallel import fork_map
@@ -42,7 +47,9 @@ def two_cpus(monkeypatch):
 @pytest.fixture
 def fake_pool(monkeypatch):
     RecordingPool.created = []
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    # fork_map imports the executor when it starts a pool, so the stand-in
+    # goes where that import finds it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool.created
 
 
@@ -101,3 +108,17 @@ class TestForkMap:
         assert fork_map(lambda i: -i, count, jobs) == [-i for i in range(count)]
         assert fake_pool == ([(workers, "fork")] if workers else [])
         assert parallel._cell_fn is None
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # learn, evaluate and sample never start a pool, so their start-up does
+    # not pay for multiprocessing and concurrent.futures
+    src = str(Path(hybridbn.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, hybridbn.cli; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -93,6 +93,18 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
     path = out_dir / "data.csv"
     write_csv(ds, path)
+    if names[0].startswith("\ufeff"):
+        # the file then starts with a byte-order mark, which load_csv drops
+        # (README, "Data CSV"; sample refuses such a network): the first name
+        # comes back without it, or, left blank in a one-column header or
+        # equal to another name, is a data error
+        try:
+            back = load_csv(str(path))
+        except DataError as exc:
+            assert names[0][1:] in ("", *names[1:]), exc
+        else:
+            assert back.names == (names[0][1:], *names[1:])
+        return
     back = load_csv(str(path))
     assert back.names == ds.names
     # load_csv numbers levels by first appearance, so compare the tokens
