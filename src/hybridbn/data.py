@@ -370,8 +370,8 @@ def load_csv(path, delimiter=","):
     that are not UTF-8 text and fields the csv module rejects. A leading
     UTF-8 byte-order mark is not part of the text.
 
-    A plain regular file (no quote, carriage return or NUL, a one-byte ASCII
-    delimiter, short tokens and few levels) is read with whole-array passes
+    A regular file whose tokens are each one printable ASCII byte, other
+    than a quote or the delimiter, is read with whole-array passes
     (``_load_plain``); every other file, and every file with an error, is
     read by the csv module. Both give the same dataset.
     """
@@ -454,16 +454,13 @@ def _load_with_csv(path, delimiter):
     return CategoricalDataset(tuple(names), levels, rows)
 
 
-# The array path reads _BLOCK_BYTES at a time. A field is keyed by its node
-# in a trie of the raw tokens met so far, one byte a step, so a field wider
-# than _KEY_BYTES or a trie of more than _MAX_NODES nodes declines the file.
-# Level indices are one byte and _NO_LEVEL marks a column's unseen node, so
-# a column of more than _MAX_LEVELS levels declines it too.
+# The array path reads files whose tokens are each one printable ASCII byte,
+# as in every file the benchmark reads. Each data line then holds exactly
+# 2 * d bytes, so a block of whole lines is one (k, 2 * d) array. Blocks are
+# _BLOCK_BYTES rounded down to whole lines, and at least one line.
 _BLOCK_BYTES = 1 << 15
-_KEY_BYTES = 16
-_MAX_NODES = 1024
-_NO_NODE = np.iinfo(np.uint16).max
-_MAX_LEVELS = _NO_LEVEL = 255
+# An unseen (token byte, column) pair; a column has at most 93 levels.
+_NO_LEVEL = 255
 
 
 class _Decline(Exception):
@@ -473,8 +470,9 @@ class _Decline(Exception):
 def _load_plain(path, delimiter):
     """The dataset the csv path would return, read with whole-array passes,
     or None where that cannot be shown (the README's library tour lists
-    when). Without a quote or a carriage return, each line is a row and each
-    delimiter ends a field, which is all the csv module would find there."""
+    when). In a file of one-byte tokens that are neither blank, a quote nor
+    the delimiter, each line is a row and each delimiter ends a field, which
+    is all the csv module would find there."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1
             and delimiter.isascii() and delimiter not in '"\r\n\0'):
         return None
@@ -482,148 +480,63 @@ def _load_plain(path, delimiter):
         if not stat.S_ISREG(os.stat(path).st_mode):
             return None  # a pipe would be read twice
         with open(path, "rb") as fh:
-            n = _plain_lines(fh) - 1
-            fh.seek(0)
-            return _read_plain(fh, n, delimiter)
+            return _read_plain(fh, ord(delimiter))
     except (OSError, UnicodeDecodeError, _Decline):
         return None
 
 
-def _plain_lines(fh):
-    # The lines of the file, a last one without its line end included. A
-    # quote, carriage return or NUL anywhere declines before any array is made.
-    lines, last = 0, b"\n"
-    while block := fh.read(_BLOCK_BYTES):
-        if b'"' in block or b"\r" in block or b"\0" in block:
+def _read_plain(fh, delimiter):
+    head = fh.readline()
+    size = os.fstat(fh.fileno()).st_size - len(head)  # bytes after the header
+    head = head.removeprefix(codecs.BOM_UTF8)
+    d = head.count(delimiter) + 1
+    width = 2 * d
+    # n lines of width bytes, the last maybe without its line end; so the
+    # store below is at most half the file
+    n = (size + 1) // width
+    # (before Python 3.11, the csv module raises on a NUL)
+    if (n < 1 or head == b"\n" or len(head) > csv.field_size_limit()
+            or b'"' in head or b"\r" in head or b"\0" in head):
+        raise _Decline
+    names = [t.strip() for t in head[:-1].decode("utf-8").split(chr(delimiter))]
+    if len(set(names)) < d:
+        raise _Decline
+    after = np.full(d, delimiter, np.uint8)  # the byte after each token
+    after[-1] = ord("\n")
+    # table[256 * c + byte]: column c's level index of the token byte
+    table = np.full(256 * d, _NO_LEVEL, np.uint8)
+    offsets = np.arange(0, 256 * d, 256)
+    levels = [[] for _ in range(d)]
+    rows = np.empty((n, d), np.uint8)
+    per_block = max(1, _BLOCK_BYTES // width)
+    for start in range(0, n, per_block):
+        k = min(per_block, n - start)
+        block = fh.read(k * width)
+        if start + k == n and len(block) == k * width - 1:
+            block += b"\n"
+        if len(block) != k * width:
             raise _Decline
-        lines += block.count(b"\n")
-        last = block[-1:]
-    return lines + (last != b"\n")
-
-
-def _read_plain(fh, n, delimiter):
-    # n data rows follow the header; the rows are filled a block at a time.
-    head = fh.readline().removeprefix(codecs.BOM_UTF8)
-    if n < 1 or head == b"\n" or len(head) > csv.field_size_limit():
-        raise _Decline
-    names = [t.strip() for t in head[:-1].decode("utf-8").split(delimiter)]
-    if len(set(names)) < len(names):
-        raise _Decline
-    reader = _PlainBlocks(ord(delimiter), len(names))
-    rows = np.empty((n, len(names)), np.uint8)
-    done = 0
-    for block in _line_blocks(fh):
-        k = block.count(b"\n")
-        if done + k > n:
+        lines = np.frombuffer(block, np.uint8).reshape(k, width)
+        if not (lines[:, 1::2] == after).all():
             raise _Decline
-        rows[done:done + k] = reader.ids(block, k)
-        done += k
-    if done < n or min(map(len, reader.levels)) < 2:
-        raise _Decline
-    return CategoricalDataset(tuple(names), tuple(map(tuple, reader.levels)), rows)
-
-
-def _line_blocks(fh):
-    # The rest of fh in blocks of whole lines, each cut after its last line
-    # end; a last line without one is given it.
-    rest = b""
-    while chunk := fh.read(max(_BLOCK_BYTES, len(rest))):
-        block = rest + chunk
-        cut = block.rfind(b"\n") + 1
-        rest = block[cut:]
-        if cut:
-            yield block[:cut]
-    if rest:
-        yield rest + b"\n"
-
-
-class _PlainBlocks:
-    """The level indices of the fields of successive blocks of d-field
-    lines. It keeps the trie of the raw tokens met so far, each column's
-    level index of each trie node, and each column's stripped tokens (the
-    keys of levels[c]) in order of first appearance."""
-
-    def __init__(self, delimiter, d):
-        self.delimiter, self.d = delimiter, d
-        # trie[node << 8 | byte]: the node one byte on; byte 0 (a field
-        # past its end, as no token holds a NUL) keeps every node
-        self.trie = np.full(256, _NO_NODE, np.uint16)
-        self.trie[0] = 0
-        self.raw = [b""]  # each node's bytes; node 0 is the root
-        # table[node, c]: column c's level index of the node's token
-        self.table = np.empty((0, d), np.uint8)
-        self.levels = [{} for _ in range(d)]
-        self.stripped = {}  # node -> its token, decoded and stripped
-
-    def ids(self, block, k):
-        """Level indices of the k lines of block, shape (k, d)."""
-        d = self.d
-        node = self._nodes(np.frombuffer(block, np.uint8), k)
-        if self.table.shape[0] < len(self.raw):
-            unseen = np.full((len(self.raw) - self.table.shape[0], d), _NO_LEVEL, np.uint8)
-            self.table = np.concatenate([self.table, unseen])
-        cell = node.reshape(k, d).astype(np.intp)
-        cell *= d
-        cell += np.arange(d)
-        ids = self.table.take(cell)
+        cells = np.add(lines[:, ::2], offsets, dtype=np.intp)
+        ids = table.take(cells)
         new = ids == _NO_LEVEL
         if new.any():
-            # a column's new nodes in order of first appearance, so that
-            # its levels count its stripped tokens in that order
-            for c in _in_first_order(cell[new]).tolist():
-                levels = self.levels[c % d]
-                level = levels.setdefault(self._token(c // d), len(levels))
-                if level >= _MAX_LEVELS:
+            # a column's new tokens in order of first appearance, so that
+            # its levels count them in that order
+            for cell in _in_first_order(cells[new]).tolist():
+                c, byte = divmod(cell, 256)
+                # only printable ASCII other than a quote or the delimiter
+                if not (32 < byte < 127 and byte not in (34, delimiter)):
                     raise _Decline
-                self.table.flat[c] = level
-            ids = self.table.take(cell)
-        return ids
-
-    def _nodes(self, a, k):
-        # The trie node of each of the k * d fields, row-major.
-        d = self.d
-        ends = np.flatnonzero((a == self.delimiter) | (a == 10))
-        # k line ends, each the d-th field end of its line: no row is ragged
-        if ends.size != k * d or not (a[ends[d - 1::d]] == 10).all():
-            raise _Decline
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        np.add(ends[:-1], 1, out=starts[1:])
-        widths = ends - starts
-        if widths.min() < 1 or widths.max() > _KEY_BYTES:
-            raise _Decline
-        node = self._step(a.take(starts))  # the root's step is the byte itself
-        for j in range(1, int(widths.max())):
-            step = np.left_shift(node, 8, dtype=np.intp)
-            byte = a.take(starts + j, mode="clip")
-            byte[widths <= j] = 0
-            step |= byte
-            node = self._step(step)
-        return node
-
-    def _step(self, step):
-        node = self.trie.take(step)
-        fresh = node == _NO_NODE
-        if fresh.any():
-            steps = _in_first_order(step[fresh]).tolist()
-            first = len(self.raw)
-            if first + len(steps) > _MAX_NODES:
-                raise _Decline
-            self.raw += [self.raw[s >> 8] + bytes((s & 255,)) for s in steps]
-            grown = np.full((len(steps), 256), _NO_NODE, np.uint16)
-            grown[:, 0] = np.arange(first, len(self.raw))
-            self.trie = np.concatenate([self.trie, grown.ravel()])
-            self.trie[steps] = grown[:, 0]
-            node = self.trie.take(step)
-        return node
-
-    def _token(self, node):
-        token = self.stripped.get(node)
-        if token is None:
-            token = self.stripped[node] = self.raw[node].decode("utf-8").strip()
-            if not token:
-                raise _Decline
-        return token
+                table[cell] = len(levels[c])
+                levels[c].append(chr(byte))
+            ids = table.take(cells)
+        rows[start:start + k] = ids
+    if fh.read(1) or min(map(len, levels)) < 2:
+        raise _Decline  # bytes past n lines, or a constant column
+    return CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
 
 
 def _in_first_order(values):
@@ -645,7 +558,15 @@ def write_csv(data, path):
     distinct row's line is joined once, and the rows go out as those lines,
     _GATHER_BLOCK rows a write. Otherwise each block of _JOIN_BLOCK rows is
     joined from the forms.
+
+    A first name that starts with U+FEFF is a DataError, as the file would
+    start with a byte-order mark, which load_csv drops.
     """
+    if data.names and data.names[0].startswith("\ufeff"):
+        raise DataError(
+            f"variable {data.names[0]!r} starts with a byte-order mark, which "
+            "load_csv drops from the start of a file"
+        )
     first = np.cumsum((0,) + data.arities)[:-1]  # each column's first form
     forms = _written_forms(data, first)
     ranks, u = observed_config_codes(data.rows, data.arities)

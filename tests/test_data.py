@@ -1,6 +1,8 @@
 import csv
+import os
 import sys
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -132,34 +134,36 @@ class TestLoadCsv:
 # Tokens never contain a delimiter or a quote; padded and empty ones test
 # the stripping and the missing-value report.
 TOKENS = st.sampled_from(["0", "1", "a", "bb", " a", "a ", " 1 ", "x y", "", " "])
-# Tokens the array path keys and decodes: multi-byte UTF-8, a byte-order
-# mark inside a token, and one as wide as the 16-byte key.
-KEYED_TOKENS = st.sampled_from(["é", " ü", "日本", "\ufeffa", "k" * 16])
+# One printable ASCII byte a token: the array path keys these.
+BYTE_TOKENS = st.sampled_from(["0", "1", "2", "a", "Z", "~", "'", "\\"])
+# Tokens wider than the array path's one-byte key: multi-byte UTF-8 and a
+# byte-order mark inside a token.
+WIDE_TOKENS = st.sampled_from(["é", " ü", "日本", "\ufeffa", "k" * 16])
 # Tokens that leave only the csv module to read the file: quoted fields
 # around the delimiter ({}), a line end or a doubled quote, a NUL, and a
-# token wider than the key.
-DECLINED_TOKENS = st.sampled_from(['"a{}b"', '"x\ny"', '"q""r"', "n\0", "k" * 17])
-# Bytes the array path reads at a time: tiny blocks cut most rows across
-# block edges.
+# one-byte control character.
+DECLINED_TOKENS = st.sampled_from(['"a{}b"', '"x\ny"', '"q""r"', "n\0", "\x7f"])
+# Bytes the array path reads at a time (whole lines, at least one).
 READ_BLOCKS = st.sampled_from([1, 2, 5, 16, datamod._BLOCK_BYTES])
 
 
 @st.composite
 def csv_files(draw):
     """(bytes, delimiter) of a small file, header line first; in about half
-    the files, one row in six may be ragged or hold blank tokens. A third
-    of the files take their tokens from KEYED_TOKENS too, and a third from
-    both KEYED_TOKENS and DECLINED_TOKENS. Lines end in \n, \r\n or a
-    bare \r, one kind a file or a mix; a file may start with a byte-order
-    mark, lack its last line end, or write é as one Latin-1 byte. A header
-    of no columns is a blank first line."""
+    the files, one row in six may be ragged or hold blank tokens. Two fifths
+    of the files take their tokens from BYTE_TOKENS alone, a fifth from
+    TOKENS, a fifth from TOKENS and WIDE_TOKENS, and a fifth from those and
+    DECLINED_TOKENS. Lines end in \n, \r\n or a bare \r, one kind a
+    file or a mix; a file may start with a byte-order mark, lack its last
+    line end, or write é as one Latin-1 byte. A header of no columns is a
+    blank first line."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     d = draw(st.integers(0, 5))
     n = draw(st.integers(0, 12))
-    plain = TOKENS.filter(str.strip)
-    odd = draw(st.sampled_from(["none", "keyed", "any"]))
-    if odd != "none":
-        plain |= KEYED_TOKENS
+    odd = draw(st.sampled_from(["bytes", "bytes", "none", "wide", "any"]))
+    plain = BYTE_TOKENS if odd == "bytes" else TOKENS.filter(str.strip)
+    if odd in ("wide", "any"):
+        plain |= WIDE_TOKENS
     if odd == "any":
         plain |= DECLINED_TOKENS.map(lambda t: t.format(delimiter))
     ok = st.lists(plain, min_size=d, max_size=d)
@@ -217,27 +221,39 @@ def test_load_csv_matches_reference(csv_path, case, block):
         assert load_outcome(load_csv, path, delimiter) == want
 
 
+# Every one-byte token that is not blank, a quote or a drawn delimiter.
+ASCII_TOKENS = [chr(b) for b in range(33, 127) if chr(b) not in '",;|']
+
+
 @st.composite
 def wide_csv_files(draw):
     """(text, delimiter) of a file of a header and up to 60 rows whose
-    columns each draw from up to 50 tokens, with one or more spaces around
-    some cells, so that several raw tokens strip to one level. The columns
-    share their tokens or keep their own; the latter gives more distinct
-    tokens than rows. Tokens start with one ASCII or multi-byte character
-    or with a stem that makes some of them as wide as the 16-byte key and
-    some wider. One file in ten with columns has a blank cell; a file of no
-    columns has a blank first line and blank rows."""
+    columns each draw from up to 50 tokens, or up to 90 one-byte ones, with
+    one or more spaces around some cells in about half the files, so that
+    several raw tokens strip to one level. The columns share their tokens or
+    keep their own; the latter gives more distinct tokens than rows. Tokens
+    are one printable ASCII byte, or start with one ASCII or multi-byte
+    character or a long stem. One file in ten with columns has a blank cell;
+    a file of no columns has a blank first line and blank rows."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     d = draw(st.integers(0, 4))
     n = draw(st.integers(1, 60))
     shared = draw(st.booleans())
-    stem = draw(st.sampled_from(["t", "é", "日", "k" * 13, "k" * 14]))
-    pools = [
-        [f"{stem}{i}" if shared else f"c{cix}{stem}{i}"
-         for i in range(draw(st.integers(1, 50)))]
-        for cix in range(d)
-    ]
-    pad = st.sampled_from(["{}", " {}", "{} ", "  {} "])
+    stem = draw(st.sampled_from(["", "", "t", "é", "日", "k" * 13]))
+    if stem:
+        pools = [
+            [f"{stem}{i}" if shared else f"c{cix}{stem}{i}"
+             for i in range(draw(st.integers(1, 50)))]
+            for cix in range(d)
+        ]
+    else:
+        alphabet = st.lists(st.sampled_from(ASCII_TOKENS), min_size=2, max_size=90,
+                            unique=True)
+        pools = [draw(alphabet)] * d if shared else [draw(alphabet) for _ in range(d)]
+    if draw(st.booleans()):
+        pad = st.sampled_from(["{}", " {}", "{} ", "  {} "])
+    else:
+        pad = st.just("{}")
     lines = [[f"c{cix}" for cix in range(d)]]
     for _ in range(n):
         lines.append([draw(pad).format(draw(st.sampled_from(pool))) for pool in pools])
@@ -249,18 +265,13 @@ def wide_csv_files(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=wide_csv_files(), block=READ_BLOCKS, caps=st.sampled_from(
-    [(datamod._MAX_LEVELS, datamod._MAX_NODES)] * 3 + [(3, datamod._MAX_NODES), (20, 64)]))
-def test_load_csv_matches_reference_on_wide_columns(csv_path, case, block, caps):
-    # columns past the level cap and tries past the node cap leave the file
-    # to the csv module; lower caps (levels, nodes) put both in reach of a
-    # small file
+@given(case=wide_csv_files(), block=READ_BLOCKS)
+def test_load_csv_matches_reference_on_wide_columns(csv_path, case, block):
     text, delimiter = case
     csv_path.write_text(text, encoding="utf-8")
     path = str(csv_path)
     want = load_outcome(reference_load_csv, path, delimiter)
-    with mock.patch.multiple(datamod, _BLOCK_BYTES=block, _MAX_LEVELS=caps[0],
-                             _MAX_NODES=caps[1]):
+    with mock.patch.object(datamod, "_BLOCK_BYTES", block):
         assert load_outcome(load_csv, path, delimiter) == want
 
 
@@ -297,41 +308,68 @@ def lines_of(column):
     return "x,y\n" + "".join(f"{t},{i % 2}\n" for i, t in enumerate(column))
 
 
-def hex_tokens(count):
-    # 12-character tokens that share few prefixes, so that each adds about
-    # 8.5 trie nodes
-    return [format(i * 2654435761 % 2**48, "012x") for i in range(count)]
-
-
 @pytest.mark.parametrize("text, array_path", [
-    # one-byte level indices, with one value kept to mark an unseen key
-    (lines_of(f"t{i}" for i in range(255)), True),
-    (lines_of(f"t{i}" for i in range(256)), False),
-    # a key of at most 16 bytes
-    (lines_of(["k" * 16, "k" * 15]), True),
-    (lines_of(["k" * 17, "k" * 15]), False),
-    # a trie of at most 1,024 nodes: 870 and 1,735 here
-    (lines_of(hex_tokens(100)), True),
-    (lines_of(hex_tokens(200)), False),
+    # one printable byte a token, as many levels as there are such bytes
+    pytest.param(lines_of(t for t in ASCII_TOKENS + [";", "|"]), True,
+                 id="every-printable-byte"),
+    # a last line without its line end; names with blanks around them,
+    # multi-byte names and a byte-order mark
+    ("x,y\n0,0\n1,1", True),
+    (" x , y\t\n0,0\n1,1\n", True),
+    ("\ufeffé,日\n0,0\n1,1\n", True),
+    # a token of two bytes, a blank one, a control character, a quote, or
+    # the delimiter (a row of three fields here)
+    (lines_of(["0", "10"]), False),
+    (lines_of(["0", " "]), False),
+    (lines_of(["0", "\x01"]), False),
+    (lines_of(["0", "\x7f"]), False),
+    (lines_of(["0", '"', "1"]), False),
+    ("x,y\n0,0\n,,1\n1,1\n", False),
+    # a blank line or a part line at the end
+    ("x,y\n0,0\n1,1\n\n", False),
+    ("x,y\n0,0\n1,1\n0", False),
+    # a header with a quote, a carriage return, or a field past the csv
+    # module's size limit
+    ('x,"y"\n0,0\n1,1\n', False),
+    ("x\ry,z\n0,0\n1,1\n", False),
+    pytest.param("x" * (csv.field_size_limit() + 1) + ",y\n0,0\n1,1\n", False,
+                 id="header-past-the-field-limit"),
     # the dataset would raise; the csv path alone raises
     ("x,x\n0,1\n1,0\n", False),
 ])
 def test_the_array_path_limits(tmp_path, csv_module_reads, text, array_path):
     path = write(tmp_path, text)
-    want = load_outcome(reference_load_csv, path, ",")
+    want = load_outcome(_load_with_csv, path, ",")
     assert load_outcome(load_csv, path, ",") == want
     assert (csv_module_reads == []) is array_path
 
 
-@pytest.mark.parametrize("miscount", [-1, 1])
-def test_a_file_that_changes_between_passes_goes_to_the_csv_module(
-        tmp_path, csv_module_reads, miscount):
-    # the array path counts the lines before it reads them
-    path = write(tmp_path, "a,b\n0,1\n1,0\n")
-    count = datamod._plain_lines
-    with mock.patch.object(datamod, "_plain_lines", lambda fh: count(fh) + miscount):
-        assert load_csv(path).rows.tolist() == [[0, 0], [1, 1]]
+@pytest.mark.parametrize("change", [-4, 4])
+def test_a_file_that_changes_while_read_goes_to_the_csv_module(
+        tmp_path, csv_module_reads, change):
+    # the array path sizes its store by the file's size when it opens it
+    path = write(tmp_path, "a,b\n0,1\n1,0\n0,0\n")
+    fstat = os.fstat
+    with mock.patch.object(datamod.os, "fstat", lambda fd: SimpleNamespace(
+            st_size=fstat(fd).st_size + change)):
+        assert load_csv(path).rows.tolist() == [[0, 0], [1, 1], [0, 1]]
     assert csv_module_reads == [path]
+
+
+def test_a_wide_header_over_short_lines_allocates_no_store(tmp_path):
+    # the header's 30,000 names and the 20,000 lines would make a 600 MB
+    # store; the file cannot hold that many cells, so the csv path reads it
+    chars = "0123456789abcdefghijklmnopqrstuvwxyz"
+    names = [a + b + c for a in chars for b in chars for c in chars][:30_000]
+    path = write(tmp_path, ",".join(names) + "\n" + "0\n" * 20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="ragged row 2: expected 30000 fields, got 1"):
+            load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 class TestLoadCsvErrors:

@@ -1,14 +1,10 @@
 import concurrent.futures
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import hybridbn
 from hybridbn import parallel
 from hybridbn.data import DataError
 from hybridbn.parallel import fork_map
@@ -108,17 +104,3 @@ class TestForkMap:
         assert fork_map(lambda i: -i, count, jobs) == [-i for i in range(count)]
         assert fake_pool == ([(workers, "fork")] if workers else [])
         assert parallel._cell_fn is None
-
-
-def test_importing_the_cli_loads_no_process_pool():
-    # learn, evaluate and sample never start a pool, so their start-up does
-    # not pay for multiprocessing and concurrent.futures
-    src = str(Path(hybridbn.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, hybridbn.cli; print(sorted(m for m in "
-         "sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"

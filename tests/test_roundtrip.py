@@ -74,6 +74,28 @@ def test_skeleton_roundtrip(out_dir, d, seed, names):
     assert read_skeleton(path) == (skel, names[:d])
 
 
+class Scripted:
+    """Stands in for st.data() in an @example: draw returns the given
+    values in order, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+def refused_for_its_mark(ds, path):
+    """True, once write_csv is seen to refuse ds, when its first name starts
+    with U+FEFF: the file would start with a byte-order mark, which
+    load_csv drops."""
+    if not ds.names or not ds.names[0].startswith("\ufeff"):
+        return False
+    with pytest.raises(DataError, match="starts with a byte-order mark"):
+        write_csv(ds, path)
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(2, 30),
@@ -81,6 +103,7 @@ def test_skeleton_roundtrip(out_dir, d, seed, names):
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
+@example(n=2, arities=[2, 2], seed=0, data=Scripted(["\ufeffa", "b"], ["0", "1"], ["0", "1"]))
 def test_csv_roundtrip(out_dir, n, arities, seed, data):
     d = len(arities)
     rng = np.random.default_rng(seed)
@@ -92,19 +115,9 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
               for a in arities]
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
     path = out_dir / "data.csv"
-    write_csv(ds, path)
-    if names[0].startswith("\ufeff"):
-        # the file then starts with a byte-order mark, which load_csv drops
-        # (README, "Data CSV"; sample refuses such a network): the first name
-        # comes back without it, or, left blank in a one-column header or
-        # equal to another name, is a data error
-        try:
-            back = load_csv(str(path))
-        except DataError as exc:
-            assert names[0][1:] in ("", *names[1:]), exc
-        else:
-            assert back.names == (names[0][1:], *names[1:])
+    if refused_for_its_mark(ds, path):
         return
+    write_csv(ds, path)
     back = load_csv(str(path))
     assert back.names == ds.names
     # load_csv numbers levels by first appearance, so compare the tokens
@@ -113,17 +126,6 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
         want = np.array(ds.levels[i], dtype=object)[ds.rows[:, i]]
         assert got.tolist() == want.tolist()
         assert set(back.levels[i]) <= set(ds.levels[i])
-
-
-class Scripted:
-    """Stands in for st.data() in an @example: draw returns the given
-    values in order, whatever the strategy."""
-
-    def __init__(self, *values):
-        self.values = iter(values)
-
-    def draw(self, strategy):
-        return next(self.values)
 
 
 def drawn_rows(n, arities, distinct, rng):
@@ -183,6 +185,8 @@ def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, se
                                unique=True))
     levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
+    if refused_for_its_mark(ds, out_dir / "got.csv"):
+        return
     took = []
     distinct_lines = data_mod._distinct_lines
 
@@ -205,7 +209,7 @@ def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, se
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_tokens_sample_accepts_load_back(out_dir, data):
-    # any text: what sample's check lets through, write_csv and load_csv
+    # any text: what sample's checks let through, write_csv and load_csv
     # carry unchanged (line breaks inside a token included)
     text = st.text(max_size=3)
     arities = data.draw(st.lists(st.integers(2, 3), max_size=3))
@@ -222,6 +226,8 @@ def test_tokens_sample_accepts_load_back(out_dir, data):
     # row i holds level i % arity, so levels appear in their own order
     rows = np.arange(max(arities))[:, None] % np.array(arities)
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
+    if refused_for_its_mark(ds, out_dir / "sample.csv"):
+        return
     write_csv(ds, out_dir / "sample.csv")
     back = load_csv(str(out_dir / "sample.csv"))
     assert (back.names, back.levels, back.rows.tolist()) == (
