@@ -155,32 +155,11 @@ def cmd_sample(args):
     else:
         jobs = [(args.n, args.seed, args.out)]
     net = read_network(args.net)
-    _check_csv_tokens(net)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     for n, seed, path in jobs:
         write_csv(forward_sample(net, n, seed=seed), path)
     return 0
-
-
-def _check_csv_tokens(net):
-    # load_csv strips every token and reads a blank cell as missing, and the
-    # csv writer leaves a bare carriage return unquoted, so a network whose
-    # names or levels break these rules samples to a file learn cannot read
-    # back (write_csv itself refuses a first name that starts with U+FEFF)
-    if not net.names:
-        raise DataError("the network has no variables, so a sample has no columns")
-    for name, levels in zip(net.names, net.levels):
-        for token in (name, *levels):
-            if token != token.strip() or "\r" in token:
-                raise DataError(
-                    f"{token!r} of variable {name!r} cannot be written to CSV: "
-                    "blanks around it or a carriage return in it"
-                )
-        if "" in levels:
-            raise DataError(f"variable {name!r} has an empty level")
-        if len(set(levels)) < len(levels):
-            raise DataError(f"variable {name!r} has two equal levels")
 
 
 class _Listed(str):

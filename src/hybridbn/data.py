@@ -551,6 +551,14 @@ def _in_first_order(values):
 def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
+    Before the file is opened, a dataset whose file would not load back as
+    the same rows is a DataError: no columns; a name or used token with
+    blanks around it (load_csv strips them), a carriage return (the csv
+    writer leaves it unquoted) or a NUL (Python 3.10's csv cannot write
+    one); an empty used token (read as missing); two used levels of a column
+    with one token; or a first name that starts with U+FEFF (read as a
+    byte-order mark). Levels no row uses are not written, nor checked.
+
     The csv writer writes each level that some row uses once, and lines are
     joined from those written forms, so the bytes are the ones the writer
     would give row by row. The rows are ranked with
@@ -558,11 +566,10 @@ def write_csv(data, path):
     distinct row's line is joined once, and the rows go out as those lines,
     _GATHER_BLOCK rows a write. Otherwise each block of _JOIN_BLOCK rows is
     joined from the forms.
-
-    A first name that starts with U+FEFF is a DataError, as the file would
-    start with a byte-order mark, which load_csv drops.
     """
-    if data.names and data.names[0].startswith("\ufeff"):
+    if not data.names:
+        raise DataError("the dataset has no columns, so it cannot be written to CSV")
+    if data.names[0].startswith("\ufeff"):
         raise DataError(
             f"variable {data.names[0]!r} starts with a byte-order mark, which "
             "load_csv drops from the start of a file"
@@ -623,19 +630,19 @@ def _row_lines(block, forms, first):
 
 
 def _written_forms(data, first):
-    # The levels the rows use, as the csv writer writes them. Levels no row
-    # uses stay None, so the cost follows the cells written, not the levels
-    # (a fold of a real-valued file carries every level of the whole file).
+    # The levels the rows use, as the csv writer writes them, after
+    # write_csv's checks of each name and used token. Levels no row uses
+    # stay None, so the cost follows the cells written, not the levels (a
+    # fold of a real-valued file carries every level of the whole file).
     # The writer hands each row it writes to lines. A row of a column's
     # tokens that comes back as their plain join shows that each token is
     # its own form, since quoting only lengthens a field; otherwise each
-    # token is written in a row of its own. So is each token of a
-    # one-column file, whose row of one empty field is quoted.
+    # token is written in a row of its own, followed by an empty field. A
+    # non-empty field is written the same with or without other fields.
     lines = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    alone = data.d == 1
     forms = np.empty(int(sum(data.arities)), dtype=object)
-    for col, levels in enumerate(data.levels):
+    for col, (name, levels) in enumerate(zip(data.names, data.levels)):
         # bincount copies the column to intp, 8 bytes a row, so it counts
         # _COUNT_BLOCK rows at a time
         used = np.zeros(len(levels), dtype=bool)
@@ -644,12 +651,21 @@ def _written_forms(data, first):
             used |= np.bincount(block, minlength=len(levels)) > 0
         used = np.flatnonzero(used)
         tokens = [levels[i] for i in used.tolist()]
+        for token in (name, *tokens):
+            if token != token.strip() or "\r" in token or "\0" in token:
+                raise DataError(
+                    f"{token!r} of variable {name!r} cannot be written to CSV: "
+                    "blanks around it, or a carriage return or NUL in it")
+        if "" in tokens:
+            raise DataError(f"variable {name!r} has an empty level")
+        if len(set(tokens)) < len(tokens):
+            raise DataError(f"variable {name!r} has two equal levels")
         lines.clear()
         writer.writerow(tokens)
-        if alone or lines[0] != ",".join(tokens) + "\n":
+        if lines[0] != ",".join(tokens) + "\n":
             lines.clear()
-            writer.writerows([t] if alone else [t, ""] for t in tokens)
-            tokens = [line[:-1 if alone else -2] for line in lines]
+            writer.writerows([t, ""] for t in tokens)
+            tokens = [line[:-2] for line in lines]
         forms[first[col] + used] = tokens
     return forms
 

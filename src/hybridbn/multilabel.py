@@ -270,10 +270,9 @@ def run_scenario(data, labels, scenario, cfg=None):
 
 
 def _scenario_key(scenario):
-    key = scenario.strip().lower()
-    if key not in SCENARIOS:
+    if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick one of {SCENARIOS}")
-    return key
+    return scenario
 
 
 def run_scenarios(data, labels, scenarios, cfg=None):

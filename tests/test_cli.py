@@ -544,7 +544,7 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("names, levels, message", [
-        ([], [], "the network has no variables"),
+        ([], [], "the dataset has no columns, so it cannot be written to CSV"),
         (["a"], [["x", " x"]], "' x' of variable 'a' cannot be written to CSV"),
         (["a"], [["a\rb", "c"]], "'a\\rb' of variable 'a' cannot be written"),
         (["a "], [["0", "1"]], "'a ' of variable 'a ' cannot be written"),
@@ -552,20 +552,40 @@ class TestBadInput:
         (["a"], [["0", "1", "0"]], "variable 'a' has two equal levels"),
         (["\ufeffa", "b"], [["0", "1"], ["0", "1"]],
          "variable '\\ufeffa' starts with a byte-order mark"),
+        # the csv module of Python 3.10 raises on a NUL
+        (["a"], [["a\0b", "c"]], "'a\\x00b' of variable 'a' cannot be written"),
     ])
     def test_sample_tokens_a_csv_cannot_carry(self, names, levels, message,
                                               tmp_path, capsys):
-        # each once sampled to a file that learn could not read back
+        # each once sampled to a file that learn could not read back; write_csv
+        # checks the levels the rows use, and 200 rows use every level here
         net = BayesianNetwork(
             Dag(len(names)), names, levels,
             [np.full((len(lv), 1), 1 / len(lv)) for lv in levels],
         )
         net_path, out = tmp_path / "net.json", tmp_path / "s.csv"
         write_network(net, net_path)
-        code = run("sample", "--net", net_path, "--n", 5, "--seed", 0, "--out", out)
+        code = run("sample", "--net", net_path, "--n", 200, "--seed", 0, "--out", out)
         assert code == 2
         self.assert_one_line(capsys, f"data error: {message}")
         assert not out.exists()
+
+    def test_mlc_export_of_a_token_a_csv_cannot_carry(self, tmp_path, capsys):
+        # a quoted carriage return loads, but the csv writer would write it
+        # bare, and every exported file would then read back ragged
+        rng = np.random.default_rng(0)
+        lines = [f"{x},{y}" for x, y in zip(rng.choice(['"a\rb"', "c"], 40),
+                                            rng.integers(0, 2, 40).tolist())]
+        data, export, report = tmp_path / "cr.csv", tmp_path / "ex", tmp_path / "r.json"
+        data.write_text("x,y\n" + "\n".join(lines) + "\n", newline="")
+        code = run("mlc", "--data", data, "--labels", "y", "--scenario", "br",
+                   "--folds", 2, "--seed", 0, "--export-blocks", export,
+                   "--report", report)
+        assert code == 2
+        self.assert_one_line(
+            capsys, "data error: 'a\\rb' of variable 'x' cannot be written to CSV")
+        assert not report.exists()
+        assert not export.exists() or not os.listdir(export)
 
     @pytest.mark.parametrize("flag, value", [
         ("--ess", 3), ("--ess", 10), ("--delimiter", ";"), ("--delimiter", ","),

@@ -595,18 +595,24 @@ def test_load_csv_widens_in_a_later_chunk(tmp_path):
     np.testing.assert_array_equal(got.rows, want.rows)
 
 
-def test_load_csv_holds_under_three_bytes_a_cell(tmp_path):
+@pytest.mark.parametrize("prefix, csv_module", [("", False), ("a", True)],
+                         ids=["one-byte", "two-byte"])
+def test_load_csv_holds_under_three_bytes_a_cell(tmp_path, csv_module_reads,
+                                                 prefix, csv_module):
     # a 5,000 x 200 ternary file: the rows end up one byte a cell, and no
-    # whole-file array wider than that is built on the way
+    # whole-file array wider than that is built on the way, whether its
+    # tokens are one byte ("0", the array path) or two ("a0", the csv path)
     rows = np.random.default_rng(0).integers(0, 3, size=(5000, 200))
+    levels = [(f"{prefix}0", f"{prefix}1", f"{prefix}2")] * 200
     path = tmp_path / "ternary.csv"
-    write_csv(from_array(rows), path)
+    write_csv(CategoricalDataset(from_array(rows).names, levels, rows), path)
     tracemalloc.start()
     try:
         ds = load_csv(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert csv_module_reads == ([str(path)] if csv_module else [])
     assert peak < 3 * rows.size
     assert ds.rows.shape == rows.shape and ds.rows.dtype == np.uint8
 

@@ -325,6 +325,10 @@ class TestRunScenario:
         ds, labels = self._genbase_data(100)
         with pytest.raises(ValueError, match="scenario"):
             run_scenario(ds, labels, "stacking")
+        # names are taken as given, not stripped or lowered
+        for name in ("BR", " br"):
+            with pytest.raises(ValueError, match="unknown scenario"):
+                run_scenario(ds, labels, name)
 
     def test_label_validation(self):
         ds, _ = self._genbase_data(100)

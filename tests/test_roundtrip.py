@@ -2,7 +2,9 @@
 
 Random DAGs with arities 2 to 4 and free-text names and level tokens go
 through write_network/read_network and write_skeleton/read_skeleton; random
-datasets go through write_csv/load_csv.
+datasets go through write_csv/load_csv. A dataset whose CSV file would not
+load back as the same rows (see write_csv) is refused before the file is
+made, and the tests assert that refusal wherever they draw one.
 """
 
 import math
@@ -13,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridbn import data as data_mod
-from hybridbn.cli import _check_csv_tokens
 from hybridbn.data import CategoricalDataset, DataError, load_csv, write_csv
 from hybridbn.network import BayesianNetwork, read_network, write_network
 from hybridbn.skeleton import read_skeleton, write_skeleton
@@ -85,14 +86,39 @@ class Scripted:
         return next(self.values)
 
 
-def refused_for_its_mark(ds, path):
-    """True, once write_csv is seen to refuse ds, when its first name starts
-    with U+FEFF: the file would start with a byte-order mark, which
-    load_csv drops."""
-    if not ds.names or not ds.names[0].startswith("\ufeff"):
+def csv_faults(ds):
+    """The messages write_csv may refuse ds with, each fault's own: no
+    columns, a name or used token with blanks around it or a carriage return
+    or NUL in it, an empty used token, two used levels of a column with the
+    same token, and a first name that starts with U+FEFF."""
+    if not ds.names:
+        return ["the dataset has no columns"]
+    faults = []
+    if ds.names[0].startswith("\ufeff"):
+        faults.append(f"variable {ds.names[0]!r} starts with a byte-order mark")
+    for col, name in enumerate(ds.names):
+        used = [ds.levels[col][i] for i in sorted(set(ds.rows[:, col].tolist()))]
+        faults += [f"{token!r} of variable {name!r} cannot be written to CSV"
+                   for token in (name, *used)
+                   if token != token.strip() or "\r" in token or "\0" in token]
+        if "" in used:
+            faults.append(f"variable {name!r} has an empty level")
+        if len(set(used)) < len(used):
+            faults.append(f"variable {name!r} has two equal levels")
+    return faults
+
+
+def refused(ds, path):
+    """True, once write_csv is seen to refuse ds with one of its faults and
+    to leave path unmade, when ds has a fault (csv_faults)."""
+    faults = csv_faults(ds)
+    if not faults:
         return False
-    with pytest.raises(DataError, match="starts with a byte-order mark"):
+    path.unlink(missing_ok=True)
+    with pytest.raises(DataError) as refusal:
         write_csv(ds, path)
+    assert any(str(refusal.value).startswith(f) for f in faults), str(refusal.value)
+    assert not path.exists()
     return True
 
 
@@ -115,7 +141,7 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
               for a in arities]
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
     path = out_dir / "data.csv"
-    if refused_for_its_mark(ds, path):
+    if refused(ds, path):
         return
     write_csv(ds, path)
     back = load_csv(str(path))
@@ -148,7 +174,7 @@ def binary_columns(d):
     return Scripted([f"c{i}" for i in range(d)], *[["0", "1"]] * d)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     n=st.sampled_from([0, 1, 511, 512, 513, 1100, 4095, 4097]),
     arities=st.lists(st.integers(1, 4), max_size=5),
@@ -156,8 +182,8 @@ def binary_columns(d):
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-# a row of one empty field is the one place where the writer quotes a token
-# by its context: it writes "" there, and nothing in a wider row
+# an empty token that rows use is refused, as load_csv reads it as missing;
+# one no row uses is not written
 @example(n=3, arities=[1], distinct="any", seed=0, data=Scripted([""], [""]))
 @example(n=5, arities=[2], distinct="any", seed=1, data=Scripted(["a"], ["", "x"]))
 @example(n=5, arities=[2, 1], distinct="any", seed=1,
@@ -175,17 +201,21 @@ def binary_columns(d):
          data=Scripted(["a", "b"], ["x", "y,", 'z"'], ["", "p"]))
 @example(n=4095, arities=[4], distinct="half", seed=5,
          data=Scripted(["a"], ["", "x", "y", "z"]))
+# every level used, each quoted form among them
+@example(n=4097, arities=[3, 2], distinct="half", seed=4,
+         data=Scripted(["a", "b"], ["x", "y,", 'z"'], ["p", "q\nr"]))
 @example(n=4097, arities=[], distinct="any", seed=0, data=Scripted([]))
 def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, seed, data):
     # any text, commas, quotes and line breaks included, across the blocks
-    # of either path, and with no column at all; rows repeat as drawn
+    # of either path; rows repeat as drawn. What write_csv refuses, it is
+    # seen to refuse; every other file has the row-by-row writer's bytes.
     rows = drawn_rows(n, arities, distinct, np.random.default_rng(seed))
     text = st.text(max_size=4)
     names = data.draw(st.lists(text, min_size=len(arities), max_size=len(arities),
                                unique=True))
     levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
-    if refused_for_its_mark(ds, out_dir / "got.csv"):
+    if refused(ds, out_dir / "got.csv"):
         return
     took = []
     distinct_lines = data_mod._distinct_lines
@@ -209,24 +239,17 @@ def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, se
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_tokens_sample_accepts_load_back(out_dir, data):
-    # any text: what sample's checks let through, write_csv and load_csv
-    # carry unchanged (line breaks inside a token included)
+    # any text: what write_csv lets through, load_csv carries unchanged
+    # (line breaks inside a token included)
     text = st.text(max_size=3)
     arities = data.draw(st.lists(st.integers(2, 3), max_size=3))
     names = data.draw(st.lists(text, min_size=len(arities), max_size=len(arities),
                                unique=True))
     levels = [data.draw(st.lists(text, min_size=a, max_size=a)) for a in arities]
-    net = BayesianNetwork(random_dag(len(arities), 0, np.random.default_rng(0)),
-                          names, levels,
-                          [np.full((a, 1), 1 / a) for a in arities])
-    try:
-        _check_csv_tokens(net)
-    except DataError:
-        return
-    # row i holds level i % arity, so levels appear in their own order
-    rows = np.arange(max(arities))[:, None] % np.array(arities)
+    # row i holds level i % arity, so every level is used, in its own order
+    rows = np.arange(max(arities, default=2))[:, None] % np.array(arities, dtype=int)
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
-    if refused_for_its_mark(ds, out_dir / "sample.csv"):
+    if refused(ds, out_dir / "sample.csv"):
         return
     write_csv(ds, out_dir / "sample.csv")
     back = load_csv(str(out_dir / "sample.csv"))
