@@ -605,7 +605,8 @@ def test_load_csv_holds_under_three_bytes_a_cell(tmp_path, csv_module_reads,
     rows = np.random.default_rng(0).integers(0, 3, size=(5000, 200))
     levels = [(f"{prefix}0", f"{prefix}1", f"{prefix}2")] * 200
     path = tmp_path / "ternary.csv"
-    write_csv(CategoricalDataset(from_array(rows).names, levels, rows), path)
+    names = tuple(f"v{i}" for i in range(200))
+    write_csv(CategoricalDataset(names, levels, rows), path)
     tracemalloc.start()
     try:
         ds = load_csv(str(path))
