@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from .data import DataError, load_csv, write_csv, write_json
+from .data import DataError, all_or_none, load_csv, write_csv, write_json
 from .graphs import Dag, Pdag, to_dot
 from .independence import POWER_CELLS, DataIndependenceSource, TestConfig
 from .metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
@@ -147,18 +147,15 @@ def cmd_sample(args):
     given = [v not in (None, "") for v in (args.sizes, args.out_dir, args.n, args.out)]
     if given not in ([True, True, False, False], [False, False, True, True]):
         raise _Usage("either --sizes with --out-dir, or --n with --out")
-    # (rows, seed, path) of each file
-    if args.sizes:
-        jobs = [(size, [args.seed, size],
-                 os.path.join(args.out_dir, f"sample_{size}.csv"))
-                for size in args.sizes.items]
-    else:
-        jobs = [(args.n, args.seed, args.out)]
     net = read_network(args.net)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-    for n, seed, path in jobs:
-        write_csv(forward_sample(net, n, seed=seed), path)
+    if not args.sizes:
+        write_csv(forward_sample(net, args.n, seed=args.seed), args.out)
+        return 0
+    with all_or_none(args.out_dir) as written:
+        for size in args.sizes.items:
+            path = os.path.join(args.out_dir, f"sample_{size}.csv")
+            write_csv(forward_sample(net, size, seed=[args.seed, size]), path)
+            written.append(path)
     return 0
 
 

@@ -7,6 +7,7 @@ Datasets are immutable after construction and safe for concurrent readers.
 """
 
 import codecs
+import contextlib
 import csv
 import itertools
 import json
@@ -18,6 +19,7 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # count_table's int64 codes over head cells and observed strata stay below this.
 _CODE_LIMIT = 2**62
@@ -552,20 +554,27 @@ def write_csv(data, path):
     """Write a dataset back to disk using its original tokens.
 
     Before the file is opened, a dataset whose file would not load back as
-    the same rows is a DataError: no columns; a name or used token with
-    blanks around it (load_csv strips them), a carriage return (the csv
-    writer leaves it unquoted) or a NUL (Python 3.10's csv cannot write
-    one); an empty used token (read as missing); two used levels of a column
-    with one token; or a first name that starts with U+FEFF (read as a
-    byte-order mark). Levels no row uses are not written, nor checked.
+    the same rows is a DataError: no columns or no rows; a column whose rows
+    use fewer than two levels (load_csv refuses a constant column); a name
+    or used token with blanks around it (load_csv strips them), a carriage
+    return (the csv writer leaves it unquoted) or a NUL (Python 3.10's csv
+    cannot write one); an empty used token (read as missing); two used
+    levels of a column with one token; or a first name that starts with
+    U+FEFF (read as a byte-order mark). Levels no row uses are not written,
+    nor checked.
 
-    The csv writer writes each level that some row uses once, and lines are
-    joined from those written forms, so the bytes are the ones the writer
-    would give row by row. The rows are ranked with
-    ``observed_config_codes``. When at most half of them are distinct, each
-    distinct row's line is joined once, and the rows go out as those lines,
-    _GATHER_BLOCK rows a write. Otherwise each block of _JOIN_BLOCK rows is
-    joined from the forms.
+    The csv writer writes the header and each level that some row uses, once
+    (``_written_forms``), so the bytes are the ones it would give row by
+    row. Each used form, with the comma or line end after it, is encoded and
+    padded to the widest one's width W in a table of W-byte items, one slot
+    a level; a block of rows is then one ``take`` of that table by the rows'
+    level indices plus each column's first slot. Where the used forms differ
+    in width, a ``take`` of a keep mask of the same shape drops the padding.
+    Two kinds of file are joined from the forms _JOIN_BLOCK rows at a time
+    instead: one with more levels than rows (a real-valued file, whose table
+    would cost more than its joins), and one whose W is more than
+    _PAD_LIMIT times its mean written cell (a few long tokens among short
+    ones), so that padding never multiplies the work past that.
     """
     if not data.names:
         raise DataError("the dataset has no columns, so it cannot be written to CSV")
@@ -574,66 +583,125 @@ def write_csv(data, path):
             f"variable {data.names[0]!r} starts with a byte-order mark, which "
             "load_csv drops from the start of a file"
         )
-    first = np.cumsum((0,) + data.arities)[:-1]  # each column's first form
-    forms = _written_forms(data, first)
-    ranks, u = observed_config_codes(data.rows, data.arities)
-    # at most half the rows distinct: the line cache holds at most half the
-    # file's lines
-    if 2 * u <= data.n:
-        lines = _distinct_lines(data, forms, first, ranks, u)
-        blocks = (lines.take(ranks[start:start + _GATHER_BLOCK]).tolist()
-                  for start in range(0, data.n, _GATHER_BLOCK))
-    else:
-        del ranks  # not read here; freed before the file is written
-        blocks = (_row_lines(data.rows[start:start + _JOIN_BLOCK], forms, first)
-                  for start in range(0, data.n, _JOIN_BLOCK))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(data.names)
-        for block in blocks:
-            fh.write("\n".join(block))
-            fh.write("\n")
+    if not data.n:
+        raise DataError("no data rows, so load_csv could not read the file back")
+    first = np.cumsum((0,) + data.arities)[:-1]  # each column's first slot
+    forms, counts = _written_forms(data, first)
+    tables = _form_tables(forms, counts, first, data.n, data.d)
+    header = []
+    csv.writer(SimpleNamespace(write=header.append), lineterminator="\n").writerow(data.names)
+    with open(path, "wb") as fh:
+        fh.write(header[0].encode())
+        if tables is None:
+            by_slot = np.empty(counts.size, dtype=object)
+            by_slot[np.flatnonzero(counts)] = np.fromiter(forms, object, len(forms))
+            for start in range(0, data.n, _JOIN_BLOCK):
+                fh.write(_joined_rows(data.rows[start:start + _JOIN_BLOCK], by_slot, first))
+            return
+        table, keep = tables
+        per_block = max(1, _WRITE_BYTES // (data.d * (table.itemsize + 8)))
+        for start in range(0, data.n, per_block):
+            cells = data.rows[start:start + per_block] + first
+            block = table.take(cells)
+            if keep is not None:
+                block = block.view(np.uint8)[keep.take(cells).view(bool)]
+            fh.write(block)
+            del cells, block  # freed before the next block is made
 
 
-# Rows _row_lines joins at a time, rows one write of write_csv's
-# distinct-line path gathers, and rows of a column _written_forms counts at
-# a time.
+# A block of write_csv's table path is at most _WRITE_BYTES of W-byte items
+# and their intp indices; a table padded past _PAD_LIMIT times the bytes it
+# writes is not made, and the rows are joined _JOIN_BLOCK at a time;
+# _written_forms counts _COUNT_BLOCK cells, or one a level if there are
+# more levels, at a time.
+_WRITE_BYTES = 1 << 19
+_PAD_LIMIT = 4
 _JOIN_BLOCK = 512
-_GATHER_BLOCK = 4096
 _COUNT_BLOCK = 65536
 
 
-def _distinct_lines(data, forms, first, ranks, u):
-    # lines[r]: the line of the distinct row of rank r. The distinct rows are
-    # copied out a block at a time, so no row-length index exists beside the
-    # ranks; rows of one rank hold equal levels, so it does not matter which
-    # of them a repeated rank stores.
-    distinct = np.empty((u, data.d), dtype=data.rows.dtype)
-    for start in range(0, data.n, _GATHER_BLOCK):
-        distinct[ranks[start:start + _GATHER_BLOCK]] = data.rows[start:start + _GATHER_BLOCK]
-    lines = np.empty(u, dtype=object)
-    for start in range(0, u, _JOIN_BLOCK):
-        lines[start:start + _JOIN_BLOCK] = _row_lines(
-            distinct[start:start + _JOIN_BLOCK], forms, first)
-    return lines
+def _form_tables(forms, counts, first, n, d):
+    # The table of the used forms, each with the comma or line end after it,
+    # encoded and padded to the widest one's W bytes, one W-byte item a slot;
+    # and the keep mask of the same shape, or None where every form is W
+    # bytes. None where n rows of d cells are better joined: with more
+    # levels than rows, as the table would cost more than the joins, or
+    # where n * d items of W bytes would be more than _PAD_LIMIT times the
+    # bytes the cells write.
+    if counts.size > n:
+        return None
+    used = np.flatnonzero(counts)
+    # No form holds a NUL, so one ends each form in the encoded text, and
+    # then becomes the comma or line end written after it.
+    encoded = ("\0".join(forms) + "\0").encode()
+    ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == 0)
+    widths = np.diff(ends, prepend=-1)
+    wide = int(widths.max())
+    if wide * n * d > _PAD_LIMIT * int(counts[used] @ widths):
+        return None
+    # padded, so that every form has W bytes from its start: the bytes past
+    # a form belong to the next ones, and are never kept. A slot no row uses
+    # starts at 0, and is never taken.
+    text = np.zeros(len(encoded) + wide, np.uint8)
+    text[:len(encoded)] = np.frombuffer(encoded, np.uint8)
+    text[ends] = ord(",")
+    text[ends[used >= first[-1]]] = ord("\n")
+    starts = np.zeros(counts.size, np.intp)
+    starts[used] = ends + 1 - widths
+    item = np.dtype((np.void, wide))
+    table = sliding_window_view(text, wide)[starts].view(item).ravel()
+    if widths.min() == wide:
+        return table, None
+    lengths = np.zeros(counts.size, np.intp)
+    lengths[used] = widths
+    return table, (np.arange(wide) < lengths[:, None]).view(item).ravel()
 
 
-def _row_lines(block, forms, first):
-    # The lines of a block of rows, without line ends: one take of the rows'
-    # level indices plus each column's offset into forms, one flat list, and
-    # one join a row over its slice of that list. One list a block and one
-    # short-lived slice a row: lists are containers the garbage collector
-    # counts, and 512 of them alive at once moved it on so far that forked
-    # workers later collected, and so copied, the whole heap they inherit.
+@contextlib.contextmanager
+def all_or_none(directory):
+    """Make directory if it is missing, and yield a list for the paths of the
+    files written into it. If the block raises, those files are removed, and
+    so is each directory made here, before the exception goes on: a command
+    whose last write_csv is refused leaves none of its files behind."""
+    made = []
+    top = os.path.abspath(directory)
+    while not os.path.lexists(top):
+        made.append(top)
+        top = os.path.dirname(top)
+    os.makedirs(directory, exist_ok=True)
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        for path in made:  # the deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
+def _joined_rows(block, forms, first):
+    # The encoded lines of a block of rows: one take of the rows' level
+    # indices plus each column's first slot, one flat list, and one join a
+    # row over its slice of that list. One list a block and one short-lived
+    # slice a row: lists are containers the garbage collector counts, and
+    # 512 of them alive at once moved it on so far that forked workers later
+    # collected, and so copied, the whole heap they inherit.
     d = block.shape[1]
     cells = forms.take(block + first).ravel().tolist()
-    return [",".join(cells[i * d:(i + 1) * d]) for i in range(len(block))]
+    lines = [",".join(cells[i * d:(i + 1) * d]) for i in range(len(block))]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _written_forms(data, first):
-    # The levels the rows use, as the csv writer writes them, after
-    # write_csv's checks of each name and used token. Levels no row uses
-    # stay None, so the cost follows the cells written, not the levels (a
-    # fold of a real-valued file carries every level of the whole file).
+    # The levels the rows use, as the csv writer writes them, and how many
+    # rows use each (one slot a level, from each column's first slot), after
+    # write_csv's checks of each name and used token. The forms are listed
+    # in slot order, and levels no row uses get none, so the cost follows
+    # the cells written, not the levels (a fold of a real-valued file
+    # carries every level of the whole file).
     # The writer hands each row it writes to lines. A row of a column's
     # tokens that comes back as their plain join shows that each token is
     # its own form, since quoting only lengthens a field; otherwise each
@@ -641,33 +709,45 @@ def _written_forms(data, first):
     # non-empty field is written the same with or without other fields.
     lines = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    forms = np.empty(int(sum(data.arities)), dtype=object)
+    forms = []
+    counts = np.zeros(int(sum(data.arities)), dtype=np.int64)
+    # bincount copies the cells to intp, 8 bytes a cell, so it counts blocks
+    # of whole rows, of about _COUNT_BLOCK cells, or about one a slot where
+    # there are more slots, so that each block's slot-long count costs about
+    # what its cells do
+    per_block = max(1, max(_COUNT_BLOCK, counts.size) // data.d)
+    for start in range(0, data.n, per_block):
+        cells = data.rows[start:start + per_block] + first
+        counts += np.bincount(cells.ravel(), minlength=counts.size)
+        del cells
     for col, (name, levels) in enumerate(zip(data.names, data.levels)):
-        # bincount copies the column to intp, 8 bytes a row, so it counts
-        # _COUNT_BLOCK rows at a time
-        used = np.zeros(len(levels), dtype=bool)
-        for start in range(0, data.n, _COUNT_BLOCK):
-            block = data.rows[start:start + _COUNT_BLOCK, col]
-            used |= np.bincount(block, minlength=len(levels)) > 0
-        used = np.flatnonzero(used)
-        tokens = [levels[i] for i in used.tolist()]
-        for token in (name, *tokens):
-            if token != token.strip() or "\r" in token or "\0" in token:
-                raise DataError(
-                    f"{token!r} of variable {name!r} cannot be written to CSV: "
-                    "blanks around it, or a carriage return or NUL in it")
+        count = counts[first[col]:first[col] + len(levels)]
+        tokens = list(itertools.compress(levels, count.tolist()))
+        # whole-column passes show whether the name or some token has a
+        # fault; only then is the first one looked for
+        listed = [name, *tokens]
+        text = "".join(listed)
+        if "\r" in text or "\0" in text or list(map(str.strip, listed)) != listed:
+            token = next(t for t in listed if t != t.strip() or "\r" in t or "\0" in t)
+            raise DataError(
+                f"{token!r} of variable {name!r} cannot be written to CSV: "
+                "blanks around it, or a carriage return or NUL in it")
         if "" in tokens:
             raise DataError(f"variable {name!r} has an empty level")
         if len(set(tokens)) < len(tokens):
             raise DataError(f"variable {name!r} has two equal levels")
+        if len(tokens) < 2:
+            raise DataError(
+                f"constant column {name!r}: its rows use one level, and "
+                "load_csv refuses such a column")
         lines.clear()
         writer.writerow(tokens)
         if lines[0] != ",".join(tokens) + "\n":
             lines.clear()
             writer.writerows([t, ""] for t in tokens)
             tokens = [line[:-2] for line in lines]
-        forms[first[col] + used] = tokens
-    return forms
+        forms += tokens
+    return forms, counts
 
 
 def parse_numeric_column(data, col):

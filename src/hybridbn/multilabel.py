@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import (
     CategoricalDataset,
+    all_or_none,
     count_table,
     kfold,
     observed_config_codes,
@@ -249,12 +250,24 @@ def _binarize_for_fold(data, train_idx, numeric):
     return CategoricalDataset(data.names, tuple(levels), rows)
 
 
-def _export_block(directory, fold, bix, dataset, rows_idx, block, features, tag):
-    cols = list(features) + list(block)
-    path = os.path.join(directory, f"fold{fold:02d}_block{bix:02d}_{tag}.csv")
-    names = [dataset.names[c] for c in cols]
-    levels = [dataset.levels[c] for c in cols]
-    write_csv(CategoricalDataset(names, levels, dataset.rows[rows_idx][:, cols]), path)
+def _export_blocks(directory, data, numeric, folds, blocks_by_fold):
+    # Each fold's training and test rows of each of its (block, features),
+    # written once every fold has run, so that a refused file takes the
+    # files written before it, and the directory if this made it, along.
+    with all_or_none(directory) as written:
+        for fold, blocks in enumerate(blocks_by_fold):
+            train_idx = folds.train_indices(fold)
+            fold_data = _binarize_for_fold(data, train_idx, numeric)
+            parts = (("train", train_idx), ("test", folds.test_indices(fold)))
+            for bix, (block, features) in enumerate(blocks):
+                cols = list(features) + list(block)
+                names = [fold_data.names[c] for c in cols]
+                levels = [fold_data.levels[c] for c in cols]
+                for tag, rows_idx in parts:
+                    path = os.path.join(directory, f"fold{fold:02d}_block{bix:02d}_{tag}.csv")
+                    write_csv(CategoricalDataset(names, levels,
+                                                 fold_data.rows[rows_idx][:, cols]), path)
+                    written.append(path)
 
 
 def run_scenario(data, labels, scenario, cfg=None):
@@ -282,8 +295,10 @@ def run_scenarios(data, labels, scenarios, cfg=None):
     graph rule, then applies every scenario's rules to it. Returns
     {scenario: report}; each report equals run_scenario's for that
     scenario. Block exports (cfg.export_dir) name no scenario, so they
-    need a single one. Folds run in up to cfg.jobs forked worker processes
-    (``fork_map``); the reports do not depend on cfg.jobs.
+    need a single one; this process writes them once every fold has run, and
+    a refused one removes those written before it. Folds run in up to
+    cfg.jobs forked worker processes (``fork_map``); the reports do not
+    depend on cfg.jobs.
     """
     cfg = cfg or MlcConfig()
     keys = list(dict.fromkeys(_scenario_key(s) for s in scenarios))
@@ -314,7 +329,7 @@ def run_scenarios(data, labels, scenarios, cfg=None):
         )
         test_rows = fold_data.rows[test_idx]
         shared = time.perf_counter() - started
-        reports = {}
+        reports, exports = {}, None
         for key in keys:
             begun = time.perf_counter()
             block_rule, feature_rule = _SCENARIO_RULES[key]
@@ -332,12 +347,7 @@ def run_scenarios(data, labels, scenarios, cfg=None):
             pred = _predict_matrix(classifiers, test_rows, labels)
             acc = global_accuracy(pred, test_rows[:, labels])
             if cfg.export_dir:
-                os.makedirs(cfg.export_dir, exist_ok=True)
-                for bix, (b, fs) in enumerate(zip(blocks, feats)):
-                    _export_block(cfg.export_dir, f, bix, fold_data, train_idx,
-                                  b, fs, "train")
-                    _export_block(cfg.export_dir, f, bix, fold_data, test_idx,
-                                  b, fs, "test")
+                exports = list(zip(blocks, feats))
             sizes = [len(b) for b in blocks]
             report = {
                 "fold": f,
@@ -355,10 +365,13 @@ def run_scenarios(data, labels, scenarios, cfg=None):
                 # the fold's shared work plus this scenario's own
                 report["seconds"] = shared + time.perf_counter() - begun
             reports[key] = report
-        return reports
+        return reports, exports
 
     by_fold = fork_map(run_fold, cfg.folds, cfg.jobs)
-    return {key: _summary(key, data, labels, [r[key] for r in by_fold])
+    if cfg.export_dir:
+        _export_blocks(cfg.export_dir, data, numeric, folds,
+                       [exports for _, exports in by_fold])
+    return {key: _summary(key, data, labels, [r[key] for r, _ in by_fold])
             for key in keys}
 
 

@@ -12,14 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn.cli import _score_cfg, _test_cfg, build_parser, main
-from hybridbn.data import write_csv
+from hybridbn.data import kfold, write_csv
 from hybridbn.graphs import Dag
 from hybridbn.independence import TestConfig as Config
 from hybridbn.multilabel import MlcConfig
 from hybridbn.network import BayesianNetwork, forward_sample, write_network
 from hybridbn.scoring import ScoreConfig
 from hybridbn.skeleton import Skeleton, write_skeleton
-from hybridbn.synthetic import monotone_network, random_dag, recovery_network
+from hybridbn.synthetic import (
+    child_shape_network,
+    monotone_network,
+    random_dag,
+    recovery_network,
+)
 
 from helpers import genbase_shape_network
 
@@ -570,6 +575,37 @@ class TestBadInput:
         self.assert_one_line(capsys, f"data error: {message}")
         assert not out.exists()
 
+    def test_sample_of_one_row(self, tmp_path, capsys):
+        # every column of a one-row sample is constant, which load_csv, and
+        # so learn, would refuse
+        net_path, out = tmp_path / "child.json", tmp_path / "s.csv"
+        write_network(child_shape_network(), net_path)
+        code = run("sample", "--net", net_path, "--n", 1, "--seed", 0, "--out", out)
+        assert code == 2
+        self.assert_one_line(capsys, "data error: constant column 'n00'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_sample_sizes_refused_leaves_no_file(self, existing, tmp_path, capsys):
+        # " x" is drawn at 100,000 rows, not at 10: the file of 10 rows is
+        # written first, and removed when the next one is refused, with the
+        # directory the run made; a directory that was there stays
+        net = BayesianNetwork(Dag(2), ["a", "b"], [["p", "q", " x"], ["0", "1"]],
+                              [np.array([[0.5], [0.499], [0.001]]), np.full((2, 1), 0.5)])
+        net_path, out_dir = tmp_path / "net.json", tmp_path / "out"
+        write_network(net, net_path)
+        assert run("sample", "--net", net_path, "--sizes", "10", "--seed", 0,
+                   "--out-dir", tmp_path / "alone") == 0
+        assert os.listdir(tmp_path / "alone") == ["sample_10.csv"]
+        if existing:
+            out_dir.mkdir()
+            (out_dir / "kept.txt").write_text("kept")
+        code = run("sample", "--net", net_path, "--sizes", "10,100000", "--seed", 0,
+                   "--out-dir", out_dir)
+        assert code == 2
+        self.assert_one_line(capsys, "data error: ' x' of variable 'a' cannot be written")
+        assert (os.listdir(out_dir) == ["kept.txt"]) if existing else not out_dir.exists()
+
     def test_mlc_export_of_a_token_a_csv_cannot_carry(self, tmp_path, capsys):
         # a quoted carriage return loads, but the csv writer would write it
         # bare, and every exported file would then read back ragged
@@ -585,7 +621,31 @@ class TestBadInput:
         self.assert_one_line(
             capsys, "data error: 'a\\rb' of variable 'x' cannot be written to CSV")
         assert not report.exists()
-        assert not export.exists() or not os.listdir(export)
+        assert not export.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_mlc_refused_export_leaves_no_file(self, existing, tmp_path, capsys):
+        # the one "a\rb" row is a test row of fold 0, so fold 0's training
+        # file is written, and removed when its test file is refused; a
+        # directory that was there stays
+        n = 40
+        rng = np.random.default_rng(0)
+        x = rng.choice(["a", "b"], n).astype(object)
+        x[kfold(n, 2, 0).test_indices(0)[0]] = '"a\rb"'
+        y = rng.integers(0, 2, n)
+        data, export, report = tmp_path / "cr.csv", tmp_path / "ex", tmp_path / "r.json"
+        data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(x, y)), newline="")
+        if existing:
+            export.mkdir()
+            (export / "kept.txt").write_text("kept")
+        code = run("mlc", "--data", data, "--labels", "y", "--scenario", "br",
+                   "--folds", 2, "--seed", 0, "--export-blocks", export,
+                   "--report", report)
+        assert code == 2
+        self.assert_one_line(
+            capsys, "data error: 'a\\rb' of variable 'x' cannot be written to CSV")
+        assert not report.exists()
+        assert (os.listdir(export) == ["kept.txt"]) if existing else not export.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--ess", 3), ("--ess", 10), ("--delimiter", ";"), ("--delimiter", ","),

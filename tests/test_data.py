@@ -1,6 +1,5 @@
 import csv
 import os
-import sys
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from hybridbn import data as datamod
 from hybridbn.data import (
-    _GATHER_BLOCK,
     _LOAD_CHUNK,
     _load_with_csv,
     _written_forms,
@@ -30,7 +28,7 @@ from hybridbn.data import (
 from hybridbn.network import forward_sample
 from hybridbn.synthetic import child_shape_network
 
-from helpers import from_array, reference_load_csv, tally_contingency
+from helpers import from_array, reference_load_csv, reference_write_csv, tally_contingency
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -120,15 +118,24 @@ class TestLoadCsv:
         assert again.levels == ds.levels
         assert np.array_equal(again.rows, ds.rows)
 
-    def test_write_csv_forms_only_the_levels_rows_use(self):
+    def test_write_csv_forms_only_the_levels_rows_use(self, tmp_path):
         # a fold of a real-valued file carries every level of the whole
-        # file, so the forms follow the cells written, not the levels
+        # file, so the forms follow the cells written, not the levels; a
+        # level no row uses, the empty one here, is neither written nor
+        # refused, whether the rows are joined (fewer rows than levels) or
+        # taken from the form table
         many = tuple(str(i) for i in range(10_000))
-        ds = CategoricalDataset(("a", "b"), (many, ("x", "y,z")),
-                                np.array([[7, 1], [9, 1]]))
-        forms = _written_forms(ds, np.array([0, len(many)]))
-        made = {i: form for i, form in enumerate(forms) if form is not None}
-        assert made == {7: "7", 9: "9", len(many) + 1: '"y,z"'}
+        for repeats in (1, 4000):
+            ds = CategoricalDataset(("a", "b"), (many, ("", "y,z", "w")),
+                                    np.tile([[7, 1], [9, 2], [9, 1]], (repeats, 1)))
+            forms, counts = _written_forms(ds, np.array([0, len(many)]))
+            assert forms == ["7", "9", '"y,z"', "w"]
+            assert {i: c for i, c in enumerate(counts.tolist()) if c} == {
+                7: repeats, 9: 2 * repeats, len(many) + 1: 2 * repeats,
+                len(many) + 2: repeats}
+            write_csv(ds, tmp_path / "got.csv")
+            reference_write_csv(ds, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # Tokens never contain a delimiter or a quote; padded and empty ones test
@@ -625,33 +632,54 @@ def test_written_forms_copy_no_column():
     ds = from_array(np.random.default_rng(0).integers(0, 2, size=(n, 3)))
     tracemalloc.start()
     try:
-        forms = _written_forms(ds, np.array([0, 2, 4]))
+        forms, counts = _written_forms(ds, np.array([0, 2, 4]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert forms.tolist() == ["0", "1"] * 3
+    assert forms == ["0", "1"] * 3 and counts.sum() == 3 * n
     assert peak < 2 * n
 
 
-def test_write_csv_holds_the_ranks_not_an_object_a_row(tmp_path):
-    # 200,000 rows of six binary columns, 64 distinct, so write_csv joins
-    # one line a distinct row. Beside the rows it holds the int64 ranks
-    # (8 bytes a row), the one-byte codes they are ranked from, the distinct
-    # lines and one gather block: a Python object or an index per row (a
-    # list of the ranks, say, at 8 bytes a row more) breaks the bound.
-    n = 200_000
-    ds = from_array(np.random.default_rng(0).integers(0, 2, size=(n, 6)))
-    line = sys.getsizeof("0,1,0,1,0,1")
-    lines = 64 * (line + 8)
-    # the gathered references, their list, the joined text and its bytes
-    block = _GATHER_BLOCK * (8 + 8 + 2 * 12)
+def test_write_csv_holds_no_memory_a_row(tmp_path):
+    # six binary columns: beside the rows, write_csv holds one block, of at
+    # most _WRITE_BYTES of items and their intp indices, or _COUNT_BLOCK
+    # cells copied to intp while it counts the levels; the slack holds the
+    # form table and NumPy's cast buffers. The bound is one figure for
+    # both sizes, so anything a row (an int64 rank, say) breaks it.
+    bound = max(datamod._WRITE_BYTES, 8 * datamod._COUNT_BLOCK) + 256 * 1024
+    for n in (200_000, 400_000):
+        ds = from_array(np.random.default_rng(0).integers(0, 2, size=(n, 6)))
+        tracemalloc.start()
+        try:
+            write_csv(ds, tmp_path / "binary.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, n
+
+
+def test_write_csv_pads_no_block_past_a_few_times_its_bytes(tmp_path):
+    # 1,000 columns, one of which uses a 100 KB token in one row: padding
+    # every cell to that width would make each row a 100 MB block. The file
+    # is written at a small multiple of its own bytes, and equals the
+    # row-by-row writer's.
+    n, d = 2048, 1000
+    rows = (np.arange(n)[:, None] + np.arange(d)) % 2
+    rows[:, 0] = 1
+    rows[0, 0] = 0
+    long = "x" * 100_000
+    ds = CategoricalDataset(tuple(f"c{i}" for i in range(d)),
+                            ((long, "y"),) + (("0", "1"),) * (d - 1), rows)
     tracemalloc.start()
     try:
-        write_csv(ds, tmp_path / "binary.csv")
+        write_csv(ds, tmp_path / "got.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * n + lines + block + 64 * 1024
+    reference_write_csv(ds, tmp_path / "want.csv")
+    size = (tmp_path / "want.csv").stat().st_size
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert peak < 4 * size
 
 
 class TestConfigCodes:

@@ -7,14 +7,11 @@ load back as the same rows (see write_csv) is refused before the file is
 made, and the tests assert that refusal wherever they draw one.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridbn import data as data_mod
 from hybridbn.data import CategoricalDataset, DataError, load_csv, write_csv
 from hybridbn.network import BayesianNetwork, read_network, write_network
 from hybridbn.skeleton import read_skeleton, write_skeleton
@@ -88,14 +85,17 @@ class Scripted:
 
 def csv_faults(ds):
     """The messages write_csv may refuse ds with, each fault's own: no
-    columns, a name or used token with blanks around it or a carriage return
-    or NUL in it, an empty used token, two used levels of a column with the
-    same token, and a first name that starts with U+FEFF."""
+    columns, no rows, a column whose rows use fewer than two levels, a name
+    or used token with blanks around it or a carriage return or NUL in it,
+    an empty used token, two used levels of a column with the same token,
+    and a first name that starts with U+FEFF."""
     if not ds.names:
         return ["the dataset has no columns"]
     faults = []
     if ds.names[0].startswith("\ufeff"):
         faults.append(f"variable {ds.names[0]!r} starts with a byte-order mark")
+    if not ds.n:
+        return faults + ["no data rows"]
     for col, name in enumerate(ds.names):
         used = [ds.levels[col][i] for i in sorted(set(ds.rows[:, col].tolist()))]
         faults += [f"{token!r} of variable {name!r} cannot be written to CSV"
@@ -105,6 +105,8 @@ def csv_faults(ds):
             faults.append(f"variable {name!r} has an empty level")
         if len(set(used)) < len(used):
             faults.append(f"variable {name!r} has two equal levels")
+        if len(used) < 2:
+            faults.append(f"constant column {name!r}")
     return faults
 
 
@@ -154,62 +156,44 @@ def test_csv_roundtrip(out_dir, n, arities, seed, data):
         assert set(back.levels[i]) <= set(ds.levels[i])
 
 
-def drawn_rows(n, arities, distinct, rng):
-    """n rows over the given arities: uniform draws ("any"), or U distinct
-    rows that each appear at least once, U being n // 2 ("half"),
-    n // 2 + 1 ("half+1") or 1 ("one"), as far as n and the nominal space
-    allow."""
-    if distinct == "any" or not arities:
-        return np.column_stack([rng.integers(0, a, size=n) for a in arities]
-                               or [np.zeros((n, 0), dtype=int)])
-    u = {"half": n // 2, "half+1": n // 2 + 1, "one": 1}[distinct]
-    u = max(min(u, n, math.prod(arities)), min(n, 1))
-    configs = np.array(np.unravel_index(np.arange(u), arities), dtype=int).T
-    which = np.concatenate([np.arange(u), rng.integers(0, max(u, 1), size=n - u)])
-    return configs.reshape(u, len(arities))[rng.permutation(which)]
-
-
-# a column's name and its two levels, for examples of many binary columns
-def binary_columns(d):
-    return Scripted([f"c{i}" for i in range(d)], *[["0", "1"]] * d)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.sampled_from([0, 1, 511, 512, 513, 1100, 4095, 4097]),
-    arities=st.lists(st.integers(1, 4), max_size=5),
-    distinct=st.sampled_from(["any", "half", "half+1", "one"]),
+    n=st.sampled_from([0, 1, 3, 9, 20, 511, 512, 513, 1100, 4097]),
+    # an arity-1 column is constant, and refused (see the examples)
+    arities=st.lists(st.integers(2, 4), max_size=5),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-# an empty token that rows use is refused, as load_csv reads it as missing;
-# one no row uses is not written
-@example(n=3, arities=[1], distinct="any", seed=0, data=Scripted([""], [""]))
-@example(n=5, arities=[2], distinct="any", seed=1, data=Scripted(["a"], ["", "x"]))
-@example(n=5, arities=[2, 1], distinct="any", seed=1,
-         data=Scripted(["a", "b"], ["", "x"], [""]))
-@example(n=0, arities=[1], distinct="any", seed=0, data=Scripted(["a"], [""]))
-@example(n=0, arities=[2, 3], distinct="any", seed=0,
+# an empty token that rows use is refused, as load_csv reads it as missing
+@example(n=5, arities=[2], seed=1, data=Scripted(["a"], ["", "x"]))
+@example(n=5, arities=[2, 2], seed=1, data=Scripted(["a", "b"], ["", "x"], ["p", "q"]))
+# a dataset load_csv could not read back: no rows, or a constant column
+@example(n=0, arities=[2, 3], seed=0,
          data=Scripted(["a", "b"], ["x", "y"], ["p", "q", "r"]))
-# each side of write_csv's switch at U = n / 2, and of its gather block
-@example(n=1100, arities=[2] * 10, distinct="half", seed=2, data=binary_columns(10))
-@example(n=1100, arities=[2] * 10, distinct="half+1", seed=2, data=binary_columns(10))
-@example(n=4095, arities=[2] * 11, distinct="half", seed=3, data=binary_columns(11))
-@example(n=4097, arities=[2] * 12, distinct="half", seed=3, data=binary_columns(12))
-@example(n=4097, arities=[2] * 12, distinct="half+1", seed=3, data=binary_columns(12))
-@example(n=4097, arities=[3, 2], distinct="one", seed=4,
-         data=Scripted(["a", "b"], ["x", "y,", 'z"'], ["", "p"]))
-@example(n=4095, arities=[4], distinct="half", seed=5,
-         data=Scripted(["a"], ["", "x", "y", "z"]))
+@example(n=1100, arities=[2, 1], seed=0, data=Scripted(["a", "b"], ["x", "y"], ["p"]))
+@example(n=4097, arities=[], seed=0, data=Scripted([]))
 # every level used, each quoted form among them
-@example(n=4097, arities=[3, 2], distinct="half", seed=4,
+@example(n=4097, arities=[3, 2], seed=4,
          data=Scripted(["a", "b"], ["x", "y,", 'z"'], ["p", "q\nr"]))
-@example(n=4097, arities=[], distinct="any", seed=0, data=Scripted([]))
-def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, seed, data):
-    # any text, commas, quotes and line breaks included, across the blocks
-    # of either path; rows repeat as drawn. What write_csv refuses, it is
-    # seen to refuse; every other file has the row-by-row writer's bytes.
-    rows = drawn_rows(n, arities, distinct, np.random.default_rng(seed))
+# rows across several blocks, every form of one width
+@example(n=60_000, arities=[2, 2, 2], seed=5,
+         data=Scripted(["a", "b", "c"], ["0", "1"], ["x", "y"], ["p", "q"]))
+# one column whose used forms differ in width
+@example(n=4097, arities=[4, 2], seed=6,
+         data=Scripted(["a", "b"], ["y,", 'z"', "q\nr", "\u00e9"], ["0", "1"]))
+# a one-column file
+@example(n=4097, arities=[3], seed=7, data=Scripted(["a"], ["x", "yy", "zzz"]))
+# a column of one-byte forms next to a column of long forms
+@example(n=4097, arities=[2, 2], seed=8,
+         data=Scripted(["a", "b"], ["0", "1"], ["long " * 12 + "x", "long " * 14 + "y"]))
+def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, seed, data):
+    # any text, commas, quotes and line breaks included, in files of few
+    # rows (joined) and of many (taken from the form table), across blocks
+    # of either. What write_csv refuses, it is seen to refuse; every other
+    # file has the row-by-row writer's bytes.
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.integers(0, a, size=n) for a in arities]
+                           or [np.zeros((n, 0), dtype=int)])
     text = st.text(max_size=4)
     names = data.draw(st.lists(text, min_size=len(arities), max_size=len(arities),
                                unique=True))
@@ -217,23 +201,9 @@ def test_csv_bytes_match_the_row_by_row_writer(out_dir, n, arities, distinct, se
     ds = CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
     if refused(ds, out_dir / "got.csv"):
         return
-    took = []
-    distinct_lines = data_mod._distinct_lines
-
-    def spy(*args):
-        took.append("distinct lines")
-        return distinct_lines(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_mod, "_distinct_lines", spy)
-        write_csv(ds, out_dir / "got.csv")
+    write_csv(ds, out_dir / "got.csv")
     reference_write_csv(ds, out_dir / "want.csv")
     assert (out_dir / "got.csv").read_bytes() == (out_dir / "want.csv").read_bytes()
-    # at most half the rows distinct: one line a distinct row; else blocks
-    # (a file of no rows writes no row either way)
-    u = len({tuple(row) for row in rows.tolist()})
-    if n:
-        assert took == (["distinct lines"] if 2 * u <= n else [])
 
 
 @settings(max_examples=300, deadline=None)
