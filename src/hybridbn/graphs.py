@@ -170,14 +170,6 @@ class Pdag:
             or self._norm(u, v) in self.undirected
         )
 
-    def orient(self, u, v):
-        """Turn the undirected edge u-v into u->v."""
-        key = self._norm(u, v)
-        if key not in self.undirected:
-            raise ValueError(f"no undirected edge {u}-{v}")
-        self.undirected.remove(key)
-        self.directed.add((u, v))
-
     def adjacency_pairs(self):
         pairs = set(self.undirected)
         pairs.update(self._norm(u, v) for u, v in self.directed)

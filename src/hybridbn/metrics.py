@@ -3,10 +3,9 @@ train/test score reporting."""
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .data import DataError
-from .graphs import Pdag
+from .graphs import Pdag, topological_order
 from .scoring import ScoreConfig, Scorer
 
 
@@ -41,51 +40,37 @@ def skeleton_metrics(learned, truth):
     return SkeletonMetrics(tp, fp, fn, precision, recall, fpr, euclidean)
 
 
-def _meek_orients(p, a, b):
-    # True when Meek's rule 1, 2 or 3 orients the undirected edge a-b as a->b.
-    # R1: c -> a, c and b nonadjacent
-    for c, w in p.directed:
-        if w == a and not p.adjacent(c, b):
-            return True
-    # R2: a -> c -> b
-    for c, w in p.directed:
-        if c == a and (w, b) in p.directed:
-            return True
-    # R3: a - c -> b and a - d -> b with c, d nonadjacent
-    und_a = {v if u == a else u for u, v in p.undirected if a in (u, v)}
-    into_b = {u for u, w in p.directed if w == b}
-    spokes = sorted(und_a & into_b)
-    for c, d in combinations(spokes, 2):
-        if not p.adjacent(c, d):
-            return True
-    return False
-
-
 def dag_to_cpdag(g):
     """The DAG pattern: compelled edges directed, reversible edges undirected.
 
-    The edges of g's v-structures start directed, the rest undirected, and
-    Meek's rules 1-3 close the pattern. For a DAG's pattern these rules are
-    complete; rule 4 is needed only with background knowledge (Meek 1995).
+    Chickering's FIND-COMPELLED (Chickering 1995) labels the edges in one
+    pass. The edges are ordered by head in topological order, then by tail
+    from last to first, so the first unlabelled edge into y is x -> y with
+    x the last parent of y. Each compelled w -> x either compels every edge
+    into y (w not a parent of y) or compels w -> y. Failing that, a parent
+    z of y that is neither x nor a parent of x compels every edge into y;
+    otherwise the edges into y not yet compelled are reversible.
     """
-    v_edges = set()
-    for w in range(g.d):
-        for u, v in combinations(g.parents(w), 2):
-            if not g.adjacent(u, v):
-                v_edges.update([(u, w), (v, w)])
-    p = Pdag(g.d, directed=v_edges,
-             undirected=[e for e in g.edges() if e not in v_edges])
-    changed = True
-    while changed:
-        changed = False
-        for a, b in sorted(p.undirected):
-            if _meek_orients(p, a, b):
-                p.orient(a, b)
-                changed = True
-            elif _meek_orients(p, b, a):
-                p.orient(b, a)
-                changed = True
-    return p
+    order = topological_order(g)
+    rank = [0] * g.d
+    for i, v in enumerate(order):
+        rank[v] = i
+    compelled, reversible = set(), []
+    for y in order:
+        parents = set(g.parents(y))
+        if not parents:
+            continue
+        x = max(parents, key=rank.__getitem__)
+        x_parents = set(g.parents(x))
+        w_compelled = {w for w in x_parents if (w, x) in compelled}
+        into_y = {(w, y) for w in parents}
+        if w_compelled - parents or parents - x_parents - {x}:
+            compelled |= into_y
+        else:
+            w_to_y = {(w, y) for w in w_compelled}
+            compelled |= w_to_y
+            reversible += into_y - w_to_y
+    return Pdag(g.d, directed=compelled, undirected=reversible)
 
 
 def _pair_status(p, u, v):

@@ -299,6 +299,51 @@ def brute_force_cpdag(d, edges):
     return hit
 
 
+def _meek_orients(p, a, b):
+    # True when Meek's rule 1, 2 or 3 orients the undirected edge a-b as a->b.
+    # R1: c -> a, c and b nonadjacent
+    for c, w in p.directed:
+        if w == a and not p.adjacent(c, b):
+            return True
+    # R2: a -> c -> b
+    for c, w in p.directed:
+        if c == a and (w, b) in p.directed:
+            return True
+    # R3: a - c -> b and a - d -> b with c, d nonadjacent
+    und_a = {v if u == a else u for u, v in p.undirected if a in (u, v)}
+    into_b = {u for u, w in p.directed if w == b}
+    spokes = sorted(und_a & into_b)
+    for c, d in combinations(spokes, 2):
+        if not p.adjacent(c, d):
+            return True
+    return False
+
+
+def meek_cpdag(g):
+    """CPDAG of the Dag g by Meek's closure (Meek 1995): the edges of g's
+    v-structures start directed, the rest undirected, and rules 1-3 orient
+    undirected edges until none applies. Polynomial, so it reaches DAGs far
+    past brute_force_cpdag's enumeration."""
+    v_edges = set()
+    for w in range(g.d):
+        for u, v in combinations(g.parents(w), 2):
+            if not g.adjacent(u, v):
+                v_edges.update([(u, w), (v, w)])
+    p = Pdag(g.d, directed=v_edges,
+             undirected=[e for e in g.edges() if e not in v_edges])
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sorted(p.undirected):
+            for u, v in ((a, b), (b, a)):
+                if _meek_orients(p, u, v):
+                    p.undirected.remove((a, b))
+                    p.directed.add((u, v))
+                    changed = True
+                    break
+    return p
+
+
 def descendants(d, edges, node):
     children = {v: set() for v in range(d)}
     for u, v in edges:

@@ -226,13 +226,6 @@ class TestPdag:
         with pytest.raises(ValueError, match="already adjacent"):
             p.add_directed(1, 0)
 
-    def test_orient(self):
-        p = Pdag(3, undirected=[(0, 1)])
-        p.orient(1, 0)
-        assert (1, 0) in p.directed and not p.undirected
-        with pytest.raises(ValueError):
-            p.orient(0, 1)
-
     def test_from_dag_and_pairs(self):
         p = Pdag.from_dag(Dag(3, [(2, 0), (0, 1)]))
         assert p.directed == {(2, 0), (0, 1)}
@@ -242,7 +235,8 @@ class TestPdag:
         p = Pdag(3, directed=[(0, 1)], undirected=[(1, 2)])
         q = copy_pdag(p)
         assert p == q
-        q.orient(1, 2)
+        q.undirected.remove((1, 2))
+        q.directed.add((1, 2))
         assert p != q
 
 

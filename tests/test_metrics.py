@@ -2,23 +2,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridbn.data import DataError
 from hybridbn.graphs import Dag, Pdag
 from hybridbn.metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
 from hybridbn.network import forward_sample
-from hybridbn.scoring import ScoreConfig, Scorer
+from hybridbn.scoring import ScoreConfig, Scorer, hill_climb
 from hybridbn.skeleton import Skeleton
-from hybridbn.synthetic import monotone_network, random_dag
+from hybridbn.synthetic import monotone_network, random_dag, random_network
 
 from helpers import (
     all_dags,
     brute_force_cpdag,
     covered_edge_class,
     equivalence_key,
+    meek_cpdag,
     random_pdag,
     random_pdag_pair,
+    true_skeleton,
 )
+
+
+@st.composite
+def drawn_dags(draw, max_nodes=8, max_parents=3):
+    """A DAG of up to max_nodes nodes: a node order, then for each node a
+    subset of the nodes before it as parents, cut to max_parents."""
+    d = draw(st.integers(1, max_nodes))
+    order = draw(st.permutations(range(d)))
+    edges = []
+    for j, y in enumerate(order):
+        picks = draw(st.lists(st.booleans(), min_size=j, max_size=j))
+        parents = [x for x, pick in zip(order, picks) if pick]
+        edges += [(x, y) for x in parents[:max_parents]]
+    return Dag(d, edges)
 
 
 def skel(d, *edges):
@@ -95,18 +113,16 @@ class TestDagToCpdag:
         p = dag_to_cpdag(Dag(4, [(0, 2), (1, 2), (2, 3)]))
         assert (2, 3) in p.directed
 
-    def test_equivalence_class_members_share_the_pattern(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            g = random_dag(6, 3, rng)
-            edges = tuple(sorted(g.edges()))
-            members = covered_edge_class(6, edges)
-            base = dag_to_cpdag(g)
-            for m in members:
-                assert dag_to_cpdag(Dag(6, m)) == base
-            # the pattern's adjacencies match the DAG's skeleton
-            key = equivalence_key(6, edges)
-            assert base.adjacency_pairs() == key[0]
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_dags())
+    def test_equivalence_class_members_share_the_pattern(self, g):
+        edges = tuple(sorted(g.edges()))
+        base = dag_to_cpdag(g)
+        for m in covered_edge_class(g.d, edges):
+            assert dag_to_cpdag(Dag(g.d, m)) == base
+        assert base == brute_force_cpdag(g.d, edges)
+        # the pattern's adjacencies match the DAG's skeleton
+        assert base.adjacency_pairs() == equivalence_key(g.d, edges)[0]
 
     def test_matches_brute_force_on_small_graphs(self):
         for d in (2, 3):
@@ -117,9 +133,10 @@ class TestDagToCpdag:
 
     def test_matches_brute_force_on_larger_graphs(self):
         # 6 to 12 nodes, up to 4 parents each: past the reach of check 4's
-        # enumeration. A closure that also ran Meek's rule 4 would orient an
-        # edge by rule 4 before rules 1-3 reach it in DAGs 35, 36, 75, 87,
-        # 137, 156, 166, 274 and 281 of this sequence.
+        # enumeration. The sequence stays because DAGs 35, 36, 75, 87, 137,
+        # 156, 166, 274 and 281 of it are ones where a Meek closure that ran
+        # rules 1-4 would fire rule 4 first, a case a CPDAG method is easily
+        # wrong on.
         rng = np.random.default_rng(0)
         for _ in range(300):
             d = int(rng.integers(6, 13))
@@ -127,8 +144,8 @@ class TestDagToCpdag:
             assert dag_to_cpdag(g) == brute_force_cpdag(d, tuple(g.edges()))
 
     def test_rules_one_to_three_close_where_rule_four_fires_first(self):
-        # Rules 1-4 would orient 6 -> 0 by rule 4 here, in the sweep before
-        # rules 1-3 could; rules 1-3 alone reach the same pattern
+        # Kept as a regression case: a Meek closure that ran rules 1-4 would
+        # orient 6 -> 0 by rule 4 here, before rules 1-3 reach it
         edges = ((1, 2), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4), (2, 5),
                  (4, 0), (5, 0), (5, 4), (6, 0), (6, 1), (6, 2), (6, 3),
                  (6, 4), (6, 5))
@@ -144,6 +161,29 @@ class TestDagToCpdag:
             assert p.adjacency_pairs() == {
                 (min(u, v), max(u, v)) for u, v in g.edges()
             }
+
+
+class TestWideDags:
+    """Past brute_force_cpdag's reach, Meek's closure is the oracle."""
+
+    def test_wide_random_dag(self):
+        g = random_dag(200, 3, np.random.default_rng(0))
+        assert dag_to_cpdag(g) == meek_cpdag(g)
+
+    def test_hill_climb_dag_on_the_true_skeleton(self):
+        rng = np.random.default_rng(0)
+        truth = random_dag(200, 3, rng)
+        net = random_network(truth, rng, arities=[3] * truth.d)
+        data = forward_sample(net, 5000, seed=0)
+        g = hill_climb(data, true_skeleton(truth)).dag
+        assert g.edge_count() > 0
+        assert dag_to_cpdag(g) == meek_cpdag(g)
+
+    def test_seeded_dags_of_20_to_60_nodes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = random_dag(int(rng.integers(20, 61)), 4, rng)
+            assert dag_to_cpdag(g) == meek_cpdag(g)
 
 
 class TestShd:
