@@ -9,6 +9,8 @@ is evidence, not tautology.
 import math
 import threading
 from collections import deque
+from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import mpmath
@@ -662,6 +664,56 @@ def chi2_sf_oracle(x, dof):
     return float(mpmath.gammainc(mpmath.mpf(dof) / 2, a=mpmath.mpf(x) / 2,
                                  regularized=True))
 
+
+@cache
+def temme_table(k_max=25, n_max=25):
+    """The coefficients d[k][n] of Temme's expansion (DLMF 8.12.12) for
+    k < k_max and n < n_max, as exact rationals.
+
+    The steps follow scipy's _precompute/gammainc_asy.py in exact
+    arithmetic, except that alpha comes from a recurrence, not Lagrange
+    inversion:
+
+    - lambda(eta) = sum alpha_m eta^m inverts eta^2 / 2 = lambda -
+      log(1 + lambda), eta of lambda's sign (DLMF 8.12.1, shifted to 0).
+      Differentiating gives lambda lambda' = eta (1 + lambda), whose
+      coefficients give each alpha_m (DLMF 8.12.13) from those before it,
+      starting at alpha_1 = 1;
+    - d[0][n] = (n + 2) alpha_(n+2), except d[0][0] = -1/3;
+    - d[k][n] = (-1)^k g_k d[0][n] + (n + 2) d[k-1][n+2], with Stirling's
+      g_k (DLMF 5.11.3) from the a_k of DLMF 5.11.6. Those live in Q(sqrt 2)
+      and are kept as pairs (p, q) = p + q sqrt 2; sqrt 2 a_2k is rational.
+    """
+    m = n_max + 2 * k_max
+    alpha = [Fraction(0), Fraction(1)]
+    for j in range(2, m + 2):
+        s = alpha[j - 1] - sum((j + 1 - i) * alpha[i] * alpha[j + 1 - i]
+                               for i in range(2, j))
+        alpha.append(s / (j + 1))
+    d0 = [Fraction(-1, 3)] + [(n + 2) * alpha[n + 2] for n in range(1, m)]
+
+    a = [(Fraction(0), Fraction(1, 2))]  # a_0 = sqrt(2) / 2
+    for k in range(1, 2 * k_max):
+        p, q = a[-1][0] / k, a[-1][1] / k
+        for j in range(1, k):
+            (p1, q1), (p2, q2) = a[j], a[k - j]
+            p -= (p1 * p2 + 2 * q1 * q2) / (j + 1)
+            q -= (p1 * q2 + q1 * p2) / (j + 1)
+        c = 1 + Fraction(1, k + 1)  # dividing by a_0 c multiplies by sqrt 2
+        a.append((2 * q / c, p / c))
+    g = []
+    rising = Fraction(1)  # (1/2)_k
+    for k in range(k_max):
+        p, q = a[2 * k]
+        assert p == 0
+        g.append(2 * rising * q)  # sqrt(2) (1/2)_k a_2k
+        rising *= Fraction(1, 2) + k
+
+    d = [d0]
+    for k in range(1, k_max):
+        d.append([(-1) ** k * g[k] * d0[n] + (n + 2) * d[k - 1][n + 2]
+                  for n in range(m - 2 * k)])
+    return tuple(tuple(row[:n_max]) for row in d)
 
 def mi_brute(counts):
     """Conditional mutual information by explicit loops over the table."""

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from hybridbn.independence import chi2_survival
 from hybridbn.network import forward_sample
 from hybridbn.scoring import LgammaTables, _family_counts, bdeu_local
 from hybridbn.synthetic import child_shape_network
+
+from helpers import temme_table
 
 
 def assert_same(ours, theirs):
@@ -166,7 +169,8 @@ class TestGammaincc:
     @given(a=floats(20, 1e5), edge=floats(-1e-3, 1e-3))
     def test_temme_region_edges(self, a, edge):
         # both sides of |x - a| / a = 0.3 (a < 200) and 4.5 / sqrt(a)
-        # (a > 200): outside, the port answers; inside, scipy does
+        # (a > 200): outside, igamc's series and continued fraction answer;
+        # inside, Temme's expansion does
         width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
         for x in (a * (1 + width + edge), a * (1 - width + edge)):
             if x >= 0:
@@ -194,12 +198,43 @@ class TestGammaincc:
         with pytest.raises(ValueError):
             special.gammaincc(1.0, -1.0)
 
+    @settings(max_examples=400, deadline=None)
+    @given(pair=st.one_of(
+        st.tuples(floats(20, 200, exclude_min=True, exclude_max=True),
+                  floats(-1, 1)),
+        st.tuples(floats(200, 1e5, exclude_min=True), floats(-1, 1)),
+    ))
+    @example(pair=(math.nextafter(20.0, 21.0), 0.0))
+    @example(pair=(50.0, 0.0))
+    @example(pair=(1e5, 1.0))
+    @example(pair=(1e5, -1.0))
+    def test_temme_region_equals_scipy(self, pair):
+        # a < 200 and a > 200, x anywhere inside the region, up to its edges
+        a, ratio = pair
+        width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
+        x = a * (1 + (1 - 1e-9) * width * ratio)
+        assert special._in_temme_region(a, x)
+        assert_same(special.gammaincc(a, x), sc.gammaincc(a, x))
+
+    def test_temme_table_is_the_exact_one(self):
+        # each literal is the double nearest the exact rational d[k][n];
+        # the oracle's first entries are Temme's closed forms
+        exact = temme_table()
+        assert exact[0][:4] == (Fraction(-1, 3), Fraction(1, 12),
+                                Fraction(-2, 135), Fraction(1, 864))
+        assert exact[1][:2] == (Fraction(-1, 540), Fraction(-1, 288))
+        assert len(special._TEMME_D) == len(exact) == 25
+        for k, (row, want) in enumerate(zip(special._TEMME_D, exact)):
+            assert len(row) == len(want) == 25
+            for n, (v, w) in enumerate(zip(row, want)):
+                assert v == float(w), (k, n)
+
     @settings(max_examples=100, deadline=None)
     @given(dof=st.integers(41, 2000).filter(lambda d: d != 400),
            ratio=floats(-1, 1))
     def test_chi2_survival_in_the_temme_region(self, dof, ratio):
-        # scipy still answers there, so the p-value is scipy's own; a = 200
-        # is in neither part of the region
+        # the p-value comes from the port of Temme's expansion and is
+        # scipy's own double; a = 200 is in neither part of the region
         a = dof / 2.0
         width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
         x = 2.0 * a * (1 + 0.99 * width * ratio)
@@ -207,9 +242,32 @@ class TestGammaincc:
         assert_same(chi2_survival(x, dof), sc.gammaincc(a, x / 2.0))
 
 
+# the switch points of erfc: erf below 1, P / Q below 8, R / S from 8, and
+# 0.0 (2.0 for negative x) where -x^2 < -MAXLOG
+ERFC_EDGES = (1.0, 8.0, math.sqrt(special.MAXLOG))
+
+
+class TestErfc:
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.one_of(
+        floats(-1, 1), floats(1, 8), floats(8, 27), floats(27, 1e3),
+        floats(-27, -1), floats(-1e3, -27),
+        around(*ERFC_EDGES), around(*(-e for e in ERFC_EDGES)),
+    ))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=math.nan)
+    def test_equals_scipy(self, x):
+        assert_same(special._erfc(x), sc.erfc(x))
+
+
 LEARN_AND_MLC = """
 import sys
+sys.modules["scipy"] = None  # an import of scipy now raises ImportError
 from hybridbn.cli import main
+from hybridbn.independence import chi2_survival
 from hybridbn.network import forward_sample
 from hybridbn.data import write_csv
 from hybridbn.synthetic import child_shape_network, two_cluster_network
@@ -221,7 +279,9 @@ assert main(["learn", "--data", out + "/child.csv", "--out", out + "/n.json"]) =
 assert main(["mlc", "--data", out + "/mlc.csv", "--label-count", "3",
              "--scenario", "mlp+mb", "--folds", "3", "--seed", "0",
              "--report", out + "/r.json"]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(repr(chi2_survival(100.0, 100)))  # a = x = 50: Temme's region
+print(sorted(m for m, module in sys.modules.items()
+             if module is not None and m.split(".")[0] == "scipy"))
 """
 
 
@@ -233,7 +293,9 @@ def test_learn_and_mlc_load_no_scipy(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    p_value, loaded = done.stdout.splitlines()
+    assert float(p_value) == sc.gammaincc(50.0, 50.0)
+    assert loaded == "[]"
 
 
 def test_bdeu_local_equals_the_gammaln_formula():
