@@ -42,7 +42,7 @@ class Dag:
     def edge_count(self):
         return sum(len(c) for c in self._children)
 
-    def has_path(self, a, b):
+    def _has_path(self, a, b):
         """True iff a directed path a -> ... -> b exists (a == b counts)."""
         if a == b:
             return True
@@ -65,7 +65,7 @@ class Dag:
             raise ValueError("self-loops are not allowed")
         if v in self._children[u]:
             raise ValueError(f"duplicate edge {u}->{v}")
-        if self.has_path(v, u):
+        if self._has_path(v, u):
             raise ValueError(f"edge {u}->{v} would create a cycle")
         self._children[u].add(v)
         self._parents[v].add(u)
@@ -127,74 +127,44 @@ def markov_sets(g):
     return MarkovSets(pc=tuple(pc), sp=tuple(sp))
 
 
+@dataclass(frozen=True)
 class Pdag:
-    """Partially directed graph: disjoint directed and undirected edge sets."""
+    """Partially directed graph over nodes 0..d-1, an immutable value.
 
-    __slots__ = ("d", "directed", "undirected")
+    directed holds (u, v) pairs and undirected (min, max) pairs, both as
+    frozensets. The edges are checked once, directed first, each set in the
+    order given: a self-loop, a node out of range or a pair named twice
+    raises ValueError.
+    """
 
-    def __init__(self, d, directed=(), undirected=()):
-        self.d = d
-        self.directed = set()
-        self.undirected = set()
-        for u, v in directed:
-            self.add_directed(u, v)
-        for u, v in undirected:
-            self.add_undirected(u, v)
+    d: int
+    directed: frozenset = frozenset()
+    undirected: frozenset = frozenset()
 
-    @staticmethod
-    def _norm(u, v):
-        return (u, v) if u < v else (v, u)
-
-    def _check(self, u, v):
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if not (0 <= u < self.d and 0 <= v < self.d):
-            raise ValueError("node out of range")
-
-    def add_directed(self, u, v):
-        self._check(u, v)
-        if self.adjacent(u, v):
-            raise ValueError(f"pair {u},{v} already adjacent")
-        self.directed.add((u, v))
-
-    def add_undirected(self, u, v):
-        self._check(u, v)
-        if self.adjacent(u, v):
-            raise ValueError(f"pair {u},{v} already adjacent")
-        self.undirected.add(self._norm(u, v))
-
-    def adjacent(self, u, v):
-        return (
-            (u, v) in self.directed
-            or (v, u) in self.directed
-            or self._norm(u, v) in self.undirected
-        )
+    def __post_init__(self):
+        seen = set()
+        for field in ("directed", "undirected"):
+            edges = []
+            for u, v in getattr(self, field):
+                if u == v:
+                    raise ValueError("self-loops are not allowed")
+                if not (0 <= u < self.d and 0 <= v < self.d):
+                    raise ValueError("node out of range")
+                pair = (u, v) if u < v else (v, u)
+                if pair in seen:
+                    raise ValueError(f"pair {u},{v} already adjacent")
+                seen.add(pair)
+                edges.append((u, v) if field == "directed" else pair)
+            object.__setattr__(self, field, frozenset(edges))
 
     def adjacency_pairs(self):
-        pairs = set(self.undirected)
-        pairs.update(self._norm(u, v) for u, v in self.directed)
-        return pairs
+        return self.undirected | {
+            (u, v) if u < v else (v, u) for u, v in self.directed
+        }
 
     @classmethod
     def from_dag(cls, g):
-        p = cls(g.d)
-        for u, v in g.edges():
-            p.add_directed(u, v)
-        return p
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pdag)
-            and self.d == other.d
-            and self.directed == other.directed
-            and self.undirected == other.undirected
-        )
-
-    def __repr__(self):
-        return (
-            f"Pdag(d={self.d}, directed={sorted(self.directed)}, "
-            f"undirected={sorted(self.undirected)})"
-        )
+        return cls(g.d, directed=g.edges())
 
 
 def _quote(name):

@@ -93,7 +93,7 @@ class PowersetClassifier:
     log_prior: np.ndarray
     log_like: list
 
-    def log_scores(self, rows):
+    def _log_scores(self, rows):
         """Unnormalized log posterior of each class for each row."""
         rows = np.asarray(rows)
         scores = np.repeat(self.log_prior[None, :], len(rows), axis=0)
@@ -103,7 +103,7 @@ class PowersetClassifier:
 
     def predict(self, rows):
         """Most probable class combination per row, shape (n, len(block))."""
-        idx = np.argmax(self.log_scores(rows), axis=1)
+        idx = np.argmax(self._log_scores(rows), axis=1)
         return np.asarray(self.classes, dtype=np.int32)[idx]
 
 

@@ -45,7 +45,7 @@ class BayesianNetwork:
         self.names = tuple(names)
         self.levels = tuple(tuple(lv) for lv in levels)
         self.cpts = [np.asarray(t, dtype=float) for t in cpts]
-        self.validate()
+        self._validate()
 
     @property
     def d(self):
@@ -55,17 +55,17 @@ class BayesianNetwork:
     def arities(self):
         return tuple(len(lv) for lv in self.levels)
 
-    def parent_arities(self, v):
+    def _parent_arities(self, v):
         return [len(self.levels[p]) for p in self.graph.parents(v)]
 
-    def validate(self):
+    def _validate(self):
         if not (len(self.names) == len(self.levels) == len(self.cpts) == self.d):
             raise DataError("variable metadata does not match the graph")
         for v in range(self.d):
             r = len(self.levels[v])
             if r < 2:
                 raise DataError(f"variable {self.names[v]!r} needs at least 2 levels")
-            q = math.prod(self.parent_arities(v))
+            q = math.prod(self._parent_arities(v))
             _check_cpt_cells(self.names[v], r, q)
             if self.cpts[v].shape != (r, q):
                 raise DataError(

@@ -101,11 +101,6 @@ def reverse_edge(g, u, v):
         raise
 
 
-def copy_pdag(p):
-    """An independent copy of the Pdag p."""
-    return Pdag(p.d, directed=p.directed, undirected=p.undirected)
-
-
 def ancestors(g, nodes):
     """All ancestors of the given nodes, including the nodes themselves."""
     anc = set(nodes)
@@ -196,18 +191,15 @@ def d_separated_sets(g, xs, ys, z):
 
 def random_pdag(d, rng, p_directed=0.2, p_undirected=0.15):
     """Random partially directed graph (no acyclicity requirement)."""
-    p = Pdag(d)
+    directed, undirected = [], []
     for u in range(d):
         for v in range(u + 1, d):
             roll = rng.random()
             if roll < p_directed:
-                if rng.random() < 0.5:
-                    p.add_directed(u, v)
-                else:
-                    p.add_directed(v, u)
+                directed.append((u, v) if rng.random() < 0.5 else (v, u))
             elif roll < p_directed + p_undirected:
-                p.add_undirected(u, v)
-    return p
+                undirected.append((u, v))
+    return Pdag(d, directed, undirected)
 
 
 def all_dags(d):
@@ -276,14 +268,8 @@ def class_cpdag(d, members):
     orientations that vary across members become undirected edges."""
     any_member = next(iter(members))
     all_edges = {e for m in members for e in m}
-    p = Pdag(d)
-    for u, v in any_member:
-        if (v, u) in all_edges:
-            if not p.adjacent(u, v):
-                p.add_undirected(u, v)
-        else:
-            p.add_directed(u, v)
-    return p
+    reversible = {(u, v) for u, v in any_member if (v, u) in all_edges}
+    return Pdag(d, directed=set(any_member) - reversible, undirected=reversible)
 
 
 _cpdag_memo = {}
@@ -301,22 +287,23 @@ def brute_force_cpdag(d, edges):
     return hit
 
 
-def _meek_orients(p, a, b):
+def _meek_orients(g, directed, undirected, a, b):
     # True when Meek's rule 1, 2 or 3 orients the undirected edge a-b as a->b.
+    # Orienting keeps the skeleton, so adjacency is read off the Dag g.
     # R1: c -> a, c and b nonadjacent
-    for c, w in p.directed:
-        if w == a and not p.adjacent(c, b):
+    for c, w in directed:
+        if w == a and not g.adjacent(c, b):
             return True
     # R2: a -> c -> b
-    for c, w in p.directed:
-        if c == a and (w, b) in p.directed:
+    for c, w in directed:
+        if c == a and (w, b) in directed:
             return True
     # R3: a - c -> b and a - d -> b with c, d nonadjacent
-    und_a = {v if u == a else u for u, v in p.undirected if a in (u, v)}
-    into_b = {u for u, w in p.directed if w == b}
+    und_a = {v if u == a else u for u, v in undirected if a in (u, v)}
+    into_b = {u for u, w in directed if w == b}
     spokes = sorted(und_a & into_b)
     for c, d in combinations(spokes, 2):
-        if not p.adjacent(c, d):
+        if not g.adjacent(c, d):
             return True
     return False
 
@@ -326,24 +313,23 @@ def meek_cpdag(g):
     v-structures start directed, the rest undirected, and rules 1-3 orient
     undirected edges until none applies. Polynomial, so it reaches DAGs far
     past brute_force_cpdag's enumeration."""
-    v_edges = set()
+    directed = set()
     for w in range(g.d):
         for u, v in combinations(g.parents(w), 2):
             if not g.adjacent(u, v):
-                v_edges.update([(u, w), (v, w)])
-    p = Pdag(g.d, directed=v_edges,
-             undirected=[e for e in g.edges() if e not in v_edges])
+                directed.update([(u, w), (v, w)])
+    undirected = {(min(e), max(e)) for e in g.edges() if e not in directed}
     changed = True
     while changed:
         changed = False
-        for a, b in sorted(p.undirected):
+        for a, b in sorted(undirected):
             for u, v in ((a, b), (b, a)):
-                if _meek_orients(p, u, v):
-                    p.undirected.remove((a, b))
-                    p.directed.add((u, v))
+                if _meek_orients(g, directed, undirected, u, v):
+                    undirected.remove((a, b))
+                    directed.add((u, v))
                     changed = True
                     break
-    return p
+    return Pdag(g.d, directed, undirected)
 
 
 def descendants(d, edges, node):
@@ -512,14 +498,14 @@ def _reference_legal_moves(dag, skeleton):
     d = dag.d
     for u in range(d):
         for v in sorted(skeleton.pc[u]):
-            if not dag.adjacent(u, v) and not dag.has_path(v, u):
+            if not dag.adjacent(u, v) and not dag._has_path(v, u):
                 yield ("add", u, v)
     edges = dag.edges()
     for u, v in edges:
         yield ("delete", u, v)
     for u, v in edges:
         remove_edge(dag, u, v)
-        reversible = not dag.has_path(u, v)
+        reversible = not dag._has_path(u, v)
         dag.add_edge(u, v)
         if reversible:
             yield ("reverse", u, v)
@@ -1113,10 +1099,6 @@ def random_dataset(rng, d, n, max_arity=2):
         [rng.integers(0, a, size=n, dtype=np.int32) for a in arities]
     )
     return from_array(rows, arities=arities)
-
-
-def dag_from_edges(d, edges):
-    return Dag(d, edges)
 
 
 def reference_powerset_tables(train, block, features, smoothing=1.0):

@@ -15,7 +15,6 @@ from hybridbn.synthetic import random_dag
 
 from helpers import (
     ancestors,
-    copy_pdag,
     d_separated,
     d_separated_sets,
     dsep_by_paths,
@@ -219,25 +218,40 @@ class TestMarkovSets:
 
 class TestPdag:
     def test_disjoint_adjacency(self):
-        p = Pdag(3)
-        p.add_directed(0, 1)
-        with pytest.raises(ValueError, match="already adjacent"):
-            p.add_undirected(0, 1)
-        with pytest.raises(ValueError, match="already adjacent"):
-            p.add_directed(1, 0)
+        for directed, undirected, pair in [
+            ([(0, 1)], [(0, 1)], "0,1"),
+            ([(0, 1), (1, 0)], [], "1,0"),
+            ([], [(1, 2), (2, 1)], "2,1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^pair {pair} already adjacent$"):
+                Pdag(3, directed, undirected)
+
+    def test_rejects_self_loops_and_unknown_nodes(self):
+        with pytest.raises(ValueError, match="^self-loops are not allowed$"):
+            Pdag(3, directed=[(1, 1)])
+        for edge in [(0, 3), (-1, 0)]:
+            with pytest.raises(ValueError, match="^node out of range$"):
+                Pdag(3, undirected=[edge])
 
     def test_from_dag_and_pairs(self):
         p = Pdag.from_dag(Dag(3, [(2, 0), (0, 1)]))
         assert p.directed == {(2, 0), (0, 1)}
         assert p.adjacency_pairs() == {(0, 2), (0, 1)}
 
-    def test_equality_and_copy(self):
+    def test_equal_values_hash_equal(self):
         p = Pdag(3, directed=[(0, 1)], undirected=[(1, 2)])
-        q = copy_pdag(p)
-        assert p == q
-        q.undirected.remove((1, 2))
-        q.directed.add((1, 2))
-        assert p != q
+        q = Pdag(3, directed={(0, 1)}, undirected={(2, 1)})
+        assert p == q and hash(p) == hash(q)
+        assert q.undirected == frozenset({(1, 2)})
+        assert p != Pdag(3, directed=[(0, 1), (1, 2)])
+        assert p != Pdag(4, directed=[(0, 1)], undirected=[(1, 2)])
+
+    def test_is_immutable(self):
+        p = Pdag(3, directed=[(0, 1)])
+        with pytest.raises(AttributeError):
+            p.directed.add((1, 2))
+        with pytest.raises(AttributeError):
+            p.d = 4
 
 
 class TestDot:

@@ -1,13 +1,19 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every helper of tests/helpers.py has a caller.
 
 Test oracles live in tests/helpers.py, not in the library. A public
 module-level function or class of src/hybridbn, or a public method of one
-of its classes, must be referenced from src/, demos/ or perfbench/. The
-references are read with ast, so a docstring that names a function is not
-a caller. Methods are matched by attribute name, whatever the object. A
-string constant equal to the name counts, because the skeleton reaches
-the batch queries of an independence source through getattr. A
-typing.Protocol declares an interface, not code, so it is exempt.
+of its classes, must be referenced from src/, demos/ or perfbench/. A
+method counts as called only by a reference outside its own class body, so
+a method that only its own class calls must be private. The references are
+read with ast, so a docstring that names a function is not a caller.
+Methods are matched by attribute name, whatever the object. A string
+constant equal to the name counts, because the skeleton reaches the batch
+queries of an independence source through getattr. A typing.Protocol
+declares an interface, not code, so it is exempt.
+
+A top-level function or class of tests/helpers.py must be referenced
+somewhere in tests/ outside its own definition.
 """
 
 import ast
@@ -23,8 +29,9 @@ def _is_protocol(node):
 
 
 def public_names():
-    """(module, qualified name, name) of each public function, class and
-    method defined at the top level of a module of src/hybridbn."""
+    """(path, class name or None, qualified name, name) of each public
+    function, class and method defined at the top level of a module of
+    src/hybridbn."""
     out = []
     for path in sorted((ROOT / "src" / "hybridbn").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -34,41 +41,62 @@ def public_names():
                 continue
             if isinstance(node, ast.ClassDef) and _is_protocol(node):
                 continue
-            out.append((path.stem, node.name, node.name))
+            out.append((path, None, node.name, node.name))
             if isinstance(node, ast.ClassDef):
-                out += [(path.stem, f"{node.name}.{m.name}", m.name)
+                out += [(path, node.name, f"{node.name}.{m.name}", m.name)
                         for m in node.body
                         if isinstance(m, ast.FunctionDef)
                         and not m.name.startswith("_")]
     return out
 
 
-def referenced_names():
-    """Every identifier that code under CALLER_DIRS reads, imports or
-    spells as a string constant."""
-    names = set()
-    for folder in CALLER_DIRS:
+def references(folders):
+    """(name, path, owner) for every identifier that code under the folders
+    reads, imports or spells as a string constant; owner is the name of the
+    top-level function or class whose body holds the reference, or None."""
+    out = set()
+    for folder in folders:
         for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.rpartition(".")[2])
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                owner = getattr(stmt, "name", None)
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        out.add((node.id, path, owner))
+                    elif isinstance(node, ast.Attribute):
+                        out.add((node.attr, path, owner))
+                    elif isinstance(node, ast.alias):
+                        out.add((node.name.rpartition(".")[2], path, owner))
+                    elif (isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)):
+                        out.add((node.value, path, owner))
+    return out
+
+
+def _referenced(refs, name, outside=None):
+    # True when some reference to name lies outside the (path, owner) body
+    return any(n == name and (p, o) != outside for n, p, o in refs)
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    defined, refs = public_names(), referenced_names()
+    defined, refs = public_names(), references(CALLER_DIRS)
     # the scan must see both sides, or the check would pass vacuously
     assert {"count_table", "CategoricalDataset.subset_rows",
-            "DataIndependenceSource.first_independent"} <= {q for _, q, _ in defined}
-    assert "IndependenceSource" not in {q for _, q, _ in defined}
-    assert {"build_skeleton", "results", "first_independent"} <= refs
-    unused = [f"{module}.{qualname}" for module, qualname, name in defined
-              if name not in refs]
-    assert unused == [], ("only tests call these; move them to tests/helpers.py "
-                          "or make them private: " + ", ".join(unused))
+            "DataIndependenceSource.first_independent"} <= {q for *_, q, _ in defined}
+    assert "IndependenceSource" not in {q for *_, q, _ in defined}
+    assert {"build_skeleton", "results", "first_independent"} <= {n for n, *_ in refs}
+    unused = [f"{path.stem}.{qualname}" for path, cls, qualname, name in defined
+              if not _referenced(refs, name, cls and (path, cls))]
+    assert unused == [], ("only tests or their own class call these; move them "
+                          "to tests/helpers.py or make them private: "
+                          + ", ".join(unused))
+
+
+def test_every_helper_has_a_caller():
+    path = ROOT / "tests" / "helpers.py"
+    helpers = [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    refs = references(["tests"])
+    assert {"from_array", "brute_force_cpdag"} <= set(helpers)
+    unused = [name for name in helpers
+              if not _referenced(refs, name, (path, name))]
+    assert unused == [], "nothing in tests/ uses these helpers: " + ", ".join(unused)
