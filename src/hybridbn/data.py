@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass, field
@@ -27,6 +28,12 @@ _CODE_LIMIT = 2**62
 
 class DataError(ValueError):
     """An input file or dataset violates the format contract."""
+
+
+def is_count(value):
+    """True for an integer setting: NumPy integers count, but bool does not,
+    though it is an int subclass (True is no tabu length)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def row_dtype(arities):
@@ -803,7 +810,8 @@ def write_json(doc, path):
 
 def name_pairs(pairs, index, what):
     """Index pairs of a JSON list of [name, name] pairs; index maps names to
-    indices and what names a pair in error messages."""
+    indices and what names a pair in error messages. A pair naming one
+    variable twice is a self-loop and a DataError."""
     out = []
     for pair in pairs:
         if not (
@@ -812,5 +820,7 @@ def name_pairs(pairs, index, what):
             and all(isinstance(t, str) and t in index for t in pair)
         ):
             raise DataError(f"bad {what} {pair!r}")
+        if pair[0] == pair[1]:
+            raise DataError(f"bad {what}: self-loop on {pair[0]!r}")
         out.append((index[pair[0]], index[pair[1]]))
     return out

@@ -4,105 +4,71 @@ import heapq
 from dataclasses import dataclass
 
 
+@dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph; mutations validate acyclicity.
+    """Directed acyclic graph over nodes 0..d-1, an immutable value.
 
-    Nodes are 0..d-1. Edges are held as parent and child sets per node;
-    add_edge rejects an edge that closes a cycle (one depth-first search).
+    The edges are checked once, in the order given: a node out of range, a
+    self-loop or an edge named twice raises ValueError. One Kahn pass
+    (Kahn 1962) with a heap of ready nodes then finds order, the
+    lexicographically smallest topological order; edges that leave a node
+    out of it close a cycle and raise ValueError. Each node's parents and
+    children are kept as sorted tuples.
     """
 
-    __slots__ = ("d", "_parents", "_children")
+    d: int
+    order: tuple
+    _parents: tuple
+    _children: tuple
 
     def __init__(self, d, edges=()):
         if d < 0:
             raise ValueError("d must be non-negative")
-        self.d = d
-        self._parents = [set() for _ in range(d)]
-        self._children = [set() for _ in range(d)]
+        parents = [[] for _ in range(d)]
+        children = [set() for _ in range(d)]
         for u, v in edges:
-            self.add_edge(u, v)
-
-    def _check_node(self, v):
-        if not 0 <= v < self.d:
-            raise ValueError(f"node {v} out of range")
+            for w in (u, v):
+                if not 0 <= w < d:
+                    raise ValueError(f"node {w} out of range")
+            if u == v:
+                raise ValueError("self-loops are not allowed")
+            if v in children[u]:
+                raise ValueError(f"duplicate edge {u}->{v}")
+            children[u].add(v)
+            parents[v].append(u)
+        children = tuple(tuple(sorted(c)) for c in children)
+        indeg = [len(p) for p in parents]
+        heap = [v for v in range(d) if not indeg[v]]  # ascending, so a heap
+        order = []
+        while heap:
+            u = heapq.heappop(heap)
+            order.append(u)
+            for w in children[u]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    heapq.heappush(heap, w)
+        if len(order) < d:
+            raise ValueError("the edges close a cycle")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "_parents", tuple(tuple(sorted(p)) for p in parents))
+        object.__setattr__(self, "_children", children)
 
     def parents(self, v):
-        return tuple(sorted(self._parents[v]))
+        return self._parents[v]
 
     def children(self, v):
-        return tuple(sorted(self._children[v]))
+        return self._children[v]
 
     def adjacent(self, u, v):
         return v in self._children[u] or u in self._children[v]
 
     def edges(self):
         """Sorted list of directed edges (u, v)."""
-        return sorted((u, v) for u in range(self.d) for v in self._children[u])
+        return [(u, v) for u in range(self.d) for v in self._children[u]]
 
     def edge_count(self):
-        return sum(len(c) for c in self._children)
-
-    def _has_path(self, a, b):
-        """True iff a directed path a -> ... -> b exists (a == b counts)."""
-        if a == b:
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for w in self._children[u]:
-                if w == b:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    def add_edge(self, u, v):
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        if v in self._children[u]:
-            raise ValueError(f"duplicate edge {u}->{v}")
-        if self._has_path(v, u):
-            raise ValueError(f"edge {u}->{v} would create a cycle")
-        self._children[u].add(v)
-        self._parents[v].add(u)
-
-    def copy(self):
-        g = Dag(self.d)
-        g._parents = [set(p) for p in self._parents]
-        g._children = [set(c) for c in self._children]
-        return g
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dag)
-            and self.d == other.d
-            and self._children == other._children
-        )
-
-    def __repr__(self):
-        return f"Dag(d={self.d}, edges={self.edges()})"
-
-
-def topological_order(g):
-    """Lexicographically smallest topological order (deterministic)."""
-    indeg = [len(g._parents[v]) for v in range(g.d)]
-    heap = [v for v in range(g.d) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for w in sorted(g._children[u]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != g.d:
-        raise ValueError("graph is cyclic")
-    return order
+        return sum(map(len, self._children))
 
 
 @dataclass(frozen=True)
@@ -116,12 +82,12 @@ class MarkovSets:
 
 def markov_sets(g):
     """Read pc and sp for every node off the graph."""
-    pc = [frozenset(g._parents[v] | g._children[v]) for v in range(g.d)]
+    pc = [frozenset(g.parents(v) + g.children(v)) for v in range(g.d)]
     sp = []
     for v in range(g.d):
         s = set()
-        for c in g._children[v]:
-            s |= g._parents[c]
+        for c in g.children(v):
+            s.update(g.parents(c))
         s.discard(v)
         sp.append(frozenset(s))
     return MarkovSets(pc=tuple(pc), sp=tuple(sp))
@@ -156,11 +122,6 @@ class Pdag:
                 seen.add(pair)
                 edges.append((u, v) if field == "directed" else pair)
             object.__setattr__(self, field, frozenset(edges))
-
-    def adjacency_pairs(self):
-        return self.undirected | {
-            (u, v) if u < v else (v, u) for u, v in self.directed
-        }
 
     @classmethod
     def from_dag(cls, g):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import JointCounts, count_table
+from .data import JointCounts, count_table, is_count
 from .special import gammaincc
 
 
@@ -37,8 +37,10 @@ class TestConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not (math.isfinite(self.power_threshold) and self.power_threshold > 0):
             raise ValueError("power_threshold must be finite and positive")
-        if self.max_condset is not None and self.max_condset < 0:
-            raise ValueError("max_condset must be non-negative")
+        if self.max_condset is not None and not (
+            is_count(self.max_condset) and self.max_condset >= 0
+        ):
+            raise ValueError("max_condset must be None or a non-negative integer")
         if self.power_cells not in POWER_CELLS:
             raise ValueError(f"power_cells must be one of {POWER_CELLS}")
 

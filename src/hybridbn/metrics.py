@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .data import DataError
-from .graphs import Pdag, topological_order
+from .graphs import Pdag
 from .scoring import ScoreConfig, Scorer
 
 
@@ -51,12 +51,11 @@ def dag_to_cpdag(g):
     z of y that is neither x nor a parent of x compels every edge into y;
     otherwise the edges into y not yet compelled are reversible.
     """
-    order = topological_order(g)
     rank = [0] * g.d
-    for i, v in enumerate(order):
+    for i, v in enumerate(g.order):
         rank[v] = i
     compelled, reversible = set(), []
-    for y in order:
+    for y in g.order:
         parents = set(g.parents(y))
         if not parents:
             continue
@@ -73,15 +72,9 @@ def dag_to_cpdag(g):
     return Pdag(g.d, directed=compelled, undirected=reversible)
 
 
-def _pair_status(p, u, v):
-    # u < v assumed; None, "und", "uv" or "vu"
-    if (u, v) in p.undirected:
-        return "und"
-    if (u, v) in p.directed:
-        return "uv"
-    if (v, u) in p.directed:
-        return "vu"
-    return None
+def _arrow_marks(p):
+    # an arrow mark u -> v for each directed edge, both for an undirected one
+    return p.directed | p.undirected | {(v, u) for u, v in p.undirected}
 
 
 def shd(a, b):
@@ -89,17 +82,12 @@ def shd(a, b):
 
     One unit per node pair whose adjacency presence differs, and one unit
     per pair adjacent in both but with different orientation status
-    (undirected vs directed, or directed opposite ways).
+    (undirected vs directed, or directed opposite ways): the distinct node
+    pairs among the arrow marks that only one of the two PDAGs has.
     """
     if a.d != b.d:
         raise ValueError("graphs have different node sets")
-    total = 0
-    for pair in a.adjacency_pairs() | b.adjacency_pairs():
-        sa = _pair_status(a, *pair)
-        sb = _pair_status(b, *pair)
-        if sa != sb:
-            total += 1
-    return total
+    return len({frozenset(m) for m in _arrow_marks(a) ^ _arrow_marks(b)})
 
 
 def holdout_scores(data, graphs, cfg=None):

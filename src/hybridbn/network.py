@@ -20,7 +20,7 @@ from .data import (
     row_dtype,
     write_json,
 )
-from .graphs import Dag, topological_order
+from .graphs import Dag
 
 _COLUMN_SUM_READ_TOL = 1e-6
 _COLUMN_SUM_TOL = 1e-9
@@ -117,7 +117,7 @@ def fit_cpts(dag, data, laplace=0.0):
         table[:, seen] = counts[:, seen] / totals[seen]
         table[:, ~seen] = 1.0 / r
         cpts.append(table)
-    return BayesianNetwork(dag.copy(), data.names, data.levels, cpts)
+    return BayesianNetwork(dag, data.names, data.levels, cpts)
 
 
 # Rows forward_sample draws a node at a time: three 8-byte arrays of this
@@ -134,7 +134,7 @@ def forward_sample(net, n, seed):
     rng = np.random.default_rng(seed)
     arities = net.arities
     rows = np.zeros((n, net.d), dtype=row_dtype(arities))
-    for v in topological_order(net.graph):
+    for v in net.graph.order:
         pa = net.graph.parents(v)
         cdf = np.cumsum(net.cpts[v], axis=0)
         # A node's draws are taken _SAMPLE_BLOCK rows at a time: random()
@@ -193,12 +193,16 @@ def read_network(path):
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise DataError("duplicate variable names")
-    dag = Dag(len(names))
-    for u, v in name_pairs(doc["edges"], index, "edge"):
-        try:
-            dag.add_edge(u, v)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+    edges = name_pairs(doc["edges"], index, "edge")
+    seen = set()
+    for u, v in edges:
+        if (u, v) in seen:
+            raise DataError(f"duplicate edge {names[u]!r} -> {names[v]!r}")
+        seen.add((u, v))
+    try:
+        dag = Dag(len(names), edges)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
     cpts = []
     for v, name in enumerate(names):
         if name not in doc["cpts"]:

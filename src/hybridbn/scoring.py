@@ -6,24 +6,18 @@ keyed by (node, sorted parent tuple) and evaluates moves through deltas.
 
 import heapq
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, count_table
+from .data import DataError, count_table, is_count
 from .graphs import Dag
 from .special import lgamma
 
 # Plateau guard: score gains below this never count as improvement, so float
 # drift cannot reset the patience counter.
 _IMPROVE_EPS = 1e-9
-
-
-def _is_int(value):
-    # NumPy integers count; bool is an int subclass, but True is no tabu length
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 SCORES = ("bdeu", "bic")
@@ -43,9 +37,9 @@ class ScoreConfig:
             raise ValueError(f"score must be one of {SCORES}")
         if not (math.isfinite(self.ess) and self.ess > 0):
             raise ValueError("ess must be finite and positive")
-        if not _is_int(self.tabu_length) or self.tabu_length < 0:
+        if not is_count(self.tabu_length) or self.tabu_length < 0:
             raise ValueError("tabu_length must be a non-negative integer")
-        if not _is_int(self.patience) or self.patience < 1:
+        if not is_count(self.patience) or self.patience < 1:
             raise ValueError("patience must be an integer of at least 1")
 
 
@@ -391,7 +385,7 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
             if stale >= cfg.patience:
                 stop = "patience"
                 break
-    best_dag = Dag(d, sorted(best_edges))
+    best_dag = Dag(d, best_edges)
     return SearchResult(
         dag=best_dag,
         score=scorer.total(best_dag),

@@ -303,7 +303,4 @@ def read_skeleton(path):
     if len(index) != len(names):
         raise DataError("duplicate skeleton node names")
     edges = name_pairs(doc["edges"], index, "skeleton edge")
-    for u, v in edges:
-        if u == v:
-            raise DataError(f"bad skeleton edge: self-loop on {names[u]!r}")
     return Skeleton(d=len(names), edges=frozenset(edges)), names

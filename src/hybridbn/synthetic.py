@@ -13,15 +13,15 @@ def random_dag(d, max_parents, rng):
     """Random DAG: a random node order, then up to max_parents parents per
     node drawn from its predecessors."""
     order = rng.permutation(d)
-    g = Dag(d)
+    edges = []
     for pos in range(1, d):
         node = int(order[pos])
         k = int(rng.integers(0, max_parents + 1))
         k = min(k, pos)
         if k:
-            for p in rng.choice(order[:pos], size=k, replace=False):
-                g.add_edge(int(p), node)
-    return g
+            edges += [(int(p), node)
+                      for p in rng.choice(order[:pos], size=k, replace=False)]
+    return Dag(d, edges)
 
 
 def _peaked_column(r, w, lo, hi):

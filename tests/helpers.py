@@ -82,25 +82,6 @@ def is_acyclic(d, edges):
     return seen == d
 
 
-def remove_edge(g, u, v):
-    """Delete the edge u -> v of the Dag g."""
-    if v not in g.children(u):
-        raise ValueError(f"no edge {u}->{v}")
-    g._children[u].remove(v)
-    g._parents[v].remove(u)
-
-
-def reverse_edge(g, u, v):
-    """Turn the edge u -> v of the Dag g into v -> u; when that closes a
-    cycle, g keeps u -> v and the ValueError is raised."""
-    remove_edge(g, u, v)
-    try:
-        g.add_edge(v, u)
-    except ValueError:
-        g.add_edge(u, v)
-        raise
-
-
 def ancestors(g, nodes):
     """All ancestors of the given nodes, including the nodes themselves."""
     anc = set(nodes)
@@ -399,6 +380,29 @@ def random_pdag_pair(rng, d):
     return random_pdag(d, rng), random_pdag(d, rng)
 
 
+def adjacency_pairs(p):
+    """The (min, max) node pairs adjacent in the PDAG p."""
+    return p.undirected | {(u, v) if u < v else (v, u) for u, v in p.directed}
+
+
+def _pair_status(p, u, v):
+    # u < v assumed; None, "und", "uv" or "vu"
+    if (u, v) in p.undirected:
+        return "und"
+    if (u, v) in p.directed:
+        return "uv"
+    if (v, u) in p.directed:
+        return "vu"
+    return None
+
+
+def reference_shd(a, b):
+    """shd as first written: one unit per node pair adjacent in either PDAG
+    whose status (absent, undirected, or directed one way) differs."""
+    return sum(_pair_status(a, *pair) != _pair_status(b, *pair)
+               for pair in adjacency_pairs(a) | adjacency_pairs(b))
+
+
 # -------------------------------------------------------------- skeleton
 
 
@@ -494,20 +498,19 @@ def reference_build_skeleton(src, cfg=None, universe=None):
 
 def _reference_legal_moves(dag, skeleton):
     # Deterministic enumeration: adds (skeleton-constrained), then deletes,
-    # then reverses; each ordered by (source, target).
+    # then reverses; each ordered by (source, target). An add or a reverse
+    # is legal when its candidate edge list is acyclic.
     d = dag.d
+    edges = dag.edges()
     for u in range(d):
         for v in sorted(skeleton.pc[u]):
-            if not dag.adjacent(u, v) and not dag._has_path(v, u):
+            if not dag.adjacent(u, v) and is_acyclic(d, edges + [(u, v)]):
                 yield ("add", u, v)
-    edges = dag.edges()
     for u, v in edges:
         yield ("delete", u, v)
     for u, v in edges:
-        remove_edge(dag, u, v)
-        reversible = not dag._has_path(u, v)
-        dag.add_edge(u, v)
-        if reversible:
+        rest = [e for e in edges if e != (u, v)]
+        if is_acyclic(d, rest + [(v, u)]):
             yield ("reverse", u, v)
 
 
@@ -516,9 +519,9 @@ _REFERENCE_OP_RANK = {"add": 0, "delete": 1, "reverse": 2}
 
 def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
     """The tabu hill climb as first written: every step enumerates every
-    legal move (one DFS per add and reverse), rescores each one and builds
-    its edge set for the tabu check. The package's incremental search must
-    return the same result."""
+    legal move (one acyclicity check per add and reverse), rescores each
+    one, builds its edge set for the tabu check and rebuilds the Dag. The
+    package's incremental search must return the same result."""
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
     cfg = cfg or ScoreConfig()
@@ -562,12 +565,8 @@ def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
             stop = "no_move"
             break
         op, u, v, delta, result = best_move
-        if op == "add":
-            dag.add_edge(u, v)
-        elif op == "delete":
-            remove_edge(dag, u, v)
-        else:
-            reverse_edge(dag, u, v)
+        dag = Dag(d, result)
+        if op == "reverse":
             local[u] = scorer.local(u, dag.parents(u))
         local[v] = scorer.local(v, dag.parents(v))
         current += delta
@@ -803,12 +802,10 @@ def reference_forward_sample(net, n, seed):
     passes, clamped to r - 1, with the parent configuration from
     ``np.ravel_multi_index``. The draws are consumed as the package does:
     one generator, nodes in its topological order."""
-    from hybridbn.graphs import topological_order
-
     rng = np.random.default_rng(seed)
     arities = net.arities
     rows = np.zeros((n, net.d), dtype=np.int32)
-    for v in topological_order(net.graph):
+    for v in net.graph.order:
         u = rng.random(n)
         pa = net.graph.parents(v)
         if pa:

@@ -4,59 +4,61 @@ import re
 import numpy as np
 import pytest
 
-from hybridbn.graphs import (
-    Dag,
-    Pdag,
-    markov_sets,
-    to_dot,
-    topological_order,
-)
+from hybridbn.graphs import Dag, Pdag, markov_sets, to_dot
 from hybridbn.synthetic import random_dag
 
 from helpers import (
+    adjacency_pairs,
+    all_dags,
     ancestors,
     d_separated,
     d_separated_sets,
     dsep_by_paths,
     is_acyclic,
-    remove_edge,
-    reverse_edge,
 )
 
 
 class TestDag:
-    def test_add_remove(self):
-        g = Dag(3)
-        g.add_edge(0, 1)
-        assert g.children(0) == (1,) and g.children(1) == ()
-        assert g.parents(1) == (0,) and g.children(0) == (1,)
-        remove_edge(g, 0, 1)
-        assert g.edge_count() == 0
+    def test_reads_parents_children_and_edges(self):
+        g = Dag(4, [(2, 1), (0, 1), (1, 3)])
+        assert g.parents(1) == (0, 2) and g.children(1) == (3,)
+        assert g.parents(0) == () and g.children(2) == (1,)
+        assert g.edges() == [(0, 1), (1, 3), (2, 1)] and g.edge_count() == 3
+        assert g.adjacent(3, 1) and not g.adjacent(0, 2)
 
     def test_rejects_cycles_self_loops_duplicates(self):
-        g = Dag(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="cycle"):
-            g.add_edge(2, 0)
-        with pytest.raises(ValueError, match="self-loop"):
-            g.add_edge(1, 1)
-        with pytest.raises(ValueError, match="duplicate"):
-            g.add_edge(0, 1)
-
-    def test_reverse_edge_restores_on_failure(self):
-        g = Dag(3, [(0, 1), (1, 2), (0, 2)])
-        with pytest.raises(ValueError):
-            reverse_edge(g, 0, 2)  # 1->2 and 0->1 force the cycle
-        assert 2 in g.children(0)
-
-    def test_copy_is_independent(self):
-        g = Dag(2, [(0, 1)])
-        h = g.copy()
-        remove_edge(h, 0, 1)
-        assert g.children(0) == (1,) and h.children(0) == ()
+        # each fault raises its own message
+        faults = [
+            (-1, [], "d must be non-negative"),
+            (3, [(0, 3)], "node 3 out of range"),
+            (3, [(-1, 0)], "node -1 out of range"),
+            (3, [(1, 1)], "self-loops are not allowed"),
+            (3, [(0, 1), (0, 1)], "duplicate edge 0->1"),
+            (3, [(0, 1), (1, 2), (2, 0)], "the edges close a cycle"),
+            # the first fault in edge order wins, and the cycle is found last
+            (3, [(1, 0), (0, 1), (2, 2)], "self-loops are not allowed"),
+            (3, [(0, 1), (1, 0), (0, 1)], "duplicate edge 0->1"),
+            (3, [(2, 2), (0, 5)], "self-loops are not allowed"),
+            (3, [(0, 5), (2, 2)], "node 5 out of range"),
+        ]
+        for d, edges, message in faults:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Dag(d, edges)
 
     def test_equality(self):
-        assert Dag(2, [(0, 1)]) == Dag(2, [(0, 1)])
+        g = Dag(4, [(0, 1), (2, 1), (1, 3)])
+        h = Dag(4, iter([(1, 3), (2, 1), (0, 1)]))
+        assert g == h and hash(g) == hash(h)
+        assert g != Dag(4, [(0, 1), (2, 1)])
+        assert g != Dag(5, [(0, 1), (2, 1), (1, 3)])
         assert Dag(2, [(0, 1)]) != Dag(2, [(1, 0)])
+
+    def test_is_immutable(self):
+        g = Dag(2, [(0, 1)])
+        with pytest.raises(AttributeError):
+            g.d = 3
+        with pytest.raises(AttributeError):
+            g.order = (1, 0)
 
 
 class TestAcyclicity:
@@ -98,14 +100,25 @@ class TestAcyclicity:
 class TestTopologicalOrder:
     def test_lexicographically_smallest(self):
         g = Dag(4, [(2, 0), (3, 1)])
-        assert topological_order(g) == [2, 0, 3, 1]
+        assert g.order == (2, 0, 3, 1)
+
+    def test_smallest_permutation_that_respects_the_edges(self):
+        # permutations come in lexicographic order, so the first one that
+        # puts every tail before its head is the smallest
+        perms = list(itertools.permutations(range(4)))
+        for edges in all_dags(4):
+            g = Dag(4, edges)
+            assert g.order == next(
+                p for p in perms
+                if all(p.index(u) < p.index(v) for u, v in edges)
+            ), edges
 
     def test_respects_edges(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g = random_dag(8, 3, rng)
-            order = topological_order(g)
-            pos = {v: i for i, v in enumerate(order)}
+            pos = {v: i for i, v in enumerate(g.order)}
+            assert sorted(g.order) == list(range(8))
             assert all(pos[u] < pos[v] for u, v in g.edges())
 
     def test_ancestors_include_selves(self):
@@ -236,7 +249,7 @@ class TestPdag:
     def test_from_dag_and_pairs(self):
         p = Pdag.from_dag(Dag(3, [(2, 0), (0, 1)]))
         assert p.directed == {(2, 0), (0, 1)}
-        assert p.adjacency_pairs() == {(0, 2), (0, 1)}
+        assert adjacency_pairs(p) == {(0, 2), (0, 1)}
 
     def test_equal_values_hash_equal(self):
         p = Pdag(3, directed=[(0, 1)], undirected=[(1, 2)])

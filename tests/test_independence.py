@@ -180,6 +180,16 @@ class TestTestConfig:
         with pytest.raises(ValueError):
             Config(power_cells="sometimes")
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_max_condset_must_be_an_integer(self, value):
+        # 1.5 used to pass and fail later inside the skeleton's search
+        with pytest.raises(ValueError, match="max_condset"):
+            Config(max_condset=value)
+
+    def test_numpy_integers_are_max_condsets(self):
+        # e.g. a value drawn with rng.integers
+        assert Config(max_condset=np.int64(2)).max_condset == 2
+
 
 def dataset_from_columns(*cols, arities=None):
     rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in cols])

@@ -307,6 +307,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_network(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("edges, message", [
+        # the errors name the variables as the file writes them
+        ([["a", "b"], ["b", "c"], ["a", "b"]], "duplicate edge 'a' -> 'b'"),
+        ([["a", "b"], ["b", "b"]], "bad edge: self-loop on 'b'"),
+        ([["a", "b"], ["b", "c"], ["c", "a"]], "the edges close a cycle"),
+    ])
+    def test_read_bad_edges_of_three_variables(self, tmp_path, edges, message):
+        doc = self._valid_doc()
+        doc["variables"].append({"name": "c", "levels": ["0", "1"]})
+        doc["cpts"]["c"] = [0.5, 0.5]
+        read_network(self._write(tmp_path, doc))
+        doc["edges"] = edges
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_network(self._write(tmp_path, doc))
+
     def test_read_negative_probability(self, tmp_path):
         doc = self._valid_doc()
         doc["cpts"]["a"] = [1.5, -0.5]

@@ -14,6 +14,9 @@ declares an interface, not code, so it is exempt.
 
 A top-level function or class of tests/helpers.py must be referenced
 somewhere in tests/ outside its own definition.
+
+No module of src/hybridbn imports a private (_-prefixed) name from another
+module of the package: a helper two modules share is public, in one place.
 """
 
 import ast
@@ -100,3 +103,32 @@ def test_every_helper_has_a_caller():
     unused = [name for name in helpers
               if not _referenced(refs, name, (path, name))]
     assert unused == [], "nothing in tests/ uses these helpers: " + ", ".join(unused)
+
+
+def private_imports(package):
+    """(module, imported name) for each _-prefixed name that a module of the
+    package imports from another of its modules."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != package.name:
+                continue
+            out += [(path.stem, alias.name) for alias in node.names
+                    if alias.name.startswith("_")]
+    return out
+
+
+def test_no_module_imports_a_private_name_of_another(tmp_path):
+    package = tmp_path / "hybridbn"
+    package.mkdir()
+    (package / "a.py").write_text("from .scoring import _is_int\n"
+                                  "from hybridbn.data import _CODE_LIMIT, row_dtype\n"
+                                  "from numpy import _private\n")
+    # the scan must see both spellings of a package import, or it would
+    # pass vacuously
+    assert private_imports(package) == [("a", "_is_int"), ("a", "_CODE_LIMIT")]
+    found = private_imports(ROOT / "src" / "hybridbn")
+    assert found == [], ("make these public, in one module: "
+                         + ", ".join(f"{m} imports {n}" for m, n in found))
