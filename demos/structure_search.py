@@ -2,28 +2,29 @@
 Hybrid structure learning end to end
 ====================================
 
-Constraint phase first: local discovery around every node, mutual edges
-kept. Score phase second: hill climbing with a tabu list, restricted to
-the skeleton. The learned equivalence class is then compared against the
-generating one and scored on held-out data.
+h2pc runs both phases. Constraint phase first: local discovery around
+every node, mutual edges kept. Score phase second: hill climbing with a
+tabu list, restricted to the skeleton. The learned equivalence class is
+then compared against the generating one and scored on held-out data.
 """
 
 from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.metrics import dag_to_cpdag, shd
 from hybridbn.network import forward_sample
-from hybridbn.scoring import ScoreConfig, Scorer, hill_climb
-from hybridbn.skeleton import build_skeleton
+from hybridbn.scoring import ScoreConfig, Scorer
+from hybridbn.skeleton import h2pc
 from hybridbn.synthetic import recovery_network
 
 net = recovery_network()
 train = forward_sample(net, 20000, seed=[2026, 0])
 holdout = forward_sample(net, 10000, seed=[2026, 1])
 
-skel = build_skeleton(DataIndependenceSource(train))
-print(f"constraint phase: {len(skel.edges)} candidate edges")
+run = h2pc(DataIndependenceSource(train))
+print(f"constraint phase: {len(run.skeleton.edges)} candidate edges, "
+      f"{run.ci_tests} CI tests")
 
-result = hill_climb(train, skel)
+result = run.search
 print(f"score phase: {result.moves} moves, "
       f"{result.dag.edge_count()} directed edges")
 print(f"BDeu (train): {result.score:.1f} vs empty {result.empty_score:.1f}")

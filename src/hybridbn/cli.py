@@ -27,7 +27,7 @@ from .multilabel import SCENARIOS, MlcConfig, run_scenario
 from .network import fit_cpts, forward_sample, read_network, write_network
 from .parallel import fork_map
 from .scoring import SCORES, ScoreConfig, hill_climb
-from .skeleton import Skeleton, build_skeleton, read_skeleton, write_skeleton
+from .skeleton import Skeleton, build_skeleton, h2pc, read_skeleton, write_skeleton
 
 _PATH_DESTS = {
     "data", "out", "out_dir", "report", "net", "truth", "test", "skeleton",
@@ -207,12 +207,11 @@ def cmd_learn(args):
         skel, names = read_skeleton(args.skeleton)
         if tuple(names) != data.names:
             raise DataError("skeleton variables do not match the dataset")
+        result = hill_climb(data, skel, score_cfg)
         ci_tests = 0
     else:
-        src = DataIndependenceSource(data, test_cfg)
-        skel = build_skeleton(src)
-        ci_tests = src.distinct_tests
-    result = hill_climb(data, skel, score_cfg)
+        run = h2pc(DataIndependenceSource(data, test_cfg), score_cfg)
+        skel, result, ci_tests = run.skeleton, run.search, run.ci_tests
     net = fit_cpts(result.dag, data, laplace=args.laplace)
     write_network(net, args.out)
     report = {
@@ -274,9 +273,8 @@ def cmd_benchmark(args):
         si, size, rep = cells[i]
         train = forward_sample(net, size, seed=[args.seed, si, rep, 0])
         test = forward_sample(net, args.test_n, seed=[args.seed, si, rep, 1])
-        src = DataIndependenceSource(train, test_cfg)
-        skel = build_skeleton(src)
-        result = hill_climb(train, skel, score_cfg)
+        run = h2pc(DataIndependenceSource(train, test_cfg), score_cfg)
+        skel, result = run.skeleton, run.search
         sm = skeleton_metrics(skel, truth_skel)
         on_train = holdout_scores(train, {"dag": result.dag}, score_cfg)
         on_test = holdout_scores(

@@ -26,8 +26,8 @@ from .data import (
 from .graphs import markov_sets
 from .independence import DataIndependenceSource, TestConfig
 from .parallel import fork_map
-from .scoring import ScoreConfig, hill_climb
-from .skeleton import build_skeleton, hpc
+from .scoring import ScoreConfig
+from .skeleton import h2pc, hpc
 
 
 def minimal_label_powersets(g, labels):
@@ -178,8 +178,8 @@ def learn_local_dag(data, labels, test_cfg=None, score_cfg=None, jobs=1):
 
     Discovery runs outward once: hpc around each label over the full
     universe, then hpc around the discovered neighbors (one expansion
-    ring). The AND-rule skeleton is built within that ring and handed to
-    the constrained hill climber; nodes outside the ring stay isolated.
+    ring). h2pc learns the DAG on that ring with the same source, whose
+    cached tests it reuses; nodes outside the ring stay isolated.
     jobs is accepted and has no effect.
     """
     labels = sorted(set(labels))
@@ -189,8 +189,7 @@ def learn_local_dag(data, labels, test_cfg=None, score_cfg=None, jobs=1):
         ring |= hpc(t, src)
     for t in sorted(ring - set(labels)):
         ring |= hpc(t, src)
-    skel = build_skeleton(src, universe=sorted(ring))
-    return hill_climb(data, skel, score_cfg).dag
+    return h2pc(src, score_cfg, universe=ring).search.dag
 
 
 def _boundary_features(dag, block, labels):

@@ -7,7 +7,8 @@ parents-children estimate on the restricted universe {T} union PCS union
 SPS (FDR-IAPC: the iamb_fdr boundary minus the members some subset of it
 separates from T), with a decentralized OR phase that rescues false
 negatives (hpc). The whole-graph skeleton keeps edge {X, Y} iff X is in
-hpc(Y) and Y is in hpc(X).
+hpc(Y) and Y is in hpc(X). h2pc, the hybrid learner, builds that skeleton
+and hands it to the tabu hill climb of hybridbn.scoring.
 
 Iteration order over variables follows dataset column order everywhere;
 with oracle sources the output is order-independent, with statistical
@@ -20,6 +21,7 @@ from typing import Protocol
 
 from .data import DataError, name_pairs, read_json_object, write_json
 from .independence import TestConfig
+from .scoring import SearchResult, hill_climb
 
 
 class IndependenceSource(Protocol):
@@ -37,7 +39,7 @@ class IndependenceSource(Protocol):
 
     A source without them is asked one test at a time, in the same order.
     A source's ``cfg`` (a TestConfig), where it has one, is the default of
-    hpc and build_skeleton.
+    hpc and build_skeleton, and so the test config of h2pc.
     """
 
     @property
@@ -278,6 +280,32 @@ def build_skeleton(src, cfg=None, jobs=1, universe=None):
             if y > x and x in hpcs[y]:
                 edges.add((x, y))
     return Skeleton(d=src.n_vars, edges=frozenset(edges))
+
+
+@dataclass(frozen=True)
+class H2pcResult:
+    """Output of h2pc: the AND-rule skeleton, the hill climb's SearchResult
+    on it, and the source's distinct CI tests once the skeleton was built."""
+
+    skeleton: Skeleton
+    search: SearchResult
+    ci_tests: int
+
+
+def h2pc(src, score_cfg=None, universe=None):
+    """H2PC: the AND-rule skeleton, then the tabu hill climb restricted to it.
+
+    Reads three things off the source: its ``data`` (the dataset the search
+    scores), its ``cfg`` (the test config of build_skeleton, TestConfig()
+    where it has none) and its ``distinct_tests`` once the skeleton is
+    built. Nodes outside universe (default: every node) are never tested
+    and stay isolated in the skeleton and the DAG. score_cfg defaults as in
+    hill_climb.
+    """
+    skeleton = build_skeleton(src, universe=universe)
+    ci_tests = src.distinct_tests
+    search = hill_climb(src.data, skeleton, score_cfg)
+    return H2pcResult(skeleton=skeleton, search=search, ci_tests=ci_tests)
 
 
 def write_skeleton(skel, names, path):

@@ -928,6 +928,14 @@ class RecordingSource:
     def n_vars(self):
         return self.inner.n_vars
 
+    @property
+    def data(self):
+        return self.inner.data
+
+    @property
+    def distinct_tests(self):
+        return self.inner.distinct_tests
+
     def _note(self, z):
         self.calls += 1
         self.threads.add(threading.get_ident())
@@ -987,6 +995,10 @@ class ReferenceSource:
     @property
     def n_vars(self):
         return self.data.d
+
+    @property
+    def distinct_tests(self):
+        return len(self._cache)
 
     def result(self, x, y, z=()):
         key = (min(x, y), max(x, y), tuple(sorted(z)))

@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridbn.cli import _score_cfg, _test_cfg, build_parser, main
-from hybridbn.data import kfold, write_csv
+from hybridbn.data import kfold, load_csv, write_csv
 from hybridbn.graphs import Dag
+from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.multilabel import MlcConfig
 from hybridbn.network import BayesianNetwork, forward_sample, write_network
 from hybridbn.scoring import ScoreConfig
-from hybridbn.skeleton import Skeleton, write_skeleton
+from hybridbn.skeleton import Skeleton, h2pc, write_skeleton
 from hybridbn.synthetic import (
     child_shape_network,
     monotone_network,
@@ -752,6 +753,16 @@ class TestLearn:
         # resolved configuration is echoed without any paths
         assert "data" not in rep["config"] and "out" not in rep["config"]
         assert rep["config"]["alpha"] == 0.05
+
+    def test_report_counts_are_those_of_h2pc(self, sampled_csv, tmp_path):
+        report = tmp_path / "report.json"
+        assert run("learn", "--data", sampled_csv, "--alpha", 0.01,
+                   "--out", tmp_path / "learned.json", "--report", report) == 0
+        rep = json.loads(report.read_text())
+        got = h2pc(DataIndependenceSource(load_csv(sampled_csv), Config(alpha=0.01)))
+        assert rep["ci_tests"] == got.ci_tests > 0
+        assert rep["skeleton_edges"] == len(got.skeleton.edges)
+        assert rep["dag_edges"] == got.search.dag.edge_count()
 
     def test_skeleton_reuse_matches_direct_run(self, sampled_csv, tmp_path):
         skel = tmp_path / "skel.json"

@@ -17,6 +17,14 @@ somewhere in tests/ outside its own definition.
 
 No module of src/hybridbn imports a private (_-prefixed) name from another
 module of the package: a helper two modules share is public, in one place.
+
+h2pc is the one place in src/ and demos/ that calls both build_skeleton and
+hill_climb: no other top-level function or class there may call both, and
+neither may a script's top-level statements. Calls are read, not names,
+because cli.py imports both for learn-skeleton and learn --skeleton.
+perfbench/ is exempt because its timed ops compose the two on purpose
+until the benchmark moves to h2pc (ROADMAP item 3), and tests/ because
+acceptance check 5 and the h2pc tests run the parts one by one.
 """
 
 import ast
@@ -132,3 +140,51 @@ def test_no_module_imports_a_private_name_of_another(tmp_path):
     found = private_imports(ROOT / "src" / "hybridbn")
     assert found == [], ("make these public, in one module: "
                          + ", ".join(f"{m} imports {n}" for m, n in found))
+
+
+COMPOSED = {"build_skeleton", "hill_climb"}
+
+
+def compositions(paths):
+    """(path, owner) for each top-level function or class (owner its name),
+    and each script body (owner None), of the files that calls every name
+    in COMPOSED."""
+    out = []
+    for path in paths:
+        owners = {}
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            called = owners.setdefault(getattr(stmt, "name", None), set())
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(getattr(func, "id", getattr(func, "attr", None)))
+        out += [(path, owner) for owner, called in owners.items()
+                if COMPOSED <= called]
+    return out
+
+
+def test_only_h2pc_composes_the_skeleton_and_the_search(tmp_path):
+    script = tmp_path / "script.py"
+    script.write_text("from hybridbn import skeleton\n"
+                      "from hybridbn.scoring import hill_climb\n"
+                      "def learn(src):\n"
+                      "    run = skeleton.build_skeleton\n"
+                      "    return hill_climb(src.data, run(src))\n"
+                      "def names_only():\n"
+                      "    return build_skeleton, hill_climb\n"
+                      "skel = skeleton.build_skeleton(src)\n"
+                      "print(hill_climb(data, skel))\n")
+    # a call through an attribute counts, a bare name does not, and the
+    # script body is one owner: the scan would otherwise pass vacuously
+    assert compositions([script]) == [(script, None)]
+    script.write_text("def learn(src):\n"
+                      "    return hill_climb(src.data, skeleton.build_skeleton(src))\n")
+    assert compositions([script]) == [(script, "learn")]
+    paths = sorted((ROOT / "src" / "hybridbn").glob("*.py"))
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    found = [(path.relative_to(ROOT).as_posix(), owner)
+             for path, owner in compositions(paths)]
+    assert found == [("src/hybridbn/skeleton.py", "h2pc")], (
+        "call h2pc instead of build_skeleton and hill_climb in: "
+        + ", ".join(f"{p}::{o or '<script>'}" for p, o in found
+                    if o != "h2pc"))

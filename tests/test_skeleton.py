@@ -10,11 +10,13 @@ from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.network import forward_sample
+from hybridbn.scoring import ScoreConfig, hill_climb
 from hybridbn.skeleton import (
     Skeleton,
     build_skeleton,
     de_pcs,
     de_sps,
+    h2pc,
     hpc,
     iamb_fdr,
     read_skeleton,
@@ -25,6 +27,7 @@ from hybridbn.synthetic import (
     monotone_network,
     random_dag,
     random_network,
+    recovery_network,
 )
 
 from helpers import (
@@ -316,6 +319,41 @@ class TestBuildSkeleton:
         assert skel != build_skeleton(src, Config())
         for t in range(ds.d):
             assert hpc(t, src) == hpc(t, src, None, cfg)
+
+
+class TestH2pc:
+    """h2pc is build_skeleton under the source's cfg, then hill_climb on it."""
+
+    TEST_CFG = Config(alpha=0.01, max_condset=2, power_cells="observed")
+    SCORE_CFG = ScoreConfig(score="bic", tabu_length=7, patience=4)
+
+    @pytest.mark.parametrize("network", [recovery_network, child_shape_network])
+    def test_is_the_skeleton_then_the_search(self, network):
+        ds = forward_sample(network(), 3000, seed=[5, 0])
+        got = h2pc(DataIndependenceSource(ds, self.TEST_CFG), self.SCORE_CFG)
+        src = DataIndependenceSource(ds, self.TEST_CFG)
+        skel = build_skeleton(src)
+        assert got.skeleton == skel
+        assert got.search == hill_climb(ds, skel, self.SCORE_CFG)
+        assert got.ci_tests == src.distinct_tests > 0
+        assert got.search.dag.edge_count() > 0
+
+    def test_nodes_outside_the_universe_stay_isolated(self):
+        ds = forward_sample(child_shape_network(), 2000, seed=[5, 1])
+        universe = {0, 1, 2, 3, 5, 8, 13}
+        src = DataIndependenceSource(ds, self.TEST_CFG)
+        got = h2pc(src, self.SCORE_CFG, universe=universe)
+        assert got.skeleton.edges
+        assert all({u, v} <= universe for u, v in got.skeleton.edges)
+        assert all({u, v} <= universe for u, v in got.search.dag.edges())
+        assert all({x, y, *z} <= universe for x, y, z in src._cache)
+
+    def test_result_is_immutable(self):
+        ds = forward_sample(monotone_network(Dag(3, [(0, 1), (1, 2)])), 500, seed=2)
+        got = h2pc(DataIndependenceSource(ds))
+        for name in ("skeleton", "search", "ci_tests"):
+            with pytest.raises(AttributeError):
+                setattr(got, name, None)
 
 
 class TestQueryOrder:
