@@ -8,7 +8,7 @@ blocks stay separate, which is cheaper than the full powerset and captures
 dependence that one-classifier-per-label misses.
 """
 
-from hybridbn.multilabel import MlcConfig, minimal_label_powersets, run_scenario
+from hybridbn.multilabel import MlcConfig, minimal_label_powersets, run_scenarios
 from hybridbn.network import forward_sample
 from hybridbn.synthetic import two_cluster_network
 
@@ -26,14 +26,13 @@ cfg = MlcConfig(folds=5, seed=7)
 
 print()
 print("5-fold cross-validation, exact-match accuracy over all six labels:")
-for scenario in ("br", "mlp", "mlp+mb"):
-    rep = run_scenario(data, labels, scenario, cfg)
+reports = run_scenarios(data, labels, ["br", "mlp", "mlp+mb"], cfg)
+for scenario, rep in reports.items():
     print(f"  {scenario:<7} accuracy {rep['accuracy_mean']:.3f} "
           f"(sd {rep['accuracy_sd']:.3f}), "
           f"blocks per fold {rep['n_blocks']['median']:.0f}")
 
-rep = run_scenario(data, labels, "mlp+mb", cfg)
-fold = rep["folds"][0]
+fold = reports["mlp+mb"]["folds"][0]
 print()
 print("fold 0 under mlp+mb:")
 for block, size in zip(fold["blocks"], fold["boundary_sizes"]):

@@ -8,6 +8,7 @@ skeleton converges to the generating one.
 """
 
 from hybridbn.independence import DataIndependenceSource
+from hybridbn.metrics import skeleton_metrics
 from hybridbn.network import forward_sample
 from hybridbn.skeleton import Skeleton, build_skeleton
 from hybridbn.synthetic import recovery_network
@@ -15,8 +16,8 @@ from hybridbn.synthetic import recovery_network
 net = recovery_network()
 g = net.graph
 
-# canonical undirected view of the generating DAG
-truth = Skeleton(g.d, frozenset((min(u, v), max(u, v)) for u, v in g.edges()))
+# undirected view of the generating DAG; Skeleton orders each pair
+truth = Skeleton(g.d, frozenset(g.edges()))
 print(f"generating network: {g.d} nodes, {len(truth.edges)} skeleton edges")
 print()
 print(f"{'n':>7}  {'edges':>5}  {'tp':>3}  {'fp':>3}  {'fn':>3}  "
@@ -25,13 +26,9 @@ print(f"{'n':>7}  {'edges':>5}  {'tp':>3}  {'fp':>3}  {'fn':>3}  "
 for n in (60, 100, 250, 1000, 5000, 20000):
     data = forward_sample(net, n, seed=[n, 0])
     skel = build_skeleton(DataIndependenceSource(data))
-    tp = len(skel.edges & truth.edges)
-    fp = len(skel.edges - truth.edges)
-    fn = len(truth.edges - skel.edges)
-    precision = 1.0 if tp + fp == 0 else tp / (tp + fp)
-    recall = tp / (tp + fn)
-    print(f"{n:>7}  {len(skel.edges):>5}  {tp:>3}  {fp:>3}  {fn:>3}  "
-          f"{precision:>9.3f}  {recall:>6.3f}")
+    m = skeleton_metrics(skel, truth)
+    print(f"{n:>7}  {len(skel.edges):>5}  {m.tp:>3}  {m.fp:>3}  {m.fn:>3}  "
+          f"{m.precision:>9.3f}  {m.recall:>6.3f}")
 
 print()
 print("at the smallest sizes the power rule and the FDR filter hold back")

@@ -10,9 +10,8 @@ then compared against the generating one and scored on held-out data.
 
 from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
-from hybridbn.metrics import dag_to_cpdag, shd
+from hybridbn.metrics import dag_to_cpdag, holdout_scores, shd
 from hybridbn.network import forward_sample
-from hybridbn.scoring import ScoreConfig, Scorer
 from hybridbn.skeleton import h2pc
 from hybridbn.synthetic import recovery_network
 
@@ -33,10 +32,11 @@ print(f"BDeu (train): {result.score:.1f} vs empty {result.empty_score:.1f}")
 distance = shd(dag_to_cpdag(result.dag), dag_to_cpdag(net.graph))
 print(f"SHD to the generating class: {distance}")
 
-scorer = Scorer(holdout, ScoreConfig(score="bdeu", ess=10.0))
-print(f"BDeu (holdout): learned {scorer.total(result.dag):.1f}, "
-      f"truth {scorer.total(net.graph):.1f}, "
-      f"empty {scorer.total(Dag(net.graph.d, [])):.1f}")
+scores = holdout_scores(holdout, {"learned": result.dag, "truth": net.graph,
+                                  "empty": Dag(net.graph.d)})
+print(f"BDeu (holdout): learned {scores['learned']['bdeu']:.1f}, "
+      f"truth {scores['truth']['bdeu']:.1f}, "
+      f"empty {scores['empty']['bdeu']:.1f}")
 
 print()
 print("learned edges (by name):")

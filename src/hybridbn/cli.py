@@ -23,7 +23,7 @@ from .data import DataError, all_or_none, load_csv, write_csv, write_json
 from .graphs import Dag, Pdag, to_dot
 from .independence import POWER_CELLS, DataIndependenceSource, TestConfig
 from .metrics import dag_to_cpdag, holdout_scores, shd, skeleton_metrics
-from .multilabel import SCENARIOS, MlcConfig, run_scenario
+from .multilabel import SCENARIOS, MlcConfig, learns_graph, run_scenario
 from .network import fit_cpts, forward_sample, read_network, write_network
 from .parallel import fork_map
 from .scoring import SCORES, ScoreConfig, hill_climb
@@ -309,8 +309,9 @@ def cmd_benchmark(args):
 
 
 def cmd_mlc(args):
-    if args.scenario == "br":
-        _refuse(args, _TEST_DESTS + _SCORE_DESTS, "is not read with --scenario br")
+    if not learns_graph(args.scenario):
+        _refuse(args, _TEST_DESTS + _SCORE_DESTS,
+                f"is not read with --scenario {args.scenario}")
     if (args.labels is None) == (args.label_count is None):
         raise _Usage("exactly one of --labels or --label-count is required")
     cfg = _config(

@@ -1,4 +1,4 @@
-"""Directed graphs over integer node ids: DAGs, PDAGs, Markov sets, DOT."""
+"""Directed graphs over integer node ids: DAGs, PDAGs, DOT."""
 
 import heapq
 from dataclasses import dataclass
@@ -69,28 +69,6 @@ class Dag:
 
     def edge_count(self):
         return sum(map(len, self._children))
-
-
-@dataclass(frozen=True)
-class MarkovSets:
-    """Per-node pc (parents + children) and sp (spouses); a node's Markov
-    blanket is pc | sp."""
-
-    pc: tuple
-    sp: tuple
-
-
-def markov_sets(g):
-    """Read pc and sp for every node off the graph."""
-    pc = [frozenset(g.parents(v) + g.children(v)) for v in range(g.d)]
-    sp = []
-    for v in range(g.d):
-        s = set()
-        for c in g.children(v):
-            s.update(g.parents(c))
-        s.discard(v)
-        sp.append(frozenset(s))
-    return MarkovSets(pc=tuple(pc), sp=tuple(sp))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .data import (
     parse_numeric_column,
     write_csv,
 )
-from .graphs import markov_sets
 from .independence import DataIndependenceSource, TestConfig
 from .parallel import fork_map
 from .scoring import ScoreConfig
@@ -34,47 +34,28 @@ def minimal_label_powersets(g, labels):
     """Connected components of the auxiliary graph on labels.
 
     Two labels are linked when they are adjacent in g or when some feature
-    node is a common child of both (a collider between them). Blocks are
-    sorted by smallest member.
+    node is a common child of both (a collider between them); one pass over
+    the label pairs merges the blocks of each linked pair. Blocks are sorted
+    tuples, sorted by smallest member.
     """
-    labels = sorted(set(labels))
     label_set = set(labels)
-    adj = {y: set() for y in labels}
-    for i, p in enumerate(labels):
-        ch_p = set(g.children(p))
-        for q in labels[i + 1:]:
-            linked = g.adjacent(p, q)
-            if not linked:
-                common = ch_p & set(g.children(q))
-                linked = bool(common - label_set)
-            if linked:
-                adj[p].add(q)
-                adj[q].add(p)
-    blocks = []
-    seen = set()
-    for y in labels:
-        if y in seen:
-            continue
-        comp = []
-        stack = [y]
-        seen.add(y)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        blocks.append(tuple(sorted(comp)))
-    return sorted(blocks)
+    block_of = {y: {y} for y in label_set}
+    for p, q in combinations(sorted(label_set), 2):
+        shared = set(g.children(p)).intersection(g.children(q))
+        if g.adjacent(p, q) or shared - label_set:
+            merged = block_of[p] | block_of[q]
+            for y in merged:
+                block_of[y] = merged
+    return sorted({tuple(sorted(b)) for b in block_of.values()})
 
 
 def powerset_markov_boundary(g, block, labels):
-    """Union of pc and sp over the block's members, minus every label node."""
-    ms = markov_sets(g)
+    """Parents, children and co-parents of the block's members (a member is
+    not its own co-parent), minus every label node."""
     out = set()
     for y in block:
-        out |= ms.pc[y] | ms.sp[y]
+        spouses = {p for c in g.children(y) for p in g.parents(c)} - {y}
+        out |= spouses.union(g.parents(y), g.children(y))
     return frozenset(out - set(labels))
 
 
@@ -208,6 +189,11 @@ _SCENARIO_RULES = {
 SCENARIOS = tuple(_SCENARIO_RULES)
 
 
+def learns_graph(scenario):
+    """True iff the scenario learns a local DAG on each fold."""
+    return _SCENARIO_RULES[scenario] != (None, None)
+
+
 @dataclass(frozen=True)
 class MlcConfig:
     folds: int = 10
@@ -277,14 +263,7 @@ def run_scenario(data, labels, scenario, cfg=None):
     DAG. mlp: minimal label powersets, all features. mlp+mb: minimal label
     powersets with per-block boundaries.
     """
-    key = _scenario_key(scenario)
-    return run_scenarios(data, labels, [key], cfg)[key]
-
-
-def _scenario_key(scenario):
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; pick one of {SCENARIOS}")
-    return scenario
+    return run_scenarios(data, labels, [scenario], cfg)[scenario]
 
 
 def run_scenarios(data, labels, scenarios, cfg=None):
@@ -300,7 +279,10 @@ def run_scenarios(data, labels, scenarios, cfg=None):
     depend on cfg.jobs.
     """
     cfg = cfg or MlcConfig()
-    keys = list(dict.fromkeys(_scenario_key(s) for s in scenarios))
+    keys = list(dict.fromkeys(scenarios))
+    for key in keys:
+        if key not in SCENARIOS:
+            raise ValueError(f"unknown scenario {key!r}; pick one of {SCENARIOS}")
     if not keys:
         raise ValueError("at least one scenario is required")
     if cfg.export_dir and len(keys) > 1:
@@ -313,7 +295,7 @@ def run_scenarios(data, labels, scenarios, cfg=None):
             raise ValueError(f"label index {y} out of range")
     all_features = tuple(v for v in range(data.d) if v not in set(labels))
     folds = kfold(data.n, cfg.folds, cfg.seed)
-    needs_graph = any(_SCENARIO_RULES[k] != (None, None) for k in keys)
+    needs_graph = any(map(learns_graph, keys))
     numeric = _numeric_columns(data, labels) if cfg.binarize else {}
 
     def run_fold(f):

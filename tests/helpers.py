@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 
 from hybridbn.data import CategoricalDataset, DataError
 from hybridbn.graphs import Dag, Pdag
@@ -60,6 +61,20 @@ def genbase_shape_network():
 
 
 # ---------------------------------------------------------------- graphs
+
+
+@st.composite
+def drawn_dags(draw, max_nodes=8, max_parents=3, min_nodes=1):
+    """A DAG of min_nodes to max_nodes nodes: a node order, then for each
+    node a subset of the nodes before it as parents, cut to max_parents."""
+    d = draw(st.integers(min_nodes, max_nodes))
+    order = draw(st.permutations(range(d)))
+    edges = []
+    for j, y in enumerate(order):
+        picks = draw(st.lists(st.booleans(), min_size=j, max_size=j))
+        parents = [x for x, pick in zip(order, picks) if pick]
+        edges += [(x, y) for x in parents[:max_parents]]
+    return Dag(d, edges)
 
 
 def is_acyclic(d, edges):
@@ -1055,6 +1070,58 @@ def set_partitions(items):
         for i in range(len(smaller)):
             yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:]
         yield [[first]] + smaller
+
+
+def reference_label_powersets(g, labels):
+    """Minimal label powersets by depth-first search: an adjacency dict of
+    the linked label pairs (adjacent in g, or with a common child outside
+    the labels), walked with a stack. Blocks are sorted tuples, sorted by
+    smallest member."""
+    labels = sorted(set(labels))
+    label_set = set(labels)
+    adj = {y: set() for y in labels}
+    for i, p in enumerate(labels):
+        ch_p = set(g.children(p))
+        for q in labels[i + 1:]:
+            linked = g.adjacent(p, q)
+            if not linked:
+                common = ch_p & set(g.children(q))
+                linked = bool(common - label_set)
+            if linked:
+                adj[p].add(q)
+                adj[q].add(p)
+    blocks = []
+    seen = set()
+    for y in labels:
+        if y in seen:
+            continue
+        comp = []
+        stack = [y]
+        seen.add(y)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        blocks.append(tuple(sorted(comp)))
+    return sorted(blocks)
+
+
+def markov_sets(g):
+    """(pc, sp) for every node of g: pc[v] holds v's parents and children,
+    sp[v] its spouses (the other parents of its children); v's Markov
+    blanket is pc[v] | sp[v]."""
+    pc = [frozenset(g.parents(v) + g.children(v)) for v in range(g.d)]
+    sp = []
+    for v in range(g.d):
+        s = set()
+        for c in g.children(v):
+            s.update(g.parents(c))
+        s.discard(v)
+        sp.append(frozenset(s))
+    return tuple(pc), tuple(sp)
 
 
 def brute_min_partition(g, labels):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hybridbn.graphs import Dag, Pdag, markov_sets, to_dot
+from hybridbn.graphs import Dag, Pdag, to_dot
 from hybridbn.synthetic import random_dag
 
 from helpers import (
@@ -186,47 +186,6 @@ class TestDSeparation:
             d_separated_sets(g, set(), {1}, set())
         with pytest.raises(ValueError):
             d_separated_sets(g, {0}, {0}, set())
-
-
-class TestMarkovSets:
-    def test_collider_with_child(self):
-        # A(0) -> C(2) <- B(1), C -> D(3)
-        g = Dag(4, [(0, 2), (1, 2), (2, 3)])
-        ms = markov_sets(g)
-        assert ms.pc[2] == frozenset({0, 1, 3})
-        assert ms.sp[0] == frozenset({1})
-        assert ms.pc[0] | ms.sp[0] == frozenset({2, 1})
-
-    def test_edgeless(self):
-        ms = markov_sets(Dag(3))
-        assert all(not s for s in ms.pc + ms.sp)
-
-    def test_pc_symmetric(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            g = random_dag(7, 3, rng)
-            ms = markov_sets(g)
-            for x in range(7):
-                for y in ms.pc[x]:
-                    assert x in ms.pc[y]
-
-    def test_mb_is_minimal_separating_set(self):
-        rng = np.random.default_rng(29)
-        for _ in range(25):
-            d = 7
-            g = random_dag(d, 3, rng)
-            ms = markov_sets(g)
-            for x in range(d):
-                mb = ms.pc[x] | ms.sp[x]
-                outside = [y for y in range(d) if y != x and y not in mb]
-                for y in outside:
-                    assert d_separated(g, x, y, mb)
-                for m in mb:
-                    reduced = mb - {m}
-                    candidates = outside + [m]
-                    assert any(
-                        not d_separated(g, x, y, reduced) for y in candidates
-                    )
 
 
 class TestPdag:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hybridbn.data import DataError
 from hybridbn.graphs import Dag, Pdag
@@ -18,6 +17,7 @@ from helpers import (
     all_dags,
     brute_force_cpdag,
     covered_edge_class,
+    drawn_dags,
     equivalence_key,
     meek_cpdag,
     random_pdag,
@@ -25,20 +25,6 @@ from helpers import (
     reference_shd,
     true_skeleton,
 )
-
-
-@st.composite
-def drawn_dags(draw, max_nodes=8, max_parents=3):
-    """A DAG of up to max_nodes nodes: a node order, then for each node a
-    subset of the nodes before it as parents, cut to max_parents."""
-    d = draw(st.integers(1, max_nodes))
-    order = draw(st.permutations(range(d)))
-    edges = []
-    for j, y in enumerate(order):
-        picks = draw(st.lists(st.booleans(), min_size=j, max_size=j))
-        parents = [x for x, pick in zip(order, picks) if pick]
-        edges += [(x, y) for x in parents[:max_parents]]
-    return Dag(d, edges)
 
 
 def skel(d, *edges):

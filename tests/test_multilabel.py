@@ -37,9 +37,13 @@ from helpers import (
     RecordingSource,
     blanket_and_minimal,
     brute_min_partition,
+    d_separated,
+    drawn_dags,
     from_array,
     genbase_shape_network,
+    markov_sets,
     predict_mpe,
+    reference_label_powersets,
     reference_powerset_tables,
 )
 
@@ -92,7 +96,74 @@ class TestDecomposition:
             assert flat == labels
 
 
+@st.composite
+def dags_and_labels(draw):
+    # 0 to 15 nodes with up to 4 parents; labels in drawn order, from none
+    # to every node
+    g = draw(drawn_dags(max_nodes=15, max_parents=4, min_nodes=0))
+    order = draw(st.permutations(range(g.d)))
+    return g, order[:draw(st.integers(0, g.d))]
+
+
+class TestAgainstOracles:
+    @given(dags_and_labels())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_and_boundaries_match_the_oracles(self, case):
+        # the depth-first search over linked label pairs for the blocks, the
+        # per-node pc and sp sets for the boundaries, also of single-node
+        # blocks outside the labels
+        g, labels = case
+        blocks = minimal_label_powersets(g, labels)
+        assert blocks == reference_label_powersets(g, labels)
+        pc, sp = markov_sets(g)
+        for block in blocks + [(v,) for v in range(g.d) if v not in labels]:
+            want = frozenset().union(*(pc[y] | sp[y] for y in block))
+            assert powerset_markov_boundary(g, block, labels) == want - set(labels)
+
+
+def blanket(g, x):
+    # the Markov blanket of node x: its boundary as a single-node block
+    # when no node is a label
+    return powerset_markov_boundary(g, (x,), [])
+
+
 class TestBoundary:
+    def test_collider_with_child(self):
+        # A(0) -> C(2) <- B(1), C -> D(3)
+        g = Dag(4, [(0, 2), (1, 2), (2, 3)])
+        assert blanket(g, 2) == frozenset({0, 1, 3})
+        assert blanket(g, 0) == frozenset({1, 2})
+        assert blanket(g, 3) == frozenset({2})
+
+    def test_edgeless(self):
+        g = Dag(3)
+        assert all(not blanket(g, x) for x in range(3))
+
+    def test_blanket_symmetric(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            g = random_dag(7, 3, rng)
+            for x in range(7):
+                for y in blanket(g, x):
+                    assert x in blanket(g, y)
+
+    def test_mb_is_minimal_separating_set(self):
+        rng = np.random.default_rng(29)
+        for _ in range(25):
+            d = 7
+            g = random_dag(d, 3, rng)
+            for x in range(d):
+                mb = blanket(g, x)
+                outside = [y for y in range(d) if y != x and y not in mb]
+                for y in outside:
+                    assert d_separated(g, x, y, mb)
+                for m in mb:
+                    reduced = mb - {m}
+                    candidates = outside + [m]
+                    assert any(
+                        not d_separated(g, x, y, reduced) for y in candidates
+                    )
+
     def test_parents_and_children(self):
         # features 0, 1 drive the block {3, 4}; 3 -> 4 keeps them together
         g = Dag(5, [(0, 3), (1, 3), (1, 4), (3, 4)])

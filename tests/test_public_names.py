@@ -25,10 +25,17 @@ because cli.py imports both for learn-skeleton and learn --skeleton.
 perfbench/ is exempt because its timed ops compose the two on purpose
 until the benchmark moves to h2pc (ROADMAP item 3), and tests/ because
 acceptance check 5 and the h2pc tests run the parts one by one.
+
+The scenario table of multilabel.py is the one place that names a scenario:
+no other module of src/hybridbn may hold a string constant equal to one of
+SCENARIOS, so that a question about a scenario (does it learn a graph?) is
+asked of the table, not answered by comparing names.
 """
 
 import ast
 from pathlib import Path
+
+from hybridbn.multilabel import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "demos", "perfbench")
@@ -188,3 +195,33 @@ def test_only_h2pc_composes_the_skeleton_and_the_search(tmp_path):
         "call h2pc instead of build_skeleton and hill_climb in: "
         + ", ".join(f"{p}::{o or '<script>'}" for p, o in found
                     if o != "h2pc"))
+
+
+def scenario_constants(paths):
+    """(path, line, value) for each string constant of the files that equals
+    a scenario name."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in SCENARIOS:
+                out.append((path, node.lineno, node.value))
+    return out
+
+
+def test_only_the_scenario_table_names_a_scenario(tmp_path):
+    script = tmp_path / "cli.py"
+    script.write_text("def cmd_mlc(args):\n"
+                      "    if args.scenario == 'br':\n"
+                      "        return ('mlp+mb', 'br ', 0)\n")
+    # the scan must see a comparison and a tuple member, and match whole
+    # names only, or it would pass vacuously
+    assert [(line, v) for _, line, v in scenario_constants([script])] == [
+        (2, "br"), (3, "mlp+mb")]
+    package = ROOT / "src" / "hybridbn"
+    table = scenario_constants([package / "multilabel.py"])
+    assert {v for *_, v in table} == set(SCENARIOS)
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "multilabel.py"]
+    found = scenario_constants(paths)
+    assert found == [], ("ask multilabel's scenario table instead of naming "
+                         "a scenario in: " + ", ".join(
+                             f"{p.name}:{line} {v!r}" for p, line, v in found))
