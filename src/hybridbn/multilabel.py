@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import (
     CategoricalDataset,
+    DataError,
     all_or_none,
     count_table,
     kfold,
@@ -97,7 +98,8 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
     lexicographic order of ``np.unique(..., axis=0)`` and the column order of
     ``count_table(train, (f,), block)``, and a weighted ``bincount`` of the
     ranks gives each class's count. A training set with no rows is a
-    ValueError.
+    ValueError; a smoothed class total past the double range, which would
+    make every log-likelihood -inf, is a DataError.
     """
     block = tuple(sorted(block))
     features = tuple(sorted(features))
@@ -117,13 +119,19 @@ def fit_powerset_classifier(train, block, features, smoothing=1.0):
     first[ranks] = np.arange(ranks.size)
     log_prior = np.log(n_c / train.n)
     log_like = []
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         for f in features:
             # columns of the table are the observed block configurations in
             # lexicographic order, which is the order of classes
             counts = np.ascontiguousarray(count_table(train, (f,), block).T,
                                           dtype=float) + smoothing
-            log_like.append(np.log(counts / counts.sum(axis=1, keepdims=True)))
+            totals = counts.sum(axis=1, keepdims=True)
+            if not np.all(np.isfinite(totals)):
+                raise DataError(
+                    f"the likelihoods of {train.names[f]!r} are not finite "
+                    f"with smoothing = {smoothing!r}"
+                )
+            log_like.append(np.log(counts / totals))
     return PowersetClassifier(
         block=block,
         features=features,

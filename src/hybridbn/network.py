@@ -88,7 +88,10 @@ def _check_cpt(name, table, tol):
     # Written so that NaN entries fail every test.
     if not np.all(np.isfinite(table)):
         raise DataError(f"CPT of {name!r} has non-finite entries")
-    if not np.all(np.abs(table.sum(axis=0) - 1.0) <= tol):
+    # finite entries can still sum past the double range; that sum is inf
+    with np.errstate(over="ignore"):
+        sums = table.sum(axis=0)
+    if not np.all(np.abs(sums - 1.0) <= tol):
         raise DataError(f"CPT column of {name!r} does not sum to 1")
     if not np.all(table >= 0):
         raise DataError(f"CPT of {name!r} has negative entries")
@@ -99,7 +102,8 @@ def fit_cpts(dag, data, laplace=0.0):
 
     With laplace = 0, parent configurations never observed get a uniform
     column (there is no evidence to prefer any level). A family whose CPT
-    would pass CPT_CELL_LIMIT cells is a DataError, raised before counting.
+    would pass CPT_CELL_LIMIT cells is a DataError, raised before counting,
+    and so is a smoothed column total past the double range.
     """
     if not (math.isfinite(laplace) and laplace >= 0):
         raise ValueError("laplace must be finite and non-negative")
@@ -111,7 +115,11 @@ def fit_cpts(dag, data, laplace=0.0):
         _check_cpt_cells(data.names[v], r, q)
         counts = count_table(data, (v, *pa)).reshape(r, q).astype(float)
         counts += laplace
-        totals = counts.sum(axis=0)
+        with np.errstate(over="ignore"):
+            totals = counts.sum(axis=0)
+        if not np.all(np.isfinite(totals)):
+            raise DataError(f"the CPT of {data.names[v]!r} is not finite "
+                            f"with laplace = {laplace!r}")
         table = np.empty_like(counts)
         seen = totals > 0
         table[:, seen] = counts[:, seen] / totals[seen]
@@ -219,7 +227,10 @@ def read_network(path):
             raise DataError(
                 f"CPT for {name!r} has {len(flat)} entries, expected {r * q}"
             )
-        table = np.asarray(flat, dtype=float).reshape(r, q)
+        try:
+            table = np.asarray(flat, dtype=float).reshape(r, q)
+        except OverflowError:  # an int past the double range
+            raise DataError(f"CPT of {name!r} has non-finite entries") from None
         _check_cpt(name, table, _COLUMN_SUM_READ_TOL)
         cpts.append(table / table.sum(axis=0))
     return BayesianNetwork(dag, names, levels, cpts)

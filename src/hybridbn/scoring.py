@@ -233,9 +233,6 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     nbrs = [tuple(sorted(skeleton.pc[v])) for v in range(d)]
     parents = [() for _ in range(d)]
     local = [scorer.local(v, ()) for v in range(d)]
-    # toggle[v][u]: score delta of adding u to, or deleting it from, v's
-    # parents; filled when first needed, dropped when v's family changes
-    toggle = [{} for _ in range(d)]
     anc = [0] * d
     # live[op, u, v] is the heap entry (-delta, op, u, v) of a move whose
     # delta is current; any other heap entry is outdated and skipped. Every
@@ -252,26 +249,21 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     best_edges = frozenset()
     current_edges = frozenset()
     # the last tabu_length structures, oldest first, and the same as a set:
-    # each move leaves the window, so no structure is in it twice; with
-    # tabu_length 0 both stay empty and nothing is tabu
+    # each move leaves the window, so no structure is in it twice
     tabu = deque()
     in_tabu = set()
 
     def visit(edges):
-        if cfg.tabu_length == 0:
-            return
-        if len(tabu) == cfg.tabu_length:
-            in_tabu.remove(tabu.popleft())
         tabu.append(edges)
         in_tabu.add(edges)
+        while len(tabu) > cfg.tabu_length:
+            in_tabu.remove(tabu.popleft())
 
     def toggled(v, u):
-        delta = toggle[v].get(u)
-        if delta is None:
-            pa_v = parents[v]
-            rest = tuple(w for w in pa_v if w != u) if u in pa_v else pa_v + (u,)
-            delta = toggle[v][u] = scorer.local(v, rest) - local[v]
-        return delta
+        # score delta of adding u to, or deleting it from, v's parents
+        pa_v = parents[v]
+        rest = tuple(w for w in pa_v if w != u) if u in pa_v else pa_v + (u,)
+        return scorer.local(v, rest) - local[v]
 
     def reversible(u, v):
         # reversing u -> v closes a cycle iff u is a proper ancestor of
@@ -372,7 +364,6 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         unblocked = op != _ADD
         for w in changed:
             local[w] = scorer.local(w, parents[w])
-            toggle[w] = {}
         current += delta
         moves += 1
         visit(current_edges)

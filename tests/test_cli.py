@@ -25,6 +25,7 @@ from hybridbn.synthetic import (
     monotone_network,
     random_dag,
     recovery_network,
+    two_cluster_network,
 )
 
 from helpers import genbase_shape_network
@@ -695,6 +696,61 @@ class TestBadInput:
         self.assert_one_line(capsys, "data error: CPT of 'c' is too large")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "evaluate", "benchmark",
+                                         "export-dot"])
+    @pytest.mark.parametrize("column, message", [
+        # the integer made np.asarray raise an OverflowError traceback
+        ([10**400, 0], "CPT of 'a' has non-finite entries"),
+        # finite entries whose sum overflows: NumPy warned before the error
+        ([1e308, 1e308], "CPT column of 'a' does not sum to 1"),
+    ])
+    def test_cpt_past_the_double_range(self, command, column, message,
+                                       tmp_path, capsys):
+        doc = {
+            "variables": [{"name": "a", "levels": ["0", "1"]},
+                          {"name": "b", "levels": ["0", "1"]}],
+            "edges": [["a", "b"]],
+            "cpts": {"a": column, "b": [0.9, 0.2, 0.1, 0.8]},
+        }
+        net_path, out = tmp_path / "net.json", tmp_path / "out"
+        net_path.write_text(json.dumps(doc))
+        argv = {
+            "sample": ["--net", net_path, "--n", 5, "--seed", 0, "--out", out],
+            "evaluate": ["--learned", net_path, "--truth", net_path, "--report", out],
+            "benchmark": ["--truth", net_path, "--sizes", 20, "--seed", 0,
+                          "--out", out],
+            "export-dot": ["--net", net_path, "--out", out],
+        }[command]
+        assert run(command, *argv) == 2
+        self.assert_one_line(capsys, f"data error: {message}")
+        assert not out.exists()
+
+    def test_laplace_past_the_double_range(self, sampled_csv, tmp_path, capsys):
+        # every smoothed column total overflowed: NumPy warned, and the
+        # zeroed columns were reported as not summing to 1
+        out = tmp_path / "out.json"
+        code = run("learn", "--data", sampled_csv, "--laplace", "1e308",
+                   "--out", out)
+        assert code == 2
+        self.assert_one_line(capsys, "data error: the CPT of 'n00' is not "
+                                     "finite with laplace = 1e+308")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_smoothing_past_the_double_range(self, jobs, tmp_path, capsys):
+        # every smoothed class total overflowed, so every log-likelihood was
+        # -inf and every prediction the first class: this exited 0 with
+        # accuracy_mean 0.025
+        data, report = tmp_path / "mlc.csv", tmp_path / "r.json"
+        write_csv(forward_sample(two_cluster_network(), 40, seed=0), data)
+        code = run("mlc", "--data", data, "--label-count", 6, "--scenario",
+                   "br", "--folds", 2, "--seed", 0, "--smoothing", "1e308",
+                   "--jobs", jobs, "--report", report)
+        assert code == 2
+        self.assert_one_line(capsys, "data error: the likelihoods of 'x0' are "
+                                     "not finite with smoothing = 1e+308")
+        assert not report.exists()
+
 
 class TestDefaults:
     """An option that sets a config field defaults to the field's value."""
@@ -1004,7 +1060,8 @@ class TestExportDot:
 
 # byte strings that data files give meaning to, for the mutants to insert
 TOKENS = [b"\n", b"\r", b",", b";", b'"', b" ", b"[", b"]", b"{", b"}", b":",
-          b"-1", b"0", b"1e400", b"NaN", b"null", b"\x00", b"\xff", b"\\u0000"]
+          b"-1", b"0", b"1e400", b"1e308", b"9" * 400, b"NaN", b"null",
+          b"\x00", b"\xff", b"\\u0000"]
 
 
 @pytest.fixture(scope="module")

@@ -254,6 +254,16 @@ class TestPowersetClassifier:
                 fit_powerset_classifier(ds, block=(1,), features=(0,),
                                         smoothing=smoothing)
 
+    def test_smoothing_past_the_double_range(self):
+        # each smoothed class total overflowed to inf, so every
+        # log-likelihood was -inf and every row predicted the first class
+        ds = dataset([[0, 1], [1, 0]], (2, 2))
+        fit_powerset_classifier(ds, block=(1,), features=(0,), smoothing=1e307)
+        with pytest.raises(DataError, match=r"^the likelihoods of '\w+' are "
+                           r"not finite with smoothing = 1e\+308$"):
+            fit_powerset_classifier(ds, block=(1,), features=(0,),
+                                    smoothing=1e308)
+
     def test_no_training_rows_rejected(self):
         # a classifier with no classes could not predict
         empty = dataset(np.zeros((0, 2)), (2, 2))

@@ -48,6 +48,9 @@ class TestValidation:
         g = Dag(1)
         with pytest.raises(ValueError, match="sum"):
             BayesianNetwork(g, ("a",), (B,), [np.array([[0.5], [0.4]])])
+        # finite entries whose sum overflows: NumPy warned before the error
+        with pytest.raises(DataError, match="^CPT column of 'a' does not sum to 1$"):
+            BayesianNetwork(g, ("a",), (B,), [np.array([[1e308], [1e308]])])
         with pytest.raises(DataError, match="non-finite"):
             BayesianNetwork(g, ("a",), (B,), [np.array([[np.nan], [1.0]])])
 
@@ -99,6 +102,15 @@ class TestFitCpts:
         # parent=0: counts (2, 0) -> (3, 1)/4
         np.testing.assert_allclose(net.cpts[1][:, 0], [0.75, 0.25])
         np.testing.assert_allclose(net.cpts[1][:, 1], [1 / 3, 2 / 3])
+
+    def test_laplace_past_the_double_range(self):
+        # each smoothed column total overflows; the columns were zeroed, and
+        # the data was blamed for a column that does not sum to 1
+        ds = dataset([[0, 0], [0, 0], [1, 1]], (2, 2))
+        fit_cpts(Dag(2, [(0, 1)]), ds, laplace=1e307)
+        with pytest.raises(DataError, match=r"^the CPT of '\w+' is not finite "
+                           r"with laplace = 1e\+308$"):
+            fit_cpts(Dag(2, [(0, 1)]), ds, laplace=1e308)
 
     def test_unseen_config_uniform(self):
         # parent level 1 never appears; its column must be uniform
@@ -333,11 +345,13 @@ class TestSerialization:
         doc["cpts"]["a"] = [0.7, 0.2]
         with pytest.raises(ValueError, match="sum"):
             read_network(self._write(tmp_path, doc))
-        # json writes and reads NaN and Infinity; neither is a probability
+        # json writes and reads NaN and Infinity; neither is a probability,
+        # and nor is an int past the double range, which np.asarray could
+        # not convert
         for column in ([float("nan"), 1.0], [float("nan"), float("nan")],
-                       [float("inf"), 0.0]):
+                       [float("inf"), 0.0], [10**400, 0], [-(10**400), 1]):
             doc["cpts"]["a"] = column
-            with pytest.raises(DataError, match="non-finite"):
+            with pytest.raises(DataError, match="^CPT of 'a' has non-finite entries$"):
                 read_network(self._write(tmp_path, doc))
 
     def test_read_wrong_cpt_size(self, tmp_path):
