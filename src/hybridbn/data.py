@@ -22,7 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# count_table's int64 codes over head cells and observed strata stay below this.
+# Every int64 mixed-radix code stays below this: observed_config_codes ranks
+# its prefix before reaching it, and count_table refuses a wider table.
 _CODE_LIMIT = 2**62
 
 
@@ -45,7 +46,7 @@ def row_dtype(arities):
     return np.min_scalar_type(max(arities, default=1) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoricalDataset:
     """Column-oriented table of discrete variables.
 
@@ -65,7 +66,7 @@ class CategoricalDataset:
     names: tuple
     levels: tuple
     rows: np.ndarray
-    arities: tuple = field(init=False, repr=False, compare=False)
+    arities: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows)
@@ -137,7 +138,7 @@ class CategoricalDataset:
         return CategoricalDataset(self.names, self.levels, self.rows[idx])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
     """Partition of rows into k cross-validation folds."""
 
@@ -152,71 +153,44 @@ class FoldAssignment:
 
 def one_pass_cells(rows):
     """The widest code range one ``bincount`` over rows rows fills densely:
-    count_table's one-pass bound and observed_config_codes' span."""
+    count_table's one-pass bound, which JointCounts.fits applies too."""
     return 4 * rows + 1024
 
 
 def observed_config_codes(rows, arities):
     """Compress the given columns into dense codes of observed configurations.
 
-    Returns (codes, l) where codes maps each row to an index in [0, l) and l
-    is the number of distinct configurations present (0 when there are no
-    rows, 1 when there are no columns).
+    Returns (codes, l) where codes maps each row to an int64 index in [0, l)
+    and l is the number of distinct configurations present (0 when there
+    are no rows, 1 when there are no columns).
 
     Invariant: the map is order-preserving. Codes rank each row's
     configuration among the observed ones in mixed-radix order (last column
-    fastest), so they equal the inverse of ``np.unique`` over the mixed-radix
-    codes, and table layouts built from them do not depend on how the codes
-    were computed. Intermediate compression keeps arbitrarily many columns
-    safe.
+    fastest), as the inverse of ``np.unique`` over the mixed-radix codes
+    does, so table layouts built from them do not depend on how the codes
+    were computed. Ranking on the way keeps any number of columns safe.
     """
     rows = np.asarray(rows)
     n, m = rows.shape
     if m == 0:
         return np.zeros(n, dtype=np.int64), 1
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    # The code lives in the narrowest unsigned dtype that holds its range.
-    # Whenever the next radix would widen that range past a few times n, the
-    # prefix is ranked first; ranking preserves order, so the result is the
-    # same, and the range stays far below _CODE_LIMIT.
-    span = one_pass_cells(n)
-    cap = int(arities[0])
-    code = rows[:, 0].astype(np.min_scalar_type(cap))
-    for t in range(1, m):
-        a = int(arities[t])
-        if cap * a > span:
-            code, cap = _dense_ranks(code, cap, span)
+    # The prefix is ranked whenever the next radix would take the int64 code
+    # to _CODE_LIMIT; ranking preserves order, so the result is the same.
+    # return_inverse keeps np.unique off its numpy.ma import.
+    code, cap = np.zeros(n, dtype=np.int64), 1
+    for column, a in zip(rows.T, map(int, arities), strict=True):
+        if cap * a >= _CODE_LIMIT:
+            uniq, code = np.unique(code, return_inverse=True)
+            cap = uniq.size
             if cap == n:
                 # Every row is distinct already; the prefix is the most
                 # significant part of the code, so its ranks are final.
                 return code, n
         cap *= a
-        code = code.astype(np.min_scalar_type(cap), copy=False)
         code *= a
-        np.add(code, rows[:, t], out=code, casting="unsafe")
-    return _dense_ranks(code, cap, span)
-
-
-def _dense_ranks(code, cap, span):
-    # Rank of each code among the distinct codes in [0, cap), as int64. A
-    # bincount presence mask and its running sum give the ranks in
-    # O(cap + n); only a code range far wider than the data (very high
-    # arities) falls back to a sort.
-    if cap > 16 * span:
-        uniq, ranks = np.unique(code, return_inverse=True)
-        return ranks.astype(np.int64), int(uniq.size)
-    # The counts become the presence mask and then its running sum in place,
-    # and the ranks overwrite the intp codes, which are observed_config_codes'
-    # own: each position's code is read before its rank is written there
-    # (mode "raise" would buffer the output). So the pass makes one cap-long
-    # and at most one row-long array.
-    code = code.astype(np.intp, copy=False)
-    ranks = np.bincount(code, minlength=cap)
-    np.minimum(ranks, 1, out=ranks)
-    np.cumsum(ranks, out=ranks)
-    ranks -= 1
-    return ranks.take(code, out=code, mode="clip"), int(ranks[-1]) + 1
+        code += column
+    uniq, code = np.unique(code, return_inverse=True)
+    return code, uniq.size
 
 
 def count_table(data, head, z=()):

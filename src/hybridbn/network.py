@@ -7,6 +7,7 @@ fastest. Every column sums to 1 within 1e-9.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +36,26 @@ _COLUMN_SUM_TOL = 1e-9
 CPT_CELL_LIMIT = 2**24
 
 
+@dataclass(frozen=True, eq=False)
 class BayesianNetwork:
-    """A Dag plus per-node conditional probability tables and metadata."""
+    """A Dag plus per-node conditional probability tables and metadata.
 
-    __slots__ = ("graph", "names", "levels", "cpts")
+    ``cpts`` is stored as a tuple of read-only float arrays, so a network
+    cannot change after its tables are checked.
+    """
 
-    def __init__(self, graph, names, levels, cpts):
-        self.graph = graph
-        self.names = tuple(names)
-        self.levels = tuple(tuple(lv) for lv in levels)
-        self.cpts = [np.asarray(t, dtype=float) for t in cpts]
+    graph: Dag
+    names: tuple
+    levels: tuple
+    cpts: tuple
+
+    def __post_init__(self):
+        cpts = tuple(np.asarray(t, dtype=float) for t in self.cpts)
+        for table in cpts:
+            table.setflags(write=False)
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "levels", tuple(tuple(lv) for lv in self.levels))
+        object.__setattr__(self, "cpts", cpts)
         self._validate()
 
     @property

@@ -746,9 +746,11 @@ def tally_contingency(rows, x, y, z):
 def reference_config_codes(rows, arities):
     """Dense observed-configuration codes by sorting (np.unique inverse).
 
-    The straightforward version of ``observed_config_codes``: mixed-radix
-    codes in int64, compressed with np.unique only when the next product
-    would pass 2**62.
+    Mixed-radix codes in int64, compressed with np.unique only when the next
+    product would pass 2**62: the algorithm ``observed_config_codes`` runs
+    too, so tests/test_kernel.py also checks the ranker against each row's
+    index among the sorted distinct rows. ``reference_contingency`` ranks
+    its Z-configurations with it.
     """
     rows = np.asarray(rows)
     n, m = rows.shape

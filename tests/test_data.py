@@ -449,6 +449,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.rows[0, 0] = 1
 
+    def test_array_holding_values_compare_by_identity(self):
+        # generated equality would compare arrays and raise; these compare
+        # and hash as objects, whatever arrays they hold
+        for make in (lambda: from_array(np.array([[0, 1], [1, 0]])),
+                     lambda: kfold(10, 2, 0), child_shape_network):
+            value, other = make(), make()
+            assert (value == value) is True and (value == other) is False
+            assert hash(value) == hash(value)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(DataError, match="duplicate column name 'a'"):
             CategoricalDataset(("a", "a", "b"), (("0", "1"),) * 3,

@@ -1,12 +1,14 @@
-"""The counting kernel against its sorting reference.
+"""The counting kernel against its references.
 
-observed_config_codes ranks configurations with a presence mask instead of
-a sort; every count table (CI-test tables, local-score families, CPTs)
-counts the dataset's distinct rows, weighted, in one pass over the nominal
-(head, Z) space or over ranked Z-configurations; and the kernel behind
-g2_statistic takes the statistic and the dof from one set of marginals.
-All must agree exactly with the straightforward versions in helpers.py, so every CI-test
-result, local score and CPT stays bit-identical.
+observed_config_codes ranks configurations with one sort of their int64
+mixed-radix codes, so it is also checked against each row's index among
+the sorted distinct rows; every count table (CI-test tables, local-score
+families, CPTs) counts the dataset's distinct rows, weighted, in one pass
+over the nominal (head, Z) space or over ranked Z-configurations; and the
+kernel behind g2_statistic takes the statistic and the dof from one set of
+marginals. All must agree exactly with the straightforward versions in
+helpers.py, so every CI-test result, local score and CPT stays
+bit-identical.
 """
 
 import math
@@ -40,12 +42,24 @@ from helpers import (
 from helpers import test_independence as ci_test
 
 
+def sorted_row_ranks(rows):
+    """Each row's index among the sorted distinct row tuples: the ranks
+    that mixed-radix order (last column fastest) gives, from first
+    principles."""
+    keys = [tuple(map(int, row)) for row in rows]
+    # no columns: one configuration, the empty one, whether or not rows exist
+    distinct = sorted(set(keys)) if rows.shape[1] else [()]
+    index = {key: i for i, key in enumerate(distinct)}
+    return [index[key] for key in keys], len(index)
+
+
 def assert_same_codes(rows, arities):
     codes, l = observed_config_codes(rows, arities)
     want, want_l = reference_config_codes(rows, arities)
     assert l == want_l
     assert codes.dtype == np.int64
     np.testing.assert_array_equal(codes, want)
+    assert (codes.tolist(), l) == sorted_row_ranks(rows)
 
 
 def random_rows(rng, n, arities):
@@ -101,48 +115,12 @@ class TestObservedConfigCodes:
 class TestCodeLimits:
     """Each documented limit of the mixed-radix codes, at its edge."""
 
-    @pytest.mark.parametrize("wide, prefix_ranked", [(40, False), (41, True)])
-    def test_observed_ranks_prefix_past_span(self, wide, prefix_ranked):
-        # 4 rows: the span 4n + 1024 is 1040 = 40 * 26 codes
-        rows = np.array([[0, 0], [wide - 1, 25], [3, 7], [3, 7]])
-        calls = []
-
-        def spy(code, cap, span):
-            calls.append(cap)
-            return dense_ranks(code, cap, span)
-
-        dense_ranks = data_mod._dense_ranks
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_mod, "_dense_ranks", spy)
-            observed_config_codes(rows, [wide, 26])
-        assert len(calls) == 1 + prefix_ranked
-        assert_same_codes(rows, [wide, 26])
-
     @pytest.mark.parametrize("last", [0, 1])
     def test_observed_stops_once_every_row_is_distinct(self, last):
-        # 4 rows: the span is 1040 < 2000 * 3, so the first column is ranked
+        # 2**40 * 2**30 codes pass _CODE_LIMIT, so the first column is ranked
         # before the second is added; it already tells the rows apart, so
         # nothing after it is read, and the last column cannot change the codes
-        rows = np.array([[1999, 2, last], [0, 1, 1], [500, 0, 0], [1000, 2, 1]])
-        calls = []
-
-        def spy(code, cap, span):
-            calls.append(cap)
-            return dense_ranks(code, cap, span)
-
-        dense_ranks = data_mod._dense_ranks
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data_mod, "_dense_ranks", spy)
-            codes, l = observed_config_codes(rows, [2000, 3, 2])
-        assert calls == [2000]
-        assert codes.tolist() == [3, 0, 1, 2] and l == 4
-        assert_same_codes(rows, [2000, 3, 2])
-
-    @pytest.mark.parametrize("wide, sorts", [(16 * 1032, False), (16 * 1032 + 1, True)])
-    def test_observed_sorts_past_sixteen_spans(self, wide, sorts):
-        # 2 rows: the span is 1032, and one column of arity wide has as
-        # many codes
-        rows = np.array([[0], [wide - 1]])
+        rows = np.array([[2**40 - 1, 2, last], [0, 1, 1], [500, 0, 0], [2**39, 2, 1]])
         calls = []
         unique = np.unique
 
@@ -152,9 +130,10 @@ class TestCodeLimits:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data_mod.np, "unique", spy)
-            observed_config_codes(rows, [wide])
-        assert bool(calls) == sorts
-        assert_same_codes(rows, [wide])
+            codes, l = observed_config_codes(rows, [2**40, 2**30, 2])
+        assert len(calls) == 1
+        assert codes.tolist() == [3, 0, 1, 2] and l == 4
+        assert_same_codes(rows, [2**40, 2**30, 2])
 
     @pytest.mark.parametrize("q, ranked", [(257, False), (258, True)])
     def test_contingency_one_pass_up_to_4u_plus_1024(self, q, ranked):

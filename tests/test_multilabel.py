@@ -301,10 +301,9 @@ class TestPowersetClassifier:
 
 @st.composite
 def powerset_cases(draw):
-    # blocks of one to seven labels, zero to four features, arities up to 7,
-    # so the block's nominal space can pass observed_config_codes' span,
-    # one_pass_cells(n) (its prefix-ranking path). A wide column, with more levels than
-    # 16 times that span, sends the ranking to its sort path.
+    # blocks of one to seven labels, zero to four features, arities up to 7;
+    # a wide column, with more levels than 16 times one_pass_cells(n), gives
+    # a block a nominal space far wider than the data.
     d = draw(st.integers(2, 10))
     arities = draw(st.lists(st.integers(1, 7), min_size=d, max_size=d))
     n = draw(st.integers(1, 120))

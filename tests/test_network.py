@@ -54,6 +54,16 @@ class TestValidation:
         with pytest.raises(DataError, match="non-finite"):
             BayesianNetwork(g, ("a",), (B,), [np.array([[np.nan], [1.0]])])
 
+    def test_cpts_are_read_only(self):
+        # a table written into after validation would be written to a file
+        # that read_network refuses
+        net = child_shape_network()
+        assert isinstance(net.cpts, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            net.cpts[0][0, 0] = 0.9
+        with pytest.raises(AttributeError):
+            net.cpts = ()
+
     def test_shape_enforced(self):
         g = Dag(2, [(0, 1)])
         cpts = [np.array([[0.5], [0.5]]), np.array([[0.5], [0.5]])]
@@ -177,6 +187,22 @@ class TestForwardSample:
             assert out.rows[:, j].min() >= 0
             assert out.rows[:, j].max() < arity
 
+    def test_a_draw_past_the_last_boundary_takes_the_last_level(self, monkeypatch):
+        # a valid column may sum to 1 - 1e-9; a u above its sum passes every
+        # inner boundary and lands on the last level, with no clamp
+        column = np.array([[0.5], [0.25], [0.25 - 1e-10]])
+        net = BayesianNetwork(Dag(2, [(0, 1)]), ("x", "y"), (("0", "1", "2"), B),
+                              [column, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])])
+
+        class PastTheSum:
+            def random(self, k):
+                return np.full(k, 1 - 1e-11)
+
+        monkeypatch.setattr(network.np.random, "default_rng", lambda seed: PastTheSum())
+        got = forward_sample(net, 5, seed=0)
+        assert got.rows.tolist() == [[2, 1]] * 5
+        np.testing.assert_array_equal(got.rows, reference_forward_sample(net, 5, 0))
+
     def test_sequence_seed(self):
         net = binary_chain()
         a = forward_sample(net, 50, seed=[3, 500])
@@ -189,19 +215,19 @@ class TestForwardSample:
 @st.composite
 def sampling_networks(draw):
     """Random networks of arities 2 to 6 and up to 3 parents a node. Some
-    CPT columns are shrunk after validation, so that their cumulative sum
-    ends well below 1.0 and draws past the last boundary are common; a
-    valid CPT leaves them at most 1e-9 of room."""
+    CPT columns are shrunk, within the 1e-9 a valid CPT allows, so that
+    their cumulative sum can end below 1.0."""
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arities = draw(st.lists(st.integers(2, 6), min_size=d, max_size=d))
     net = random_network(random_dag(d, draw(st.integers(0, 3)), rng), rng,
                          arities=arities,
                          concentration=draw(st.sampled_from([0.01, 0.5, 5.0])))
-    shrink = draw(st.sampled_from([1.0, 1.0 - 2**-40, 0.7]))
-    for table in net.cpts:
+    shrink = draw(st.sampled_from([1.0, 1.0 - 2**-40]))
+    cpts = [table.copy() for table in net.cpts]
+    for table in cpts:
         table[:, rng.random(table.shape[1]) < 0.5] *= shrink
-    return net
+    return BayesianNetwork(net.graph, net.names, net.levels, cpts)
 
 
 @settings(max_examples=150, deadline=None)
