@@ -507,8 +507,12 @@ def _read_plain(fh, delimiter):
         new = ids == _NO_LEVEL
         if new.any():
             # a column's new tokens in order of first appearance, so that
-            # its levels count them in that order
-            for cell in _in_first_order(cells[new]).tolist():
+            # its levels count them in that order: return_index sorts
+            # stably, so each index is a first appearance (and, with
+            # indices, np.unique leaves numpy.ma unimported)
+            fresh = cells[new]
+            first = np.sort(np.unique(fresh, return_index=True)[1])
+            for cell in fresh[first].tolist():
                 c, byte = divmod(cell, 256)
                 # only printable ASCII other than a quote or the delimiter
                 if not (32 < byte < 127 and byte not in (34, delimiter)):
@@ -520,15 +524,6 @@ def _read_plain(fh, delimiter):
     if fh.read(1) or min(map(len, levels)) < 2:
         raise _Decline  # bytes past n lines, or a constant column
     return CategoricalDataset(tuple(names), tuple(map(tuple, levels)), rows)
-
-
-def _in_first_order(values):
-    # The distinct values in order of first appearance. np.unique without
-    # indices would import numpy.ma (about 1.5 MB) into a process that
-    # otherwise never loads it.
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    return values[np.sort(order[np.concatenate(([True], ranked[1:] != ranked[:-1]))])]
 
 
 def write_csv(data, path):

@@ -1,7 +1,8 @@
 """Decomposable structure scores and skeleton-constrained hill climbing.
 
-Both scores decompose over node families, so the search caches local scores
-keyed by (node, sorted parent tuple) and evaluates moves through deltas.
+Both scores decompose over node families. A `Scorer` computes a family's
+local score from its count table, caches it keyed by (node, sorted parent
+tuple), and the search evaluates moves through differences of these.
 """
 
 import heapq
@@ -43,62 +44,73 @@ class ScoreConfig:
             raise ValueError("patience must be an integer of at least 1")
 
 
-def _family_counts(data, node, parents):
-    # counts over observed parent configurations only (rows: configs,
-    # columns: node levels); q is the nominal configuration count.
-    counts = np.ascontiguousarray(count_table(data, (node,), parents).T)
-    return counts, math.prod(data.arities[p] for p in parents)
+class Scorer:
+    """Local scores of one dataset under one configuration, each computed
+    once and cached; a hit is bit-identical to recomputation.
 
-
-def bdeu_local(data, node, parents=(), ess=10.0, lgammas=None):
-    """Local BDeu score with a uniform prior of equivalent sample size ess.
-
-    Sum over parent configurations j of lnG(a_j) - lnG(a_j + n_j) plus the
+    BDeu with a uniform prior of equivalent sample size ess sums, over the
+    observed parent configurations j, lnG(a_j) - lnG(a_j + n_j) plus the
     per-level terms lnG(a_jk + n_jk) - lnG(a_jk), with a_j = ess / q and
-    a_jk = ess / (q r). Unobserved configurations contribute zero. The lnG
-    values come from lgammas, an LgammaTables (a Scorer keeps one for all
-    its families). A term that is not finite is a DataError.
+    a_jk = ess / (q r); a term that is not finite is a DataError. BIC is the
+    maximized multinomial log-likelihood minus (ln n / 2) q (r - 1). In both
+    q is the nominal number of parent configurations.
     """
-    if node in parents:
-        raise ValueError("node cannot be its own parent")
-    counts, q = _family_counts(data, node, parents)
-    r = data.arities[node]
-    a_j = ess / q
-    a_jk = ess / (q * r)
-    n_j = counts.sum(axis=1)
-    tables = LgammaTables() if lgammas is None else lgammas
-    try:
-        lg_j, lg_jn = tables.lookup(a_j, n_j)
-        lg_jk, lg_jkn = tables.lookup(a_jk, counts)
-    except OverflowError:
-        raise DataError(
-            f"the BDeu score of {data.names[node]!r} given {len(parents)} "
-            f"parent(s) is not finite with ess = {ess!r}"
-        ) from None
-    return float((lg_j - lg_jn).sum() + (lg_jkn - lg_jk).sum())
 
+    def __init__(self, data, cfg=None):
+        self.data = data
+        self.cfg = cfg or ScoreConfig()
+        self._cache = {}
+        # lgamma(a + k) per BDeu hyperparameter a: a float64 array indexed
+        # by the count k, each entry NaN until first used
+        self._lgammas = {}
 
-class LgammaTables:
-    """lgamma(a + k) for floats a and integers k >= 0, memoised: one float64
-    array per a, indexed by k, each entry computed on first use (NaN until
-    then). An entry equals scipy.special.gammaln(a + k) bit for bit (see
-    hybridbn.special)."""
+    def local(self, node, parents=()):
+        key = (node, tuple(sorted(parents)))
+        hit = self._cache.get(key)
+        if hit is None:
+            node, parents = key
+            if node in parents:
+                raise ValueError("node cannot be its own parent")
+            if len(set(parents)) < len(parents):
+                raise ValueError("a parent is listed twice")
+            # rows: observed parent configurations; columns: node levels
+            counts = np.ascontiguousarray(count_table(self.data, (node,), parents).T)
+            q = math.prod(self.data.arities[p] for p in parents)
+            score = self._bdeu if self.cfg.score == "bdeu" else self._bic
+            hit = self._cache[key] = score(node, parents, counts, q)
+        return hit
 
-    def __init__(self):
-        self._tables = {}
+    def total(self, g):
+        return sum(self.local(v, g.parents(v)) for v in range(g.d))
 
-    def lookup(self, a, k):
-        """(lgamma(a), lgamma(a + k)) for an int array k >= 0; OverflowError
-        when one is infinite (a + k is 0 or above special.MAXLGM)."""
-        table = self._tables.get(a)
+    def _bdeu(self, node, parents, counts, q):
+        ess = self.cfg.ess
+        a_j = ess / q
+        a_jk = ess / (q * self.data.arities[node])
+        n_j = counts.sum(axis=1)
+        try:
+            lg_j, lg_jn = self._lgamma(a_j, n_j)
+            lg_jk, lg_jkn = self._lgamma(a_jk, counts)
+        except OverflowError:
+            raise DataError(
+                f"the BDeu score of {self.data.names[node]!r} given "
+                f"{len(parents)} parent(s) is not finite with ess = {ess!r}"
+            ) from None
+        return float((lg_j - lg_jn).sum() + (lg_jkn - lg_jk).sum())
+
+    def _lgamma(self, a, k):
+        # (lgamma(a), lgamma(a + k)) for an int array k >= 0, each equal to
+        # scipy.special.gammaln bit for bit (see hybridbn.special);
+        # OverflowError when one is infinite (a + k is 0 or past MAXLGM)
+        table = self._lgammas.get(a)
         if table is None:
-            table = self._tables[a] = np.full(1, _finite_lgamma(a))
+            table = self._lgammas[a] = np.full(1, _finite_lgamma(a))
         try:
             values = table[k]
         except IndexError:
             grown = np.full(max(int(k.max()) + 1, 2 * table.size), np.nan)
             grown[:table.size] = table
-            table = self._tables[a] = grown
+            table = self._lgammas[a] = grown
             values = table[k]
         missing = np.isnan(values)
         if missing.any():
@@ -107,55 +119,19 @@ class LgammaTables:
             values = table[k]
         return table[0], values
 
+    def _bic(self, node, parents, counts, q):
+        n_j = counts.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(counts > 0, counts * np.log(counts / n_j), 0.0)
+        penalty = 0.5 * math.log(self.data.n) * q * (self.data.arities[node] - 1)
+        return float(terms.sum() - penalty)
+
 
 def _finite_lgamma(x):
     value = lgamma(x)
     if not math.isfinite(value):
         raise OverflowError(f"lgamma({x!r}) is not finite")
     return value
-
-
-def bic_local(data, node, parents=()):
-    """Local BIC: maximized multinomial log-likelihood minus
-    (ln n / 2) * q * (r - 1); zero-count cells contribute nothing."""
-    if node in parents:
-        raise ValueError("node cannot be its own parent")
-    counts, q = _family_counts(data, node, parents)
-    r = data.arities[node]
-    n_j = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, counts * np.log(counts / n_j), 0.0)
-    penalty = 0.5 * math.log(data.n) * q * (r - 1)
-    return float(terms.sum() - penalty)
-
-
-class Scorer:
-    """Cached local scores for one dataset and one configuration.
-
-    Cache hits are bit-identical to recomputation because the local score is
-    a pure function of (node, parent set).
-    """
-
-    def __init__(self, data, cfg=None):
-        self.data = data
-        self.cfg = cfg or ScoreConfig()
-        self._cache = {}
-        self._lgammas = LgammaTables()
-
-    def local(self, node, parents=()):
-        key = (node, tuple(sorted(parents)))
-        hit = self._cache.get(key)
-        if hit is None:
-            if self.cfg.score == "bdeu":
-                hit = bdeu_local(self.data, key[0], key[1], self.cfg.ess,
-                                 self._lgammas)
-            else:
-                hit = bic_local(self.data, key[0], key[1])
-            self._cache[key] = hit
-        return hit
-
-    def total(self, g):
-        return sum(self.local(v, g.parents(v)) for v in range(g.d))
 
 
 @dataclass(frozen=True)
@@ -224,11 +200,20 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     pending set, and since an add only grows ancestor sets, the set is
     rechecked only after a delete or a reverse. Acyclicity is read off
     per-node ancestor bitsets, which each move updates in place.
+
+    Local scores come from scorer, a Scorer of data, or a new one. With a
+    scorer, cfg defaults to scorer.cfg; a scorer of another dataset or
+    under another cfg is a ValueError.
     """
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
-    cfg = cfg or ScoreConfig()
-    scorer = scorer or Scorer(data, cfg)
+    if scorer is None:
+        scorer = Scorer(data, cfg)
+    elif scorer.data is not data:
+        raise ValueError("scorer scores another dataset")
+    elif cfg is not None and cfg != scorer.cfg:
+        raise ValueError("scorer scores with another ScoreConfig")
+    cfg = scorer.cfg
     d = data.d
     nbrs = [tuple(sorted(skeleton.pc[v])) for v in range(d)]
     parents = [() for _ in range(d)]

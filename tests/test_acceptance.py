@@ -40,7 +40,7 @@ from hybridbn.multilabel import (
     run_scenarios,
 )
 from hybridbn.network import forward_sample, write_network
-from hybridbn.scoring import ScoreConfig, Scorer, bdeu_local, bic_local, hill_climb
+from hybridbn.scoring import ScoreConfig, Scorer, hill_climb
 from hybridbn.skeleton import build_skeleton, hpc
 from hybridbn.synthetic import (
     monotone_network,
@@ -253,7 +253,7 @@ def test_03_score_correctness():
 
     one = CategoricalDataset(("a",), (("0", "1"),),
                              np.array([[0]], dtype=np.int32))
-    if abs(bdeu_local(one, 0, (), ess=1.0) - math.log(0.5)) > 1e-12:
+    if abs(Scorer(one, ScoreConfig(ess=1.0)).local(0, ()) - math.log(0.5)) > 1e-12:
         problems.append("single-row BDeu != ln(1/2)")
 
     toy = CategoricalDataset(
@@ -261,19 +261,20 @@ def test_03_score_correctness():
         np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int32),
     )
     for node, parents in ((0, ()), (1, ()), (1, (0,)), (0, (1,))):
-        got = bdeu_local(toy, node, parents, ess=3.0)
+        got = Scorer(toy, ScoreConfig(ess=3.0)).local(node, parents)
         want = bdeu_family_oracle(toy, node, parents, 3.0)
         if abs(got - want) > 1e-12:
             problems.append(f"BDeu toy mismatch at node {node}")
 
     two = CategoricalDataset(("a",), (("0", "1"),),
                              np.array([[0], [1]], dtype=np.int32))
-    if abs(bic_local(two, 0) - (2 * math.log(0.5) - 0.5 * math.log(2))) > 1e-12:
+    if abs(Scorer(two, ScoreConfig(score="bic")).local(0)
+           - (2 * math.log(0.5) - 0.5 * math.log(2))) > 1e-12:
         problems.append("two-row BIC closed form")
     three = CategoricalDataset(("a",), (("0", "1"),),
                                np.array([[0], [0], [1]], dtype=np.int32))
     want = 2 * math.log(2 / 3) + math.log(1 / 3) - 0.5 * math.log(3)
-    if abs(bic_local(three, 0) - want) > 1e-12:
+    if abs(Scorer(three, ScoreConfig(score="bic")).local(0) - want) > 1e-12:
         problems.append("three-row BIC closed form")
 
     _verdict(3, "score correctness", not problems,

@@ -25,7 +25,7 @@ from hybridbn.graphs import Dag
 from hybridbn.independence import DataIndependenceSource
 from hybridbn.independence import TestConfig as Config
 from hybridbn.network import fit_cpts, forward_sample
-from hybridbn.scoring import _family_counts, bdeu_local, bic_local
+from hybridbn.scoring import ScoreConfig, Scorer
 from hybridbn.skeleton import build_skeleton
 from hybridbn.synthetic import child_shape_network
 
@@ -60,6 +60,10 @@ def assert_same_codes(rows, arities):
     assert codes.dtype == np.int64
     np.testing.assert_array_equal(codes, want)
     assert (codes.tolist(), l) == sorted_row_ranks(rows)
+
+
+def local_score(data, node, parents, score, ess=10.0):
+    return Scorer(data, ScoreConfig(score=score, ess=ess)).local(node, parents)
 
 
 def random_rows(rng, n, arities):
@@ -442,7 +446,7 @@ def test_family_counts_match_reference(child_sample):
         node = int(rng.integers(child_sample.d))
         others = [v for v in range(child_sample.d) if v != node]
         parents = tuple(rng.choice(others, size=int(rng.integers(0, 6)), replace=False))
-        counts, _ = _family_counts(child_sample, node, parents)
+        counts = count_table(child_sample, (node,), parents).T
         codes, m = reference_config_codes(
             child_sample.rows[:, list(parents)],
             [child_sample.arities[p] for p in parents],
@@ -497,18 +501,17 @@ def test_scores_and_cpts_on_both_paths(duplicated_sample, node, parents, ranked)
     r = data.arities[node]
     pa_arities = [data.arities[p] for p in parents]
     q = math.prod(pa_arities)
-    assert ranks_first(data, lambda: _family_counts(data, node, parents)) == ranked
+    assert ranks_first(data, lambda: count_table(data, (node,), parents)) == ranked
     strata = tallied_strata(data, node, parents)
-    counts, got_q = _family_counts(data, node, parents)
-    assert got_q == q
+    counts = count_table(data, (node,), parents).T
     np.testing.assert_array_equal(counts, np.array(list(strata.values())))
     for ess in (1.0, 10.0):
-        assert bdeu_local(data, node, parents, ess) == pytest.approx(
+        assert local_score(data, node, parents, "bdeu", ess) == pytest.approx(
             bdeu_family_oracle(data, node, parents, ess), abs=1e-9)
     loglik = sum(
         c * math.log(c / sum(cells)) for cells in strata.values() for c in cells if c
     )
-    assert bic_local(data, node, parents) == pytest.approx(
+    assert local_score(data, node, parents, "bic") == pytest.approx(
         loglik - 0.5 * math.log(data.n) * q * (r - 1), rel=1e-12)
     dag = Dag(data.d, [(p, node) for p in parents])
     # the CPT's head is (node, *parents) with no Z: r * q cells
@@ -533,6 +536,7 @@ def test_fit_cpts_rejects_a_parent_space_past_2_to_the_62(n_parents):
     with pytest.raises(ValueError, match="too large"):
         fit_cpts(dag, data)
     # local scores count the observed parent configurations only
-    counts, q = _family_counts(data, 0, parents)
-    assert q == 2**n_parents and counts.sum() == 20
-    assert math.isfinite(bic_local(data, 0, parents))
+    assert count_table(data, (0,), parents).sum() == 20
+    # every row is its own parent configuration, and the penalty counts q
+    assert local_score(data, 0, parents, "bic") == pytest.approx(
+        -0.5 * math.log(20) * 2**n_parents, rel=1e-12)

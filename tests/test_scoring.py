@@ -11,12 +11,10 @@ from hybridbn.scoring import (
     ScoreConfig,
     Scorer,
     SearchResult,
-    bdeu_local,
-    bic_local,
     hill_climb,
 )
 from hybridbn.skeleton import Skeleton
-from hybridbn.synthetic import monotone_network, random_dag
+from hybridbn.synthetic import monotone_network, random_dag, recovery_network
 
 from helpers import (
     all_dags,
@@ -33,6 +31,14 @@ def dataset(rows, arities):
     return from_array(
         np.asarray(rows, dtype=np.int32), arities=arities
     )
+
+
+def bdeu_local(data, node, parents=(), ess=10.0):
+    return Scorer(data, ScoreConfig(score="bdeu", ess=ess)).local(node, parents)
+
+
+def bic_local(data, node, parents=()):
+    return Scorer(data, ScoreConfig(score="bic")).local(node, parents)
 
 
 def full_skeleton(d):
@@ -126,15 +132,28 @@ class TestBdeu:
         with pytest.raises(ValueError):
             bdeu_local(ds, 0, (0,))
 
+    @pytest.mark.parametrize("score", ["bdeu", "bic"])
+    def test_parent_listed_twice_rejected(self, score):
+        # the count table coded parent 0 twice and squared q: BDeu read
+        # -141.326 against -140.589 for (0,) on this sample
+        ds = random_dataset(np.random.default_rng(79), 3, 200)
+        scorer = Scorer(ds, ScoreConfig(score=score))
+        with pytest.raises(ValueError, match="listed twice"):
+            scorer.local(2, (0, 0))
+        with pytest.raises(ValueError, match="listed twice"):
+            scorer.local(2, (1, 0, 1))
+
     @pytest.mark.parametrize("ess", [1e-320, 1e308])
     def test_score_not_finite_is_a_data_error(self, ess):
         # a lnG term is infinite: the tiny a_jk overflows lnG, or the
         # arguments pass MAXLGM; the score was NaN, with a NumPy warning
         ds = dataset([[0, 1], [1, 0], [1, 1]], (2, 2))
+        scorer = Scorer(ds, ScoreConfig(ess=ess))
         with pytest.raises(DataError, match="BDeu score of 'v1' given 1 parent"):
-            bdeu_local(ds, 1, (0,), ess)
+            scorer.local(1, (0,))
+        # the lnG memo kept no infinite entry: the same scorer raises again
         with pytest.raises(DataError):
-            Scorer(ds, ScoreConfig(ess=ess)).local(1, (0,))
+            scorer.local(1, (0,))
 
     def test_score_equivalence_two_nodes(self):
         rng = np.random.default_rng(23)
@@ -273,6 +292,26 @@ class TestHillClimb:
         ds = random_dataset(rng, 4, 80)
         res = hill_climb(ds, full_skeleton(4), ScoreConfig(tabu_length=0))
         assert res.score >= res.empty_score - 1e-9
+
+    def test_scorer_sets_the_score_and_its_config_must_agree(self):
+        net = recovery_network()
+        ds = forward_sample(net, 500, seed=0)
+        skel = true_skeleton(net.graph)
+        bic = ScoreConfig(score="bic", tabu_length=5, patience=3)
+        want = hill_climb(ds, skel, bic)
+        assert want.score == total_score(ds, want.dag, bic)
+        # with cfg omitted the search takes the scorer's
+        assert hill_climb(ds, skel, scorer=Scorer(ds, bic)) == want
+        assert hill_climb(ds, skel, ScoreConfig(score="bic", tabu_length=5, patience=3),
+                          scorer=Scorer(ds, bic)) == want
+        # a BDeu scorer used to be read as the BIC total of a BIC search
+        with pytest.raises(ValueError, match="another ScoreConfig"):
+            hill_climb(ds, skel, bic, scorer=Scorer(ds))
+        with pytest.raises(ValueError, match="another ScoreConfig"):
+            hill_climb(ds, skel, ScoreConfig(), scorer=Scorer(ds, bic))
+        other = forward_sample(net, 500, seed=1)
+        with pytest.raises(ValueError, match="another dataset"):
+            hill_climb(ds, skel, bic, scorer=Scorer(other, bic))
 
     def test_mismatched_skeleton_rejected(self):
         rng = np.random.default_rng(73)

@@ -23,9 +23,10 @@ from scipy.special import _ufuncs
 
 import hybridbn
 from hybridbn import special
+from hybridbn.data import count_table
 from hybridbn.independence import chi2_survival
 from hybridbn.network import forward_sample
-from hybridbn.scoring import LgammaTables, _family_counts, bdeu_local
+from hybridbn.scoring import ScoreConfig, Scorer
 from hybridbn.synthetic import child_shape_network
 
 from helpers import temme_table
@@ -303,23 +304,25 @@ def test_learn_and_mlc_load_no_scipy(tmp_path):
 
 
 def test_bdeu_local_equals_the_gammaln_formula():
-    # the lnG tables behind the BDeu score give the score that scipy's
-    # gammaln gave, bit for bit, whether a table is fresh or shared
+    # the Scorer's lnG memo gives the score that scipy's gammaln gave, bit
+    # for bit, whether the memo is fresh or shared across families
     def gammaln_bdeu(data, node, parents, ess):
-        counts, q = _family_counts(data, node, parents)
+        counts = np.ascontiguousarray(count_table(data, (node,), parents).T)
+        q = math.prod(data.arities[p] for p in parents)
         a_j, a_jk = ess / q, ess / (q * data.arities[node])
         config_terms = sc.gammaln(a_j) - sc.gammaln(a_j + counts.sum(axis=1))
         cell_terms = sc.gammaln(a_jk + counts) - sc.gammaln(a_jk)
         return float(config_terms.sum() + cell_terms.sum())
 
     data = forward_sample(child_shape_network(), 3000, seed=1)
-    shared = LgammaTables()
+    shared = {ess: Scorer(data, ScoreConfig(ess=ess)) for ess in (10.0, 1.0, 0.37, 1e4)}
     rng = np.random.default_rng(0)
     for _ in range(60):
         node = int(rng.integers(data.d))
         others = [v for v in range(data.d) if v != node]
         parents = tuple(rng.choice(others, size=rng.integers(0, 4), replace=False))
         for ess in (10.0, 1.0, 0.37, 1e4):
-            want = gammaln_bdeu(data, node, parents, ess)
-            assert bdeu_local(data, node, parents, ess, shared) == want
-            assert bdeu_local(data, node, parents, ess) == want
+            # a Scorer counts the family with its parents sorted
+            want = gammaln_bdeu(data, node, tuple(sorted(parents)), ess)
+            assert shared[ess].local(node, parents) == want
+            assert Scorer(data, ScoreConfig(ess=ess)).local(node, parents) == want
