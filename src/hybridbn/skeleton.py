@@ -38,8 +38,8 @@ class IndependenceSource(Protocol):
       or None, asking no test after it.
 
     A source without them is asked one test at a time, in the same order.
-    A source's ``cfg`` (a TestConfig), where it has one, is the default of
-    hpc and build_skeleton, and so the test config of h2pc.
+    A source's ``cfg`` (a TestConfig), where it has one, is the test config
+    of every discovery run over it (see hpc).
     """
 
     @property
@@ -219,23 +219,32 @@ def _separated(target, x, boundary, src, max_condset):
     return first(target, x, zsets, others) is not None
 
 
-def _config(src, cfg):
-    # the test config the caller gave, else the source's own, else default
-    return cfg or getattr(src, "cfg", None) or TestConfig()
+def _run_inputs(src, cfg, universe, *targets):
+    # (test config, sorted distinct universe) of one discovery run; see hpc
+    own = getattr(src, "cfg", None)
+    if own is not None and cfg is not None and cfg != own:
+        raise ValueError("cfg differs from the source's own test config")
+    nodes = sorted(set(range(src.n_vars) if universe is None else universe))
+    for v in (*nodes, *targets):
+        if v not in range(src.n_vars):
+            raise ValueError(f"variable {v!r} is not in 0..{src.n_vars - 1}")
+    return own or cfg or TestConfig(), nodes
 
 
 def hpc(target, src, universe=None, cfg=None):
     """Hybrid parents-children discovery around one target.
 
-    Filters the universe down to {T} union PCS union SPS, runs FDR-IAPC
-    there (the iamb_fdr boundary minus the members _separated prunes),
-    then rescues each discarded PCS member X whose own FDR-IAPC (within
-    the same restricted universe) contains the target. cfg (the FDR alpha
-    and max_condset) defaults to the source's cfg, else TestConfig().
+    Filters the universe (default: every variable) down to {T} union PCS
+    union SPS, runs FDR-IAPC there (the iamb_fdr boundary minus the
+    members _separated prunes), then rescues each discarded PCS member X
+    whose own FDR-IAPC (within the same restricted universe) contains the
+    target. The FDR alpha and max_condset come from the source's own cfg;
+    cfg is read only for a source without one (TestConfig() if None). A cfg
+    unlike the source's, or a target or universe member outside
+    0..n_vars - 1, is a ValueError raised before any test.
     """
-    if universe is None:
-        universe = range(src.n_vars)
-    return _hpc(target, src, universe, _config(src, cfg), frozenset())
+    cfg, nodes = _run_inputs(src, cfg, universe, target)
+    return _hpc(target, src, nodes, cfg, frozenset())
 
 
 def _hpc(target, src, universe, cfg, settled):
@@ -243,8 +252,7 @@ def _hpc(target, src, universe, cfg, settled):
     # member of the fixed boundary, and rescuing one PCS member, are each
     # decided on their own, so the answer for every other variable is the
     # one hpc gives. The rescue asks only whether the target survives in
-    # FDR-IAPC(x), not for the rest of that set.
-    universe = sorted(universe)
+    # FDR-IAPC(x), not for the rest of that set. universe is sorted.
     res = de_pcs(target, src, universe)
     sps = de_sps(target, src, universe, res.pcs, res.dsep)
     restricted = sorted({target} | res.pcs | sps)
@@ -266,10 +274,10 @@ def build_skeleton(src, cfg=None, jobs=1, universe=None):
     Targets run in column order on the calling thread; jobs is accepted
     and has no effect. An edge {X, T} with X before T and T not in hpc(X)
     is already dropped, so hpc(T) skips X's subset search and OR rescue;
-    the edges are those of plain hpc runs. cfg defaults as in hpc.
+    the edges are those of plain hpc runs. cfg and universe are read and
+    checked as in hpc, before any test.
     """
-    cfg = _config(src, cfg)
-    nodes = sorted(set(universe if universe is not None else range(src.n_vars)))
+    cfg, nodes = _run_inputs(src, cfg, universe)
     hpcs = {}
     for t in nodes:
         settled = frozenset(x for x, pc in hpcs.items() if t not in pc)
@@ -296,11 +304,11 @@ def h2pc(src, score_cfg=None, universe=None):
     """H2PC: the AND-rule skeleton, then the tabu hill climb restricted to it.
 
     Reads three things off the source: its ``data`` (the dataset the search
-    scores), its ``cfg`` (the test config of build_skeleton, TestConfig()
-    where it has none) and its ``distinct_tests`` once the skeleton is
-    built. Nodes outside universe (default: every node) are never tested
-    and stay isolated in the skeleton and the DAG. score_cfg defaults as in
-    hill_climb.
+    scores), its ``cfg`` (the test config of build_skeleton) and its
+    ``distinct_tests`` once the skeleton is built. Nodes outside universe
+    (default: every node) are never tested and stay isolated in the
+    skeleton and the DAG; a member outside 0..n_vars - 1 is a ValueError
+    raised before any test. score_cfg defaults as in hill_climb.
     """
     skeleton = build_skeleton(src, universe=universe)
     ci_tests = src.distinct_tests

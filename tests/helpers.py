@@ -480,8 +480,8 @@ def reference_fdr_iapc(target, src, universe, alpha, max_condset=None):
 
 def reference_hpc(target, src, universe=None, cfg=None):
     """hpc whose OR phase runs the whole fdr_iapc of every discarded PCS
-    member and then looks for the target in it. cfg defaults as in hpc."""
-    cfg = cfg or getattr(src, "cfg", None) or TestConfig()
+    member and then looks for the target in it. cfg is read as in hpc."""
+    cfg = getattr(src, "cfg", None) or cfg or TestConfig()
     if universe is None:
         universe = range(src.n_vars)
     universe = sorted(universe)
@@ -497,7 +497,7 @@ def reference_hpc(target, src, universe=None, cfg=None):
 
 def reference_build_skeleton(src, cfg=None, universe=None):
     """AND-rule skeleton from a full reference_hpc run around every node."""
-    cfg = cfg or getattr(src, "cfg", None) or TestConfig()
+    cfg = getattr(src, "cfg", None) or cfg or TestConfig()
     nodes = sorted(universe if universe is not None else range(src.n_vars))
     hpcs = {t: reference_hpc(t, src, nodes, cfg) for t in nodes}
     edges = set()
@@ -605,6 +605,40 @@ def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
         moves=moves,
         stop=stop,
     )
+
+
+def skeleton_optimum(data, skel, cfg=None):
+    """The best total score over DAGs whose edges all lie in skel.
+
+    A dynamic program over node subsets (Silander & Myllymaki 2006): F(U)
+    is the max over sinks v in U of F(U - v) plus v's best local score with
+    parents drawn from (U - v) & skel.pc[v], the local scores coming from
+    Scorer.local. Bitmasks index both; feasible for d <= 12.
+    """
+    scorer = Scorer(data, cfg)
+    best = []  # per node: its sorted neighbours, best score per neighbour mask
+    for v in range(skel.d):
+        nbrs = sorted(skel.pc[v])
+        table = []
+        for mask in range(1 << len(nbrs)):
+            parents = [u for i, u in enumerate(nbrs) if mask >> i & 1]
+            table.append(max(
+                [scorer.local(v, parents)]
+                + [table[mask & ~(1 << i)] for i in range(len(nbrs)) if mask >> i & 1]
+            ))
+        best.append((nbrs, table))
+
+    def best_within(v, allowed):
+        nbrs, table = best[v]
+        return table[sum(1 << i for i, u in enumerate(nbrs) if allowed >> u & 1)]
+
+    f = [0.0]
+    for nodes in range(1, 1 << skel.d):
+        f.append(max(
+            f[nodes & ~(1 << v)] + best_within(v, nodes & ~(1 << v))
+            for v in range(skel.d) if nodes >> v & 1
+        ))
+    return f[-1]
 
 
 # ------------------------------------------------------------ statistics

@@ -316,9 +316,52 @@ class TestBuildSkeleton:
         src = DataIndependenceSource(ds, cfg)
         skel = build_skeleton(src)
         assert skel == build_skeleton(src, cfg)
-        assert skel != build_skeleton(src, Config())
+        with pytest.raises(ValueError):
+            build_skeleton(src, Config())
         for t in range(ds.d):
             assert hpc(t, src) == hpc(t, src, None, cfg)
+
+
+class TestRunInputs:
+    """A run's test config is the source's own, and its target and universe
+    are variables of the source; anything else is refused before a test."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return forward_sample(child_shape_network(), 500, seed=1)
+
+    def test_a_cfg_unlike_the_sources_is_refused(self, sample):
+        # taken, the argument would set the FDR alpha over verdicts decided
+        # at the source's alpha, a mix of two configs
+        src = DataIndependenceSource(sample)
+        with pytest.raises(ValueError, match="the source's own test config"):
+            build_skeleton(src, Config(alpha=0.2))
+        with pytest.raises(ValueError, match="the source's own test config"):
+            hpc(0, src, cfg=Config(alpha=0.2))
+        assert src.distinct_tests == 0
+
+    def test_a_negative_target_is_refused(self, sample):
+        # unchecked, NumPy would read -1 as the last column
+        src = DataIndependenceSource(sample)
+        with pytest.raises(ValueError, match=r"variable -1 is not in 0\.\.19"):
+            hpc(-1, src)
+        assert src.distinct_tests == 0
+
+    @pytest.mark.parametrize("universe", [[-1, 0, 1], [0, 1, 20]])
+    def test_a_universe_member_out_of_range_is_refused(self, sample, universe):
+        src = DataIndependenceSource(sample)
+        with pytest.raises(ValueError, match=r"is not in 0\.\.19"):
+            build_skeleton(src, universe=universe)
+        with pytest.raises(ValueError, match=r"is not in 0\.\.19"):
+            hpc(0, src, universe)
+        assert src.distinct_tests == 0
+
+    def test_h2pc_refuses_a_universe_member_out_of_range(self, sample):
+        # unchecked, the test kernel would end in an IndexError
+        src = DataIndependenceSource(sample)
+        with pytest.raises(ValueError, match=r"variable 25 is not in 0\.\.19"):
+            h2pc(src, universe=[0, 1, 25])
+        assert src.distinct_tests == 0
 
 
 class TestH2pc:
