@@ -777,6 +777,14 @@ def write_json(doc, path):
         fh.write("\n")
 
 
+def json_string(value, what):
+    """value, a name or level read from JSON, which must be a JSON string;
+    what names it in the DataError raised otherwise."""
+    if not isinstance(value, str):
+        raise DataError(f"{what} is not a JSON string: {json.dumps(value)}")
+    return value
+
+
 def name_pairs(pairs, index, what):
     """Index pairs of a JSON list of [name, name] pairs; index maps names to
     indices and what names a pair in error messages. A pair naming one

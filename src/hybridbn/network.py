@@ -15,6 +15,7 @@ from .data import (
     CategoricalDataset,
     DataError,
     count_table,
+    json_string,
     name_pairs,
     radix_code,
     read_json_object,
@@ -205,10 +206,11 @@ def read_network(path):
         if not (isinstance(entry, dict) and "name" in entry
                 and isinstance(entry.get("levels"), list)):
             raise DataError("variable entries need 'name' and a 'levels' list")
+        name = json_string(entry["name"], "variable name")
         if len(entry["levels"]) < 2:
-            raise DataError(f"variable {entry['name']!r} needs at least 2 levels")
-        names.append(str(entry["name"]))
-        levels.append([str(t) for t in entry["levels"]])
+            raise DataError(f"variable {name!r} needs at least 2 levels")
+        names.append(name)
+        levels.append([json_string(t, f"level of {name!r}") for t in entry["levels"]])
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise DataError("duplicate variable names")

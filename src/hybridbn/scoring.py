@@ -7,7 +7,6 @@ tuple), and the search evaluates moves through differences of these.
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,9 @@ class Scorer:
         hit = self._cache.get(key)
         if hit is None:
             node, parents = key
+            for v in (node,) + parents:
+                if v not in range(self.data.d):
+                    raise ValueError(f"variable {v!r} is not in 0..{self.data.d - 1}")
             if node in parents:
                 raise ValueError("node cannot be its own parent")
             if len(set(parents)) < len(parents):
@@ -120,6 +122,8 @@ class Scorer:
         return table[0], values
 
     def _bic(self, node, parents, counts, q):
+        if self.data.n == 0:
+            raise ValueError("BIC needs at least one row")
         n_j = counts.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(counts > 0, counts * np.log(counts / n_j), 0.0)
@@ -143,30 +147,6 @@ class SearchResult:
     empty_score: float
     moves: int
     stop: str
-
-
-def _fill_ancestor_masks(parents, masks, nodes):
-    # Fill in masks[v] for each v in nodes whose entry is None: bit p of
-    # masks[v] is set iff p is a proper ancestor of v. Every other entry must
-    # already be right. Depth-first over parent lists: each node is pushed
-    # once and rescanned once per parent it waits for, so a pass is
-    # O(nodes + their in-edges) for bounded in-degrees.
-    for root in nodes:
-        if masks[root] is not None:
-            continue
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            mask = 0
-            for p in parents[v]:
-                above = masks[p]
-                if above is None:
-                    stack.append(p)
-                    break
-                mask |= above | (1 << p)
-            else:
-                masks[v] = mask
-                stack.pop()
 
 
 _ADD, _DELETE, _REVERSE = 0, 1, 2  # also the tie-break rank of each op
@@ -193,13 +173,14 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     move is available, and returns the best structure encountered.
 
     The moves wait in a heap ordered by the tie-break key (-delta, op, u, v),
-    a total order, so each step walks from the front to the first legal,
-    non-tabu move. A move changes one family (two for a reverse); only the
-    moves whose delta reads a changed family are re-keyed. Deltas are
-    scored only while their move is legal: a move a cycle blocks waits in a
-    pending set, and since an add only grows ancestor sets, the set is
-    rechecked only after a delete or a reverse. Acyclicity is read off
-    per-node ancestor bitsets, which each move updates in place.
+    a total order. Every move over the skeleton is live in it, a move that
+    would close a cycle too, except an add against an existing edge, whose
+    pair the reverse covers. A move changes one family (two for a reverse);
+    only the moves whose delta reads a changed family are re-keyed. Each
+    step walks from the front to the first move that is legal and not tabu,
+    and one filter holds back the rest to be pushed again: an add u -> v
+    closes a cycle iff v is an ancestor of u, a reverse iff u is an ancestor
+    of another parent of v, each found by a search up the parent lists.
 
     Local scores come from scorer, a Scorer of data, or a new one. With a
     scorer, cfg defaults to scorer.cfg; a scorer of another dataset or
@@ -218,31 +199,23 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
     nbrs = [tuple(sorted(skeleton.pc[v])) for v in range(d)]
     parents = [() for _ in range(d)]
     local = [scorer.local(v, ()) for v in range(d)]
-    anc = [0] * d
     # live[op, u, v] is the heap entry (-delta, op, u, v) of a move whose
-    # delta is current; any other heap entry is outdated and skipped. Every
-    # legal move is live. An illegal one is live or pending, or is an add
-    # against an existing edge, which the move that drops that edge re-keys.
+    # delta is current; any other heap entry is outdated and skipped
     heap = []
     live = {}
-    # skeleton pairs (u, v) whose add or reverse of u -> v is not live
-    # because it would close a cycle through a path of two or more edges
-    pending = set()
     current = sum(local)
     empty_score = current
     best_score = current
     best_edges = frozenset()
     current_edges = frozenset()
-    # the last tabu_length structures, oldest first, and the same as a set:
-    # each move leaves the window, so no structure is in it twice
-    tabu = deque()
-    in_tabu = set()
+    # the last tabu_length structures, oldest first: each move leaves the
+    # window, so no structure is in it twice
+    tabu = {}
 
     def visit(edges):
-        tabu.append(edges)
-        in_tabu.add(edges)
-        while len(tabu) > cfg.tabu_length:
-            in_tabu.remove(tabu.popleft())
+        tabu[edges] = None
+        if len(tabu) > cfg.tabu_length:
+            del tabu[next(iter(tabu))]
 
     def toggled(v, u):
         # score delta of adding u to, or deleting it from, v's parents
@@ -250,13 +223,25 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         rest = tuple(w for w in pa_v if w != u) if u in pa_v else pa_v + (u,)
         return scorer.local(v, rest) - local[v]
 
-    def reversible(u, v):
-        # reversing u -> v closes a cycle iff u is a proper ancestor of
-        # another parent of v (never of u itself)
-        above = 0
-        for p in parents[v]:
-            above |= anc[p]
-        return not above >> u & 1
+    def cyclic(op, u, v):
+        # an add u -> v closes a cycle iff v is an ancestor of u, a reverse
+        # iff u is an ancestor of another parent of v
+        if op == _ADD:
+            top, stack = v, list(parents[u])
+        elif op == _REVERSE:
+            top, stack = u, [p for p in parents[v] if p != u]
+        else:
+            return False
+        seen = set(stack)
+        while stack:
+            w = stack.pop()
+            if w == top:
+                return True
+            for p in parents[w]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return False
 
     def put(op, u, v, delta):
         entry = live.get((op, u, v))
@@ -264,46 +249,32 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
             entry = live[op, u, v] = (-delta, op, u, v)
             heapq.heappush(heap, entry)
 
-    def block(op, u, v):
-        live.pop((op, u, v), None)
-        if op == _REVERSE or v not in parents[u]:
-            pending.add((u, v))
-
     def refresh(u, v):
-        # re-key the moves of u -> v from the current graph
-        pending.discard((u, v))
+        # re-key the moves of u -> v from the current graph; an add against
+        # the edge v -> u is not live, as the reverse of v -> u covers it
         if u in parents[v]:
             live.pop((_ADD, u, v), None)
             delta = toggled(v, u)
             put(_DELETE, u, v, delta)
-            if reversible(u, v):
-                put(_REVERSE, u, v, delta + toggled(u, v))
-            else:
-                block(_REVERSE, u, v)
+            put(_REVERSE, u, v, delta + toggled(u, v))
         else:
             live.pop((_DELETE, u, v), None)
             live.pop((_REVERSE, u, v), None)
-            # v is no ancestor of u, so u is no child of v either
-            if not anc[u] >> v & 1:
-                put(_ADD, u, v, toggled(v, u))
+            if v in parents[u]:
+                live.pop((_ADD, u, v), None)
             else:
-                block(_ADD, u, v)
+                put(_ADD, u, v, toggled(v, u))
 
     visit(current_edges)
     stale = 0
     moves = 0
     changed = range(d)
-    unblocked = False
     while True:
-        # re-key the moves whose delta reads a changed family, and, after
-        # a delete or a reverse, the pending ones
-        pairs = {p for w in changed for x in nbrs[w] for p in ((x, w), (w, x))}
-        if unblocked:
-            pairs |= pending
-        for u, v in pairs:
+        # re-key the moves whose delta reads a changed family
+        for u, v in {p for w in changed for x in nbrs[w] for p in ((x, w), (w, x))}:
             refresh(u, v)
         # the first live move in key order that is legal and not tabu; the
-        # tabu ones go back afterwards
+        # held ones go back afterwards
         chosen = None
         held = []
         while heap:
@@ -311,9 +282,7 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
             _, op, u, v = entry
             if live.get((op, u, v)) is not entry:
                 continue
-            if op == _ADD and anc[u] >> v & 1 or op == _REVERSE and not reversible(u, v):
-                block(op, u, v)
-            elif in_tabu and _moved(current_edges, op, u, v) in in_tabu:
+            if cyclic(op, u, v) or tabu and _moved(current_edges, op, u, v) in tabu:
                 held.append(entry)
             else:
                 chosen = entry
@@ -323,33 +292,17 @@ def hill_climb(data, skeleton, cfg=None, scorer=None):
         if chosen is None:
             stop = "no_move"
             break
-        del live[op, u, v]
-        delta = -chosen[0]
-        # the legality checks above keep the parent lists acyclic
         if op == _ADD:
             parents[v] = tuple(sorted(parents[v] + (u,)))
-            # v and its descendants gain u and u's ancestors
-            gained = anc[u] | 1 << u
-            for w in range(d):
-                if w == v or anc[w] >> v & 1:
-                    anc[w] |= gained
         else:
             parents[v] = tuple(w for w in parents[v] if w != u)
             if op == _REVERSE:
                 parents[u] = tuple(sorted(parents[u] + (v,)))
-            # only the deleted edge's head (the reversed edge's old tail)
-            # and its old descendants can have other ancestors now
-            top = v if op == _DELETE else u
-            redo = [w for w in range(d) if w == top or anc[w] >> top & 1]
-            for w in redo:
-                anc[w] = None
-            _fill_ancestor_masks(parents, anc, redo)
         current_edges = _moved(current_edges, op, u, v)
         changed = (u, v) if op == _REVERSE else (v,)
-        unblocked = op != _ADD
         for w in changed:
             local[w] = scorer.local(w, parents[w])
-        current += delta
+        current -= chosen[0]
         moves += 1
         visit(current_edges)
         if current > best_score + _IMPROVE_EPS:

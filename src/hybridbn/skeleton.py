@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .data import DataError, name_pairs, read_json_object, write_json
+from .data import DataError, json_string, name_pairs, read_json_object, write_json
 from .independence import TestConfig
 from .scoring import SearchResult, hill_climb
 
@@ -334,7 +334,7 @@ def write_skeleton(skel, names, path):
 def read_skeleton(path):
     """Parse a skeleton JSON file; returns (Skeleton, names)."""
     doc = read_json_object(path, {"nodes": list, "edges": list})
-    names = [str(t) for t in doc["nodes"]]
+    names = [json_string(t, "skeleton node") for t in doc["nodes"]]
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise DataError("duplicate skeleton node names")

@@ -511,22 +511,22 @@ def reference_build_skeleton(src, cfg=None, universe=None):
 # ---------------------------------------------------------------- search
 
 
-def _reference_legal_moves(dag, skeleton):
-    # Deterministic enumeration: adds (skeleton-constrained), then deletes,
-    # then reverses; each ordered by (source, target). An add or a reverse
-    # is legal when its candidate edge list is acyclic.
+def _reference_moves(dag, skeleton):
+    # Deterministic enumeration: adds (skeleton-constrained, between
+    # non-adjacent nodes), then deletes, then reverses; each ordered by
+    # (source, target) and flagged legal when its candidate edge list is
+    # acyclic.
     d = dag.d
     edges = dag.edges()
     for u in range(d):
         for v in sorted(skeleton.pc[u]):
-            if not dag.adjacent(u, v) and is_acyclic(d, edges + [(u, v)]):
-                yield ("add", u, v)
+            if not dag.adjacent(u, v):
+                yield "add", u, v, is_acyclic(d, edges + [(u, v)])
     for u, v in edges:
-        yield ("delete", u, v)
+        yield "delete", u, v, True
     for u, v in edges:
         rest = [e for e in edges if e != (u, v)]
-        if is_acyclic(d, rest + [(v, u)]):
-            yield ("reverse", u, v)
+        yield "reverse", u, v, is_acyclic(d, rest + [(v, u)])
 
 
 _REFERENCE_OP_RANK = {"add": 0, "delete": 1, "reverse": 2}
@@ -534,9 +534,10 @@ _REFERENCE_OP_RANK = {"add": 0, "delete": 1, "reverse": 2}
 
 def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
     """The tabu hill climb as first written: every step enumerates every
-    legal move (one acyclicity check per add and reverse), rescores each
-    one, builds its edge set for the tabu check and rebuilds the Dag. The
-    package's incremental search must return the same result."""
+    move over the skeleton (one acyclicity check per add and reverse),
+    rescores each one, illegal ones too, takes the best legal one whose
+    edge set is not tabu and rebuilds the Dag. The package's incremental
+    search must return the same result and score the same families."""
     if skeleton.d != data.d:
         raise ValueError("skeleton does not cover the dataset's variables")
     cfg = cfg or ScoreConfig()
@@ -556,7 +557,7 @@ def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
     while True:
         best_move = None
         best_key = None
-        for op, u, v in _reference_legal_moves(dag, skeleton):
+        for op, u, v, legal in _reference_moves(dag, skeleton):
             if op == "add":
                 delta = scorer.local(v, dag.parents(v) + (u,)) - local[v]
                 result = current_edges | {(u, v)}
@@ -570,7 +571,7 @@ def reference_hill_climb(data, skeleton, cfg=None, scorer=None):
                     scorer.local(u, dag.parents(u) + (v,)) - local[u]
                 )
                 result = (current_edges - {(u, v)}) | {(v, u)}
-            if result in tabu:
+            if not legal or result in tabu:
                 continue
             key = (-delta, _REFERENCE_OP_RANK[op], u, v)
             if best_key is None or key < best_key:

@@ -589,6 +589,32 @@ class TestBadInput:
         self.assert_one_line(capsys, f"data error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("variable, message", [
+        # sampled as the tokens True and None
+        ({"name": "a", "levels": [True, None]}, "level of 'a' is not a JSON string: true"),
+        ({"name": "a", "levels": ["0", 1]}, "level of 'a' is not a JSON string: 1"),
+        ({"name": 7, "levels": ["0", "1"]}, "variable name is not a JSON string: 7"),
+        ({"name": ["a"], "levels": ["0", "1"]},
+         'variable name is not a JSON string: ["a"]'),
+    ])
+    def test_network_names_must_be_json_strings(self, variable, message,
+                                                tmp_path, capsys):
+        doc = {"variables": [variable], "edges": [], "cpts": {"a": [0.5, 0.5]}}
+        net_path, out = tmp_path / "net.json", tmp_path / "s.csv"
+        net_path.write_text(json.dumps(doc))
+        code = run("sample", "--net", net_path, "--n", 20, "--seed", 0, "--out", out)
+        assert code == 2
+        self.assert_one_line(capsys, f"data error: {message}\n")
+        assert not out.exists()
+
+    def test_skeleton_nodes_must_be_json_strings(self, tiny_csv, tmp_path, capsys):
+        skel, out = tmp_path / "skel.json", tmp_path / "o.json"
+        skel.write_text('{"nodes": ["a", "b", null], "edges": []}')
+        code = run("learn", "--data", tiny_csv, "--skeleton", skel, "--out", out)
+        assert code == 2
+        self.assert_one_line(capsys, "data error: skeleton node is not a JSON string: null\n")
+        assert not out.exists()
+
     def test_sample_of_one_row(self, tmp_path, capsys):
         # every column of a one-row sample is constant, which load_csv, and
         # so learn, would refuse

@@ -210,6 +210,19 @@ class TestBic:
         assert fwd == pytest.approx(rev, abs=1e-9)
 
 
+class TestNoRows:
+    def test_bic_needs_a_row(self):
+        # log(0) of the penalty ended in "math domain error"
+        ds = dataset(np.zeros((0, 2)), (2, 3))
+        with pytest.raises(ValueError, match="BIC needs at least one row"):
+            hill_climb(ds, full_skeleton(2), ScoreConfig(score="bic"))
+
+    def test_bdeu_of_no_rows_is_zero(self):
+        ds = dataset(np.zeros((0, 2)), (2, 3))
+        res = hill_climb(ds, full_skeleton(2))
+        assert res.score == res.empty_score == 0.0
+
+
 class TestScorer:
     def test_cache_is_transparent(self):
         rng = np.random.default_rng(41)
@@ -241,6 +254,19 @@ class TestScorer:
         assert total_score(ds, Dag(3), cfg) == pytest.approx(
             sum(bic_local(ds, v, ()) for v in range(3)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("score", ["bdeu", "bic"])
+    @pytest.mark.parametrize("node, parents", [
+        (-1, ()),  # NumPy read the last column
+        (0, (-1,)),  # conditioned on the last column
+        (2, (-1,)),  # node 2 given itself, past the self-parent check
+        (3, ()),
+        (0, (3,)),   # both ended in a bare IndexError
+    ])
+    def test_variable_outside_the_dataset_rejected(self, score, node, parents):
+        ds = random_dataset(np.random.default_rng(83), 3, 50)
+        with pytest.raises(ValueError, match=r"not in 0\.\.2"):
+            Scorer(ds, ScoreConfig(score=score)).local(node, parents)
 
 
 class TestHillClimb:

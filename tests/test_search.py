@@ -1,11 +1,14 @@
 """The incremental tabu hill climb against the search as first written.
 
-hill_climb keeps its moves in key order, re-keys only those whose families
-moved, parks the adds and reverses a cycle blocks until a delete or a
-reverse, and updates ancestor bitsets in place. None of that may change a
-result: the learned DAG, score, empty-graph score, move count and stop
-reason must equal reference_hill_climb's in helpers.py, and both searches
-must score the same set of families.
+hill_climb keeps every move over the skeleton in a heap in key order,
+cycle-blocked ones too, re-keys only those whose families moved, and
+checks acyclicity and tabu only on the entries that reach the front. None
+of that may change a result: the learned DAG, score, empty-graph score,
+move count and stop reason must equal reference_hill_climb's in
+helpers.py. The reference scores every add and reverse over the skeleton
+at each step, a cycle-blocked one too, and an incremental search scores
+each delta once per change of its family, so both must score the same
+set of families.
 """
 
 import numpy as np
